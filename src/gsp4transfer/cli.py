@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-
-import numpy as np
 
 from . import __version__
 from .isobaric import (
@@ -29,9 +26,7 @@ from .lseries import (
     InsufficientLocalData,
     LocalPole,
     estimate_with_sweep,
-    place,
-    primes_up_to,
-    sample_sato_tate,
+    synthetic_reps,
 )
 from .satake import (
     CentralCharMismatch,
@@ -53,10 +48,9 @@ EXIT_OK = 0
 EXIT_CONSTRAINT = 1
 EXIT_USAGE = 2
 
-CONSTRAINT_CENTRAL_CHAR = "central_char_compatibility"
-CONSTRAINT_DISTINCT = "distinct_constituents"
-CONSTRAINT_UNITARY = "unitary_normalization"
 CONSTRAINT_GROUPS = "pair_map_presentation"
+# Failures of a named constraint on valid input; each carries its name in ``constraint``.
+CONSTRAINT_ERRORS = (CentralCharMismatch, ConstituentsNotDistinct, NotUnitaryNormalized)
 
 
 def _emit(payload: dict, fmt: str, out: str | None, render_text, render_csv=None) -> None:
@@ -154,35 +148,40 @@ def _text_transfer(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_transfer(args) -> int:
+def _load_descriptors(args, report_constraint) -> list | int:
+    """The descriptors of the ``--in`` document, or the exit code once the
+    failure is reported: 2 for an unreadable or malformed document, 1 for a
+    named constraint, whose name goes to ``report_constraint``."""
     try:
         with open(args.infile) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read descriptor file: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    payload = {"from_gso": None, "isobaric": [], "conditions": [], "places": [], "violation": None}
     try:
-        registry, descriptors = load_document(doc)
-        if len(descriptors) != 1:
-            print("error: transfer expects exactly one descriptor", file=sys.stderr)
-            return EXIT_USAGE
-        desc = descriptors[0]
-    except CentralCharMismatch:
-        payload["violation"] = CONSTRAINT_CENTRAL_CHAR
-        _emit(payload, args.format, args.out, _text_transfer)
-        return EXIT_CONSTRAINT
-    except ConstituentsNotDistinct:
-        payload["violation"] = CONSTRAINT_DISTINCT
-        _emit(payload, args.format, args.out, _text_transfer)
-        return EXIT_CONSTRAINT
-    except NotUnitaryNormalized:
-        payload["violation"] = CONSTRAINT_UNITARY
-        _emit(payload, args.format, args.out, _text_transfer)
+        return load_document(doc)[1]
+    except CONSTRAINT_ERRORS as exc:
+        report_constraint(exc.constraint)
         return EXIT_CONSTRAINT
     except (KeyError, ValueError) as exc:
         print(f"error: malformed document: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+
+def _cmd_transfer(args) -> int:
+    payload = {"from_gso": None, "isobaric": [], "conditions": [], "places": [], "violation": None}
+
+    def violation(name: str) -> None:
+        payload["violation"] = name
+        _emit(payload, args.format, args.out, _text_transfer)
+
+    descriptors = _load_descriptors(args, violation)
+    if isinstance(descriptors, int):
+        return descriptors
+    if len(descriptors) != 1:
+        print("error: transfer expects exactly one descriptor", file=sys.stderr)
+        return EXIT_USAGE
+    desc = descriptors[0]
     rep = transfer(desc)
     payload["from_gso"] = desc.from_gso
     payload["isobaric"] = [sym.id for sym in rep.constituents]
@@ -194,10 +193,9 @@ def _cmd_transfer(args) -> int:
         try:
             for pl in sorted(common, key=lambda p: p.q):
                 payload["places"].append(_chain_at_place(desc, pl))
-        except CentralCharMismatch:
+        except CentralCharMismatch as exc:
             # sampled local data of the pair has unequal central values
-            payload["violation"] = CONSTRAINT_CENTRAL_CHAR
-            _emit(payload, args.format, args.out, _text_transfer)
+            violation(exc.constraint)
             return EXIT_CONSTRAINT
     ok = all(entry["commutes"] for entry in payload["places"])
     if not ok:
@@ -230,86 +228,16 @@ def _csv_poles(payload: dict) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _stream_seed(seed: int, key: str) -> int:
-    h = 1469598103934665603
-    for ch in key:
-        h = (h ^ ord(ch)) * 1099511628211 % (2**63)
-    return (seed * 1_000_003 + h) % (2**63)
-
-
-def _synthesize_registry(descriptors, seed: int, X: int):
-    """Shadow registry with synthetic angle data for every degree-2 symbol.
-
-    The identification pattern of the document is preserved: each dual pair
-    of symbol ids shares one stream seeded by (seed, smaller id), the dual
-    side receives the entrywise inverses, and self-dual symbols get plain
-    inverse-closed angle data.  Non-self-dual symbols additionally carry a
-    place-varying unimodular central twist, so that a symbol is locally
-    equivalent to its dual only when it is declared self-dual.
-    """
-    from .isobaric import SymbolRegistry, inverse_char_id, isobaric
-
-    primes = primes_up_to(X)
-    shadow = SymbolRegistry()
-    for desc in descriptors:
-        if not desc.from_gso:
-            raise ValueError("numeric estimates need degree-2 constituents")
-        for sym in desc.pair:
-            if sym.id in shadow:
-                continue
-            base_id = min(sym.id, sym.dual_id)
-            # angle and twist streams must be independent
-            rng = np.random.Generator(np.random.PCG64(_stream_seed(seed, base_id + ":twist")))
-            data = sample_sato_tate(_stream_seed(seed, base_id + ":angles"), primes)
-            if sym.is_self_dual:
-                local = {place(p): params for p, params in data.items()}
-                shadow.create(sym.id, 2, central_char=sym.central_char_id,
-                              self_dual=True, local=local)
-                continue
-            phases = np.exp(2j * math.pi * rng.random(len(primes)))
-            local = {
-                place(p): (z * a, z * b)
-                for (p, (a, b)), z in zip(data.items(), phases)
-            }
-            if sym.id == base_id:
-                shadow.create(sym.id, 2, central_char=sym.central_char_id,
-                              dual_id=sym.dual_id, local=local)
-            else:
-                shadow.create(sym.dual_id, 2,
-                              central_char=inverse_char_id(sym.central_char_id),
-                              dual_id=sym.id, local=local)
-    return [isobaric([shadow.get(s.id) for s in desc.pair]) for desc in descriptors]
-
-
 def _cmd_poles(args) -> int:
-    try:
-        with open(args.infile) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read descriptor file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        _, descriptors = load_document(doc)
-    except CentralCharMismatch:
-        print(f"constraint failed: {CONSTRAINT_CENTRAL_CHAR}", file=sys.stderr)
-        return EXIT_CONSTRAINT
-    except ConstituentsNotDistinct:
-        print(f"constraint failed: {CONSTRAINT_DISTINCT}", file=sys.stderr)
-        return EXIT_CONSTRAINT
-    except NotUnitaryNormalized:
-        print(f"constraint failed: {CONSTRAINT_UNITARY}", file=sys.stderr)
-        return EXIT_CONSTRAINT
-    except (KeyError, ValueError) as exc:
-        print(f"error: malformed document: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    descriptors = _load_descriptors(
+        args, lambda name: print(f"constraint failed: {name}", file=sys.stderr)
+    )
+    if isinstance(descriptors, int):
+        return descriptors
     if len(descriptors) != 2:
         print("error: poles expects a document with two descriptors", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        analysis = jiang_case_analysis(descriptors[0], descriptors[1])
-    except (CentralCharMismatch, ConstituentsNotDistinct, NotUnitaryNormalized) as exc:
-        print(f"constraint failed: {exc}", file=sys.stderr)
-        return EXIT_CONSTRAINT
+    analysis = jiang_case_analysis(descriptors[0], descriptors[1])
     payload = {
         "case": analysis.label,
         "symbolic_order": analysis.report.order,
@@ -324,7 +252,7 @@ def _cmd_poles(args) -> int:
         return EXIT_USAGE
     if args.mode in ("numeric", "both"):
         try:
-            reps = _synthesize_registry(descriptors, args.seed, args.X)
+            reps = synthetic_reps(descriptors, args.seed, args.X)
             est, sweep = estimate_with_sweep(reps[0], reps[1], args.X)
         except (LocalPole, EstimationError, InsufficientLocalData, ValueError) as exc:
             print(f"error: numeric estimate failed: {exc}", file=sys.stderr)
@@ -372,6 +300,9 @@ def _cmd_rodier(args) -> int:
         pl = PlaceData(args.q)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if not all(c.consistent_at(pl.q) for c in param.entries):
+        print(f"error: exact forms disagree with their float values at q={pl.q}", file=sys.stderr)
         return EXIT_USAGE
     vec = exponents(param, pl)
     verdict = rodier_class(vec)

@@ -18,25 +18,34 @@ the oracle.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .satake import (
     CentralCharMismatch,
     PlaceData,
     UnramChar,
     as_char,
+    match_multiset_rows,
     match_multisets,
+    perfect_matching,
+    place,
 )
 
 
 class NotUnitaryNormalized(ValueError):
     """Pole-order calculus requires all twist exponents to vanish."""
 
+    constraint = "unitary_normalization"
+
 
 class ConstituentsNotDistinct(ValueError):
     """The two degree-2 constituents of a lifted datum must be non-isomorphic."""
+
+    constraint = "distinct_constituents"
 
 
 class InsufficientLocalData(ValueError):
@@ -50,30 +59,66 @@ def inverse_char_id(cc: str) -> str:
     return cc[1:] if cc.startswith("~") else "~" + cc
 
 
+class LocalParams(Mapping):
+    """Read-only place -> parameter-tuple view over columnar local data: a lookup
+    bisects ``qs`` for the row, and keys come from the interned ``place``.  As
+    ``local`` of ``SymbolRegistry.create`` its arrays are taken over as they are."""
+
+    def __init__(self, qs, params):
+        self.qs, self.params = np.asarray(qs), np.asarray(params)
+
+    def __getitem__(self, pl: PlaceData) -> tuple[UnramChar, ...]:
+        i = int(np.searchsorted(self.qs, pl.q))
+        if i == len(self.qs) or self.qs[i] != pl.q:
+            raise KeyError(pl)
+        return tuple(map(UnramChar, self.params[i].tolist()))
+
+    def __iter__(self) -> Iterator[PlaceData]:
+        return map(place, self.qs.tolist())
+
+    def __len__(self) -> int:
+        return len(self.qs)
+
+
 @dataclass(frozen=True, eq=False)
 class CuspidalSymbol:
-    """A formal cuspidal representation with sampled local Satake data."""
+    """A formal cuspidal representation with sampled local Satake data.
+
+    Local data is stored once, as two read-only arrays: ``qs`` (int64,
+    shape (P,), the sampled residue cardinalities in ascending order) and
+    ``params`` (complex128, shape (P, degree)).  It is float only; exact
+    forms live on ``satake`` parameters, not on symbols.  ``local_params``
+    is a read-only ``Mapping[PlaceData, tuple[UnramChar, ...]]`` view over
+    the arrays for callers that work per place.
+    """
 
     id: str
     degree: int
     dual_id: str
     central_char_id: str
-    local_params: Mapping[PlaceData, tuple[UnramChar, ...]]
+    qs: np.ndarray
+    params: np.ndarray
     _registry: "SymbolRegistry | None" = field(default=None, repr=False)
+    local_params: LocalParams = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.degree not in (1, 2, 3, 4):
             raise ValueError(f"degree must be in 1..4, got {self.degree}")
-        frozen = {}
-        for place, params in dict(self.local_params).items():
-            params = tuple(as_char(x) for x in params)
-            if len(params) != self.degree:
-                raise ValueError(
-                    f"symbol {self.id}: {len(params)} parameters at q={place.q}, "
-                    f"expected {self.degree}"
-                )
-            frozen[place] = params
-        object.__setattr__(self, "local_params", frozen)
+        qs = np.array(self.qs, dtype=np.int64).reshape(-1)
+        params = np.array(self.params, dtype=complex).reshape(len(qs), -1 if len(qs) else self.degree)
+        if params.shape[1] != self.degree:
+            raise ValueError(f"symbol {self.id}: {params.shape[1]} parameters per place, "
+                             f"expected {self.degree}")
+        order = np.argsort(qs)
+        qs, params = qs[order], params[order]
+        for q in qs.tolist():
+            place(q)  # a prime power
+        if np.any(np.diff(qs) == 0) or np.any(params == 0):
+            raise ValueError(f"symbol {self.id}: a place is sampled twice or a parameter is zero")
+        qs.flags.writeable = params.flags.writeable = False
+        object.__setattr__(self, "qs", qs)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "local_params", LocalParams(qs, params))
 
     def __eq__(self, other):
         return isinstance(other, CuspidalSymbol) and self.id == other.id
@@ -93,16 +138,29 @@ class CuspidalSymbol:
         return self._registry.get(self.dual_id)
 
 
+def _first_mismatch(qs: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> int | None:
+    """The smallest q whose rows of xs and ys differ as multisets, or None."""
+    bad = ~match_multiset_rows(xs, ys)
+    return int(qs[bad][0]) if bad.any() else None
+
+
+def _check_inverse_closed(sym: CuspidalSymbol) -> None:
+    q = _first_mismatch(sym.qs, sym.params, 1 / sym.params)
+    if q is not None:
+        raise ValueError(f"symbol {sym.id}: local data at q={q} is not inverse-closed, "
+                         "cannot be self-dual")
+
+
 def equivalent(a: CuspidalSymbol, b: CuspidalSymbol) -> bool:
     """Equivalence oracle: identity, or local agreement at all common places."""
     if a.id == b.id:
         return True
     if a.degree != b.degree:
         return False
-    common = set(a.local_params) & set(b.local_params)
-    if not common:
+    common, ia, ib = np.intersect1d(a.qs, b.qs, assume_unique=True, return_indices=True)
+    if not len(common):
         return False
-    return all(match_multisets(a.local_params[p], b.local_params[p]) for p in common)
+    return _first_mismatch(common, a.params[ia], b.params[ib]) is None
 
 
 class SymbolRegistry:
@@ -140,24 +198,24 @@ class SymbolRegistry:
         """Create a symbol together with its contragredient.
 
         Unless ``self_dual`` is set, the dual symbol is materialized with the
-        entrywise-inverse local multisets and the inverse central character.
+        entrywise-inverse local data and the inverse central character.
         Self-dual creation requires every sampled multiset to be closed under
-        inversion.
+        inversion.  Exact forms of ``UnramChar`` entries are dropped: symbol
+        local data is float only.
         """
-        local = {p: tuple(as_char(x) for x in params) for p, params in (local or {}).items()}
+        if isinstance(local, LocalParams):
+            qs, params = local.qs, local.params
+        else:
+            qs = [pl.q for pl in local or {}]
+            params = [[as_char(x).value for x in row] for row in (local or {}).values()]
         if self_dual:
-            for place, params in local.items():
-                if not match_multisets(params, [x.inverse() for x in params]):
-                    raise ValueError(
-                        f"symbol {sid}: local data at q={place.q} is not inverse-closed, "
-                        "cannot be self-dual"
-                    )
-            return self._insert(CuspidalSymbol(sid, degree, sid, central_char, local))
+            sym = CuspidalSymbol(sid, degree, sid, central_char, qs, params)
+            _check_inverse_closed(sym)
+            return self._insert(sym)
         dual_id = dual_id or sid + "^"
-        sym = CuspidalSymbol(sid, degree, dual_id, central_char, local)
-        dual_local = {p: tuple(x.inverse() for x in params) for p, params in local.items()}
+        sym = CuspidalSymbol(sid, degree, dual_id, central_char, qs, params)
         dual = CuspidalSymbol(
-            dual_id, degree, sid, inverse_char_id(central_char), dual_local
+            dual_id, degree, sid, inverse_char_id(central_char), sym.qs, 1 / sym.params
         )
         self._insert(sym)
         self._insert(dual)
@@ -210,15 +268,9 @@ def reps_equivalent(r1: IsobaricRep, r2: IsobaricRep) -> bool:
     """Equality of isobaric sums up to reordering of terms."""
     if len(r1.terms) != len(r2.terms):
         return False
-    remaining = list(r2.terms)
-    for sym, r in r1.terms:
-        for i, (other, rr) in enumerate(remaining):
-            if r == rr and equivalent(sym, other):
-                remaining.pop(i)
-                break
-        else:
-            return False
-    return True
+    adj = [[j for j, (other, rr) in enumerate(r2.terms) if r == rr and equivalent(sym, other)]
+           for sym, r in r1.terms]
+    return perfect_matching(adj) is not None
 
 
 @dataclass(frozen=True)
@@ -477,34 +529,13 @@ def associate_match(
         )
 
     n = len(list1)
-    assignment: list[int] = []
-    used = [False] * n
-
-    def search(j: int) -> bool:
-        if j == n:
-            return True
-        for i in range(n):
-            if not used[i] and compatible(j, i):
-                used[i] = True
-                assignment.append(i)
-                if search(j + 1):
-                    return True
-                assignment.pop()
-                used[i] = False
-        return False
-
-    if not search(0):
-        return None
-    return tuple(assignment)
+    phi = perfect_matching([[j for j in range(n) if compatible(j, i)] for i in range(n)])
+    return None if phi is None else tuple(phi)
 
 
 # ---------------------------------------------------------------------------
 # JSON documents
 # ---------------------------------------------------------------------------
-
-
-def _params_to_json(params: Iterable[UnramChar]) -> list:
-    return [[c.value.real, c.value.imag] for c in params]
 
 
 def registry_to_json(registry: SymbolRegistry) -> list[dict]:
@@ -517,12 +548,24 @@ def registry_to_json(registry: SymbolRegistry) -> list[dict]:
                 "dual": sym.dual_id,
                 "central_char": sym.central_char_id,
                 "local": {
-                    str(place.q): _params_to_json(params)
-                    for place, params in sorted(sym.local_params.items(), key=lambda kv: kv[0].q)
+                    str(place.q): [[c.value.real, c.value.imag] for c in params]
+                    for place, params in sym.local_params.items()
                 },
             }
         )
     return out
+
+
+def _backfill_dual(sym: CuspidalSymbol, dual: CuspidalSymbol) -> CuspidalSymbol:
+    """``dual`` checked to be entrywise inverse to ``sym`` at shared places and
+    given the inverse of ``sym``'s data at places only ``sym`` samples."""
+    common, i, j = np.intersect1d(sym.qs, dual.qs, assume_unique=True, return_indices=True)
+    q = _first_mismatch(common, dual.params[j], 1 / sym.params[i])
+    if q is not None:
+        raise ValueError(f"local data of {sym.id} and {dual.id} at q={q} are not entrywise inverse")
+    extra = ~np.isin(sym.qs, dual.qs)
+    return replace(dual, qs=np.concatenate([dual.qs, sym.qs[extra]]),
+                   params=np.concatenate([dual.params, 1 / sym.params[extra]]))
 
 
 def registry_from_json(symbols: Sequence[dict]) -> SymbolRegistry:
@@ -533,60 +576,42 @@ def registry_from_json(symbols: Sequence[dict]) -> SymbolRegistry:
     places and backfilled at places only one side declares.  Self-dual
     symbols must carry inverse-closed multisets.
     """
-    raw = {doc["id"]: dict(doc) for doc in symbols}
-    locals_: dict[str, dict] = {}
-    for sid, doc in raw.items():
-        locals_[sid] = {
-            PlaceData(int(q)): tuple(as_char(complex(re, im)) for re, im in params)
-            for q, params in (doc.get("local") or {}).items()
-        }
-    for sid, doc in list(raw.items()):
-        dual_id = doc["dual"]
-        if dual_id not in raw:
-            raw[dual_id] = {
-                "id": dual_id,
-                "degree": doc["degree"],
-                "dual": sid,
-                "central_char": inverse_char_id(doc.get("central_char", "1")),
-            }
-            locals_[dual_id] = {}
-    for sid, doc in raw.items():
-        dual_id = doc["dual"]
-        if dual_id == sid:
-            for place, params in locals_[sid].items():
-                if not match_multisets(params, [x.inverse() for x in params]):
-                    raise ValueError(
-                        f"self-dual symbol {sid} has non-inverse-closed data at q={place.q}"
-                    )
-            continue
-        other = raw.get(dual_id)
-        if other is None or other["dual"] != sid:
+    if not isinstance(symbols, list) or not all(isinstance(d, dict) for d in symbols):
+        raise ValueError("symbols must be a list of objects")
+    syms: dict[str, CuspidalSymbol] = {}
+    for doc in symbols:
+        sid, pairs = doc["id"], doc.get("local") or {}
+        values = np.asarray(list(pairs.values()) if isinstance(pairs, dict) else None)
+        if pairs and (values.dtype.kind not in "iuf" or values.ndim != 3 or values.shape[2] != 2):
+            raise ValueError(f"symbol {sid}: local data must map places to [re, im] pairs")
+        params = np.ascontiguousarray(values, dtype=float).view(complex)[..., 0] if pairs else []
+        syms[sid] = CuspidalSymbol(sid, int(doc["degree"]), doc["dual"],
+                                   doc.get("central_char", "1"), [int(q) for q in pairs], params)
+    declared = list(syms)
+    for sid in declared:
+        sym = syms[sid]
+        if sym.is_self_dual:
+            _check_inverse_closed(sym)
+        elif sym.dual_id not in syms:
+            cc = inverse_char_id(sym.central_char_id)
+            syms[sym.dual_id] = CuspidalSymbol(sym.dual_id, sym.degree, sid, cc, sym.qs, 1 / sym.params)
+        elif syms[sym.dual_id].dual_id != sid:
             raise ValueError(f"dual of dual of {sid} is not {sid}")
-        mine, theirs = locals_[sid], locals_[dual_id]
-        for place, params in mine.items():
-            inv = tuple(x.inverse() for x in params)
-            if place in theirs:
-                if not match_multisets(theirs[place], inv):
-                    raise ValueError(
-                        f"local data of {sid} and {dual_id} at q={place.q} "
-                        "are not entrywise inverse"
-                    )
-            else:
-                theirs[place] = inv
+        else:
+            syms[sym.dual_id] = _backfill_dual(syms[sid], syms[sym.dual_id])
     registry = SymbolRegistry()
-    for sid, doc in raw.items():
-        registry._insert(
-            CuspidalSymbol(
-                sid, int(doc["degree"]), doc["dual"],
-                doc.get("central_char", "1"), locals_[sid],
-            )
-        )
+    for sym in syms.values():
+        registry._insert(sym)
     return registry
 
 
 def descriptor_from_json(doc: dict, registry: SymbolRegistry) -> GSp4Descriptor:
     terms = doc.get("isobaric") or [{"term": t, "r": "0"} for t in doc.get("terms", [])]
-    if any(Fraction(str(item.get("r", "0"))) != 0 for item in terms):
+    try:
+        twists = [Fraction(str(item.get("r", "0"))) for item in terms]
+    except ZeroDivisionError:
+        raise ValueError("twist exponent has a zero denominator") from None
+    if any(twists):
         raise NotUnitaryNormalized(
             "unitary_normalization: descriptor terms must carry twist 0"
         )
@@ -613,6 +638,8 @@ def load_document(doc: dict | str) -> tuple[SymbolRegistry, list[GSp4Descriptor]
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise ValueError("document must be a JSON object")
     registry = registry_from_json(doc.get("symbols", []))
     descriptors = []
     if "descriptors" in doc:

@@ -34,10 +34,12 @@ import numpy as np
 from .isobaric import (
     InsufficientLocalData,
     IsobaricRep,
+    LocalParams,
     SymbolRegistry,
+    isobaric,
     rs_factorization,
 )
-from .satake import PlaceData
+from .satake import PlaceData, place  # noqa: F401  (place is re-exported)
 
 DEFAULT_GRID = (1.30, 1.20, 1.12, 1.06, 1.03)
 DEFAULT_MIN_PLACE = 100  # fit window floor: drop places q <= this
@@ -54,11 +56,6 @@ class EstimationError(ArithmeticError):
     """The slope fit received nonfinite values."""
 
 
-@lru_cache(maxsize=None)
-def place(q: int) -> PlaceData:
-    return PlaceData(q)
-
-
 def primes_up_to(x: int) -> list[int]:
     """Rational primes <= x by sieve."""
     if x < 2:
@@ -68,7 +65,7 @@ def primes_up_to(x: int) -> list[int]:
     for p in range(2, int(x**0.5) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return [int(p) for p in np.nonzero(sieve)[0]]
+    return np.nonzero(sieve)[0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -111,46 +108,32 @@ def local_rs_factor(inp: LocalFactorInput, s: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _factor_param_arrays(factor, places: Sequence[PlaceData]) -> np.ndarray:
-    """Pairwise parameter products per place, shape (n_places, m*k)."""
-    lam = np.empty((len(places), factor.sigma.degree * factor.tau.degree), dtype=complex)
-    for row, pl in enumerate(places):
-        try:
-            sig = factor.sigma.local_params[pl]
-            tau = factor.tau.local_params[pl]
-        except KeyError:
-            raise InsufficientLocalData(
-                f"missing local data at q={pl.q} for {factor.sigma.id} x {factor.tau.id}"
-            ) from None
-        a = np.array([c.value for c in sig])
-        b = np.array([c.value for c in tau])
-        lam[row] = (a[:, None] * b[None, :]).reshape(-1)
-    return lam
+def _window_rows(sym, qs: np.ndarray) -> np.ndarray:
+    """Row of each q in the symbol's local data; every q must be sampled."""
+    rows = np.searchsorted(sym.qs, qs)
+    missing = np.append(sym.qs, 0)[rows] != qs
+    if missing.any():
+        raise InsufficientLocalData(f"missing local data of {sym.id} at q={qs[missing][0]}")
+    return rows
 
 
-def _sweep_values(
-    r1: IsobaricRep,
-    r2: IsobaricRep,
-    places: Sequence[PlaceData],
-    grid: Sequence[float],
-) -> np.ndarray:
-    """Partial product values at every grid point; places evaluated jointly.
-
-    The reduction order (places ascending, factors in expansion order) is
-    fixed so the result does not depend on evaluation scheduling.
-    """
-    values = np.ones(len(grid), dtype=complex)
-    if not places:
-        return values
-    qs = np.array([pl.q for pl in places], dtype=float)
+def _sweep_values(r1: IsobaricRep, r2: IsobaricRep, qs: np.ndarray, s_values) -> np.ndarray:
+    """Partial product over the places ``qs`` at each s, real or complex: per
+    Rankin-Selberg factor one broadcast over (s, place, parameter pair) sums
+    log(1 - z), z = a_i b_j q^-(s + shift); the product is exp(-total)."""
+    s = np.asarray(s_values, dtype=complex)
+    logq = np.log(np.asarray(qs, dtype=float))
+    total = np.zeros(len(s), dtype=complex)
     for factor in rs_factorization(r1, r2):
-        lam = _factor_param_arrays(factor, places)
-        for i, s in enumerate(grid):
-            z = lam * qs[:, None] ** (-(s + float(factor.shift)))
-            if np.any(np.abs(1.0 - z) < _POLE_EPS):
-                raise LocalPole(f"local factor pole at s={s}")
-            values[i] *= np.prod(1.0 / (1.0 - z))
-    return values
+        a = factor.sigma.params[_window_rows(factor.sigma, qs)]
+        b = factor.tau.params[_window_rows(factor.tau, qs)]
+        lam = (a[:, :, None] * b[:, None, :]).reshape(len(qs), a.shape[1] * b.shape[1])
+        z = lam * np.exp(-np.multiply.outer(s + float(factor.shift), logq))[:, :, None]
+        pole = (np.abs(1.0 - z) < _POLE_EPS).any(axis=(1, 2))
+        if pole.any():
+            raise LocalPole(f"local factor pole at s={s[pole][0]}")
+        total += np.log1p(-z).sum(axis=(1, 2))
+    return np.exp(-total)
 
 
 def partial_L(
@@ -166,29 +149,8 @@ def partial_L(
     An explicit place set overrides the bound; the empty set gives the
     empty product 1.  Local data must be present at every requested place.
     """
-    if places is None:
-        place_list = [place(p) for p in primes_up_to(X)]
-    else:
-        place_list = sorted(set(places), key=lambda pl: pl.q)
-    if complex(s).imag == 0:
-        values = _sweep_values(r1, r2, place_list, [float(complex(s).real)])
-        return complex(values[0])
-    # complex s: scalar path through the local factors
-    out = 1.0 + 0.0j
-    for factor in rs_factorization(r1, r2):
-        for pl in place_list:
-            try:
-                sig = factor.sigma.local_params[pl]
-                tau = factor.tau.local_params[pl]
-            except KeyError:
-                raise InsufficientLocalData(
-                    f"missing local data at q={pl.q}"
-                ) from None
-            inp = LocalFactorInput(
-                tuple(c.value for c in sig), tuple(c.value for c in tau), pl
-            )
-            out *= local_rs_factor(inp, complex(s) + float(factor.shift))
-    return out
+    qs = primes_up_to(X) if places is None else sorted({pl.q for pl in places})
+    return complex(_sweep_values(r1, r2, np.array(qs, dtype=np.int64), [s])[0])
 
 
 @dataclass(frozen=True)
@@ -214,9 +176,8 @@ class EulerProductSweep:
         object.__setattr__(self, "values", vals)
 
 
-def _log_truncated_zeta(places: Sequence[PlaceData], s: float) -> float:
-    q = np.array([pl.q for pl in places], dtype=float)
-    return float(-np.log1p(-(q ** (-s))).sum())
+def _log_truncated_zeta(qs: np.ndarray, s: float) -> float:
+    return float(-np.log1p(-(qs.astype(float) ** (-s))).sum())
 
 
 def _check_grid(grid: Sequence[float]) -> tuple[float, ...]:
@@ -259,8 +220,8 @@ def estimate_with_sweep(
 ) -> tuple[float, EulerProductSweep]:
     """Pole-order estimate together with the underlying sweep values."""
     grid = _check_grid(DEFAULT_GRID if grid is None else grid)
-    window = [place(p) for p in primes_up_to(X) if p > min_place]
-    if not window:
+    window = np.array([p for p in primes_up_to(X) if p > min_place], dtype=np.int64)
+    if not len(window):
         raise ValueError(f"no places in window ({min_place}, {X}]")
     values = _sweep_values(r1, r2, window, grid)
     y = np.log(np.abs(values))
@@ -281,16 +242,13 @@ def _angle_cdf(theta: np.ndarray) -> np.ndarray:
     return (theta - np.sin(theta) * np.cos(theta)) / math.pi
 
 
-def sample_sato_tate(seed: int, primes: Sequence[int]) -> dict[int, tuple[complex, complex]]:
-    """Synthetic tempered GL(2) data: angles with density (2/pi) sin^2.
-
-    Per prime p the parameters are {e^{i theta_p}, e^{-i theta_p}} with
-    theta_p drawn by inverse CDF (bisection to below 1e-10).  The stream is
-    a deterministic function of the seed; the generator is PCG64, a named
-    64-bit generator with published reference output.
-    """
+def _sato_tate_params(seed: int, n: int) -> np.ndarray:
+    """(n, 2) synthetic tempered GL(2) parameters {e^{i theta_k}, e^{-i theta_k}},
+    theta_k drawn from the density (2/pi) sin^2 by inverse CDF (bisection to
+    below 1e-10).  The stream is a deterministic function of the seed; the
+    generator is PCG64, a named 64-bit generator with published reference output."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    u = rng.random(len(primes))
+    u = rng.random(n)
     lo = np.zeros_like(u)
     hi = np.full_like(u, math.pi)
     for _ in range(48):  # pi / 2^48 < 1e-10
@@ -299,11 +257,14 @@ def sample_sato_tate(seed: int, primes: Sequence[int]) -> dict[int, tuple[comple
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     theta = 0.5 * (lo + hi)
-    out = {}
-    for p, t in zip(primes, theta):
-        a = complex(math.cos(t), math.sin(t))
-        out[int(p)] = (a, a.conjugate())
-    return out
+    a = np.cos(theta) + 1j * np.sin(theta)
+    return np.stack([a, a.conj()], axis=1)
+
+
+def sample_sato_tate(seed: int, primes: Sequence[int]) -> dict[int, tuple[complex, complex]]:
+    """``_sato_tate_params`` keyed by prime: p -> (e^{i theta_p}, e^{-i theta_p})."""
+    params = _sato_tate_params(seed, len(primes)).tolist()
+    return {int(p): (a, b) for p, (a, b) in zip(primes, params)}
 
 
 def sato_tate_symbol(
@@ -315,9 +276,46 @@ def sato_tate_symbol(
     central_char: str = "1",
 ):
     """Register a self-dual degree-2 symbol carrying synthetic local data."""
-    data = sample_sato_tate(seed, primes)
-    local = {place(p): params for p, params in data.items()}
+    local = LocalParams(primes, _sato_tate_params(seed, len(primes)))
     return registry.create(sid, 2, central_char=central_char, self_dual=True, local=local)
+
+
+def stream_seed(seed: int, key: str) -> int:
+    """Seed of the synthetic stream named ``key`` under the run seed (FNV-1a mix)."""
+    h = 1469598103934665603
+    for ch in key:
+        h = (h ^ ord(ch)) * 1099511628211 % (2**63)
+    return (seed * 1_000_003 + h) % (2**63)
+
+
+def synthetic_reps(descriptors, seed: int, X: int) -> list[IsobaricRep]:
+    """Transfers of lifted descriptors, rebuilt over synthetic angle data.
+
+    Every degree-2 symbol gets data at all primes <= X in a shadow registry.
+    The identification pattern of the descriptors is preserved: each dual
+    pair of symbol ids shares one stream seeded by (seed, smaller id), the
+    dual side receives the entrywise inverses, and self-dual symbols get
+    plain inverse-closed angle data.  Non-self-dual symbols additionally
+    carry a place-varying unimodular central twist, so that a symbol is
+    locally equivalent to its dual only when it is declared self-dual.
+    """
+    primes = primes_up_to(X)
+    shadow = SymbolRegistry()
+    for desc in descriptors:
+        if not desc.from_gso:
+            raise ValueError("numeric estimates need degree-2 constituents")
+        for sym in desc.pair:
+            base = sym if sym.id <= sym.dual_id else sym.dual()
+            if base.id in shadow:
+                continue
+            params = _sato_tate_params(stream_seed(seed, base.id + ":angles"), len(primes))
+            if not sym.is_self_dual:
+                # angle and twist streams must be independent
+                rng = np.random.Generator(np.random.PCG64(stream_seed(seed, base.id + ":twist")))
+                params = np.exp(2j * math.pi * rng.random(len(primes)))[:, None] * params
+            shadow.create(base.id, 2, central_char=base.central_char_id, self_dual=sym.is_self_dual,
+                          dual_id=base.dual_id, local=LocalParams(primes, params))
+    return [isobaric([shadow.get(s.id) for s in desc.pair]) for desc in descriptors]
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +404,7 @@ def delta_eigenvalues(N: int) -> EigenvalueTable:
 
 def eigen_symbol(registry: SymbolRegistry, sid: str, table: EigenvalueTable):
     """Register a self-dual degree-2 symbol carrying the table's parameters."""
-    local = {place(row.p): (row.alpha, row.beta) for row in table.rows}
+    local = LocalParams([r.p for r in table.rows], [(r.alpha, r.beta) for r in table.rows])
     return registry.create(sid, 2, central_char="1", self_dual=True, local=local)
 
 

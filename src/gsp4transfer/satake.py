@@ -17,9 +17,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import permutations
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 FLOAT_TOL = 1e-12  # relative tolerance for structural invariants in float mode
 MATCH_TOL = 1e-9   # per-entry tolerance for multiset matching
@@ -32,6 +36,8 @@ THREE_HALVES = Fraction(3, 2)
 class CentralCharMismatch(ValueError):
     """Central characters of the two GL(2) inputs disagree."""
 
+    constraint = "central_char_compatibility"
+
 
 @dataclass(frozen=True)
 class PlaceData:
@@ -42,6 +48,12 @@ class PlaceData:
     def __post_init__(self):
         if self.q < 2 or not _is_prime_power(self.q):
             raise ValueError(f"residue cardinality must be a prime power >= 2, got {self.q}")
+
+
+@lru_cache(maxsize=None)
+def place(q: int) -> PlaceData:
+    """The place of residue cardinality q, validated once per process."""
+    return PlaceData(q)
 
 
 def _is_prime_power(n: int) -> bool:
@@ -111,8 +123,7 @@ class UnramChar:
         """Whether re-evaluating the exact form at q reproduces ``value``."""
         if self.exact is None:
             return True
-        target = self.exact.evaluate(q)
-        return abs(target - self.value) <= rel_tol * max(1.0, abs(self.value))
+        return within_tol(self.exact.evaluate(q), self.value, rel_tol)
 
     def __mul__(self, other) -> "UnramChar":
         other = as_char(other)
@@ -144,12 +155,18 @@ def as_char(x: Scalar) -> UnramChar:
     return UnramChar(complex(x))
 
 
+def within_tol(x, y, tol: float = MATCH_TOL):
+    """``|x - y| <= tol * max(1, |x|, |y|)``, on scalars or elementwise on arrays:
+    the one definition of "equal within tolerance" for float data."""
+    d = abs(x - y)
+    return (d <= tol) | (d <= tol * abs(x)) | (d <= tol * abs(y))
+
+
 def chars_equal(a: Scalar, b: Scalar, tol: float = MATCH_TOL) -> bool:
     a, b = as_char(a), as_char(b)
     if a.exact is not None and b.exact is not None:
         return a.exact == b.exact
-    scale = max(1.0, abs(a.value), abs(b.value))
-    return abs(a.value - b.value) <= tol * scale
+    return within_tol(a.value, b.value, tol)
 
 
 def _char_key(c: UnramChar):
@@ -159,12 +176,33 @@ def _char_key(c: UnramChar):
     return (1, c.value.real, c.value.imag)
 
 
+def perfect_matching(adj: Sequence[Sequence[int]]) -> list[int] | None:
+    """A perfect matching of the bipartite graph ``i -> adj[i]`` on n + n
+    vertices, as the left vertex matched to each right vertex, or None.
+
+    Augmenting paths as in Hopcroft and Karp (1973), found one per left
+    vertex rather than in phases, which is plenty for n <= 16.
+    """
+    owner = [-1] * len(adj)
+
+    def augment(i: int, seen: set) -> bool:
+        for j in adj[i]:
+            if j not in seen:
+                seen.add(j)
+                if owner[j] < 0 or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return owner if all(augment(i, set()) for i in range(len(adj))) else None
+
+
 def match_multisets(xs: Iterable[Scalar], ys: Iterable[Scalar], tol: float = MATCH_TOL) -> bool:
     """Multiset equality of scalars.
 
-    Exact on both sides: compare sorted exact forms.  Otherwise greedy
-    bipartite matching with a per-entry tolerance, which is robust against
-    ordering and round-off for well-separated data.
+    Exact on both sides: compare sorted exact forms.  Otherwise a perfect
+    matching on the graph joining entries equal within ``within_tol``, so the
+    verdict does not depend on the order of the arguments or their entries.
     """
     xs = [as_char(x) for x in xs]
     ys = [as_char(y) for y in ys]
@@ -173,18 +211,16 @@ def match_multisets(xs: Iterable[Scalar], ys: Iterable[Scalar], tol: float = MAT
     if all(x.is_exact for x in xs) and all(y.is_exact for y in ys):
         key = lambda f: (f.r, f.turns)
         return sorted((x.exact for x in xs), key=key) == sorted((y.exact for y in ys), key=key)
-    remaining = list(ys)
-    for x in xs:
-        best_i, best_d = -1, math.inf
-        for i, y in enumerate(remaining):
-            d = abs(x.value - y.value)
-            if d < best_d:
-                best_i, best_d = i, d
-        scale = max(1.0, abs(x.value))
-        if best_i < 0 or best_d > tol * scale:
-            return False
-        remaining.pop(best_i)
-    return True
+    adj = [[j for j, y in enumerate(ys) if within_tol(x.value, y.value, tol)] for x in xs]
+    return perfect_matching(adj) is not None
+
+
+def match_multiset_rows(xs: np.ndarray, ys: np.ndarray, tol: float = MATCH_TOL) -> np.ndarray:
+    """Row-wise ``match_multisets`` of (P, d) float arrays, d <= 4: row p
+    matches when some permutation pairs xs[p] with ys[p] within tolerance."""
+    close = within_tol(xs[:, :, None], ys[:, None, :], tol)  # (P, d, d)
+    d = range(xs.shape[1])
+    return np.any([close[:, d, perm].all(axis=1) for perm in permutations(d)], axis=0)
 
 
 # ---------------------------------------------------------------------------

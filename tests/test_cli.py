@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gsp4transfer.cli import main
 
 
@@ -144,6 +146,23 @@ class TestTransfer:
         code, _, err = run(capsys, "transfer", "--in", path)
         assert code == 2 and "malformed" in err
 
+    @pytest.mark.parametrize("corrupt", ["symbols_not_list", "top_level_array",
+                                         "string_local_parameter", "zero_denominator"])
+    def test_malformed_types_exit_two_without_traceback(self, capsys, tmp_path, corrupt):
+        doc = lifted_pair_doc()
+        if corrupt == "symbols_not_list":
+            doc = {"symbols": "x"}
+        elif corrupt == "top_level_array":
+            doc = [doc]
+        elif corrupt == "string_local_parameter":
+            doc["symbols"][0]["local"]["2"][0] = "1j"
+        else:
+            doc["isobaric"][0]["r"] = "1/0"
+        path = write_doc(tmp_path, doc)
+        code, _, err = run(capsys, "transfer", "--in", path)
+        assert code == 2
+        assert "error" in err and "Traceback" not in err
+
 
 class TestPoles:
     def test_case_3b_symbolic(self, capsys, tmp_path):
@@ -256,6 +275,17 @@ class TestRodier:
         code, out, _ = run(capsys, "rodier", "--params", path, "--q", "9")
         assert code == 0
         assert "not in the exponent list" in out
+
+    def test_exact_forms_disagreeing_with_floats_exit_two(self, capsys, tmp_path):
+        doc = {
+            "kind": "gl4",
+            "entries": [[5.0, 0.0]] * 4,
+            "exact": [{"r": r, "turns": "0"} for r in ["-1/2", "-1/2", "1/2", "1/2"]],
+        }
+        path = write_doc(tmp_path, doc, "params.json")
+        code, out, err = run(capsys, "rodier", "--params", path, "--q", "9")
+        assert code == 2
+        assert "error" in err and "family B" not in out
 
     def test_zero_parameter_exit_two(self, capsys, tmp_path):
         path = write_doc(tmp_path, {"kind": "gl4", "entries": [[0, 0]] * 4}, "zero.json")

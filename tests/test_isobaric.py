@@ -108,6 +108,11 @@ class TestRegistry:
         assert not equivalent(a, c)
         assert not equivalent(a, reg1.create("deg1", 1, local={p: (1 + 0j,) for p in places}))
 
+    def test_equivalence_is_symmetric(self, registry, places):
+        a = registry.create("a", 2, local={places[0]: (1, 1 + 1.8e-9)})
+        b = registry.create("b", 2, local={places[0]: (1 + 0.9e-9, 1 - 0.95e-9)})
+        assert equivalent(a, b) and equivalent(b, a)
+
 
 class TestDual:
     def test_termwise(self, registry):

@@ -155,6 +155,29 @@ class TestPartialL:
         with pytest.raises(InsufficientLocalData):
             partial_L(small, small, 100, 2.0)
 
+    @pytest.mark.parametrize("s", [1.4, 1.2 + 3.5j])
+    def test_matches_local_factor_oracle(self, s):
+        primes = primes_up_to(300)
+        reg = SymbolRegistry()
+        sigma = sato_tate_symbol(reg, "sigma", 21, primes)
+        # not self-dual, so the pairing also runs over a materialized dual
+        tau = reg.create("tau", 2, local={
+            place(p): (1j * a, 1j * b) for p, (a, b) in sample_sato_tate(22, primes).items()
+        })
+        r1, r2 = isobaric([sigma, tau]), isobaric([tau.dual()])
+        expected = 1.0 + 0j
+        for left in r1.constituents:
+            for right in r2.constituents:
+                for p in primes:
+                    pl = place(p)
+                    inp = LocalFactorInput(
+                        tuple(c.value for c in left.local_params[pl]),
+                        tuple(c.value for c in right.local_params[pl]),
+                        pl,
+                    )
+                    expected *= local_rs_factor(inp, s)
+        assert partial_L(r1, r2, 300, s) == pytest.approx(expected, rel=1e-10)
+
     def test_complex_s_path(self):
         reg = SymbolRegistry()
         rep = trivial_rep(reg)

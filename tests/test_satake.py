@@ -92,6 +92,14 @@ class TestMultisetMatching:
     def test_multiplicity_respected(self):
         assert not match_multisets([1, 1, 2, 2], [1, 2, 2, 2])
 
+    def test_symmetric_when_nearest_match_is_wrong(self):
+        # pairing 1 with its nearest entry 1+0.9e-9 strands 1+1.8e-9; the
+        # perfect matching pairs 1 with 1-0.95e-9 instead
+        xs = [1, 1 + 1.8e-9]
+        ys = [1 + 0.9e-9, 1 - 0.95e-9]
+        assert match_multisets(xs, ys)
+        assert match_multisets(ys, xs)
+
 
 class TestTransferMap:
     def test_identity_character(self):
