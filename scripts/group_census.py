@@ -3,7 +3,7 @@
 
 Runs the exhaustive pair-map verification for each requested q and prints
 a table of kernel/image/GSO sizes with timings.  The q = 7 run enumerates
-about 1.35 million group elements and takes tens of seconds.
+about 1.35 million group elements.
 """
 
 import argparse

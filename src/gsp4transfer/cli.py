@@ -83,6 +83,12 @@ def _text_verify_groups(payload: dict) -> str:
         f"image {payload['image_size']} (expected {payload['image_expected']}), "
         f"gso {payload['gso_size']}, go {payload['go_size']}"
     )
+    cx = payload.get("counterexample")
+    if cx and "pair" in cx:
+        lines.append(f"  counterexample ({cx['check']}): non-scalar kernel pair {cx['pair'][0]}, {cx['pair'][1]}")
+    elif cx:
+        lines.append(f"  counterexample ({cx['check']}): from {cx['side']}, lambda {cx['lam']}, det {cx['det']}")
+        lines.extend(f"    {row}" for row in cx["matrix"])
     lines.append("all assertions hold" if payload["ok"] else f"constraint failed: {CONSTRAINT_GROUPS}")
     return "\n".join(lines) + "\n"
 

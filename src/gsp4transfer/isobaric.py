@@ -104,7 +104,10 @@ class CuspidalSymbol:
     def __post_init__(self):
         if self.degree not in (1, 2, 3, 4):
             raise ValueError(f"degree must be in 1..4, got {self.degree}")
-        qs = np.array(self.qs, dtype=np.int64).reshape(-1)
+        try:
+            qs = np.array(self.qs, dtype=np.int64).reshape(-1)
+        except OverflowError:
+            raise ValueError(f"symbol {self.id}: a place is beyond the int64 range") from None
         params = np.array(self.params, dtype=complex).reshape(len(qs), -1 if len(qs) else self.degree)
         if params.shape[1] != self.degree:
             raise ValueError(f"symbol {self.id}: {params.shape[1]} parameters per place, "
@@ -580,13 +583,17 @@ def registry_from_json(symbols: Sequence[dict]) -> SymbolRegistry:
         raise ValueError("symbols must be a list of objects")
     syms: dict[str, CuspidalSymbol] = {}
     for doc in symbols:
-        sid, pairs = doc["id"], doc.get("local") or {}
+        sid, degree, dual = doc.get("id"), doc.get("degree"), doc.get("dual")
+        cc, pairs = doc.get("central_char", "1"), doc.get("local") or {}
+        if not all(isinstance(x, str) for x in (sid, dual, cc)):
+            raise ValueError(f"symbol {sid!r}: id, dual and central_char must be strings")
+        if not isinstance(degree, int) or isinstance(degree, bool):
+            raise ValueError(f"symbol {sid}: degree must be an integer, got {degree!r}")
         values = np.asarray(list(pairs.values()) if isinstance(pairs, dict) else None)
         if pairs and (values.dtype.kind not in "iuf" or values.ndim != 3 or values.shape[2] != 2):
             raise ValueError(f"symbol {sid}: local data must map places to [re, im] pairs")
         params = np.ascontiguousarray(values, dtype=float).view(complex)[..., 0] if pairs else []
-        syms[sid] = CuspidalSymbol(sid, int(doc["degree"]), doc["dual"],
-                                   doc.get("central_char", "1"), [int(q) for q in pairs], params)
+        syms[sid] = CuspidalSymbol(sid, degree, dual, cc, [int(q) for q in pairs], params)
     declared = list(syms)
     for sid in declared:
         sym = syms[sid]
@@ -606,7 +613,16 @@ def registry_from_json(symbols: Sequence[dict]) -> SymbolRegistry:
 
 
 def descriptor_from_json(doc: dict, registry: SymbolRegistry) -> GSp4Descriptor:
-    terms = doc.get("isobaric") or [{"term": t, "r": "0"} for t in doc.get("terms", [])]
+    if not isinstance(doc, dict):
+        raise ValueError("a descriptor must be an object")
+    terms = doc.get("isobaric")
+    if not terms:
+        ids = doc.get("terms") or []
+        terms = [{"term": t, "r": "0"} for t in ids] if isinstance(ids, list) else None
+    if not isinstance(terms, list) or not all(isinstance(t, dict) and isinstance(t.get("term"), str) for t in terms):
+        raise ValueError('descriptor terms must be a list of {"term": id, "r": exponent} objects')
+    if not all(isinstance(doc.get(k) or "", str) for k in ("gross_char", "omega")):
+        raise ValueError("gross_char and omega must be strings")
     try:
         twists = [Fraction(str(item.get("r", "0"))) for item in terms]
     except ZeroDivisionError:
@@ -643,6 +659,8 @@ def load_document(doc: dict | str) -> tuple[SymbolRegistry, list[GSp4Descriptor]
     registry = registry_from_json(doc.get("symbols", []))
     descriptors = []
     if "descriptors" in doc:
+        if not isinstance(doc["descriptors"], list):
+            raise ValueError("descriptors must be a list of objects")
         for item in doc["descriptors"]:
             descriptors.append(descriptor_from_json(item, registry))
     elif "isobaric" in doc or "terms" in doc:

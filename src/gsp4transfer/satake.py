@@ -46,6 +46,8 @@ class PlaceData:
     q: int
 
     def __post_init__(self):
+        if self.q >= PRIME_POWER_LIMIT:
+            raise ValueError(f"residue cardinality must be below {PRIME_POWER_LIMIT}, got {self.q}")
         if self.q < 2 or not _is_prime_power(self.q):
             raise ValueError(f"residue cardinality must be a prime power >= 2, got {self.q}")
 
@@ -56,15 +58,63 @@ def place(q: int) -> PlaceData:
     return PlaceData(q)
 
 
-def _is_prime_power(n: int) -> bool:
+# Miller-Rabin with the first thirteen prime bases is exact below this bound
+# (Sorenson and Webster, 2015), and with the first four below 3215031751
+# (Jaeschke, 1993); larger residue cardinalities are rejected.
+PRIME_POWER_LIMIT = 3_317_044_064_679_887_385_961_981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < PRIME_POWER_LIMIT."""
     if n < 2:
         return False
-    for p in range(2, int(n**0.5) + 1):
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES[:4] if n < 3_215_031_751 else _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1 / k)) for k >= 2: a float guess, corrected exactly."""
+    r = int(round(n ** (1.0 / k)))
+    while r**k > n:
+        r -= 1
+    while (r + 1) ** k <= n:
+        r += 1
+    return r
+
+
+def _is_prime_power(n: int) -> bool:
+    """Whether n = p^k for a prime p and k >= 1; exact for n < PRIME_POWER_LIMIT."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
         if n % p == 0:
             while n % p == 0:
                 n //= p
             return n == 1
-    return True
+    # every prime factor of n now exceeds 41, so n = p^k needs 43^k <= n
+    k = 1
+    while 43**k <= n:
+        r = n if k == 1 else _iroot(n, k)
+        if r**k == n and _is_prime(r):
+            return True
+        k += 1
+    return False
 
 
 @dataclass(frozen=True)

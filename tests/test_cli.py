@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from gsp4transfer.cli import main
@@ -60,6 +61,29 @@ class TestVerifyGroups:
         assert code == 0
         payload = json.loads(out)
         assert payload["image_size"] == 1152 and payload["equal"] is True
+        assert "counterexample" not in payload
+
+    def test_failed_check_shows_counterexample(self, capsys, monkeypatch):
+        from gsp4transfer import simgroups
+
+        enumerate_go4_codes = simgroups.enumerate_go4_codes
+
+        def drop_one_gso_element(q):
+            codes, lams, dets = enumerate_go4_codes(q)
+            i = int(np.nonzero(dets == lams * lams % q)[0][0])
+            dropped.append(simgroups._decode(int(codes[i]), q))
+            keep = np.arange(len(codes)) != i
+            return codes[keep], lams[keep], dets[keep]
+
+        dropped = []
+        monkeypatch.setattr(simgroups, "enumerate_go4_codes", drop_one_gso_element)
+        code, out, _ = run(capsys, "verify-groups", "--q", "3")
+        assert code == 1 and "image_equals_gso: FAIL" in out
+        assert "counterexample (image_equals_gso): from image, lambda 1, det 1" in out
+        assert "\n".join(f"    {list(row)}" for row in dropped[0]) in out
+        code, out, _ = run(capsys, "verify-groups", "--q", "3", "--format", "json")
+        cx = json.loads(out)["counterexample"]
+        assert code == 1 and cx["side"] == "image" and cx["matrix"] == [list(r) for r in dropped[0]]
 
     def test_even_q_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify-groups", "--q", "4")
@@ -147,7 +171,9 @@ class TestTransfer:
         assert code == 2 and "malformed" in err
 
     @pytest.mark.parametrize("corrupt", ["symbols_not_list", "top_level_array",
-                                         "string_local_parameter", "zero_denominator"])
+                                         "string_local_parameter", "zero_denominator",
+                                         "null_degree", "isobaric_not_list", "list_id",
+                                         "string_descriptors", "list_term"])
     def test_malformed_types_exit_two_without_traceback(self, capsys, tmp_path, corrupt):
         doc = lifted_pair_doc()
         if corrupt == "symbols_not_list":
@@ -156,6 +182,16 @@ class TestTransfer:
             doc = [doc]
         elif corrupt == "string_local_parameter":
             doc["symbols"][0]["local"]["2"][0] = "1j"
+        elif corrupt == "null_degree":
+            doc = {"symbols": [{"id": "P1", "degree": None, "local": {}}], "isobaric": []}
+        elif corrupt == "isobaric_not_list":
+            doc = {"symbols": [], "isobaric": "x"}
+        elif corrupt == "list_id":
+            doc["symbols"][0]["id"] = ["P1"]
+        elif corrupt == "string_descriptors":
+            doc = {"symbols": doc["symbols"], "descriptors": "x"}
+        elif corrupt == "list_term":
+            doc["isobaric"][0]["term"] = ["P1"]
         else:
             doc["isobaric"][0]["r"] = "1/0"
         path = write_doc(tmp_path, doc)

@@ -1,6 +1,7 @@
 import cmath
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -613,3 +614,13 @@ class TestDocuments:
     def test_json_string_accepted(self):
         registry, descriptors = load_document(json.dumps(self.build_doc()))
         assert descriptors[0].pair[1].id == "P2"
+
+    def test_large_place_key_validates_fast(self):
+        # trial division up to sqrt(q) would stall on this key for hours
+        doc = self.build_doc()
+        for sym in doc["symbols"]:
+            sym["local"] = {"1000000000000000003": sym["local"]["2"]}
+        start = time.perf_counter()
+        registry, _ = load_document(doc)
+        assert time.perf_counter() - start < 0.5
+        assert PlaceData(1000000000000000003) in registry.get("P1").local_params

@@ -13,6 +13,7 @@ from gsp4transfer.satake import (
     ExponentVector,
     GL2Param,
     GL4Param,
+    PRIME_POWER_LIMIT,
     GSp4Param,
     PlaceData,
     UnramChar,
@@ -310,6 +311,44 @@ class TestWeylOrbit:
         tau = lambda t: (t[2], t[3], t[0], t[1])
         assert sigma(sigma(quad)) == quad
         assert tau(tau(quad)) == quad
+
+
+def prime_power_by_trial_division(n):
+    if n < 2:
+        return False
+    for p in range(2, int(n**0.5) + 1):
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            return n == 1
+    return True
+
+
+class TestPlaceData:
+    def test_prime_powers_agree_with_trial_division(self):
+        for n in range(10**4):
+            ok = prime_power_by_trial_division(n)
+            if ok:
+                assert PlaceData(n).q == n
+            else:
+                with pytest.raises(ValueError, match="prime power"):
+                    PlaceData(n)
+
+    @pytest.mark.parametrize("q, ok", [(2**61 - 1, True), (3**45, True), (10**18 + 3, True),
+                                       ((2**31 - 1) * (2**61 - 1), False), (7**2 * 11, False),
+                                       (PRIME_POWER_LIMIT - 1, False),
+                                       # strong pseudoprimes to the bases 2..7 and 2..23
+                                       (3215031751, False), (3825123056546413051, False)])
+    def test_large_cardinalities(self, q, ok):
+        if ok:
+            assert PlaceData(q).q == q
+        else:
+            with pytest.raises(ValueError):
+                PlaceData(q)
+
+    def test_beyond_exact_range_rejected(self):
+        with pytest.raises(ValueError, match="below"):
+            PlaceData(PRIME_POWER_LIMIT)
 
 
 class TestExponents:

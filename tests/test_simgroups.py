@@ -1,14 +1,20 @@
 import random
 
+import numpy as np
 import pytest
 
+from gsp4transfer import simgroups
 from gsp4transfer.simgroups import (
     SimilitudeElement,
     UnsupportedField,
+    _det4_int,
+    _encode,
+    _norm_vectors,
     beta_map,
     compose,
     det2,
     enumerate_go4,
+    enumerate_go4_codes,
     gl2_elements,
     identity_element,
     is_gso,
@@ -159,6 +165,67 @@ class TestEnumeration:
         ]
 
 
+def enumerate_go4_codes_backtracking(q):
+    """Reference oracle: GO(4, F_q) as (codes, lams, dets) by column backtracking.
+
+    Columns are chosen lexicographically subject to the Gram constraints,
+    every fourth column is scanned from the pool, and the determinant is
+    taken by exact integer cofactor expansion.
+    """
+    by_norm = _norm_vectors(q)
+    codes, lams, dets = [], [], []
+    for lam in range(1, q):
+        pool = by_norm[lam]
+        for c1 in pool:
+            orth1 = pool[(pool @ c1) % q == 0]
+            for c2 in orth1:
+                orth2 = orth1[(orth1 @ c2) % q == 0]
+                for c3 in orth2:
+                    for c4 in orth2[(orth2 @ c3) % q == 0]:
+                        m = np.stack([c1, c2, c3, c4], axis=1)
+                        codes.append(int(_encode(m.reshape(1, 16), q)[0]))
+                        lams.append(lam)
+                        dets.append(_det4_int(m.tolist()) % q)
+    return np.array(codes), np.array(lams), np.array(dets)
+
+
+def sorted_triples(arrays):
+    return sorted(zip(*(a.tolist() for a in arrays)))
+
+
+class TestClosedFormKernels:
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_enumeration_matches_backtracking_oracle(self, q):
+        assert sorted_triples(enumerate_go4_codes(q)) == sorted_triples(enumerate_go4_codes_backtracking(q))
+
+    def test_pair_map_codes_match_beta_map(self):
+        q = 7
+        gl2 = gl2_elements(q)
+        n = len(gl2)
+        codes, lams, _ = simgroups._beta_codes_and_lams(q)
+        rng = random.Random(700)
+        for _ in range(200):
+            i, j = rng.randrange(n), rng.randrange(n)
+            e = beta_map(gl2[i], gl2[j], q)
+            assert simgroups._decode(int(codes[i * n + j]), q) == e.m
+            assert lams[i * n + j] == e.lam
+
+    def test_chunk_budget_does_not_change_codes(self, monkeypatch):
+        default = simgroups._beta_codes_and_lams(3)
+        monkeypatch.setattr(simgroups, "_CHUNK_BYTES", 1)  # one first factor per chunk
+        tiny = simgroups._beta_codes_and_lams(3)
+        assert all(np.array_equal(a, b) for a, b in zip(default, tiny))
+
+    def test_enumeration_independent_of_pair_map(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the enumeration must not use the pair map")
+
+        monkeypatch.setattr(simgroups, "beta_map", forbidden)
+        monkeypatch.setattr(simgroups, "_beta_codes_and_lams", forbidden)
+        codes, lams, dets = enumerate_go4_codes(5)
+        assert len(codes) == 2 * (480 * 480 // 4)
+
+
 class TestVerifyReport:
     def test_q3_report(self):
         report = verify_gso_presentation(3)
@@ -183,6 +250,24 @@ class TestVerifyReport:
     def test_unsupported_q_raises(self):
         with pytest.raises(UnsupportedField):
             verify_gso_presentation(4)
+
+    def test_kernel_failure_reports_first_non_scalar_pair(self, monkeypatch):
+        pair_map = simgroups._beta_codes_and_lams
+
+        def identity_at_second_pair(q):
+            codes, lams, dets = pair_map(q)
+            codes = codes.copy()
+            codes[1] = simgroups._encode(np.eye(4, dtype=np.int64).reshape(1, 16), q)[0]
+            return codes, lams, dets
+
+        monkeypatch.setattr(simgroups, "_beta_codes_and_lams", identity_at_second_pair)
+        report = verify_gso_presentation(3)
+        assert not report.ok and not report.kernel_is_scalar_pairs
+        g1, g2 = gl2_elements(3)[:2]
+        assert report.to_json()["counterexample"] == {
+            "check": "kernel_is_scalar_pairs",
+            "pair": [[list(r) for r in g1], [list(r) for r in g2]],
+        }
 
 
 class TestWorkerEnv:
