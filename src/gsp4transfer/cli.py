@@ -10,16 +10,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from functools import lru_cache
+from itertools import starmap
+
+import numpy as np
 
 from . import __version__
 from .isobaric import (
     ConstituentsNotDistinct,
     NotUnitaryNormalized,
+    PlaceChain,
     jiang_case_analysis,
     load_document,
     transfer,
     transfer_conditions,
+    transfer_places,
 )
 from .lseries import (
     EstimationError,
@@ -30,17 +37,12 @@ from .lseries import (
 )
 from .satake import (
     CentralCharMismatch,
-    GL2Param,
     GL4Param,
     PlaceData,
     exponents,
-    gsp4_to_gl4_embed,
-    match_multisets,
+    param_doc,
     param_from_json,
-    param_to_json,
     rodier_class,
-    theta_lift_params,
-    transfer_gsp4_to_gl4,
 )
 from .simgroups import SUPPORTED_Q, UnsupportedField, verify_gso_presentation
 
@@ -53,9 +55,22 @@ CONSTRAINT_GROUPS = "pair_map_presentation"
 CONSTRAINT_ERRORS = (CentralCharMismatch, ConstituentsNotDistinct, NotUnitaryNormalized)
 
 
+def _json_text(payload: dict) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline; a
+    ``_Places`` under ``places`` is spliced in from its rows.  Top-level keys
+    are the only lines that start with two spaces and a quote."""
+    places = payload.get("places")
+    if not isinstance(places, _Places):
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps({**payload, "places": []}, indent=2, sort_keys=True)
+    if len(places):
+        text = text.replace('\n  "places": []', '\n  "places": [\n' + places.json_rows() + "\n  ]", 1)
+    return text + "\n"
+
+
 def _emit(payload: dict, fmt: str, out: str | None, render_text, render_csv=None) -> None:
     if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json_text(payload)
     elif fmt == "csv":
         if render_csv is None:
             raise ValueError("csv format is not available for this command")
@@ -109,29 +124,60 @@ def _cmd_verify_groups(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _chain_at_place(desc, pl: PlaceData) -> dict:
-    """The full parameter chain at one sampled place, plus consistency check.
-
-    Degree-2 pair -> equal-central-value GL(2) data -> lifted degree-4
-    parameter -> embedded multiset, compared against the direct torus-data
-    transfer in the matched coordinates.
-    """
-    p1, p2 = desc.pair
-    a1, b1 = p1.local_params[pl]
-    a2, b2 = p2.local_params[pl]
-    g1 = GL2Param.make(a1, b1)
-    g2 = GL2Param.make(a2, b2)
-    lifted = theta_lift_params(g1, g2)
-    embedded = gsp4_to_gl4_embed(lifted)
-    direct = transfer_gsp4_to_gl4(lifted.mu, g1.alpha, g2.alpha)
-    commutes = match_multisets(embedded.entries, direct.entries)
+def _place_doc(q, commutes, *v) -> dict:
+    """One entry of a transfer payload's ``places`` from its flat values: q,
+    commutes, then 28 floats, the [re, im] pairs of alpha, beta and mu of each
+    GL(2) parameter, of the rendered GSp(4) tuple and of the GL(4) entries."""
+    pairs = [list(v[i : i + 2]) for i in range(0, len(v), 2)]
     return {
-        "q": pl.q,
-        "gl2": [param_to_json(g1), param_to_json(g2)],
-        "gsp4": param_to_json(lifted),
-        "gl4": param_to_json(embedded),
-        "commutes": bool(commutes),
+        "q": q,
+        "gl2": [param_doc("gl2", pairs[0:2], pairs[2]), param_doc("gl2", pairs[3:5], pairs[5])],
+        "gsp4": param_doc("gsp4", pairs[6:10], list(pairs[2])),
+        "gl4": param_doc("gl4", pairs[10:14]),
+        "commutes": commutes,
     }
+
+
+@lru_cache(maxsize=None)
+def _place_template() -> tuple[str, tuple[int, ...]]:
+    """The JSON text of one ``places`` entry, at its depth in the payload, as
+    a %-format, and the flat value (argument of ``_place_doc``) for each slot.
+
+    It is read off the encoder: ``json.dumps(..., indent=2, sort_keys=True)``
+    of an entry whose values are the markers "@0", "@1", ..., so the layout
+    cannot drift from ``json.dumps`` of the entry itself.  %s renders ints and
+    finite floats as JSON does (``float.__repr__``).
+    """
+    text = json.dumps(_place_doc(*(f"@{k}" for k in range(30))), indent=2, sort_keys=True)
+    slots = tuple(int(k) for k in re.findall(r'"@(\d+)"', text))
+    text = re.sub(r'"@\d+"', "%s", text.replace("%", "%%"))
+    return "    " + text.replace("\n", "\n    "), slots
+
+
+class _Places:
+    """``places`` of a transfer payload, held as columns of a ``PlaceChain``.
+
+    Iterating gives the entries as dicts; ``_json_text`` formats the rows
+    straight from the columns through ``_place_template``.
+    """
+
+    def __init__(self, chain: PlaceChain):
+        floats = np.concatenate(
+            [chain.gl2[:, 0], chain.mu[:, :1], chain.gl2[:, 1], chain.mu[:, 1:], chain.gsp4, chain.gl4],
+            axis=1,
+        ).view(float)  # (P, 28): re, im interleaved
+        self.columns = [chain.qs.tolist(), chain.commutes.tolist(), *floats.T.tolist()]
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return starmap(_place_doc, zip(*self.columns))
+
+    def json_rows(self) -> str:
+        template, slots = _place_template()
+        columns = [self.columns[0], ["true" if c else "false" for c in self.columns[1]], *self.columns[2:]]
+        return ",\n".join(template % row for row in zip(*(columns[k] for k in slots)))
 
 
 def _text_transfer(payload: dict) -> str:
@@ -192,18 +238,15 @@ def _cmd_transfer(args) -> int:
     payload["from_gso"] = desc.from_gso
     payload["isobaric"] = [sym.id for sym in rep.constituents]
     payload["conditions"] = list(transfer_conditions(desc))
+    ok = True
     if desc.from_gso:
-        common = set.intersection(
-            *(set(sym.local_params) for sym in desc.pair)
-        )
-        try:
-            for pl in sorted(common, key=lambda p: p.q):
-                payload["places"].append(_chain_at_place(desc, pl))
-        except CentralCharMismatch as exc:
+        chain = transfer_places(desc)
+        payload["places"] = _Places(chain)
+        if chain.mismatch is not None:
             # sampled local data of the pair has unequal central values
-            violation(exc.constraint)
+            violation(chain.mismatch.constraint)
             return EXIT_CONSTRAINT
-    ok = all(entry["commutes"] for entry in payload["places"])
+        ok = bool(chain.commutes.all())
     if not ok:
         payload["violation"] = "commuting_diagram"
     _emit(payload, args.format, args.out, _text_transfer)

@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .satake import (
+    FLOAT_TOL,
     CentralCharMismatch,
     PlaceData,
     UnramChar,
@@ -33,6 +34,7 @@ from .satake import (
     match_multisets,
     perfect_matching,
     place,
+    within_tol,
 )
 
 
@@ -118,6 +120,13 @@ class CuspidalSymbol:
             place(q)  # a prime power
         if np.any(np.diff(qs) == 0) or np.any(params == 0):
             raise ValueError(f"symbol {self.id}: a place is sampled twice or a parameter is zero")
+        # every later use (duals, chains, JSON output) needs finite values with finite inverses
+        with np.errstate(over="ignore", invalid="ignore"):
+            for bad, fault in ((~np.isfinite(params), "is not finite"),
+                               (~np.isfinite(1 / params), "has no finite inverse")):
+                if bad.any():
+                    q = int(qs[bad.any(axis=1)][0])
+                    raise ValueError(f"symbol {self.id}: a local parameter at q={q} {fault}")
         qs.flags.writeable = params.flags.writeable = False
         object.__setattr__(self, "qs", qs)
         object.__setattr__(self, "params", params)
@@ -458,6 +467,90 @@ def transfer_conditions(desc: GSp4Descriptor) -> tuple[str, ...]:
         f"central_char({c.id}) = {w}^2",
         f"{c.id} ~ dual({c.id}) (x) {w}",
     )
+
+
+@dataclass(frozen=True)
+class PlaceChain:
+    """The chain GL(2) x GL(2) -> GSp(4) -> GL(4) of a lifted descriptor, one
+    row per place its two constituents both sample, in ascending q.
+
+    ``gl2[p, k]`` is (alpha, beta) of constituent k and ``mu[p, k]`` their
+    product, the central value; ``gsp4[p]`` is the lifted parameter rendered
+    as (t1, t2, t3, t4), similitude ``mu[p, 0]``; ``gl4[p]`` is its embedded
+    multiset in canonical order; ``commutes[p]`` says whether that multiset
+    matches the direct transfer of the torus data (mu, alpha_1, alpha_2).
+    When the central values differ at some place, the rows stop before the
+    first such place and ``mismatch`` holds the error.
+    """
+
+    qs: np.ndarray
+    gl2: np.ndarray
+    mu: np.ndarray
+    gsp4: np.ndarray
+    gl4: np.ndarray
+    commutes: np.ndarray
+    mismatch: CentralCharMismatch | None = None
+
+
+def _before(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise (x.real, x.imag) < (y.real, y.imag), the canonical order of float scalars."""
+    return (x.real < y.real) | ((x.real == y.real) & (x.imag < y.imag))
+
+
+def transfer_places(desc: GSp4Descriptor) -> PlaceChain:
+    """The parameter chain of a lifted descriptor at all common places at once.
+
+    Row for row the same values as the scalar route through ``satake``
+    (``GL2Param.make``, ``theta_lift_params``, ``gsp4_to_gl4_embed``,
+    ``transfer_gsp4_to_gl4``, ``match_multisets``): the central values are
+    Python's complex product, rounded after each operation as CPython does
+    (numpy's complex multiply may fuse and then differs in the last bit),
+    and the canonical orders are the same stable sorts by (re, im).  The
+    direct transfer only feeds the tolerance match, so it uses numpy's
+    complex arithmetic.  At the first place where the scalar route would
+    raise, this raises the same ValueError, or stops the rows there with
+    ``mismatch`` set for unequal central values.  Emitted rows hold only
+    finite values, given finite local parameters.
+    """
+    p1, p2 = desc.pair
+    qs, i1, i2 = np.intersect1d(p1.qs, p2.qs, assume_unique=True, return_indices=True)
+    gl2 = np.stack([p1.params[i1], p2.params[i2]], axis=1)  # (P, constituent, (alpha, beta))
+    a, b = gl2[..., 0], gl2[..., 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = np.empty(a.shape, dtype=complex)
+        mu.real = a.real * b.real - a.imag * b.imag
+        mu.imag = a.real * b.imag + a.imag * b.real
+        direct = np.concatenate([a, mu[:, :1] / a[:, ::-1]], axis=1)  # c1, c2, c0/c2, c0/c1
+        zero, finite = mu == 0, np.isfinite(mu)
+        # the scalar route's failures at one place, in the order it meets them;
+        # None marks unequal central values
+        faults = (
+            (zero[:, 0], "unramified character value must be nonzero"),
+            (~finite[:, 0], "central value must equal alpha * beta"),
+            (zero[:, 1], "unramified character value must be nonzero"),
+            (~finite[:, 1], "central value must equal alpha * beta"),
+            (~within_tol(mu[:, 0], mu[:, 1], FLOAT_TOL), None),
+            ((direct[:, 2:] == 0).any(axis=1), "unramified character value must be nonzero"),
+        )
+        failed = np.stack([mask for mask, _ in faults], axis=1)
+        swap = _before(b, a)
+        x, y = np.where(swap, b, a), np.where(swap, a, b)  # each pair sorted
+        swap = _before(x[:, 1], x[:, 0])[:, None]
+        x, y = np.where(swap, x[:, ::-1], x), np.where(swap, y[:, ::-1], y)  # pairs sorted by first entry
+        embedded = np.stack([x[:, 0], y[:, 0], x[:, 1], y[:, 1]], axis=1)
+        gl4 = np.take_along_axis(embedded, np.lexsort((embedded.imag, embedded.real)), axis=1)
+        commutes = match_multiset_rows(embedded, direct)
+    gsp4 = np.stack([x[:, 0], x[:, 1], y[:, 1], y[:, 0]], axis=1)
+    mismatch = None
+    bad = np.flatnonzero(failed.any(axis=1))
+    if len(bad):
+        p = bad[0]
+        message = faults[int(np.argmax(failed[p]))][1]
+        if message is not None:
+            raise ValueError(message)
+        mismatch = CentralCharMismatch(f"central values differ: {complex(mu[p, 0])} != {complex(mu[p, 1])}")
+        qs, gl2, mu, gsp4, gl4, commutes = (v[:p] for v in (qs, gl2, mu, gsp4, gl4, commutes))
+    return PlaceChain(qs, gl2, mu, gsp4, gl4, commutes, mismatch)
 
 
 @dataclass(frozen=True)

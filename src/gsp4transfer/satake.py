@@ -205,11 +205,18 @@ def as_char(x: Scalar) -> UnramChar:
     return UnramChar(complex(x))
 
 
+def _modulus(z):
+    """|z| as Python's ``abs`` computes it, ``hypot`` of the parts, also on arrays
+    (numpy's complex ``abs`` can differ from it in the last bit)."""
+    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
+
+
 def within_tol(x, y, tol: float = MATCH_TOL):
-    """``|x - y| <= tol * max(1, |x|, |y|)``, on scalars or elementwise on arrays:
-    the one definition of "equal within tolerance" for float data."""
-    d = abs(x - y)
-    return (d <= tol) | (d <= tol * abs(x)) | (d <= tol * abs(y))
+    """``|x - y| <= tol * max(1, |x|, |y|)``, on scalars or elementwise on arrays
+    with the same verdict bit for bit: the one definition of "equal within
+    tolerance" for float data."""
+    d = _modulus(x - y)
+    return (d <= tol) | (d <= tol * _modulus(x)) | (d <= tol * _modulus(y))
 
 
 def chars_equal(a: Scalar, b: Scalar, tol: float = MATCH_TOL) -> bool:
@@ -571,19 +578,22 @@ def param_to_json(p: GL2Param | GSp4Param | GL4Param) -> dict:
         kind, chars, mu = "gl4", list(p.entries), None
     else:
         raise TypeError(f"not a parameter: {type(p).__name__}")
-    entries, exacts = [], []
-    for c in chars:
-        pair, ex = _char_to_json(c)
-        entries.append(pair)
-        exacts.append(ex)
-    doc = {"kind": kind, "entries": entries}
+    entries, exacts = zip(*map(_char_to_json, chars))
+    mu_pair, mu_exact = (None, None) if mu is None else _char_to_json(mu)
+    doc = param_doc(kind, list(entries), mu_pair)
     if any(ex is not None for ex in exacts):
-        doc["exact"] = exacts
+        doc["exact"] = list(exacts)
+    if mu_exact is not None:
+        doc["mu_exact"] = mu_exact
+    return doc
+
+
+def param_doc(kind: str, entries: list, mu: list | None = None) -> dict:
+    """The float part of a parameter document: ``kind``, ``entries`` as
+    [re, im] pairs and, for kinds carrying a similitude, ``mu``."""
+    doc = {"kind": kind, "entries": entries}
     if mu is not None:
-        pair, ex = _char_to_json(mu)
-        doc["mu"] = pair
-        if ex is not None:
-            doc["mu_exact"] = ex
+        doc["mu"] = mu
     return doc
 
 

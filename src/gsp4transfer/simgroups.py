@@ -24,8 +24,6 @@ exhaustive work.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -33,20 +31,9 @@ import numpy as np
 
 SUPPORTED_Q = (3, 5, 7)
 
-WORKERS_ENV = "GSP4TRANSFER_WORKERS"
-
 
 class UnsupportedField(ValueError):
     """q outside the supported odd primes {3, 5, 7}."""
-
-
-def _workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(n, 16))
 
 
 def _check_q(q: int) -> None:
@@ -241,18 +228,17 @@ def _decode(code: int, q: int) -> tuple[tuple[int, ...], ...]:
 _CHUNK_BYTES = 32 << 20
 
 
-def _beta_codes_and_lams(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Codes of beta over all ordered GL2 x GL2 pairs, plus lambdas.
+def _beta_codes_and_dets(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of beta over all ordered GL2 x GL2 pairs, plus GL2 determinants.
 
-    Returns (codes, lams, dets) where codes[i * n + j] is the code of
-    beta(g_i, g_j), lams[i * n + j] its similitude factor and dets the
-    determinants of GL2 in gl2_elements order.  Since g1 (x) g2 =
+    Returns (codes, dets) where codes[i * n + j] is the code of
+    beta(g_i, g_j) and dets the determinants of GL2 in gl2_elements order;
+    the similitude factor of beta(g_i, g_j) is dets[i] * dets[j] mod q.  Since g1 (x) g2 =
     (g1 (x) I)(I (x) g2), beta(g1, g2) = L(g1) R(g2) mod q with L(g) =
     C^-1 (g (x) I) C and R(g) = C^-1 (I (x) g) C, so one chunk of first
     factors is a single (c*4, 4) @ (4, n*4) product.  Entries of L and R are
     below q, so every product entry is an integer of at most 4 (q - 1)^2 =
-    144 and float32 arithmetic is exact.  Chunks are bounded by bytes; the
-    worker cap only affects how chunks are dispatched, never the result.
+    144 and float32 arithmetic is exact.  Chunks are bounded by bytes.
     """
     gl2 = gl2_elements(q)
     n = len(gl2)
@@ -281,16 +267,8 @@ def _beta_codes_and_lams(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (row_weights @ rows.astype(np.float64)).astype(np.int64).reshape(-1)
 
     chunk = max(1, min(n, _CHUNK_BYTES // (16 * n * lhs.itemsize)))
-    bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    workers = _workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: chunk_codes(*b), bounds))
-    else:
-        parts = [chunk_codes(*b) for b in bounds]
-    codes = np.concatenate(parts)
-    lams = (dets[:, None] * dets[None, :]).reshape(-1) % q
-    return codes, lams, dets
+    codes = np.concatenate([chunk_codes(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)])
+    return codes, dets
 
 
 def _norm_vectors(q: int) -> dict[int, np.ndarray]:
@@ -459,7 +437,7 @@ def verify_gso_presentation(q: int) -> GsoPresentationReport:
     _check_q(q)
     gl2 = gl2_elements(q)
     n = len(gl2)
-    codes, lams, dets = _beta_codes_and_lams(q)
+    codes, dets = _beta_codes_and_dets(q)
     image_codes = _sorted_unique(codes)
     image_expected = n * n // (q - 1)
 

@@ -1,9 +1,21 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 
-from gsp4transfer.cli import main
+from gsp4transfer.cli import _text_transfer, main
+from gsp4transfer.isobaric import load_document, transfer, transfer_conditions
+from gsp4transfer.satake import (
+    CentralCharMismatch,
+    GL2Param,
+    gsp4_to_gl4_embed,
+    match_multisets,
+    param_to_json,
+    theta_lift_params,
+    transfer_gsp4_to_gl4,
+)
 
 
 def run(capsys, *argv):
@@ -47,6 +59,115 @@ def lifted_pair_doc(dual_second=False):
         doc["from_gso"] = True
         doc["gross_char"] = "chi"
     return doc
+
+
+def _chain_at_place(desc, pl) -> dict:
+    """Reference oracle: the parameter chain at one place through the scalar
+    ``satake`` route, as the payload entry of ``transfer``."""
+    p1, p2 = desc.pair
+    a1, b1 = p1.local_params[pl]
+    a2, b2 = p2.local_params[pl]
+    g1 = GL2Param.make(a1, b1)
+    g2 = GL2Param.make(a2, b2)
+    lifted = theta_lift_params(g1, g2)
+    embedded = gsp4_to_gl4_embed(lifted)
+    direct = transfer_gsp4_to_gl4(lifted.mu, g1.alpha, g2.alpha)
+    commutes = match_multisets(embedded.entries, direct.entries)
+    return {
+        "q": pl.q,
+        "gl2": [param_to_json(g1), param_to_json(g2)],
+        "gsp4": param_to_json(lifted),
+        "gl4": param_to_json(embedded),
+        "commutes": bool(commutes),
+    }
+
+
+def oracle_transfer(doc) -> tuple[int, dict | None, str]:
+    """Exit code, payload (None on an input error) and stderr of ``transfer``
+    on a valid lifted document, place by place through ``_chain_at_place``."""
+    desc = load_document(doc)[1][0]
+    payload = {
+        "from_gso": desc.from_gso,
+        "isobaric": [sym.id for sym in transfer(desc).constituents],
+        "conditions": list(transfer_conditions(desc)),
+        "places": [],
+        "violation": None,
+    }
+    common = set.intersection(*(set(sym.local_params) for sym in desc.pair))
+    try:
+        for pl in sorted(common, key=lambda p: p.q):
+            payload["places"].append(_chain_at_place(desc, pl))
+    except CentralCharMismatch as exc:
+        payload["violation"] = exc.constraint
+        return 1, payload, ""
+    except ValueError as exc:
+        return 2, None, f"error: {exc}\n"
+    if not all(entry["commutes"] for entry in payload["places"]):
+        payload["violation"] = "commuting_diagram"
+        return 1, payload, ""
+    return 0, payload, ""
+
+
+PRIME_POWERS = [q for q in range(2, 2200) if q % 2 == 0 and q & (q - 1) == 0
+                or all(q % p for p in range(2, math.isqrt(q) + 1))]
+
+
+def seeded_lifted_doc(rng, n: int, self_dual: bool) -> dict:
+    """A lifted descriptor over n places with equal central values, and the
+    ties the canonical orders must break: alpha == beta, pairs with equal real
+    parts, entries -0.0, and places where both constituents agree.
+
+    Self-dual constituents carry unit pairs (alpha, conj alpha) under the
+    trivial character; otherwise the first constituent fixes the central
+    values and the second divides them by its alphas."""
+    qs = sorted(rng.choice(PRIME_POWERS, size=n, replace=False).tolist())
+    alphas, betas = [], []
+    for k in range(2):
+        radius = 1.0 if self_dual else np.exp(rng.normal(size=n))
+        alpha = radius * np.exp(2j * np.pi * rng.random(n))
+        quirk = rng.integers(4, size=n)
+        alpha.real[quirk == 1] = -0.0
+        if self_dual:
+            alpha[quirk == 1] = alpha[quirk == 1] / np.abs(alpha[quirk == 1])
+            alpha[quirk == 2] = np.where(rng.random(n) < 0.5, 1.0, -1.0)[quirk == 2]
+            beta = np.conj(alpha)
+        elif k == 0:
+            beta = radius * np.exp(2j * np.pi * rng.random(n))
+            beta[quirk == 2] = alpha[quirk == 2]
+            beta[quirk == 3] = np.conj(alpha[quirk == 3])
+            mu = alpha * beta
+        else:
+            beta = mu / alpha
+        if k == 1:
+            shared = rng.random(n) < 0.1
+            shared[0] = False  # the constituents must differ somewhere
+            alpha[shared], beta[shared] = alphas[0][shared], betas[0][shared]
+        alphas.append(alpha)
+        betas.append(beta)
+    symbols = []
+    for k, (alpha, beta) in enumerate(zip(alphas, betas)):
+        local = {str(q): [[a.real, a.imag], [b.real, b.imag]]
+                 for q, a, b in zip(qs, alpha.tolist(), beta.tolist())}
+        sid = f"S{k}"
+        symbols.append({"id": sid, "degree": 2, "dual": sid if self_dual else sid + "d",
+                        "central_char": "1" if self_dual else "chi", "local": local})
+    return {"symbols": symbols, "isobaric": [{"term": "S0", "r": "0"}, {"term": "S1", "r": "0"}],
+            "from_gso": True, "gross_char": "1" if self_dual else "chi"}
+
+
+def assert_transfer_matches_oracle(capsys, tmp_path, doc):
+    path = write_doc(tmp_path, doc)
+    want_code, payload, want_err = oracle_transfer(json.loads(json.dumps(doc)))
+    for fmt in ("json", "text"):
+        code, out, err = run(capsys, "transfer", "--in", path, "--format", fmt)
+        assert (code, err) == (want_code, want_err)
+        if payload is None:
+            assert out == ""
+        elif fmt == "json":
+            assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        else:
+            assert out == _text_transfer(payload)
+    return want_code, payload
 
 
 class TestVerifyGroups:
@@ -161,6 +282,19 @@ class TestTransfer:
         assert code == 1
         assert "unitary_normalization" in out
 
+    @pytest.mark.parametrize("command", ["transfer", "poles"])
+    @pytest.mark.parametrize("value, fault", [(math.nan, "is not finite"), (math.inf, "is not finite"),
+                                              (1e-310, "has no finite inverse")])
+    def test_non_finite_local_parameter_exit_two(self, capsys, tmp_path, command, value, fault):
+        doc = lifted_pair_doc(dual_second=command == "poles")
+        doc["symbols"][1]["local"]["5"][0] = [value, 0.0]
+        path = write_doc(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, command, "--in", path)
+        assert code == 2 and out == ""
+        assert err == f"error: malformed document: symbol P2: a local parameter at q=5 {fault}\n"
+
     def test_missing_file_exit_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "transfer", "--in", str(tmp_path / "nope.json"))
         assert code == 2 and "cannot read" in err
@@ -198,6 +332,75 @@ class TestTransfer:
         code, _, err = run(capsys, "transfer", "--in", path)
         assert code == 2
         assert "error" in err and "Traceback" not in err
+
+
+class TestTransferOracle:
+    """The vectorized chain and the row-template JSON emission against the
+    scalar chain and ``json.dumps``, byte for byte."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_documents_match_scalar_chain(self, capsys, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, int(rng.integers(3, 40)), 300 if seed % 3 == 0 else 120):
+            doc = seeded_lifted_doc(rng, n, self_dual=seed % 2 == 0)
+            code, payload = assert_transfer_matches_oracle(capsys, tmp_path, doc)
+            assert code == 0 and len(payload["places"]) == n
+
+    @pytest.mark.parametrize("self_dual", [False, True])
+    def test_seeded_documents_have_ties(self, self_dual):
+        doc = seeded_lifted_doc(np.random.default_rng(0), 300, self_dual)
+        local = [sym["local"] for sym in doc["symbols"]]
+        pairs = [pair for data in local for pair in data.values()]
+        assert any(a == b for a, b in pairs)
+        assert any(a[0] == b[0] and a[1] != b[1] for a, b in pairs)
+        assert any(math.copysign(1, x) < 0 and x == 0 for a, b in pairs for x in a + b)
+        assert any(local[0][q] == local[1][q] for q in local[0])
+
+    def test_central_value_mismatch_keeps_prefix(self, capsys, tmp_path):
+        doc = seeded_lifted_doc(np.random.default_rng(5), 41, self_dual=False)
+        q = sorted(doc["symbols"][1]["local"], key=int)[20]
+        a, b = doc["symbols"][1]["local"][q]
+        doc["symbols"][1]["local"][q] = [a, [b[0] * (1 + 1e-6), b[1] * (1 + 1e-6)]]
+        code, payload = assert_transfer_matches_oracle(capsys, tmp_path, doc)
+        assert code == 1 and payload["violation"] == "central_char_compatibility"
+        assert [e["q"] for e in payload["places"]] == sorted(map(int, doc["symbols"][1]["local"]))[:20]
+
+    @pytest.mark.parametrize("p1, p2, want", [
+        # alpha * beta overflows: central value check of the scalar GL(2) parameter
+        ([[1e200, 0.0], [1e200, 0.0]], [[1.0, 0.0], [1.0, 0.0]], 2),
+        # alpha * beta underflows to zero
+        ([[1e-200, 0.0], [1e-200, 0.0]], [[1.0, 0.0], [1.0, 0.0]], 2),
+        # mu / alpha_2 of the direct transfer underflows to zero
+        ([[1e-150, 0.0], [1e-150, 0.0]], [[1e100, 0.0], [1e-113, 0.0]], 2),
+        # central values equal within tolerance, the diagram does not commute
+        ([[1e-6, 0.0], [1e-7, 0.0]], [[1e-7, 0.0], [1e-7, 0.0]], 1),
+    ])
+    def test_extreme_magnitudes_match_scalar_chain(self, capsys, tmp_path, p1, p2, want):
+        doc = lifted_pair_doc()
+        doc["symbols"][0]["local"]["3"] = p1
+        doc["symbols"][1]["local"]["3"] = p2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _ = assert_transfer_matches_oracle(capsys, tmp_path, doc)
+        assert code == want
+
+    def test_exponent_notation_empty_places_and_out_path(self, capsys, tmp_path):
+        doc = lifted_pair_doc()
+        doc["symbols"][0]["local"]["7"] = [[1e-05, 2.5e+17], [2.5e+17, -1e-05]]
+        beta = complex(1e-05, 2.5e+17) * complex(2.5e+17, -1e-05) / 5e+17
+        doc["symbols"][1]["local"]["7"] = [[5e+17, 0.0], [beta.real, beta.imag]]
+        code, payload = assert_transfer_matches_oracle(capsys, tmp_path, doc)
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert code == 0 and "1e-05" in text and "2.5e+17" in text
+        target = tmp_path / "out.json"
+        code, out, _ = run(capsys, "transfer", "--in", write_doc(tmp_path, doc), "--format", "json",
+                           "--out", str(target))
+        assert code == 0 and out == "" and target.read_text() == text
+
+        for sym in doc["symbols"]:
+            sym["local"] = {}
+        code, payload = assert_transfer_matches_oracle(capsys, tmp_path, doc)
+        assert code == 0 and payload["places"] == []
 
 
 class TestPoles:

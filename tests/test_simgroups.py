@@ -202,18 +202,18 @@ class TestClosedFormKernels:
         q = 7
         gl2 = gl2_elements(q)
         n = len(gl2)
-        codes, lams, _ = simgroups._beta_codes_and_lams(q)
+        codes, dets = simgroups._beta_codes_and_dets(q)
         rng = random.Random(700)
         for _ in range(200):
             i, j = rng.randrange(n), rng.randrange(n)
             e = beta_map(gl2[i], gl2[j], q)
             assert simgroups._decode(int(codes[i * n + j]), q) == e.m
-            assert lams[i * n + j] == e.lam
+            assert dets[i] * dets[j] % q == e.lam
 
     def test_chunk_budget_does_not_change_codes(self, monkeypatch):
-        default = simgroups._beta_codes_and_lams(3)
+        default = simgroups._beta_codes_and_dets(3)
         monkeypatch.setattr(simgroups, "_CHUNK_BYTES", 1)  # one first factor per chunk
-        tiny = simgroups._beta_codes_and_lams(3)
+        tiny = simgroups._beta_codes_and_dets(3)
         assert all(np.array_equal(a, b) for a, b in zip(default, tiny))
 
     def test_enumeration_independent_of_pair_map(self, monkeypatch):
@@ -221,7 +221,7 @@ class TestClosedFormKernels:
             raise AssertionError("the enumeration must not use the pair map")
 
         monkeypatch.setattr(simgroups, "beta_map", forbidden)
-        monkeypatch.setattr(simgroups, "_beta_codes_and_lams", forbidden)
+        monkeypatch.setattr(simgroups, "_beta_codes_and_dets", forbidden)
         codes, lams, dets = enumerate_go4_codes(5)
         assert len(codes) == 2 * (480 * 480 // 4)
 
@@ -252,15 +252,15 @@ class TestVerifyReport:
             verify_gso_presentation(4)
 
     def test_kernel_failure_reports_first_non_scalar_pair(self, monkeypatch):
-        pair_map = simgroups._beta_codes_and_lams
+        pair_map = simgroups._beta_codes_and_dets
 
         def identity_at_second_pair(q):
-            codes, lams, dets = pair_map(q)
+            codes, dets = pair_map(q)
             codes = codes.copy()
             codes[1] = simgroups._encode(np.eye(4, dtype=np.int64).reshape(1, 16), q)[0]
-            return codes, lams, dets
+            return codes, dets
 
-        monkeypatch.setattr(simgroups, "_beta_codes_and_lams", identity_at_second_pair)
+        monkeypatch.setattr(simgroups, "_beta_codes_and_dets", identity_at_second_pair)
         report = verify_gso_presentation(3)
         assert not report.ok and not report.kernel_is_scalar_pairs
         g1, g2 = gl2_elements(3)[:2]
@@ -268,15 +268,3 @@ class TestVerifyReport:
             "check": "kernel_is_scalar_pairs",
             "pair": [[list(r) for r in g1], [list(r) for r in g2]],
         }
-
-
-class TestWorkerEnv:
-    def test_worker_count_does_not_change_result(self, monkeypatch):
-        baseline = verify_gso_presentation(3)
-        monkeypatch.setenv("GSP4TRANSFER_WORKERS", "4")
-        parallel = verify_gso_presentation(3)
-        assert parallel == baseline
-
-    def test_garbage_env_ignored(self, monkeypatch):
-        monkeypatch.setenv("GSP4TRANSFER_WORKERS", "not-a-number")
-        assert verify_gso_presentation(3).ok
