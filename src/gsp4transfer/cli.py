@@ -28,13 +28,7 @@ from .isobaric import (
     transfer_conditions,
     transfer_places,
 )
-from .lseries import (
-    EstimationError,
-    InsufficientLocalData,
-    LocalPole,
-    estimate_with_sweep,
-    synthetic_reps,
-)
+from .lseries import EstimationError, LocalPole, estimate_with_sweep, synthetic_reps
 from .satake import (
     CentralCharMismatch,
     GL4Param,
@@ -44,7 +38,7 @@ from .satake import (
     param_from_json,
     rodier_class,
 )
-from .simgroups import SUPPORTED_Q, UnsupportedField, verify_gso_presentation
+from .simgroups import SUPPORTED_Q, verify_gso_presentation
 
 EXIT_OK = 0
 EXIT_CONSTRAINT = 1
@@ -109,11 +103,7 @@ def _text_verify_groups(payload: dict) -> str:
 
 
 def _cmd_verify_groups(args) -> int:
-    try:
-        report = verify_gso_presentation(args.q)
-    except UnsupportedField as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = verify_gso_presentation(args.q)
     payload = report.to_json()
     _emit(payload, args.format, args.out, _text_verify_groups)
     return EXIT_OK if report.ok else EXIT_CONSTRAINT
@@ -303,7 +293,7 @@ def _cmd_poles(args) -> int:
         try:
             reps = synthetic_reps(descriptors, args.seed, args.X)
             est, sweep = estimate_with_sweep(reps[0], reps[1], args.X)
-        except (LocalPole, EstimationError, InsufficientLocalData, ValueError) as exc:
+        except (LocalPole, EstimationError, ValueError) as exc:
             print(f"error: numeric estimate failed: {exc}", file=sys.stderr)
             return EXIT_USAGE
         payload["estimate"] = est
@@ -339,17 +329,13 @@ def _cmd_rodier(args) -> int:
         with open(args.params) as fh:
             doc = json.load(fh)
         param = param_from_json(doc)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print(f"error: cannot read parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if not isinstance(param, GL4Param):
         print("error: expected a gl4 parameter document", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        pl = PlaceData(args.q)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    pl = PlaceData(args.q)
     if not all(c.consistent_at(pl.q) for c in param.entries):
         print(f"error: exact forms disagree with their float values at q={pl.q}", file=sys.stderr)
         return EXIT_USAGE

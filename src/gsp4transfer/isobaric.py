@@ -30,8 +30,8 @@ from .satake import (
     PlaceData,
     UnramChar,
     as_char,
+    complex_pairs,
     match_multiset_rows,
-    match_multisets,
     perfect_matching,
     place,
     within_tol,
@@ -156,11 +156,43 @@ def _first_mismatch(qs: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> int | Non
     return int(qs[bad][0]) if bad.any() else None
 
 
-def _check_inverse_closed(sym: CuspidalSymbol) -> None:
-    q = _first_mismatch(sym.qs, sym.params, 1 / sym.params)
+def rows_at(sym: CuspidalSymbol, qs: np.ndarray) -> np.ndarray:
+    """Row of each q of ``qs`` in the symbol's local data; every q must be sampled."""
+    rows = np.searchsorted(sym.qs, qs)
+    missing = np.append(sym.qs, 0)[rows] != qs
+    if missing.any():
+        raise InsufficientLocalData(f"symbol {sym.id} has no local data at q={qs[missing][0]}")
+    return rows
+
+
+def _dual_of(sym: CuspidalSymbol, declared: CuspidalSymbol | None = None) -> CuspidalSymbol:
+    """The contragredient of ``sym``.
+
+    A self-dual symbol is its own, once its data is checked to be
+    inverse-closed.  A ``declared`` dual must name ``sym`` as its dual and be
+    entrywise inverse to it at shared places; it comes back with the inverse
+    of ``sym``'s data added at places only ``sym`` samples.  Otherwise the
+    dual is a new symbol with the inverse data and central character.
+    """
+    if sym.is_self_dual:
+        q = _first_mismatch(sym.qs, sym.params, 1 / sym.params)
+        if q is not None:
+            raise ValueError(f"symbol {sym.id}: local data at q={q} is not inverse-closed, "
+                             "cannot be self-dual")
+        return sym
+    inverse = 1 / sym.params
+    if declared is None:
+        cc = inverse_char_id(sym.central_char_id)
+        return CuspidalSymbol(sym.dual_id, sym.degree, sym.id, cc, sym.qs, inverse)
+    if declared.dual_id != sym.id:
+        raise ValueError(f"dual of dual of {sym.id} is not {sym.id}")
+    common, i, j = np.intersect1d(sym.qs, declared.qs, assume_unique=True, return_indices=True)
+    q = _first_mismatch(common, declared.params[j], inverse[i])
     if q is not None:
-        raise ValueError(f"symbol {sym.id}: local data at q={q} is not inverse-closed, "
-                         "cannot be self-dual")
+        raise ValueError(f"local data of {sym.id} and {declared.id} at q={q} are not entrywise inverse")
+    extra = ~np.isin(sym.qs, declared.qs)
+    return replace(declared, qs=np.concatenate([declared.qs, sym.qs[extra]]),
+                   params=np.concatenate([declared.params, inverse[extra]]))
 
 
 def equivalent(a: CuspidalSymbol, b: CuspidalSymbol) -> bool:
@@ -220,17 +252,12 @@ class SymbolRegistry:
         else:
             qs = [pl.q for pl in local or {}]
             params = [[as_char(x).value for x in row] for row in (local or {}).values()]
-        if self_dual:
-            sym = CuspidalSymbol(sid, degree, sid, central_char, qs, params)
-            _check_inverse_closed(sym)
-            return self._insert(sym)
-        dual_id = dual_id or sid + "^"
+        dual_id = sid if self_dual else dual_id or sid + "^"
         sym = CuspidalSymbol(sid, degree, dual_id, central_char, qs, params)
-        dual = CuspidalSymbol(
-            dual_id, degree, sid, inverse_char_id(central_char), sym.qs, 1 / sym.params
-        )
+        dual = _dual_of(sym)
         self._insert(sym)
-        self._insert(dual)
+        if dual is not sym:
+            self._insert(dual)
         return sym
 
 
@@ -595,34 +622,18 @@ def associate_match(
 
     Returns phi with list2[j] equivalent to list1[phi[j]] (degrees match and
     local parameter multisets agree at every sampled place), or None when
-    the lists are not associate.  When the pooled parameter multisets at
-    any sampled place differ the verdict None is certain.  Missing local
-    data at a sampled place raises InsufficientLocalData.
+    the lists are not associate.  Missing local data at a sampled place
+    raises InsufficientLocalData.
     """
-    places = sorted(set(sample), key=lambda p: p.q)
-    if not places:
+    qs = np.array(sorted({pl.q for pl in sample}), dtype=np.int64)
+    if not len(qs):
         raise InsufficientLocalData("need at least one sampled place")
-    for sym in list(list1) + list(list2):
-        for place in places:
-            if place not in sym.local_params:
-                raise InsufficientLocalData(
-                    f"symbol {sym.id} has no local data at q={place.q}"
-                )
+    rows1, rows2 = ([sym.params[rows_at(sym, qs)] for sym in lst] for lst in (list1, list2))
     if len(list1) != len(list2):
         return None
-    for place in places:
-        pooled1 = [x for sym in list1 for x in sym.local_params[place]]
-        pooled2 = [x for sym in list2 for x in sym.local_params[place]]
-        if not match_multisets(pooled1, pooled2):
-            return None
 
     def compatible(j: int, i: int) -> bool:
-        a, b = list2[j], list1[i]
-        if a.degree != b.degree:
-            return False
-        return all(
-            match_multisets(a.local_params[p], b.local_params[p]) for p in places
-        )
+        return list2[j].degree == list1[i].degree and bool(match_multiset_rows(rows2[j], rows1[i]).all())
 
     n = len(list1)
     phi = perfect_matching([[j for j in range(n) if compatible(j, i)] for i in range(n)])
@@ -643,25 +654,11 @@ def registry_to_json(registry: SymbolRegistry) -> list[dict]:
                 "degree": sym.degree,
                 "dual": sym.dual_id,
                 "central_char": sym.central_char_id,
-                "local": {
-                    str(place.q): [[c.value.real, c.value.imag] for c in params]
-                    for place, params in sym.local_params.items()
-                },
+                "local": dict(zip(map(str, sym.qs.tolist()),
+                                  np.stack([sym.params.real, sym.params.imag], axis=-1).tolist())),
             }
         )
     return out
-
-
-def _backfill_dual(sym: CuspidalSymbol, dual: CuspidalSymbol) -> CuspidalSymbol:
-    """``dual`` checked to be entrywise inverse to ``sym`` at shared places and
-    given the inverse of ``sym``'s data at places only ``sym`` samples."""
-    common, i, j = np.intersect1d(sym.qs, dual.qs, assume_unique=True, return_indices=True)
-    q = _first_mismatch(common, dual.params[j], 1 / sym.params[i])
-    if q is not None:
-        raise ValueError(f"local data of {sym.id} and {dual.id} at q={q} are not entrywise inverse")
-    extra = ~np.isin(sym.qs, dual.qs)
-    return replace(dual, qs=np.concatenate([dual.qs, sym.qs[extra]]),
-                   params=np.concatenate([dual.params, 1 / sym.params[extra]]))
 
 
 def registry_from_json(symbols: Sequence[dict]) -> SymbolRegistry:
@@ -682,23 +679,14 @@ def registry_from_json(symbols: Sequence[dict]) -> SymbolRegistry:
             raise ValueError(f"symbol {sid!r}: id, dual and central_char must be strings")
         if not isinstance(degree, int) or isinstance(degree, bool):
             raise ValueError(f"symbol {sid}: degree must be an integer, got {degree!r}")
-        values = np.asarray(list(pairs.values()) if isinstance(pairs, dict) else None)
-        if pairs and (values.dtype.kind not in "iuf" or values.ndim != 3 or values.shape[2] != 2):
-            raise ValueError(f"symbol {sid}: local data must map places to [re, im] pairs")
-        params = np.ascontiguousarray(values, dtype=float).view(complex)[..., 0] if pairs else []
+        error = f"symbol {sid}: local data must map places to [re, im] pairs"
+        if not isinstance(pairs, dict):
+            raise ValueError(error)
+        params = complex_pairs(list(pairs.values()), 3, error) if pairs else []
         syms[sid] = CuspidalSymbol(sid, degree, dual, cc, [int(q) for q in pairs], params)
-    declared = list(syms)
-    for sid in declared:
+    for sid in list(syms):
         sym = syms[sid]
-        if sym.is_self_dual:
-            _check_inverse_closed(sym)
-        elif sym.dual_id not in syms:
-            cc = inverse_char_id(sym.central_char_id)
-            syms[sym.dual_id] = CuspidalSymbol(sym.dual_id, sym.degree, sid, cc, sym.qs, 1 / sym.params)
-        elif syms[sym.dual_id].dual_id != sid:
-            raise ValueError(f"dual of dual of {sid} is not {sid}")
-        else:
-            syms[sym.dual_id] = _backfill_dual(syms[sid], syms[sym.dual_id])
+        syms[sym.dual_id] = _dual_of(sym, syms.get(sym.dual_id))
     registry = SymbolRegistry()
     for sym in syms.values():
         registry._insert(sym)

@@ -32,11 +32,11 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .isobaric import (
-    InsufficientLocalData,
     IsobaricRep,
     LocalParams,
     SymbolRegistry,
     isobaric,
+    rows_at,
     rs_factorization,
 )
 from .satake import PlaceData, place  # noqa: F401  (place is re-exported)
@@ -108,15 +108,6 @@ def local_rs_factor(inp: LocalFactorInput, s: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _window_rows(sym, qs: np.ndarray) -> np.ndarray:
-    """Row of each q in the symbol's local data; every q must be sampled."""
-    rows = np.searchsorted(sym.qs, qs)
-    missing = np.append(sym.qs, 0)[rows] != qs
-    if missing.any():
-        raise InsufficientLocalData(f"missing local data of {sym.id} at q={qs[missing][0]}")
-    return rows
-
-
 def _sweep_values(r1: IsobaricRep, r2: IsobaricRep, qs: np.ndarray, s_values) -> np.ndarray:
     """Partial product over the places ``qs`` at each s, real or complex: per
     Rankin-Selberg factor one broadcast over (s, place, parameter pair) sums
@@ -125,8 +116,8 @@ def _sweep_values(r1: IsobaricRep, r2: IsobaricRep, qs: np.ndarray, s_values) ->
     logq = np.log(np.asarray(qs, dtype=float))
     total = np.zeros(len(s), dtype=complex)
     for factor in rs_factorization(r1, r2):
-        a = factor.sigma.params[_window_rows(factor.sigma, qs)]
-        b = factor.tau.params[_window_rows(factor.tau, qs)]
+        a = factor.sigma.params[rows_at(factor.sigma, qs)]
+        b = factor.tau.params[rows_at(factor.tau, qs)]
         lam = (a[:, :, None] * b[:, None, :]).reshape(len(qs), a.shape[1] * b.shape[1])
         z = lam * np.exp(-np.multiply.outer(s + float(factor.shift), logq))[:, :, None]
         pole = (np.abs(1.0 - z) < _POLE_EPS).any(axis=(1, 2))

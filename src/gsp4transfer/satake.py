@@ -129,7 +129,10 @@ class ExactForm:
         object.__setattr__(self, "turns", Fraction(self.turns) % 1)
 
     def evaluate(self, q: int) -> complex:
-        mag = math.exp(float(self.r) * math.log(q))
+        try:
+            mag = math.exp(float(self.r) * math.log(q))
+        except OverflowError:
+            raise ValueError(f"q^r is beyond the float range at q={q}, r={self.r}") from None
         return mag * cmath.exp(2j * math.pi * float(self.turns))
 
     def __mul__(self, other: "ExactForm") -> "ExactForm":
@@ -554,11 +557,34 @@ def _char_to_json(c: UnramChar) -> tuple[list, dict | None]:
     return pair, {"r": str(c.exact.r), "turns": str(c.exact.turns)}
 
 
-def _char_from_json(pair, exact) -> UnramChar:
-    value = complex(pair[0], pair[1])
+def complex_pairs(values, ndim: int, error: str) -> np.ndarray:
+    """Document values that are ``[re, im]`` pairs of JSON numbers, nested in
+    lists to ``ndim`` levels counting the pairs, as a complex array of the
+    nesting's shape; a ValueError for anything else, ``error`` unless numpy
+    finds the nesting ragged."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf" or arr.ndim != ndim or arr.shape[-1] != 2:
+        raise ValueError(error)
+    return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
+
+
+def _finite_pairs(values, ndim: int, name: str) -> list | complex:
+    z = complex_pairs(values, ndim, f"{name} must be [re, im] pairs of numbers")
+    if not np.isfinite(z).all():
+        raise ValueError(f"{name} must be finite")
+    return z.tolist()
+
+
+def _char_from_json(value: complex, exact) -> UnramChar:
     if exact is None:
         return UnramChar(value)
-    return UnramChar(value, ExactForm(Fraction(exact["r"]), Fraction(exact["turns"])))
+    if not isinstance(exact, dict):
+        raise ValueError(f"an exact form must be an object with r and turns, got {exact!r}")
+    try:
+        form = ExactForm(Fraction(exact["r"]), Fraction(exact["turns"]))
+    except (TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"invalid exact form {exact!r}: {exc}") from None
+    return UnramChar(value, form)
 
 
 def param_to_json(p: GL2Param | GSp4Param | GL4Param) -> dict:
@@ -598,12 +624,17 @@ def param_doc(kind: str, entries: list, mu: list | None = None) -> dict:
 
 
 def param_from_json(doc: dict) -> GL2Param | GSp4Param | GL4Param:
+    if not isinstance(doc, dict):
+        raise ValueError("a parameter document must be a JSON object")
     kind = doc.get("kind")
-    exacts = doc.get("exact") or [None] * len(doc["entries"])
-    chars = [_char_from_json(pair, ex) for pair, ex in zip(doc["entries"], exacts)]
+    values = _finite_pairs(doc["entries"], 2, "entries")
+    exacts = doc.get("exact") or [None] * len(values)
+    if not isinstance(exacts, list):
+        raise ValueError("exact must be a list")
+    chars = [_char_from_json(value, ex) for value, ex in zip(values, exacts)]
     mu = None
     if "mu" in doc:
-        mu = _char_from_json(doc["mu"], doc.get("mu_exact"))
+        mu = _char_from_json(_finite_pairs(doc["mu"], 1, "mu"), doc.get("mu_exact"))
     if kind == "gl2":
         if len(chars) != 2 or mu is None:
             raise ValueError("gl2 document needs 2 entries and mu")

@@ -1,9 +1,14 @@
+import copy
+import io
 import json
 import math
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gsp4transfer.cli import _text_transfer, main
 from gsp4transfer.isobaric import load_document, transfer, transfer_conditions
@@ -484,6 +489,11 @@ class TestPoles:
         assert code == 1 and "distinct_constituents" in err
 
 
+# family B at q = 9
+RODIER_DOC = {"kind": "gl4", "entries": [[1 / 3, 0.0], [1 / 3, 0.0], [3.0, 0.0], [3.0, 0.0]],
+              "exact": [{"r": r, "turns": "0"} for r in ["-1/2", "-1/2", "1/2", "1/2"]]}
+
+
 class TestRodier:
     def write_params(self, tmp_path, exacts):
         from fractions import Fraction
@@ -536,6 +546,49 @@ class TestRodier:
         code, _, err = run(capsys, "rodier", "--params", path, "--q", "6")
         assert code == 2
 
+    @pytest.mark.parametrize("corrupt", ["top_level_list", "top_level_string", "entries_number",
+                                         "string_coordinate", "one_element_pair", "exact_true",
+                                         "exact_numbers", "mu_string", "zero_denominator",
+                                         "huge_r", "infinite_turns", "nan_entry", "huge_entry"])
+    def test_malformed_parameters_exit_two(self, capsys, tmp_path, corrupt):
+        doc = copy.deepcopy(RODIER_DOC)
+        if corrupt == "top_level_list":
+            doc = [doc]
+        elif corrupt == "top_level_string":
+            doc = "gl4"
+        elif corrupt == "entries_number":
+            doc["entries"] = 5
+        elif corrupt == "string_coordinate":
+            doc["entries"][1][0] = "x"
+        elif corrupt == "one_element_pair":
+            doc["entries"][1] = [3.0]
+        elif corrupt == "exact_true":
+            doc["exact"] = True
+        elif corrupt == "exact_numbers":
+            doc["exact"] = [5, 5, 5, 5]
+        elif corrupt == "mu_string":
+            doc["mu"] = "x"
+        elif corrupt == "zero_denominator":
+            doc["exact"][0]["r"] = "1/0"
+        elif corrupt == "huge_r":
+            doc["exact"][0]["r"] = 2**70
+        elif corrupt == "infinite_turns":
+            doc["exact"][0]["turns"] = math.inf
+        elif corrupt == "nan_entry":
+            doc["entries"][0] = [math.nan, 0.0]
+        text = json.dumps(doc)
+        if corrupt == "huge_entry":
+            text = text.replace("3.0", "1e400", 1)
+        path = tmp_path / "params.json"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "rodier", "--params", str(path), "--q", "9", "--format", "json")
+        assert (code, out) == (2, "")
+        # q^r overflows only at a given q, so that one is found after reading
+        prefix = "error: " if corrupt == "huge_r" else "error: cannot read parameters: "
+        assert err.startswith(prefix) and err.count("\n") == 1
+
 
 class TestParser:
     def test_version(self, capsys):
@@ -544,3 +597,104 @@ class TestParser:
     def test_unknown_command_exit_two(self, capsys):
         code = main(["frobnicate"])
         assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract on mutated documents
+# ---------------------------------------------------------------------------
+
+CONSTRAINT_NAMES = ("central_char_compatibility", "distinct_constituents",
+                    "unitary_normalization", "commuting_diagram")
+FUZZ_KEYS = st.sampled_from(["", "2", "5", "6", "-3", "x", "id", "dual", "degree", "local",
+                             "r", "turns", "term", "terms", "entries", "exact", "mu", "kind"])
+FUZZ_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(),  # NaN and the infinities included
+    st.sampled_from(["", "x", "0", "1/0", "1/2", "-1/2", "1e400", "chi", "~chi", "P1", "P1d", "P2", "gl2", "gl4"]),
+)
+FUZZ_VALUES = st.one_of(
+    st.floats(0.25, 4) | st.floats(-4, -0.25),  # well-typed values, so that many documents get far
+    st.sampled_from([0, 1, -1, 2, 0.5, "0"]),
+    st.recursive(
+        FUZZ_LEAVES,
+        lambda kids: st.lists(kids, max_size=3) | st.dictionaries(FUZZ_KEYS, kids, max_size=3),
+        max_leaves=6,
+    ),
+)
+
+
+def _paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated(draw, base):
+    """``base`` after one to three edits: a value replaced (by a new value or a
+    copy of another part of the document), deleted or inserted."""
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = sorted(_paths(doc), key=len, reverse=True)  # draws favour the first: leaves
+        path = draw(st.sampled_from(paths))
+        value = draw(FUZZ_VALUES)
+        if draw(st.booleans()):
+            value = doc
+            for key in draw(st.sampled_from(paths)):
+                value = value[key]
+            value = copy.deepcopy(value)
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(["replace", "replace", "replace", "delete", "insert"]))
+        if action == "delete":
+            del parent[path[-1]]
+        elif action == "insert" and isinstance(parent, list):
+            parent.insert(path[-1], value)
+        elif action == "insert":
+            parent[draw(FUZZ_KEYS)] = value
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+class TestExitContractFuzz:
+    """Mutated documents never make ``main`` raise or break the exit codes: 0,
+    1 only with a named constraint, 2 with an error line; JSON output on exit
+    0 holds no NaN or Infinity."""
+
+    @pytest.mark.parametrize("command, base, argv, examples", [
+        ("transfer", lifted_pair_doc(), ["--in"], 100),
+        ("poles", lifted_pair_doc(dual_second=True), ["--mode", "both", "--X", "300", "--in"], 60),
+        ("rodier", RODIER_DOC, ["--q", "9", "--params"], 120),
+    ])
+    def test_mutated_documents(self, tmp_path, command, base, argv, examples):
+        path = tmp_path / "doc.json"
+
+        def reject_constant(name):
+            raise AssertionError(f"JSON output holds {name}")
+
+        @settings(max_examples=examples, deadline=None, derandomize=True, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(doc=mutated(base), fmt=st.sampled_from(["json", "text"]))
+        def check(doc, fmt):
+            path.write_text(json.dumps(doc))
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command, *argv, str(path), "--format", fmt])
+            out, err = out.getvalue(), err.getvalue()
+            assert code in (0, 1, 2)
+            if code == 1:
+                assert any(name in out + err for name in CONSTRAINT_NAMES), (out, err)
+            elif code == 2:
+                assert out == "" and err.startswith("error: "), (out, err)
+            elif fmt == "json":
+                json.loads(out, parse_constant=reject_constant)
+
+        check()

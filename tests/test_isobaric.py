@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from gsp4transfer.isobaric import (
     REASON_THREE_BLOCKS,
     REASON_UNITARITY,
     ConstituentsNotDistinct,
+    CuspidalSymbol,
     GSp4Descriptor,
     InsufficientLocalData,
     IsobaricRep,
@@ -34,7 +36,7 @@ from gsp4transfer.isobaric import (
     transfer_conditions,
     validate_transfer_shape,
 )
-from gsp4transfer.satake import CentralCharMismatch, PlaceData
+from gsp4transfer.satake import MATCH_TOL, CentralCharMismatch, PlaceData, match_multisets, perfect_matching
 
 
 def unit(theta):
@@ -500,6 +502,108 @@ class TestAssociateMatch:
         assert associate_match([a], [b], places) is None
 
 
+def associate_match_per_place(list1, list2, sample):
+    """Reference oracle: association matching place by place through the
+    ``local_params`` view and ``match_multisets``, with a pooled pass that
+    rejects lists whose pooled multisets differ at some place."""
+    places = sorted(set(sample), key=lambda p: p.q)
+    if not places:
+        raise InsufficientLocalData("need at least one sampled place")
+    for sym in list(list1) + list(list2):
+        for place in places:
+            if place not in sym.local_params:
+                raise InsufficientLocalData(f"symbol {sym.id} has no local data at q={place.q}")
+    if len(list1) != len(list2):
+        return None
+    for place in places:
+        pooled1 = [x for sym in list1 for x in sym.local_params[place]]
+        pooled2 = [x for sym in list2 for x in sym.local_params[place]]
+        if not match_multisets(pooled1, pooled2):
+            return None
+
+    def compatible(j, i):
+        a, b = list2[j], list1[i]
+        return a.degree == b.degree and all(
+            match_multisets(a.local_params[p], b.local_params[p]) for p in places
+        )
+
+    n = len(list1)
+    phi = perfect_matching([[j for j in range(n) if compatible(j, i)] for i in range(n)])
+    return None if phi is None else tuple(phi)
+
+
+def association_case(rng):
+    """Two cuspidal lists and a place sample: list2 is a permutation of list1
+    in which some symbols are replaced by variants (entries reordered, one
+    entry moved by 0.5 to 2 times the matching tolerance, another degree, a
+    sampled place left out, unrelated data) and whose length may differ."""
+    qs = sorted(rng.choice([2, 3, 4, 5, 7, 8, 9, 11], size=int(rng.integers(1, 5)), replace=False).tolist())
+    counter = iter(range(10**6))
+
+    def symbol(degree, params, places=qs):
+        sid = f"s{next(counter)}"
+        return CuspidalSymbol(sid, degree, sid + "^", "1", places, np.asarray(params).reshape(len(places), degree))
+
+    def data(degree):
+        return np.exp(rng.normal(scale=0.5, size=(len(qs), degree)) + 2j * np.pi * rng.random((len(qs), degree)))
+
+    list1 = []
+    for _ in range(int(rng.integers(0, 6))):
+        degree = int(rng.integers(1, 5))
+        twin = list1 and rng.random() < 0.2  # a second symbol with the same data
+        list1.append(symbol(list1[-1].degree, list1[-1].params) if twin else symbol(degree, data(degree)))
+    list2 = []
+    for sym in (list1[k] for k in rng.permutation(len(list1))):
+        kind = rng.choice(["same", "reorder", "perturb", "perturb", "degree", "missing", "other"],
+                          p=[0.4, 0.1, 0.25, 0.1, 0.05, 0.05, 0.05])
+        params = sym.params.copy()
+        if kind == "same":
+            list2.append(sym)
+            continue
+        if kind == "reorder":
+            params = params[:, rng.permutation(sym.degree)]
+        elif kind == "perturb":
+            p, k = int(rng.integers(len(qs))), int(rng.integers(sym.degree))
+            x = params[p, k]
+            params[p, k] += rng.uniform(0.5, 2.0) * MATCH_TOL * max(1.0, abs(x)) * np.exp(2j * np.pi * rng.random())
+        elif kind == "degree":
+            degree = sym.degree % 4 + 1
+            list2.append(symbol(degree, data(degree)))
+            continue
+        elif kind == "missing":
+            keep = np.arange(len(qs)) != rng.integers(len(qs))
+            list2.append(symbol(sym.degree, params[keep], [q for q, k in zip(qs, keep) if k]))
+            continue
+        elif kind == "other":
+            params = data(sym.degree)
+        list2.append(symbol(sym.degree, params))
+    if list2 and rng.random() < 0.05:
+        list2.pop()
+    elif rng.random() < 0.05:
+        list2.append(symbol(2, data(2)))
+    sample = [PlaceData(q) for q in qs]
+    if rng.random() < 0.03:
+        sample.append(PlaceData(13))  # sampled by no symbol
+    return list1, list2, sample
+
+
+class TestAssociateMatchOracle:
+    def test_columnar_matches_per_place_oracle(self):
+        def outcome(match, case):
+            try:
+                return match(*case)
+            except InsufficientLocalData as exc:
+                return str(exc)
+
+        seen = {"phi": 0, "none": 0, "raise": 0}
+        for seed in range(1000):
+            case = association_case(np.random.default_rng(seed))
+            want = outcome(associate_match_per_place, case)
+            assert outcome(associate_match, case) == want, seed
+            seen["raise" if isinstance(want, str) else "none" if want is None else "phi"] += 1
+        assert min(seen.values()) >= 100, seen
+
+
 class TestDocuments:
     def build_doc(self):
         return {
@@ -556,14 +660,23 @@ class TestDocuments:
         assert analysis.label == "3b" and analysis.report.order == 2
 
     def test_registry_roundtrip(self):
-        registry, _ = load_document(self.build_doc())
+        doc = self.build_doc()
+        doc["symbols"] += [
+            {"id": "P1d", "degree": 2, "dual": "P1", "central_char": "~chi",
+             "local": {"2": [[0.6, -0.8], [0.6, 0.8]]}},  # backfilled at q=3
+            {"id": "S", "degree": 2, "dual": "S", "local": {"7": [[0.28, 0.96], [0.28, -0.96]]}},
+        ]
+        registry, _ = load_document(doc)
         doc2 = registry_to_json(registry)
         from gsp4transfer.isobaric import registry_from_json
 
-        again = registry_from_json(doc2)
+        again = registry_from_json(json.loads(json.dumps(doc2)))
+        assert [sym.id for sym in again] == [sym.id for sym in registry]
         for sym in registry:
             clone = again.get(sym.id)
-            assert clone.degree == sym.degree and clone.dual_id == sym.dual_id
+            assert (clone.degree, clone.dual_id, clone.central_char_id) == (sym.degree, sym.dual_id, sym.central_char_id)
+            assert clone.qs.tobytes() == sym.qs.tobytes()
+            assert clone.params.view(np.uint64).tobytes() == sym.params.view(np.uint64).tobytes()
 
     def test_inconsistent_duals_rejected(self):
         doc = self.build_doc()
@@ -591,8 +704,9 @@ class TestDocuments:
             }
         )
         registry, _ = load_document(doc)
-        p1d = registry.get("P1d")
+        p1, p1d = registry.get("P1"), registry.get("P1d")
         assert PlaceData(3) in p1d.local_params  # filled from P1's data
+        assert p1d.params[p1d.qs == 3].tobytes() == (1 / p1.params[p1.qs == 3]).tobytes()
 
     def test_self_dual_document_checked(self):
         doc = {
