@@ -4,13 +4,13 @@ Subpackages:
 
 - satake: exact/float Satake scalars, dual-group parameter containers,
   the lifting maps between them, Weyl orbits, exponent classification.
-- isobaric: formal cuspidal symbols, isobaric sums, Rankin-Selberg
-  factorization and exact pole orders, transfer-shape validation,
-  descriptor case analysis, association matching.
-- simgroups: GO/GSO(4, F_q) laboratory with exhaustive verification of
-  the pair-map presentation.
-- lseries: truncated Euler products, numerical pole-order estimates,
-  synthetic angle data, weight-12 eigenvalue fixture.
+- isobaric: formal cuspidal symbols with columnar local data, isobaric
+  sums, Rankin-Selberg factorization and exact pole orders, transfer-shape
+  validation, descriptor case analysis, association matching.
+- simgroups: GO/GSO(4, F_q) laboratory on integer-coded matrices, with
+  exhaustive verification of the pair-map presentation.
+- lseries: truncated Euler products over symbol columns, numerical
+  pole-order estimates, synthetic angle data, weight-12 eigenvalue fixture.
 - cli: command-line surface over all of the above.
 """
 
@@ -63,22 +63,16 @@ from .isobaric import (
 )
 from .simgroups import (
     GsoPresentationReport,
-    SimilitudeElement,
     UnsupportedField,
-    beta_map,
-    enumerate_go4,
-    is_gso,
     verify_gso_presentation,
 )
 from .lseries import (
     EigenvalueTable,
     EstimationError,
     EulerProductSweep,
-    LocalFactorInput,
     LocalPole,
     delta_eigenvalues,
     estimate_pole_order,
-    local_rs_factor,
     partial_L,
     sample_sato_tate,
 )

@@ -13,7 +13,6 @@ import json
 import re
 import sys
 from functools import lru_cache
-from itertools import starmap
 
 import numpy as np
 
@@ -145,10 +144,9 @@ def _place_template() -> tuple[str, tuple[int, ...]]:
 
 
 class _Places:
-    """``places`` of a transfer payload, held as columns of a ``PlaceChain``.
-
-    Iterating gives the entries as dicts; ``_json_text`` formats the rows
-    straight from the columns through ``_place_template``.
+    """``places`` of a transfer payload, held as columns of a ``PlaceChain``:
+    q, commutes, then the flat values of ``_place_doc``.  ``_json_text``
+    formats the rows straight from the columns through ``_place_template``.
     """
 
     def __init__(self, chain: PlaceChain):
@@ -160,9 +158,6 @@ class _Places:
 
     def __len__(self) -> int:
         return len(self.columns[0])
-
-    def __iter__(self):
-        return starmap(_place_doc, zip(*self.columns))
 
     def json_rows(self) -> str:
         template, slots = _place_template()
@@ -178,11 +173,9 @@ def _text_transfer(payload: dict) -> str:
         lines.append(f"  isobaric transfer: {' + '.join(payload['isobaric'])}")
     for cond in payload["conditions"]:
         lines.append(f"  recorded: {cond}")
-    for entry in payload["places"]:
-        lines.append(
-            f"  q={entry['q']}: gl2 x gl2 -> gsp4 -> gl4, "
-            f"diagram {'commutes' if entry['commutes'] else 'FAILS'}"
-        )
+    places = payload["places"]
+    for q, commutes in zip(*places.columns[:2]) if places else ():
+        lines.append(f"  q={q}: gl2 x gl2 -> gsp4 -> gl4, diagram {'commutes' if commutes else 'FAILS'}")
     if payload["violation"]:
         lines.append(f"constraint failed: {payload['violation']}")
     else:
@@ -358,7 +351,9 @@ def _cmd_rodier(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="gsp4transfer",
         description="transfer calculus tools: group checks, lifts, pole orders",

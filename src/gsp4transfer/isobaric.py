@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,8 +28,6 @@ from .satake import (
     FLOAT_TOL,
     CentralCharMismatch,
     PlaceData,
-    UnramChar,
-    as_char,
     complex_pairs,
     match_multiset_rows,
     perfect_matching,
@@ -61,27 +59,6 @@ def inverse_char_id(cc: str) -> str:
     return cc[1:] if cc.startswith("~") else "~" + cc
 
 
-class LocalParams(Mapping):
-    """Read-only place -> parameter-tuple view over columnar local data: a lookup
-    bisects ``qs`` for the row, and keys come from the interned ``place``.  As
-    ``local`` of ``SymbolRegistry.create`` its arrays are taken over as they are."""
-
-    def __init__(self, qs, params):
-        self.qs, self.params = np.asarray(qs), np.asarray(params)
-
-    def __getitem__(self, pl: PlaceData) -> tuple[UnramChar, ...]:
-        i = int(np.searchsorted(self.qs, pl.q))
-        if i == len(self.qs) or self.qs[i] != pl.q:
-            raise KeyError(pl)
-        return tuple(map(UnramChar, self.params[i].tolist()))
-
-    def __iter__(self) -> Iterator[PlaceData]:
-        return map(place, self.qs.tolist())
-
-    def __len__(self) -> int:
-        return len(self.qs)
-
-
 @dataclass(frozen=True, eq=False)
 class CuspidalSymbol:
     """A formal cuspidal representation with sampled local Satake data.
@@ -89,9 +66,7 @@ class CuspidalSymbol:
     Local data is stored once, as two read-only arrays: ``qs`` (int64,
     shape (P,), the sampled residue cardinalities in ascending order) and
     ``params`` (complex128, shape (P, degree)).  It is float only; exact
-    forms live on ``satake`` parameters, not on symbols.  ``local_params``
-    is a read-only ``Mapping[PlaceData, tuple[UnramChar, ...]]`` view over
-    the arrays for callers that work per place.
+    forms live on ``satake`` parameters, not on symbols.
     """
 
     id: str
@@ -101,7 +76,6 @@ class CuspidalSymbol:
     qs: np.ndarray
     params: np.ndarray
     _registry: "SymbolRegistry | None" = field(default=None, repr=False)
-    local_params: LocalParams = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.degree not in (1, 2, 3, 4):
@@ -130,7 +104,6 @@ class CuspidalSymbol:
         qs.flags.writeable = params.flags.writeable = False
         object.__setattr__(self, "qs", qs)
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "local_params", LocalParams(qs, params))
 
     def __eq__(self, other):
         return isinstance(other, CuspidalSymbol) and self.id == other.id
@@ -222,12 +195,14 @@ class SymbolRegistry:
     def get(self, sid: str) -> CuspidalSymbol:
         return self._symbols[sid]
 
-    def _insert(self, sym: CuspidalSymbol) -> CuspidalSymbol:
-        if sym.id in self._symbols:
-            raise ValueError(f"symbol id {sym.id!r} already registered")
-        object.__setattr__(sym, "_registry", self)
-        self._symbols[sym.id] = sym
-        return sym
+    def _insert(self, *syms: CuspidalSymbol) -> None:
+        """Register all of ``syms`` or, when an id is taken, none of them."""
+        for sym in syms:
+            if sym.id in self._symbols:
+                raise ValueError(f"symbol id {sym.id!r} already registered")
+        for sym in syms:
+            object.__setattr__(sym, "_registry", self)
+            self._symbols[sym.id] = sym
 
     def create(
         self,
@@ -237,27 +212,22 @@ class SymbolRegistry:
         central_char: str = "1",
         self_dual: bool = False,
         dual_id: str | None = None,
-        local: Mapping[PlaceData, Sequence] | None = None,
+        qs: Sequence[int] = (),
+        params: Sequence[Sequence[complex]] = (),
     ) -> CuspidalSymbol:
         """Create a symbol together with its contragredient.
 
-        Unless ``self_dual`` is set, the dual symbol is materialized with the
-        entrywise-inverse local data and the inverse central character.
-        Self-dual creation requires every sampled multiset to be closed under
-        inversion.  Exact forms of ``UnramChar`` entries are dropped: symbol
-        local data is float only.
+        ``qs`` are the sampled places and ``params`` holds one row of
+        ``degree`` complex parameters per place, as ``CuspidalSymbol`` takes
+        them.  Unless ``self_dual`` is set, the dual symbol is materialized
+        with the entrywise-inverse local data and the inverse central
+        character.  Self-dual creation requires every sampled multiset to be
+        closed under inversion.  Nothing is registered when either id is taken.
         """
-        if isinstance(local, LocalParams):
-            qs, params = local.qs, local.params
-        else:
-            qs = [pl.q for pl in local or {}]
-            params = [[as_char(x).value for x in row] for row in (local or {}).values()]
         dual_id = sid if self_dual else dual_id or sid + "^"
         sym = CuspidalSymbol(sid, degree, dual_id, central_char, qs, params)
         dual = _dual_of(sym)
-        self._insert(sym)
-        if dual is not sym:
-            self._insert(dual)
+        self._insert(*((sym,) if dual is sym else (sym, dual)))
         return sym
 
 
@@ -688,8 +658,7 @@ def registry_from_json(symbols: Sequence[dict]) -> SymbolRegistry:
         sym = syms[sid]
         syms[sym.dual_id] = _dual_of(sym, syms.get(sym.dual_id))
     registry = SymbolRegistry()
-    for sym in syms.values():
-        registry._insert(sym)
+    registry._insert(*syms.values())
     return registry
 
 

@@ -33,7 +33,6 @@ import numpy as np
 
 from .isobaric import (
     IsobaricRep,
-    LocalParams,
     SymbolRegistry,
     isobaric,
     rows_at,
@@ -66,41 +65,6 @@ def primes_up_to(x: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = False
     return np.nonzero(sieve)[0].tolist()
-
-
-# ---------------------------------------------------------------------------
-# Local factors
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LocalFactorInput:
-    """Unramified local data of a Rankin-Selberg pairing at one place."""
-
-    sigma_params: tuple[complex, ...]
-    tau_params: tuple[complex, ...]
-    place: PlaceData
-
-    def __post_init__(self):
-        sigma = tuple(complex(x) for x in self.sigma_params)
-        tau = tuple(complex(x) for x in self.tau_params)
-        if any(x == 0 for x in sigma + tau):
-            raise ValueError("local parameters must be nonzero")
-        object.__setattr__(self, "sigma_params", sigma)
-        object.__setattr__(self, "tau_params", tau)
-
-
-def local_rs_factor(inp: LocalFactorInput, s: complex) -> complex:
-    """The product over all parameter pairs of (1 - a_i b_j q^-s)^-1."""
-    qs = complex(inp.place.q) ** (-complex(s))
-    out = 1.0 + 0.0j
-    for a in inp.sigma_params:
-        for b in inp.tau_params:
-            z = a * b * qs
-            if abs(1.0 - z) < _POLE_EPS:
-                raise LocalPole(f"local factor pole at q={inp.place.q}, s={s}")
-            out /= 1.0 - z
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +231,8 @@ def sato_tate_symbol(
     central_char: str = "1",
 ):
     """Register a self-dual degree-2 symbol carrying synthetic local data."""
-    local = LocalParams(primes, _sato_tate_params(seed, len(primes)))
-    return registry.create(sid, 2, central_char=central_char, self_dual=True, local=local)
+    return registry.create(sid, 2, central_char=central_char, self_dual=True,
+                           qs=primes, params=_sato_tate_params(seed, len(primes)))
 
 
 def stream_seed(seed: int, key: str) -> int:
@@ -305,7 +269,7 @@ def synthetic_reps(descriptors, seed: int, X: int) -> list[IsobaricRep]:
                 rng = np.random.Generator(np.random.PCG64(stream_seed(seed, base.id + ":twist")))
                 params = np.exp(2j * math.pi * rng.random(len(primes)))[:, None] * params
             shadow.create(base.id, 2, central_char=base.central_char_id, self_dual=sym.is_self_dual,
-                          dual_id=base.dual_id, local=LocalParams(primes, params))
+                          dual_id=base.dual_id, qs=primes, params=params)
     return [isobaric([shadow.get(s.id) for s in desc.pair]) for desc in descriptors]
 
 
@@ -395,8 +359,8 @@ def delta_eigenvalues(N: int) -> EigenvalueTable:
 
 def eigen_symbol(registry: SymbolRegistry, sid: str, table: EigenvalueTable):
     """Register a self-dual degree-2 symbol carrying the table's parameters."""
-    local = LocalParams([r.p for r in table.rows], [(r.alpha, r.beta) for r in table.rows])
-    return registry.create(sid, 2, central_char="1", self_dual=True, local=local)
+    return registry.create(sid, 2, central_char="1", self_dual=True,
+                           qs=[r.p for r in table.rows], params=[(r.alpha, r.beta) for r in table.rows])
 
 
 # ---------------------------------------------------------------------------

@@ -631,6 +631,8 @@ def param_from_json(doc: dict) -> GL2Param | GSp4Param | GL4Param:
     exacts = doc.get("exact") or [None] * len(values)
     if not isinstance(exacts, list):
         raise ValueError("exact must be a list")
+    if len(exacts) != len(values):
+        raise ValueError(f"exact has length {len(exacts)} but entries has length {len(values)}")
     chars = [_char_from_json(value, ex) for value, ex in zip(values, exacts)]
     mu = None
     if "mu" in doc:

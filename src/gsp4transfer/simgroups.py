@@ -6,8 +6,8 @@ identity Gram matrix, so similitude membership is the plain condition
 m^t m = lambda * I.
 
 The pair map sends (g1, g2) to the matrix of X -> g1 X g2^t on M_2(F_q)
-(the tensor-square action; see beta_map for the relation to the
-transpose-on-the-left convention).  That map multiplies the determinant
+(the tensor-square action; see _beta_codes_and_dets for the relation to
+the transpose-on-the-left convention).  That map multiplies the determinant
 form by det(g1) det(g2), and det is isometric to the standard form x.x in
 dimension 4 over any odd F_q (same dimension and square-class of
 discriminant).  We realize the isometry by an explicit det-orthonormal
@@ -15,9 +15,11 @@ frame of M_2 built from a solution of a^2 + b^2 = -1, and conjugate the
 raw Kronecker matrix g1 (x) g2 into those coordinates; the result is a
 genuine element of GO(4, F_q) with similitude factor det(g1) det(g2).
 
-The module lists GO(4, F_q) by closed-form enumeration, computes kernel
-and image of the pair map by exhaustive vectorized evaluation, and
-packages the comparison into a report.  q is restricted to odd primes
+Group elements exist only as integer codes: the base-q digits of a
+flattened 4x4 matrix.  The module lists GO(4, F_q) by closed-form
+enumeration as codes with their lambda and det, computes kernel and image
+of the pair map as codes by exhaustive vectorized evaluation, and packages
+the comparison into a report.  q is restricted to odd primes
 (characteristic 2 breaks the symmetric-form theory) and to q <= 7 for
 exhaustive work.
 """
@@ -42,10 +44,6 @@ def _check_q(q: int) -> None:
 
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
-
-
-def det2(g: Mat2, q: int) -> int:
-    return (g[0][0] * g[1][1] - g[0][1] * g[1][0]) % q
 
 
 def _modinv(a: int, q: int) -> int:
@@ -96,99 +94,6 @@ def _det_frame(q: int) -> tuple[np.ndarray, np.ndarray]:
     return C, Cinv
 
 
-def _det4_int(m) -> int:
-    # cofactor expansion on integer entries; exact for small q
-    a = [list(row) for row in m]
-
-    def d3(r, c):
-        rows = [a[i] for i in range(4) if i != r]
-        cols = [j for j in range(4) if j != c]
-        (x, y, z) = [[row[j] for j in cols] for row in rows]
-        return (
-            x[0] * (y[1] * z[2] - y[2] * z[1])
-            - x[1] * (y[0] * z[2] - y[2] * z[0])
-            + x[2] * (y[0] * z[1] - y[1] * z[0])
-        )
-
-    return sum((-1) ** c * a[0][c] * d3(0, c) for c in range(4))
-
-
-@dataclass(frozen=True)
-class SimilitudeElement:
-    """A 4x4 matrix over F_q with its similitude factor lambda.
-
-    Construction validates the Gram condition m^t m = lambda * I with
-    lambda != 0, so every instance is a genuine GO(4, F_q) element.
-    """
-
-    m: tuple[tuple[int, int, int, int], ...]
-    lam: int
-    q: int
-
-    def __post_init__(self):
-        q = self.q
-        m = tuple(tuple(int(x) % q for x in row) for row in self.m)
-        lam = int(self.lam) % q
-        if lam == 0:
-            raise ValueError("similitude factor must be nonzero")
-        for i in range(4):
-            for j in range(4):
-                dot = sum(m[k][i] * m[k][j] for k in range(4)) % q
-                want = lam if i == j else 0
-                if dot != want:
-                    raise ValueError("Gram condition m^t m = lambda * I fails")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "lam", lam)
-
-    def det(self) -> int:
-        return _det4_int(self.m) % self.q
-
-
-def identity_element(q: int) -> SimilitudeElement:
-    eye = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
-    return SimilitudeElement(eye, 1, q)
-
-
-def compose(a: SimilitudeElement, b: SimilitudeElement) -> SimilitudeElement:
-    if a.q != b.q:
-        raise ValueError("mismatched fields")
-    q = a.q
-    m = tuple(
-        tuple(sum(a.m[i][k] * b.m[k][j] for k in range(4)) % q for j in range(4))
-        for i in range(4)
-    )
-    return SimilitudeElement(m, (a.lam * b.lam) % q, q)
-
-
-def beta_map(g1: Mat2, g2: Mat2, q: int) -> SimilitudeElement:
-    """Matrix of the pair action on M_2, in det-orthonormal coordinates.
-
-    The action is X -> g1 X g2^t, the tensor-square action v (x) w ->
-    g1 v (x) g2 w under the rank-one identification v (x) w -> v w^t.
-    (Writing the transpose on the first slot instead gives the same kernel
-    and image with composition reversed; this orientation makes the map a
-    homomorphism for left-to-right matrix products.)  In the matrix-unit
-    basis the action is the Kronecker product g1 (x) g2; conjugating by
-    the frame of _det_frame turns it into an orthogonal similitude for the
-    standard form.  The result has similitude factor det(g1) det(g2) and
-    determinant (det(g1) det(g2))^2; in particular it always lands in the
-    index-2 subgroup where det = lambda^2.
-    """
-    d1, d2 = det2(g1, q), det2(g2, q)
-    if d1 == 0 or d2 == 0:
-        raise ValueError("pair map needs invertible inputs")
-    C, Cinv = _det_frame(q)
-    a1 = np.array(g1, dtype=np.int64) % q
-    a2 = np.array(g2, dtype=np.int64) % q
-    m = (Cinv @ (np.kron(a1, a2) % q) @ C) % q
-    return SimilitudeElement(tuple(tuple(int(x) for x in row) for row in m), (d1 * d2) % q, q)
-
-
-def is_gso(e: SimilitudeElement) -> bool:
-    """Membership in the det = lambda^2 subgroup of GO(4, F_q)."""
-    return e.det() == (e.lam * e.lam) % e.q
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive machinery (integer-coded, vectorized)
 # ---------------------------------------------------------------------------
@@ -204,10 +109,6 @@ def gl2_elements(q: int) -> list[Mat2]:
                     if (a * d - b * c) % q != 0:
                         out.append(((a, b), (c, d)))
     return out
-
-
-def sl2_elements(q: int) -> list[Mat2]:
-    return [g for g in gl2_elements(q) if det2(g, q) == 1]
 
 
 def _encode(flat: np.ndarray, q: int) -> np.ndarray:
@@ -232,13 +133,26 @@ def _beta_codes_and_dets(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Codes of beta over all ordered GL2 x GL2 pairs, plus GL2 determinants.
 
     Returns (codes, dets) where codes[i * n + j] is the code of
-    beta(g_i, g_j) and dets the determinants of GL2 in gl2_elements order;
-    the similitude factor of beta(g_i, g_j) is dets[i] * dets[j] mod q.  Since g1 (x) g2 =
-    (g1 (x) I)(I (x) g2), beta(g1, g2) = L(g1) R(g2) mod q with L(g) =
-    C^-1 (g (x) I) C and R(g) = C^-1 (I (x) g) C, so one chunk of first
-    factors is a single (c*4, 4) @ (4, n*4) product.  Entries of L and R are
-    below q, so every product entry is an integer of at most 4 (q - 1)^2 =
-    144 and float32 arithmetic is exact.  Chunks are bounded by bytes.
+    beta(g_i, g_j) = C^-1 (g_i (x) g_j) C mod q, C the frame of _det_frame,
+    and dets the determinants of GL2 in gl2_elements order; the similitude
+    factor of beta(g_i, g_j) is dets[i] * dets[j] mod q and its determinant
+    the square of that, so the image lies in the index-2 subgroup where
+    det = lambda^2.
+
+    beta(g1, g2) is the matrix of X -> g1 X g2^t on M_2, the tensor-square
+    action v (x) w -> g1 v (x) g2 w under the rank-one identification
+    v (x) w -> v w^t, which is the Kronecker product g1 (x) g2 in the
+    matrix-unit basis.  (Writing the transpose on the first slot instead
+    gives the same kernel and image with composition reversed; this
+    orientation makes the map a homomorphism for left-to-right matrix
+    products.)
+
+    Since g1 (x) g2 = (g1 (x) I)(I (x) g2), beta(g1, g2) = L(g1) R(g2) mod q
+    with L(g) = C^-1 (g (x) I) C and R(g) = C^-1 (I (x) g) C, so one chunk
+    of first factors is a single (c*4, 4) @ (4, n*4) product.  Entries of L
+    and R are below q, so every product entry is an integer of at most
+    4 (q - 1)^2 = 144 and float32 arithmetic is exact.  Chunks are bounded
+    by bytes.
     """
     gl2 = gl2_elements(q)
     n = len(gl2)
@@ -334,12 +248,6 @@ def enumerate_go4_codes(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def enumerate_go4(q: int) -> list[SimilitudeElement]:
-    """The complete duplicate-free list of GO(4, F_q), deterministic order."""
-    codes, lams, _ = enumerate_go4_codes(q)
-    return [SimilitudeElement(_decode(int(c), q), int(l), q) for c, l in zip(codes, lams)]
-
-
 # ---------------------------------------------------------------------------
 # Structure report
 # ---------------------------------------------------------------------------
@@ -411,14 +319,15 @@ def _sorted_unique(codes: np.ndarray) -> np.ndarray:
 
 def _code_witness(check: str, side: str, code: int, q: int) -> dict:
     """A failed set check's offending code, decoded, with its lambda and det."""
-    m = _decode(code, q)
+    m = np.array(_decode(code, q), dtype=np.int64)
+    det = m[:, 3] @ _cross4(m[:, :1], m[:, 1:2], m[:, 2:3])[:, 0]  # c4 . cross(c1, c2, c3)
     return {
         "check": check,
         "side": side,
         "code": code,
-        "matrix": [list(row) for row in m],
-        "lam": sum(row[0] * row[0] for row in m) % q,
-        "det": _det4_int(m) % q,
+        "matrix": m.tolist(),
+        "lam": int(m[:, 0] @ m[:, 0]) % q,
+        "det": int(det) % q,
     }
 
 

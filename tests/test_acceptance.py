@@ -27,10 +27,8 @@ from gsp4transfer.lseries import (
     sato_tate_symbol,
 )
 from gsp4transfer.satake import (
-    ExactForm,
     ExponentVector,
     GL2Param,
-    PlaceData,
     UnramChar,
     check_selfdual_twist,
     gsp4_to_gl4_embed,
@@ -238,33 +236,33 @@ def test_criterion_8_association_matching():
     sample = [place(p) for p in primes_up_to(80)][:20]
     assert len(sample) == 20
     ok = True
+    qs = [pl.q for pl in sample]
     for trial in range(20):
         def fresh_data():
-            out = {}
-            for pl in sample:
+            out = []
+            for _ in sample:
                 t = rng.uniform(0.05, 3.1)
-                out[pl] = (cmath.exp(1j * t), cmath.exp(-1j * t))
+                out.append((cmath.exp(1j * t), cmath.exp(-1j * t)))
             return out
 
         n = rng.randrange(2, 6)
         datasets = [fresh_data() for _ in range(n)]
         reg1, reg2 = SymbolRegistry(), SymbolRegistry()
-        list1 = [reg1.create(f"s{i}", 2, local=datasets[i]) for i in range(n)]
+        list1 = [reg1.create(f"s{i}", 2, qs=qs, params=datasets[i]) for i in range(n)]
         perm = list(range(n))
         rng.shuffle(perm)
-        list2 = [reg2.create(f"t{j}", 2, local=datasets[perm[j]]) for j in range(n)]
+        list2 = [reg2.create(f"t{j}", 2, qs=qs, params=datasets[perm[j]]) for j in range(n)]
         phi = associate_match(list1, list2, sample)
         ok &= phi == tuple(perm)
         # corrupt one place of one constituent: verdict must flip
         k = rng.randrange(n)
-        corrupted_data = dict(datasets[perm[k]])
-        bad_place = sample[rng.randrange(len(sample))]
-        corrupted_data[bad_place] = (2.0 + 0j, 0.25 + 0j)
+        corrupted_data = list(datasets[perm[k]])
+        corrupted_data[rng.randrange(len(sample))] = (2.0 + 0j, 0.25 + 0j)
         reg3 = SymbolRegistry()
         list3 = []
         for j in range(n):
             data = corrupted_data if j == k else datasets[perm[j]]
-            list3.append(reg3.create(f"u{j}", 2, local=data))
+            list3.append(reg3.create(f"u{j}", 2, qs=qs, params=data))
         ok &= associate_match(list1, list3, sample) is None
         if not ok:
             break

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gsp4transfer.cli import _text_transfer, main
+from gsp4transfer.cli import main
 from gsp4transfer.isobaric import load_document, transfer, transfer_conditions
 from gsp4transfer.satake import (
     CentralCharMismatch,
@@ -66,12 +66,11 @@ def lifted_pair_doc(dual_second=False):
     return doc
 
 
-def _chain_at_place(desc, pl) -> dict:
+def _chain_at_place(q, row1, row2) -> dict:
     """Reference oracle: the parameter chain at one place through the scalar
-    ``satake`` route, as the payload entry of ``transfer``."""
-    p1, p2 = desc.pair
-    a1, b1 = p1.local_params[pl]
-    a2, b2 = p2.local_params[pl]
+    ``satake`` route, as the payload entry of ``transfer``; ``row1`` and
+    ``row2`` are (alpha, beta) of the two constituents at q."""
+    (a1, b1), (a2, b2) = row1, row2
     g1 = GL2Param.make(a1, b1)
     g2 = GL2Param.make(a2, b2)
     lifted = theta_lift_params(g1, g2)
@@ -79,7 +78,7 @@ def _chain_at_place(desc, pl) -> dict:
     direct = transfer_gsp4_to_gl4(lifted.mu, g1.alpha, g2.alpha)
     commutes = match_multisets(embedded.entries, direct.entries)
     return {
-        "q": pl.q,
+        "q": q,
         "gl2": [param_to_json(g1), param_to_json(g2)],
         "gsp4": param_to_json(lifted),
         "gl4": param_to_json(embedded),
@@ -98,10 +97,10 @@ def oracle_transfer(doc) -> tuple[int, dict | None, str]:
         "places": [],
         "violation": None,
     }
-    common = set.intersection(*(set(sym.local_params) for sym in desc.pair))
+    rows1, rows2 = (dict(zip(sym.qs.tolist(), sym.params.tolist())) for sym in desc.pair)
     try:
-        for pl in sorted(common, key=lambda p: p.q):
-            payload["places"].append(_chain_at_place(desc, pl))
+        for q in sorted(rows1.keys() & rows2.keys()):
+            payload["places"].append(_chain_at_place(q, rows1[q], rows2[q]))
     except CentralCharMismatch as exc:
         payload["violation"] = exc.constraint
         return 1, payload, ""
@@ -111,6 +110,17 @@ def oracle_transfer(doc) -> tuple[int, dict | None, str]:
         payload["violation"] = "commuting_diagram"
         return 1, payload, ""
     return 0, payload, ""
+
+
+def oracle_text(payload) -> str:
+    """Text output of ``transfer`` for an oracle payload of a lifted descriptor."""
+    lines = ["transfer chain", f"  lifted from degree-2 pair: {payload['from_gso']}",
+             f"  isobaric transfer: {' + '.join(payload['isobaric'])}"]
+    lines += [f"  recorded: {cond}" for cond in payload["conditions"]]
+    lines += [f"  q={entry['q']}: gl2 x gl2 -> gsp4 -> gl4, diagram {'commutes' if entry['commutes'] else 'FAILS'}"
+              for entry in payload["places"]]
+    lines.append(f"constraint failed: {payload['violation']}" if payload["violation"] else "consistency OK")
+    return "\n".join(lines) + "\n"
 
 
 PRIME_POWERS = [q for q in range(2, 2200) if q % 2 == 0 and q & (q - 1) == 0
@@ -171,7 +181,7 @@ def assert_transfer_matches_oracle(capsys, tmp_path, doc):
         elif fmt == "json":
             assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
         else:
-            assert out == _text_transfer(payload)
+            assert out == oracle_text(payload)
     return want_code, payload
 
 
@@ -249,9 +259,11 @@ class TestTransfer:
         for entry in payload["places"]:
             assert isinstance(param_from_json(entry["gl4"]), GL4Param)
         # text output is derived from the same payload
-        from gsp4transfer.cli import _text_transfer
-
-        assert "P1 + P2" in _text_transfer(payload)
+        code, text, _ = run(capsys, "transfer", "--in", path)
+        assert code == 0 and "P1 + P2" in text
+        assert [line for line in text.splitlines() if line.startswith("  q=")] == [
+            f"  q={entry['q']}: gl2 x gl2 -> gsp4 -> gl4, diagram commutes" for entry in payload["places"]
+        ]
 
     def test_equal_constituents_exit_one(self, capsys, tmp_path):
         doc = lifted_pair_doc()
@@ -549,7 +561,8 @@ class TestRodier:
     @pytest.mark.parametrize("corrupt", ["top_level_list", "top_level_string", "entries_number",
                                          "string_coordinate", "one_element_pair", "exact_true",
                                          "exact_numbers", "mu_string", "zero_denominator",
-                                         "huge_r", "infinite_turns", "nan_entry", "huge_entry"])
+                                         "huge_r", "infinite_turns", "nan_entry", "huge_entry",
+                                         "short_exact", "long_exact"])
     def test_malformed_parameters_exit_two(self, capsys, tmp_path, corrupt):
         doc = copy.deepcopy(RODIER_DOC)
         if corrupt == "top_level_list":
@@ -576,6 +589,10 @@ class TestRodier:
             doc["exact"][0]["turns"] = math.inf
         elif corrupt == "nan_entry":
             doc["entries"][0] = [math.nan, 0.0]
+        elif corrupt == "short_exact":
+            doc["exact"] = doc["exact"][:1]
+        elif corrupt == "long_exact":
+            doc["exact"].append(doc["exact"][0])
         text = json.dumps(doc)
         if corrupt == "huge_entry":
             text = text.replace("3.0", "1e400", 1)
@@ -588,6 +605,8 @@ class TestRodier:
         # q^r overflows only at a given q, so that one is found after reading
         prefix = "error: " if corrupt == "huge_r" else "error: cannot read parameters: "
         assert err.startswith(prefix) and err.count("\n") == 1
+        if corrupt.endswith("_exact"):
+            assert f"exact has length {len(doc['exact'])} but entries has length 4" in err
 
 
 class TestParser:

@@ -36,7 +36,15 @@ from gsp4transfer.isobaric import (
     transfer_conditions,
     validate_transfer_shape,
 )
-from gsp4transfer.satake import MATCH_TOL, CentralCharMismatch, PlaceData, match_multisets, perfect_matching
+from gsp4transfer.satake import (
+    MATCH_TOL,
+    CentralCharMismatch,
+    PlaceData,
+    UnramChar,
+    match_multisets,
+    perfect_matching,
+    place,
+)
 
 
 def unit(theta):
@@ -44,11 +52,17 @@ def unit(theta):
 
 
 def gl2_local(rng, places):
-    out = {}
-    for p in places:
+    """Unit-circle GL(2) data at ``places``, as the qs= and params= of ``create``."""
+    params = []
+    for _ in places:
         t = rng.uniform(0.1, 3.0)
-        out[p] = (unit(t), unit(-t))
-    return out
+        params.append((unit(t), unit(-t)))
+    return {"qs": [p.q for p in places], "params": params}
+
+
+def local_params(sym):
+    """A symbol's local data per place: PlaceData -> tuple of UnramChar."""
+    return {place(q): tuple(map(UnramChar, row)) for q, row in zip(sym.qs.tolist(), sym.params.tolist())}
 
 
 @pytest.fixture
@@ -68,33 +82,39 @@ class TestRegistry:
 
     def test_dual_local_params_are_inverse(self, registry, places):
         rng = random.Random(1)
-        sym = registry.create("sigma", 2, local=gl2_local(rng, places))
+        sym = registry.create("sigma", 2, **gl2_local(rng, places))
         dual_sym = sym.dual()
         for p in places:
-            inv = [x.inverse() for x in sym.local_params[p]]
+            inv = [x.inverse() for x in local_params(sym)[p]]
             assert all(
                 abs(a.value - b.value) < 1e-12
-                for a, b in zip(dual_sym.local_params[p], sorted(inv, key=lambda c: (c.value.real, c.value.imag)))
+                for a, b in zip(local_params(dual_sym)[p], sorted(inv, key=lambda c: (c.value.real, c.value.imag)))
             ) or True  # multiset comparison below is the real check
             from gsp4transfer.satake import match_multisets
 
-            assert match_multisets(dual_sym.local_params[p], inv)
+            assert match_multisets(local_params(dual_sym)[p], inv)
 
     def test_self_dual_requires_inverse_closed(self, registry, places):
         with pytest.raises(ValueError):
             registry.create(
-                "bad", 2, self_dual=True, local={places[0]: (2 + 0j, 3 + 0j)}
+                "bad", 2, self_dual=True, qs=[places[0].q], params=[(2 + 0j, 3 + 0j)]
             )
 
     def test_self_dual_accepts_unit_pairs(self, registry, places):
         rng = random.Random(2)
-        sym = registry.create("sd", 2, self_dual=True, local=gl2_local(rng, places))
+        sym = registry.create("sd", 2, self_dual=True, **gl2_local(rng, places))
         assert sym.dual() is sym
 
     def test_duplicate_id_rejected(self, registry):
         registry.create("x", 2)
         with pytest.raises(ValueError):
             registry.create("x", 2)
+
+    def test_taken_dual_id_registers_nothing(self, registry):
+        registry.create("a", 2)
+        with pytest.raises(ValueError, match="symbol id 'a\\^' already registered"):
+            registry.create("b", 2, dual_id="a^")
+        assert [sym.id for sym in registry] == ["a", "a^"]
 
     def test_degree_out_of_range(self, registry):
         with pytest.raises(ValueError):
@@ -104,16 +124,16 @@ class TestRegistry:
         rng = random.Random(3)
         data = gl2_local(rng, places)
         reg1, reg2 = SymbolRegistry(), SymbolRegistry()
-        a = reg1.create("a", 2, local=data)
-        b = reg2.create("b", 2, local=data)
-        c = reg2.create("c", 2, local=gl2_local(rng, places))
+        a = reg1.create("a", 2, **data)
+        b = reg2.create("b", 2, **data)
+        c = reg2.create("c", 2, **gl2_local(rng, places))
         assert equivalent(a, b)
         assert not equivalent(a, c)
-        assert not equivalent(a, reg1.create("deg1", 1, local={p: (1 + 0j,) for p in places}))
+        assert not equivalent(a, reg1.create("deg1", 1, qs=[p.q for p in places], params=[(1 + 0j,)] * 5))
 
     def test_equivalence_is_symmetric(self, registry, places):
-        a = registry.create("a", 2, local={places[0]: (1, 1 + 1.8e-9)})
-        b = registry.create("b", 2, local={places[0]: (1 + 0.9e-9, 1 - 0.95e-9)})
+        a = registry.create("a", 2, qs=[places[0].q], params=[(1, 1 + 1.8e-9)])
+        b = registry.create("b", 2, qs=[places[0].q], params=[(1 + 0.9e-9, 1 - 0.95e-9)])
         assert equivalent(a, b) and equivalent(b, a)
 
 
@@ -310,8 +330,8 @@ class TestTransfer:
         rng = random.Random(7)
         data = gl2_local(rng, places)
         reg = SymbolRegistry()
-        p1 = reg.create("P1", 2, central_char="chi", local=data)
-        p2 = reg.create("P2", 2, central_char="chi", local=data)
+        p1 = reg.create("P1", 2, central_char="chi", **data)
+        p2 = reg.create("P2", 2, central_char="chi", **data)
         with pytest.raises(ConstituentsNotDistinct):
             GSp4Descriptor(True, "chi", pair=(p1, p2), gross_char_id="chi")
 
@@ -445,7 +465,7 @@ class TestCaseAnalysis:
 
 class TestAssociateMatch:
     def make_list(self, reg, names, places, rng):
-        return [reg.create(n, 2, local=gl2_local(rng, places)) for n in names]
+        return [reg.create(n, 2, **gl2_local(rng, places)) for n in names]
 
     def test_reordering_recovered(self, places):
         rng = random.Random(11)
@@ -479,8 +499,8 @@ class TestAssociateMatch:
     def test_missing_data_raises(self, places):
         rng = random.Random(15)
         reg = SymbolRegistry()
-        full = reg.create("full", 2, local=gl2_local(rng, places))
-        partial = reg.create("partial", 2, local=gl2_local(rng, places[:2]))
+        full = reg.create("full", 2, **gl2_local(rng, places))
+        partial = reg.create("partial", 2, **gl2_local(rng, places[:2]))
         with pytest.raises(InsufficientLocalData):
             associate_match([full], [partial], places)
 
@@ -488,43 +508,43 @@ class TestAssociateMatch:
         rng = random.Random(16)
         reg = SymbolRegistry()
         lst = self.make_list(reg, ["x", "y"], places, rng)
-        data = {p: tuple(lst[0].local_params[p]) for p in places}
-        corrupted = dict(data)
-        corrupted[places[2]] = (2 + 0j, 0.5 + 0j)  # different multiset at one place
-        other = reg.create("x_corrupt", 2, local=corrupted)
+        corrupted = lst[0].params.copy()
+        corrupted[2] = (2 + 0j, 0.5 + 0j)  # different multiset at one place
+        other = reg.create("x_corrupt", 2, qs=lst[0].qs, params=corrupted)
         assert associate_match([lst[0], lst[1]], [other, lst[1]], places) is None
 
     def test_degree_mismatch(self, places):
         rng = random.Random(17)
         reg = SymbolRegistry()
-        a = reg.create("a", 2, local=gl2_local(rng, places))
-        b = reg.create("b", 1, local={p: (1 + 0j,) for p in places})
+        a = reg.create("a", 2, **gl2_local(rng, places))
+        b = reg.create("b", 1, qs=[p.q for p in places], params=[(1 + 0j,)] * 5)
         assert associate_match([a], [b], places) is None
 
 
 def associate_match_per_place(list1, list2, sample):
     """Reference oracle: association matching place by place through the
-    ``local_params`` view and ``match_multisets``, with a pooled pass that
+    ``local_params`` dicts and ``match_multisets``, with a pooled pass that
     rejects lists whose pooled multisets differ at some place."""
     places = sorted(set(sample), key=lambda p: p.q)
     if not places:
         raise InsufficientLocalData("need at least one sampled place")
+    view = {sym.id: local_params(sym) for sym in list(list1) + list(list2)}
     for sym in list(list1) + list(list2):
-        for place in places:
-            if place not in sym.local_params:
-                raise InsufficientLocalData(f"symbol {sym.id} has no local data at q={place.q}")
+        for pl in places:
+            if pl not in view[sym.id]:
+                raise InsufficientLocalData(f"symbol {sym.id} has no local data at q={pl.q}")
     if len(list1) != len(list2):
         return None
-    for place in places:
-        pooled1 = [x for sym in list1 for x in sym.local_params[place]]
-        pooled2 = [x for sym in list2 for x in sym.local_params[place]]
+    for pl in places:
+        pooled1 = [x for sym in list1 for x in view[sym.id][pl]]
+        pooled2 = [x for sym in list2 for x in view[sym.id][pl]]
         if not match_multisets(pooled1, pooled2):
             return None
 
     def compatible(j, i):
         a, b = list2[j], list1[i]
         return a.degree == b.degree and all(
-            match_multisets(a.local_params[p], b.local_params[p]) for p in places
+            match_multisets(view[a.id][p], view[b.id][p]) for p in places
         )
 
     n = len(list1)
@@ -643,8 +663,8 @@ class TestDocuments:
         place = PlaceData(2)
         from gsp4transfer.satake import match_multisets
 
-        inv = [x.inverse() for x in p1.local_params[place]]
-        assert match_multisets(p1d.local_params[place], inv)
+        inv = [x.inverse() for x in local_params(p1)[place]]
+        assert match_multisets(local_params(p1d)[place], inv)
 
     def test_descriptor_array(self):
         doc = self.build_doc()
@@ -705,7 +725,7 @@ class TestDocuments:
         )
         registry, _ = load_document(doc)
         p1, p1d = registry.get("P1"), registry.get("P1d")
-        assert PlaceData(3) in p1d.local_params  # filled from P1's data
+        assert PlaceData(3) in local_params(p1d)  # filled from P1's data
         assert p1d.params[p1d.qs == 3].tobytes() == (1 / p1.params[p1.qs == 3]).tobytes()
 
     def test_self_dual_document_checked(self):
@@ -737,4 +757,4 @@ class TestDocuments:
         start = time.perf_counter()
         registry, _ = load_document(doc)
         assert time.perf_counter() - start < 0.5
-        assert PlaceData(1000000000000000003) in registry.get("P1").local_params
+        assert PlaceData(1000000000000000003) in local_params(registry.get("P1"))

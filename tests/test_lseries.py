@@ -8,13 +8,11 @@ from gsp4transfer.isobaric import InsufficientLocalData, SymbolRegistry, isobari
 from gsp4transfer.lseries import (
     DEFAULT_GRID,
     EulerProductSweep,
-    LocalFactorInput,
     LocalPole,
     delta_eigenvalues,
     eigen_symbol,
     estimate_pole_order,
     estimate_with_sweep,
-    local_rs_factor,
     partial_L,
     place,
     primes_up_to,
@@ -56,18 +54,28 @@ class TestPrimes:
         assert len(primes_up_to(100_000)) == 9592
 
 
+def local_rs_factor(sigma, tau, q, s):
+    """Reference local factor: the product over all parameter pairs of
+    (1 - a_i b_j q^-s)^-1, one pair at a time."""
+    qs = complex(q) ** (-complex(s))
+    out = 1.0 + 0.0j
+    for a in sigma:
+        for b in tau:
+            z = a * b * qs
+            if abs(1.0 - z) < 1e-12:
+                raise LocalPole(f"local factor pole at q={q}, s={s}")
+            out /= 1.0 - z
+    return out
+
+
 class TestLocalFactor:
     def test_zeta_factor(self):
-        inp = LocalFactorInput((1,), (1,), place(2))
-        assert local_rs_factor(inp, 2) == pytest.approx(4.0 / 3.0)
+        assert local_rs_factor((1,), (1,), 2, 2) == pytest.approx(4.0 / 3.0)
 
     def test_multiplicative_in_second_slot(self):
-        a = cmath.exp(0.7j)
-        inp_union = LocalFactorInput((a, a.conjugate()), (1, -1), place(5))
-        inp_1 = LocalFactorInput((a, a.conjugate()), (1,), place(5))
-        inp_2 = LocalFactorInput((a, a.conjugate()), (-1,), place(5))
-        lhs = local_rs_factor(inp_union, 1.7)
-        rhs = local_rs_factor(inp_1, 1.7) * local_rs_factor(inp_2, 1.7)
+        sigma = (cmath.exp(0.7j), cmath.exp(-0.7j))
+        lhs = local_rs_factor(sigma, (1, -1), 5, 1.7)
+        rhs = local_rs_factor(sigma, (1,), 5, 1.7) * local_rs_factor(sigma, (-1,), 5, 1.7)
         assert lhs == pytest.approx(rhs)
 
     def test_matches_bruteforce_four_term_product(self):
@@ -79,22 +87,21 @@ class TestLocalFactor:
         for x in sigma:
             for y in tau:
                 expected /= 1 - x * y * p ** (-s)
-        got = local_rs_factor(LocalFactorInput(sigma, tau, place(p)), s)
+        got = local_rs_factor(sigma, tau, p, s)
         assert got == pytest.approx(expected)
 
     def test_pole_detected(self):
-        inp = LocalFactorInput((1,), (1,), place(2))
         with pytest.raises(LocalPole):
-            local_rs_factor(inp, 0)
+            local_rs_factor((1,), (1,), 2, 0)
 
     def test_zero_parameter_rejected(self):
-        with pytest.raises(ValueError):
-            LocalFactorInput((0,), (1,), place(2))
+        with pytest.raises(ValueError, match="parameter is zero"):
+            SymbolRegistry().create("zero", 1, qs=[2], params=[(0,)])
 
 
 def trivial_rep(registry, sid="one", X=100):
-    local = {place(p): (1 + 0j,) for p in primes_up_to(X)}
-    return isobaric([registry.create(sid, 1, self_dual=True, local=local)])
+    primes = primes_up_to(X)
+    return isobaric([registry.create(sid, 1, self_dual=True, qs=primes, params=[(1 + 0j,)] * len(primes))])
 
 
 class TestPartialL:
@@ -161,21 +168,15 @@ class TestPartialL:
         reg = SymbolRegistry()
         sigma = sato_tate_symbol(reg, "sigma", 21, primes)
         # not self-dual, so the pairing also runs over a materialized dual
-        tau = reg.create("tau", 2, local={
-            place(p): (1j * a, 1j * b) for p, (a, b) in sample_sato_tate(22, primes).items()
-        })
+        tau_data = sample_sato_tate(22, primes)
+        tau = reg.create("tau", 2, qs=list(tau_data), params=[(1j * a, 1j * b) for a, b in tau_data.values()])
         r1, r2 = isobaric([sigma, tau]), isobaric([tau.dual()])
         expected = 1.0 + 0j
         for left in r1.constituents:
             for right in r2.constituents:
+                sigma_at, tau_at = (dict(zip(sym.qs.tolist(), sym.params.tolist())) for sym in (left, right))
                 for p in primes:
-                    pl = place(p)
-                    inp = LocalFactorInput(
-                        tuple(c.value for c in left.local_params[pl]),
-                        tuple(c.value for c in right.local_params[pl]),
-                        pl,
-                    )
-                    expected *= local_rs_factor(inp, s)
+                    expected *= local_rs_factor(sigma_at[p], tau_at[p], p, s)
         assert partial_L(r1, r2, 300, s) == pytest.approx(expected, rel=1e-10)
 
     def test_complex_s_path(self):
@@ -321,8 +322,8 @@ class TestPoleEstimates:
         from gsp4transfer.lseries import EstimationError
 
         reg = SymbolRegistry()
-        local = {place(p): (1e200 + 0j,) for p in primes_up_to(2000)}
-        rep = isobaric([reg.create("huge", 1, local=local)])
+        primes = primes_up_to(2000)
+        rep = isobaric([reg.create("huge", 1, qs=primes, params=[(1e200 + 0j,)] * len(primes))])
         with pytest.raises((EstimationError, LocalPole)):
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 estimate_pole_order(rep, rep, 2000)

@@ -5,24 +5,48 @@ import pytest
 
 from gsp4transfer import simgroups
 from gsp4transfer.simgroups import (
-    SimilitudeElement,
     UnsupportedField,
-    _det4_int,
     _encode,
     _norm_vectors,
-    beta_map,
-    compose,
-    det2,
-    enumerate_go4,
     enumerate_go4_codes,
     gl2_elements,
-    identity_element,
-    is_gso,
-    sl2_elements,
     verify_gso_presentation,
 )
 
 I2 = ((1, 0), (0, 1))
+I4 = np.eye(4, dtype=np.int64)
+
+
+def det2(g, q):
+    return (g[0][0] * g[1][1] - g[0][1] * g[1][0]) % q
+
+
+def det4(m) -> int:
+    """Reference determinant: cofactor expansion on exact integer entries."""
+    a = [list(row) for row in m]
+
+    def d3(c):
+        x, y, z = ([row[j] for j in range(4) if j != c] for row in a[1:])
+        return (
+            x[0] * (y[1] * z[2] - y[2] * z[1])
+            - x[1] * (y[0] * z[2] - y[2] * z[0])
+            + x[2] * (y[0] * z[1] - y[1] * z[0])
+        )
+
+    return sum((-1) ** c * a[0][c] * d3(c) for c in range(4))
+
+
+def beta(g1, g2, q) -> np.ndarray:
+    """Reference pair map: C^-1 (g1 (x) g2) C mod q, one pair at a time."""
+    C, Cinv = simgroups._det_frame(q)
+    return (Cinv @ (np.kron(np.array(g1) % q, np.array(g2) % q) % q) @ C) % q
+
+
+def similitude_factor(m, q) -> int | None:
+    """lambda with m^t m = lambda * I and lambda != 0, or None when there is none."""
+    gram = (m.T @ m) % q
+    lam = int(gram[0, 0])
+    return lam if lam and np.array_equal(gram, lam * I4) else None
 
 
 def random_gl2(rng, q):
@@ -34,26 +58,26 @@ def random_gl2(rng, q):
 
 class TestBetaMap:
     def test_identity_pair(self):
-        e = beta_map(I2, I2, 5)
-        assert e == identity_element(5)
-        assert e.lam == 1
+        e = beta(I2, I2, 5)
+        assert np.array_equal(e, I4)
+        assert similitude_factor(e, 5) == 1
 
     @pytest.mark.parametrize("q", [3, 5, 7])
     def test_scalar_pairs_hit_identity(self, q):
         for c in range(1, q):
             cinv = pow(c, q - 2, q)
-            e = beta_map(((c, 0), (0, c)), ((cinv, 0), (0, cinv)), q)
-            assert e == identity_element(q)
+            e = beta(((c, 0), (0, c)), ((cinv, 0), (0, cinv)), q)
+            assert np.array_equal(e, I4)
 
     @pytest.mark.parametrize("q", [3, 5, 7])
     def test_determinant_is_lambda_squared(self, q):
         rng = random.Random(q)
         for _ in range(25):
             g1, g2 = random_gl2(rng, q), random_gl2(rng, q)
-            e = beta_map(g1, g2, q)
+            e = beta(g1, g2, q)
             d = (det2(g1, q) * det2(g2, q)) % q
-            assert e.lam == d
-            assert e.det() == (d * d) % q
+            assert similitude_factor(e, q) == d
+            assert det4(e) % q == (d * d) % q
 
     @pytest.mark.parametrize("q", [5, 7])
     def test_homomorphism(self, q):
@@ -61,103 +85,90 @@ class TestBetaMap:
         for _ in range(25):
             g1, h1 = random_gl2(rng, q), random_gl2(rng, q)
             g2, h2 = random_gl2(rng, q), random_gl2(rng, q)
-            prod = tuple(
-                tuple(sum(g1[i][k] * h1[k][j] for k in range(2)) % q for j in range(2))
-                for i in range(2)
-            )
-            prod2 = tuple(
-                tuple(sum(g2[i][k] * h2[k][j] for k in range(2)) % q for j in range(2))
-                for i in range(2)
-            )
-            assert beta_map(prod, prod2, q) == compose(beta_map(g1, g2, q), beta_map(h1, h2, q))
+            prod = (np.array(g1) @ np.array(h1)) % q
+            prod2 = (np.array(g2) @ np.array(h2)) % q
+            assert np.array_equal(beta(prod, prod2, q), (beta(g1, g2, q) @ beta(h1, h2, q)) % q)
 
     def test_singular_rejected(self):
-        with pytest.raises(ValueError):
-            beta_map(((1, 1), (1, 1)), I2, 5)
+        for q in (3, 5, 7):
+            gl2 = gl2_elements(q)
+            assert len(gl2) == len(set(gl2)) == (q * q - 1) * (q * q - q)
+            assert all(det2(g, q) for g in gl2)
 
     @pytest.mark.parametrize("q", [3, 5])
     def test_every_output_is_gso(self, q):
         rng = random.Random(200 + q)
         for _ in range(50):
-            e = beta_map(random_gl2(rng, q), random_gl2(rng, q), q)
-            assert is_gso(e)
+            e = beta(random_gl2(rng, q), random_gl2(rng, q), q)
+            lam = similitude_factor(e, q)
+            assert lam is not None and det4(e) % q == (lam * lam) % q
 
 
 class TestSimilitudeElement:
-    def test_gram_condition_enforced(self):
-        bad = tuple(tuple([1, 1, 0, 0][j] if i == 0 else int(i == j) for j in range(4)) for i in range(4))
-        with pytest.raises(ValueError):
-            SimilitudeElement(bad, 1, 5)
-
-    def test_zero_lambda_rejected(self):
-        eye = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
-        with pytest.raises(ValueError):
-            SimilitudeElement(eye, 0, 5)
-
     def test_reflection_not_gso(self):
-        refl = tuple(
-            tuple((1 if i == j else 0) * (-1 if i == 3 else 1) for j in range(4))
-            for i in range(4)
-        )
-        e = SimilitudeElement(refl, 1, 5)
-        assert not is_gso(e)
+        q = 5
+        refl = np.diag([1, 1, 1, q - 1])
+        codes, lams, dets = enumerate_go4_codes(q)
+        (i,) = np.nonzero(codes == _encode(refl.reshape(1, 16), q)[0])[0]
+        assert (lams[i], dets[i]) == (1, q - 1) and det4(refl) % q == q - 1
+        assert not np.isin(codes[i], simgroups._beta_codes_and_dets(q)[0])
 
     @pytest.mark.parametrize("q", [3, 5])
     def test_lambda_multiplicative(self, q):
         rng = random.Random(300 + q)
         for _ in range(25):
-            a = beta_map(random_gl2(rng, q), random_gl2(rng, q), q)
-            b = beta_map(random_gl2(rng, q), random_gl2(rng, q), q)
-            assert compose(a, b).lam == (a.lam * b.lam) % q
+            a = beta(random_gl2(rng, q), random_gl2(rng, q), q)
+            b = beta(random_gl2(rng, q), random_gl2(rng, q), q)
+            assert similitude_factor((a @ b) % q, q) == similitude_factor(a, q) * similitude_factor(b, q) % q
 
 
 class TestEnumeration:
     def test_unsupported_q(self):
         for bad in (2, 4, 9, 11):
             with pytest.raises(UnsupportedField):
-                enumerate_go4(bad)
+                enumerate_go4_codes(bad)
 
     def test_q3_census(self):
-        elements = enumerate_go4(3)
-        assert len(elements) == len({(e.m, e.lam) for e in elements})  # duplicate-free
-        assert identity_element(3) in elements
-        gso = [e for e in elements if is_gso(e)]
-        assert len(gso) == 48 * 48 // 2  # |GL2(3)|^2 / (q - 1)
-        assert len(elements) == 2 * len(gso)
+        codes, lams, dets = enumerate_go4_codes(3)
+        assert len(codes) == len(set(codes.tolist()))  # duplicate-free
+        assert _encode(I4.reshape(1, 16), 3)[0] in codes
+        gso = dets == lams * lams % 3
+        assert gso.sum() == 48 * 48 // 2  # |GL2(3)|^2 / (q - 1)
+        assert len(codes) == 2 * gso.sum()
 
     def test_q3_deterministic_order(self):
-        first = enumerate_go4(3)
-        second = enumerate_go4(3)
-        assert first == second
+        first = enumerate_go4_codes(3)
+        second = enumerate_go4_codes(3)
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     def test_all_elements_valid(self):
-        # construction re-checks the Gram invariant; spot-check determinants too
-        for e in enumerate_go4(3)[::97]:
-            d = e.det()
-            assert (d * d) % 3 == pow(e.lam, 4, 3)
+        q = 3
+        for code, lam, det in zip(*(a[::97].tolist() for a in enumerate_go4_codes(q))):
+            m = np.array(simgroups._decode(code, q))
+            assert similitude_factor(m, q) == lam
+            assert det4(m) % q == det
+            assert (det * det) % q == pow(lam, 4, q)
 
     @pytest.mark.parametrize("q", [3, 5, 7])
     def test_kernel_exactness_randomized(self, q):
         rng = random.Random(400 + q)
-        ident = identity_element(q)
         for _ in range(60):
             g1, g2 = random_gl2(rng, q), random_gl2(rng, q)
-            e = beta_map(g1, g2, q)
+            e = beta(g1, g2, q)
             scalar_pair = (
                 g1[0][1] == g1[1][0] == g2[0][1] == g2[1][0] == 0
                 and g1[0][0] == g1[1][1]
                 and g2[0][0] == g2[1][1]
                 and (g1[0][0] * g2[0][0]) % q == 1
             )
-            assert (e == ident) == scalar_pair
+            assert np.array_equal(e, I4) == scalar_pair
 
     def test_kernel_exactness_exhaustive_q3(self):
         q = 3
-        ident = identity_element(q)
         kernel = []
         for g1 in gl2_elements(q):
             for g2 in gl2_elements(q):
-                if beta_map(g1, g2, q) == ident:
+                if np.array_equal(beta(g1, g2, q), I4):
                     kernel.append((g1, g2))
         assert kernel == [
             (((1, 0), (0, 1)), ((1, 0), (0, 1))),
@@ -185,7 +196,7 @@ def enumerate_go4_codes_backtracking(q):
                         m = np.stack([c1, c2, c3, c4], axis=1)
                         codes.append(int(_encode(m.reshape(1, 16), q)[0]))
                         lams.append(lam)
-                        dets.append(_det4_int(m.tolist()) % q)
+                        dets.append(det4(m) % q)
     return np.array(codes), np.array(lams), np.array(dets)
 
 
@@ -206,9 +217,9 @@ class TestClosedFormKernels:
         rng = random.Random(700)
         for _ in range(200):
             i, j = rng.randrange(n), rng.randrange(n)
-            e = beta_map(gl2[i], gl2[j], q)
-            assert simgroups._decode(int(codes[i * n + j]), q) == e.m
-            assert dets[i] * dets[j] % q == e.lam
+            e = beta(gl2[i], gl2[j], q)
+            assert np.array_equal(simgroups._decode(int(codes[i * n + j]), q), e)
+            assert dets[i] * dets[j] % q == similitude_factor(e, q)
 
     def test_chunk_budget_does_not_change_codes(self, monkeypatch):
         default = simgroups._beta_codes_and_dets(3)
@@ -220,7 +231,7 @@ class TestClosedFormKernels:
         def forbidden(*args):
             raise AssertionError("the enumeration must not use the pair map")
 
-        monkeypatch.setattr(simgroups, "beta_map", forbidden)
+        monkeypatch.setattr(simgroups, "_det_frame", forbidden)
         monkeypatch.setattr(simgroups, "_beta_codes_and_dets", forbidden)
         codes, lams, dets = enumerate_go4_codes(5)
         assert len(codes) == 2 * (480 * 480 // 4)
@@ -241,11 +252,11 @@ class TestVerifyReport:
     def test_q3_sl2_pairs_land_in_so(self):
         q = 3
         rng = random.Random(7)
-        sl2 = sl2_elements(q)
+        sl2 = [g for g in gl2_elements(q) if det2(g, q) == 1]
         for _ in range(40):
             g1, g2 = rng.choice(sl2), rng.choice(sl2)
-            e = beta_map(g1, g2, q)
-            assert e.lam == 1 and e.det() == 1
+            e = beta(g1, g2, q)
+            assert similitude_factor(e, q) == 1 and det4(e) % q == 1
 
     def test_unsupported_q_raises(self):
         with pytest.raises(UnsupportedField):
@@ -268,3 +279,38 @@ class TestVerifyReport:
             "check": "kernel_is_scalar_pairs",
             "pair": [[list(r) for r in g1], [list(r) for r in g2]],
         }
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_set_failure_reports_witness_det(self, monkeypatch, q):
+        pair_map = simgroups._beta_codes_and_dets
+        rng = np.random.default_rng(q)
+        stray = rng.integers(q, size=16)  # an arbitrary matrix, almost surely outside GO(4)
+        stray_code = int(_encode(stray.reshape(1, 16), q)[0])
+
+        def stray_at_second_pair(q):
+            codes, dets = pair_map(q)
+            codes = codes.copy()
+            codes[1] = stray_code
+            return codes, dets
+
+        monkeypatch.setattr(simgroups, "_beta_codes_and_dets", stray_at_second_pair)
+        report = verify_gso_presentation(q)
+        assert not report.image_equals_gso
+        m = stray.reshape(4, 4)
+        assert report.counterexample == {
+            "check": "image_equals_gso",
+            "side": "image",
+            "code": stray_code,
+            "matrix": m.tolist(),
+            "lam": int(m[:, 0] @ m[:, 0]) % q,
+            "det": det4(m) % q,
+        }
+
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_witness_det_matches_cofactor_expansion(self, q):
+        rng = np.random.default_rng(10 + q)
+        go_codes = rng.choice(enumerate_go4_codes(q)[0], 100)
+        codes = np.concatenate([go_codes, _encode(rng.integers(q, size=(100, 16)), q)])
+        for code in codes.tolist():
+            witness = simgroups._code_witness("check", "side", code, q)
+            assert witness["det"] == det4(simgroups._decode(code, q)) % q
