@@ -637,7 +637,7 @@ def registry_from_json(symbols: Sequence[dict]) -> SymbolRegistry:
     Undeclared duals are materialized with entrywise-inverse local data;
     declared duals are checked for mutually inverse multisets at shared
     places and backfilled at places only one side declares.  Self-dual
-    symbols must carry inverse-closed multisets.
+    symbols must carry inverse-closed multisets.  An id may be declared once.
     """
     if not isinstance(symbols, list) or not all(isinstance(d, dict) for d in symbols):
         raise ValueError("symbols must be a list of objects")
@@ -647,6 +647,8 @@ def registry_from_json(symbols: Sequence[dict]) -> SymbolRegistry:
         cc, pairs = doc.get("central_char", "1"), doc.get("local") or {}
         if not all(isinstance(x, str) for x in (sid, dual, cc)):
             raise ValueError(f"symbol {sid!r}: id, dual and central_char must be strings")
+        if sid in syms:
+            raise ValueError(f"symbol id {sid!r} declared twice")
         if not isinstance(degree, int) or isinstance(degree, bool):
             raise ValueError(f"symbol {sid}: degree must be an integer, got {degree!r}")
         error = f"symbol {sid}: local data must map places to [re, im] pairs"

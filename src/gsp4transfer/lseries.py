@@ -17,8 +17,16 @@ and almost none of the multiplicity signal, so the fit window drops places
 below a floor; the pole order is insensitive to any finite set of local
 factors, which is the point of working with partial L-functions.
 
-Synthetic local data is drawn from the angle density (2/pi) sin^2(theta),
-and a weight-12 eigenvalue table provides a real-world fixture.
+Synthetic local data is drawn from the angle density (2/pi) sin^2(theta)
+by inverse CDF.  The angles are, bit for bit, those of a 48-step bisection
+on the CDF; a Newton solve for the root settles every bisection step whose
+midpoint lies outside a checked error band around it, so only the last few
+steps evaluate the CDF.
+
+A weight-12 eigenvalue table provides a real-world fixture.  Its exact
+coefficients tau(n) come from eight products of a sparse series on int64
+residues modulo four primes, lifted by the Chinese remainder theorem; the
+lift is proven exact for n < 2^15 and refuses larger n.
 """
 
 from __future__ import annotations
@@ -193,25 +201,66 @@ def estimate_with_sweep(
 # ---------------------------------------------------------------------------
 
 
+# A bound on |_angle_cdf(t) - (t - sin t cos t) / pi| over 0 <= t <= pi: about
+# eight times the sum of its roundings with sin and cos good to 4 ulp.  The
+# slack also covers the rounding of u -+ 2 * _CDF_ERR.
+_CDF_ERR = 2.0**-48
+
+
 def _angle_cdf(theta: np.ndarray) -> np.ndarray:
     return (theta - np.sin(theta) * np.cos(theta)) / math.pi
 
 
-def _sato_tate_params(seed: int, n: int) -> np.ndarray:
-    """(n, 2) synthetic tempered GL(2) parameters {e^{i theta_k}, e^{-i theta_k}},
-    theta_k drawn from the density (2/pi) sin^2 by inverse CDF (bisection to
-    below 1e-10).  The stream is a deterministic function of the seed; the
-    generator is PCG64, a named 64-bit generator with published reference output."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    u = rng.random(n)
+def _inverse_angle_cdf(u: np.ndarray) -> np.ndarray:
+    """Angles theta with CDF(theta) = u, bit for bit the final midpoint of a
+    48-step bisection of [0, pi] on ``_angle_cdf(mid) < u`` (pi / 2^48 < 1e-10).
+
+    The bisection is replayed with the same float midpoints, but a midpoint
+    evaluates ``_angle_cdf`` only inside a band around the root found by
+    Newton's method; left of the band the decision is "below", right of it
+    "not below".  The band edges are checked with ``_angle_cdf`` itself: the
+    exact CDF increases and ``_angle_cdf`` stays within _CDF_ERR of it, so
+    ``_angle_cdf(left) < u - 2 _CDF_ERR`` settles every midpoint left of ``left``,
+    and likewise on the right.  Where a check fails the band is all of [0, pi].
+    """
+    # Newton on CDF(theta) = min(u, 1 - u) over [0, pi/2], where the CDF is
+    # convex; cbrt(1.5 pi v) lies left of the root since CDF(t) <= 2 t^3 / (3 pi).
+    v = np.minimum(u, 1.0 - u)
+    theta = np.cbrt(1.5 * math.pi * v)
+    for _ in range(4):  # float accuracy from this start; the band check does not rely on it
+        sin, cos = np.sin(theta), np.cos(theta)
+        slope = (2 / math.pi) * sin * sin
+        step = np.divide((theta - sin * cos) / math.pi - v, slope, out=np.zeros_like(theta), where=slope > 0)
+        theta = np.clip(theta - step, 0.0, 0.5 * math.pi)
+    theta = np.where(u > 0.5, math.pi - theta, theta)
+    # half-width: four times the checks' margin 2 _CDF_ERR over the CDF's slope,
+    # infinite where the slope is 0 (theta = 0)
+    with np.errstate(divide="ignore"):
+        width = 8 * _CDF_ERR / ((2 / math.pi) * np.sin(theta) ** 2)
+    # a band edge clipped to 0 or pi needs no check: no midpoint lies beyond it
+    left = np.maximum(theta - width, 0.0)
+    right = np.minimum(theta + width, math.pi)
+    left[(left > 0.0) & ~(_angle_cdf(left) < u - 2 * _CDF_ERR)] = -np.inf
+    right[(right < math.pi) & ~(_angle_cdf(right) > u + 2 * _CDF_ERR)] = np.inf
     lo = np.zeros_like(u)
     hi = np.full_like(u, math.pi)
-    for _ in range(48):  # pi / 2^48 < 1e-10
+    for _ in range(48):
         mid = 0.5 * (lo + hi)
-        below = _angle_cdf(mid) < u
+        below = mid < left
+        near = np.flatnonzero((mid >= left) & (mid <= right))
+        below[near] = _angle_cdf(mid[near]) < u[near]
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    theta = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+def _sato_tate_params(seed: int, n: int) -> np.ndarray:
+    """(n, 2) synthetic tempered GL(2) parameters {e^{i theta_k}, e^{-i theta_k}},
+    theta_k drawn from the density (2/pi) sin^2 by inverse CDF.  The stream is
+    a deterministic function of the seed; the generator is PCG64, a named
+    64-bit generator with published reference output."""
+    u = np.random.Generator(np.random.PCG64(seed)).random(n)
+    theta = _inverse_angle_cdf(u)
     a = np.cos(theta) + 1j * np.sin(theta)
     return np.stack([a, a.conj()], axis=1)
 
@@ -294,32 +343,43 @@ class EigenvalueTable:
     rows: tuple[EigenvalueRow, ...]
 
 
+# Four primes below 2^23; their product, about 2^92, is the range of the lift.
+_TAU_MODULI = (8388593, 8388587, 8388581, 8388571)
+
+
 @lru_cache(maxsize=4)
 def _discriminant_coeffs(n: int) -> tuple[int, ...]:
     """Coefficients of prod_{m>=1} (1 - x^m)^24 up to x^(n-1), exact integers.
 
     The cube of the product is the sparse triangular-number series
     sum_k (-1)^k (2k+1) x^{k(k+1)/2}; eight sparse multiplications give the
-    24th power without any dense-times-dense convolution.
+    24th power without any dense-times-dense convolution.  They run on int64
+    residues modulo ``_TAU_MODULI``: a product adds its K shifted copies
+    unreduced, at most 2^23 K^2 < 2^39 in size for n < 2^15, and reduces
+    once; the residues are lifted to signed integers by the Chinese remainder
+    theorem.  The lift is exact while |tau(m)| < M / 2 for m <= n, M the
+    product of the moduli; by Deligne, |tau(m)| <= d(m) m^(11/2) <= 2 m^6, so
+    n must keep 2 n^6 below M / 2, which holds exactly for n < 2^15.
     """
+    modulus = math.prod(_TAU_MODULI)
+    if 2 * n**6 >= modulus // 2:
+        raise OverflowError(f"coefficients up to x^{n - 1} may exceed the lift range")
     sparse = []
     k = 0
     while k * (k + 1) // 2 < n:
         sparse.append(((-1) ** k * (2 * k + 1), k * (k + 1) // 2))
         k += 1
-    cur = [0] * n
-    cur[0] = 1
+    moduli = np.array(_TAU_MODULI, dtype=np.int64)[:, None]
+    cur = np.zeros((len(_TAU_MODULI), n), dtype=np.int64)
+    cur[:, 0] = 1
     for _ in range(8):
-        new = [0] * n
+        new = np.zeros_like(cur)
         for coef, e in sparse:
-            if coef == 1:
-                for i in range(n - e):
-                    new[i + e] += cur[i]
-            else:
-                for i in range(n - e):
-                    new[i + e] += coef * cur[i]
-        cur = new
-    return tuple(cur)
+            new[:, e:] += coef * cur[:, : n - e]
+        cur = new % moduli
+    basis = np.array([(modulus // p) * pow(modulus // p, -1, p) for p in _TAU_MODULI], dtype=object)
+    lifted = basis @ cur.astype(object) % modulus
+    return tuple(np.where(2 * lifted > modulus, lifted - modulus, lifted).tolist())
 
 
 def ramanujan_tau(m: int) -> int:

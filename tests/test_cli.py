@@ -312,6 +312,14 @@ class TestTransfer:
         assert code == 2 and out == ""
         assert err == f"error: malformed document: symbol P2: a local parameter at q=5 {fault}\n"
 
+    @pytest.mark.parametrize("command", ["transfer", "poles"])
+    def test_duplicate_symbol_id_exit_two(self, capsys, tmp_path, command):
+        doc = lifted_pair_doc(dual_second=command == "poles")
+        doc["symbols"].append(dict(doc["symbols"][0], local={"3": [[1, 0], [1, 0]]}))
+        code, out, err = run(capsys, command, "--in", write_doc(tmp_path, doc))
+        assert code == 2 and out == ""
+        assert err == "error: malformed document: symbol id 'P1' declared twice\n"
+
     def test_missing_file_exit_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "transfer", "--in", str(tmp_path / "nope.json"))
         assert code == 2 and "cannot read" in err

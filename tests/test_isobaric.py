@@ -728,6 +728,14 @@ class TestDocuments:
         assert PlaceData(3) in local_params(p1d)  # filled from P1's data
         assert p1d.params[p1d.qs == 3].tobytes() == (1 / p1.params[p1.qs == 3]).tobytes()
 
+    def test_duplicate_declaration_rejected(self):
+        from gsp4transfer.isobaric import registry_from_json
+
+        first = {"id": "A", "degree": 2, "dual": "Ad", "local": {"3": [[0.6, 0.8], [0.6, -0.8]]}}
+        second = dict(first, local={"5": [[0.0, 1.0], [0.0, -1.0]]})
+        with pytest.raises(ValueError, match="symbol id 'A' declared twice"):
+            registry_from_json([first, second])
+
     def test_self_dual_document_checked(self):
         doc = {
             "symbols": [

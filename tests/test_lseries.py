@@ -9,6 +9,10 @@ from gsp4transfer.lseries import (
     DEFAULT_GRID,
     EulerProductSweep,
     LocalPole,
+    _angle_cdf,
+    _discriminant_coeffs,
+    _inverse_angle_cdf,
+    _sato_tate_params,
     delta_eigenvalues,
     eigen_symbol,
     estimate_pole_order,
@@ -44,6 +48,41 @@ def naive_tau(n_max):
             for i in range(n_max, m - 1, -1):
                 coeffs[i] -= coeffs[i - m]
     return {k: coeffs[k - 1] for k in range(1, n_max + 1)}
+
+
+def sparse_discriminant_coeffs(n):
+    """Reference for ``_discriminant_coeffs``: the same eight products of the
+    sparse triangular series sum_k (-1)^k (2k+1) x^{k(k+1)/2}, on Python ints."""
+    sparse = []
+    k = 0
+    while k * (k + 1) // 2 < n:
+        sparse.append(((-1) ** k * (2 * k + 1), k * (k + 1) // 2))
+        k += 1
+    cur = [0] * n
+    cur[0] = 1
+    for _ in range(8):
+        new = [0] * n
+        for coef, e in sparse:
+            for i in range(n - e):
+                new[i + e] += coef * cur[i]
+        cur = new
+    return tuple(cur)
+
+
+def bisect_angle_cdf(u):
+    """Reference for ``_inverse_angle_cdf``: 48 bisection steps on [0, pi],
+    each evaluating ``_angle_cdf`` at every midpoint.  Returns the final
+    midpoints and, concatenated, every midpoint visited."""
+    lo = np.zeros_like(u)
+    hi = np.full_like(u, math.pi)
+    mids = []
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        below = _angle_cdf(mid) < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi), np.concatenate(mids)
 
 
 class TestPrimes:
@@ -235,6 +274,31 @@ class TestSatoTate:
         density = lambda t: (2 / math.pi) * math.sin(t) ** 2
         assert simpson(density, 0.0, math.pi) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 256, 1000, 9592, 30_000])
+    def test_kernel_matches_bisection_bits(self, n):
+        for seed in range(max(2, min(40, 40_000 // max(n, 1)))):
+            u = np.random.Generator(np.random.PCG64(seed)).random(n)
+            theta, _ = bisect_angle_cdf(u)
+            assert _inverse_angle_cdf(u).view(np.uint64).tolist() == theta.view(np.uint64).tolist(), seed
+            a = np.cos(theta) + 1j * np.sin(theta)
+            params = np.stack([a, a.conj()], axis=1)
+            assert _sato_tate_params(seed, n).view(np.uint64).tolist() == params.view(np.uint64).tolist()
+
+    def test_kernel_matches_bisection_bits_on_adversarial_u(self):
+        fixed = [0.0, 5e-324, 1e-300, 1e-200, 2.0**-60, 2.0**-47, 1e-15, 1e-8,
+                 np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 1 - 1e-15, 1 - 2.0**-53]
+        # decisions on a knife edge: u equal to the CDF at a bisection midpoint
+        _, mids = bisect_angle_cdf(np.random.Generator(np.random.PCG64(7)).random(100))
+        cdf_at_mids = _angle_cdf(mids)
+        cdf_at_mids = cdf_at_mids[(cdf_at_mids >= 0.0) & (cdf_at_mids < 1.0)]
+        u = np.concatenate([fixed, cdf_at_mids, np.nextafter(cdf_at_mids, 0.0), np.nextafter(cdf_at_mids, 1.0)])
+        got = _inverse_angle_cdf(u).view(np.uint64)
+        want = bisect_angle_cdf(u)[0].view(np.uint64)
+        assert got.tolist() == want.tolist(), u[got != want]
+        for x in fixed:  # one entry at a time too
+            one = np.array([x])
+            assert _inverse_angle_cdf(one).view(np.uint64).tolist() == bisect_angle_cdf(one)[0].view(np.uint64).tolist(), x
+
     def test_theta_csv_roundtrip(self, tmp_path):
         primes = primes_up_to(200)
         data = sample_sato_tate(8, primes)
@@ -350,6 +414,14 @@ class TestDeltaEigenvalues:
             t = row.a_p / row.p ** 5.5
             assert abs((row.alpha + row.beta).real - t) <= 1e-9
             assert abs(row.a_p) <= 2 * row.p**5.5
+
+    def test_matches_sparse_oracle_at_full_size(self):
+        assert _discriminant_coeffs(10_000) == sparse_discriminant_coeffs(10_000)
+
+    def test_lift_range_enforced(self):
+        # 2 n^6 < M / 2 fails first at n = 2^15; past it the lift could wrap
+        with pytest.raises(OverflowError, match="lift range"):
+            _discriminant_coeffs(2**15)
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
