@@ -3,7 +3,9 @@
 One binary with subcommands.  Every command builds a JSON payload first
 and derives any text rendering from it, so the two formats cannot drift.
 Exit codes are a stable contract: 0 success, 1 a named constraint of the
-calculus fails on valid input, 2 usage or input errors.
+calculus fails on valid input, 2 usage or input errors.  A command returns
+its payload and exit code or raises; ``main`` alone renders and writes the
+payload and turns an error into exit code 2.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import nullcontext
 from functools import lru_cache
 
 import numpy as np
@@ -61,20 +64,21 @@ def _json_text(payload: dict) -> str:
     return text + "\n"
 
 
-def _emit(payload: dict, fmt: str, out: str | None, render_text, render_csv=None) -> None:
-    if fmt == "json":
-        text = _json_text(payload)
-    elif fmt == "csv":
-        if render_csv is None:
-            raise ValueError("csv format is not available for this command")
-        text = render_csv(payload)
-    else:
-        text = render_text(payload)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+class UsageError(ValueError):
+    """A usage or input error; ``main`` prints its message after ``error: `` and exits 2."""
+
+
+def _read_json(path: str, what: str, parse=None, faults: tuple = (json.JSONDecodeError,)):
+    """``parse`` of the JSON document at ``path`` (the document itself when
+    ``parse`` is None).  An unreadable file, a document nested too deep to
+    decode, or one of ``faults`` raised by decoding or ``parse`` is a
+    ``UsageError``: "cannot read <what>: ..."."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        return doc if parse is None else parse(doc)
+    except (OSError, RecursionError, *faults) as exc:
+        raise UsageError(f"cannot read {what}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +105,9 @@ def _text_verify_groups(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_verify_groups(args) -> int:
+def _cmd_verify_groups(args) -> tuple[dict, int]:
     report = verify_gso_presentation(args.q)
-    payload = report.to_json()
-    _emit(payload, args.format, args.out, _text_verify_groups)
-    return EXIT_OK if report.ok else EXIT_CONSTRAINT
+    return report.to_json(), EXIT_OK if report.ok else EXIT_CONSTRAINT
 
 
 # ---------------------------------------------------------------------------
@@ -183,57 +185,43 @@ def _text_transfer(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_descriptors(args, report_constraint) -> list | int:
-    """The descriptors of the ``--in`` document, or the exit code once the
-    failure is reported: 2 for an unreadable or malformed document, 1 for a
-    named constraint, whose name goes to ``report_constraint``."""
+def _descriptors(args, count: int, expects: str) -> list:
+    """The ``count`` descriptors of the ``--in`` document.  A named constraint
+    of the document propagates as its exception; any other fault of the file
+    or the document raises ``UsageError``, "<command> expects <expects>" when
+    only the number of descriptors is wrong."""
+    doc = _read_json(args.infile, "descriptor file")
     try:
-        with open(args.infile) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read descriptor file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return load_document(doc)[1]
-    except CONSTRAINT_ERRORS as exc:
-        report_constraint(exc.constraint)
-        return EXIT_CONSTRAINT
+        descriptors = load_document(doc)[1]
+    except CONSTRAINT_ERRORS:
+        raise
     except (KeyError, ValueError) as exc:
-        print(f"error: malformed document: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"malformed document: {exc}") from None
+    if len(descriptors) != count:
+        raise UsageError(f"{args.command} expects {expects}")
+    return descriptors
 
 
-def _cmd_transfer(args) -> int:
+def _cmd_transfer(args) -> tuple[dict, int]:
     payload = {"from_gso": None, "isobaric": [], "conditions": [], "places": [], "violation": None}
-
-    def violation(name: str) -> None:
-        payload["violation"] = name
-        _emit(payload, args.format, args.out, _text_transfer)
-
-    descriptors = _load_descriptors(args, violation)
-    if isinstance(descriptors, int):
-        return descriptors
-    if len(descriptors) != 1:
-        print("error: transfer expects exactly one descriptor", file=sys.stderr)
-        return EXIT_USAGE
-    desc = descriptors[0]
+    try:
+        (desc,) = _descriptors(args, 1, "exactly one descriptor")
+    except CONSTRAINT_ERRORS as exc:
+        payload["violation"] = exc.constraint
+        return payload, EXIT_CONSTRAINT
     rep = transfer(desc)
     payload["from_gso"] = desc.from_gso
     payload["isobaric"] = [sym.id for sym in rep.constituents]
     payload["conditions"] = list(transfer_conditions(desc))
-    ok = True
     if desc.from_gso:
         chain = transfer_places(desc)
         payload["places"] = _Places(chain)
         if chain.mismatch is not None:
             # sampled local data of the pair has unequal central values
-            violation(chain.mismatch.constraint)
-            return EXIT_CONSTRAINT
-        ok = bool(chain.commutes.all())
-    if not ok:
-        payload["violation"] = "commuting_diagram"
-    _emit(payload, args.format, args.out, _text_transfer)
-    return EXIT_OK if ok else EXIT_CONSTRAINT
+            payload["violation"] = chain.mismatch.constraint
+        elif not chain.commutes.all():
+            payload["violation"] = "commuting_diagram"
+    return payload, EXIT_CONSTRAINT if payload["violation"] else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +248,12 @@ def _csv_poles(payload: dict) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _cmd_poles(args) -> int:
-    descriptors = _load_descriptors(
-        args, lambda name: print(f"constraint failed: {name}", file=sys.stderr)
-    )
-    if isinstance(descriptors, int):
-        return descriptors
-    if len(descriptors) != 2:
-        print("error: poles expects a document with two descriptors", file=sys.stderr)
-        return EXIT_USAGE
+def _cmd_poles(args) -> tuple[dict | None, int]:
+    try:
+        descriptors = _descriptors(args, 2, "a document with two descriptors")
+    except CONSTRAINT_ERRORS as exc:
+        print(f"constraint failed: {exc.constraint}", file=sys.stderr)
+        return None, EXIT_CONSTRAINT
     analysis = jiang_case_analysis(descriptors[0], descriptors[1])
     payload = {
         "case": analysis.label,
@@ -280,22 +265,19 @@ def _cmd_poles(args) -> int:
         "sweep": {"s": [], "values": []},
     }
     if args.format == "csv" and args.mode == "symbolic":
-        print("error: csv output needs --mode numeric or both", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("csv output needs --mode numeric or both")
     if args.mode in ("numeric", "both"):
         try:
             reps = synthetic_reps(descriptors, args.seed, args.X)
             est, sweep = estimate_with_sweep(reps[0], reps[1], args.X)
         except (LocalPole, EstimationError, ValueError) as exc:
-            print(f"error: numeric estimate failed: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"numeric estimate failed: {exc}") from None
         payload["estimate"] = est
         payload["sweep"] = {
             "s": list(sweep.s_grid),
             "values": [[v.real, v.imag] for v in sweep.values],
         }
-    _emit(payload, args.format, args.out, _text_poles, _csv_poles)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -317,21 +299,13 @@ def _text_rodier(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_rodier(args) -> int:
-    try:
-        with open(args.params) as fh:
-            doc = json.load(fh)
-        param = param_from_json(doc)
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"error: cannot read parameters: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _cmd_rodier(args) -> tuple[dict, int]:
+    param = _read_json(args.params, "parameters", param_from_json, (KeyError, ValueError))
     if not isinstance(param, GL4Param):
-        print("error: expected a gl4 parameter document", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("expected a gl4 parameter document")
     pl = PlaceData(args.q)
     if not all(c.consistent_at(pl.q) for c in param.entries):
-        print(f"error: exact forms disagree with their float values at q={pl.q}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"exact forms disagree with their float values at q={pl.q}")
     vec = exponents(param, pl)
     verdict = rodier_class(vec)
     payload = {
@@ -342,8 +316,7 @@ def _cmd_rodier(args) -> int:
             "r": None if verdict.r is None else str(verdict.r),
         },
     }
-    _emit(payload, args.format, args.out, _text_rodier)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-groups", parents=[common],
                        help="exhaustive check of the degree-4 similitude presentation")
     p.add_argument("--q", type=int, required=True, help=f"odd prime in {SUPPORTED_Q}")
-    p.set_defaults(func=_cmd_verify_groups)
+    p.set_defaults(func=_cmd_verify_groups, render={"text": _text_verify_groups})
 
     p = sub.add_parser("transfer", parents=[common],
                        help="run the full lifting chain from a descriptor file")
     p.add_argument("--in", dest="infile", required=True, help="descriptor JSON file")
-    p.set_defaults(func=_cmd_transfer)
+    p.set_defaults(func=_cmd_transfer, render={"text": _text_transfer})
 
     p = sub.add_parser("poles", parents=[common],
                        help="symbolic and numeric pole order for a descriptor pair")
@@ -383,17 +356,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("symbolic", "numeric", "both"), default="symbolic")
     p.add_argument("--X", type=int, default=100_000, help="truncation bound on places")
     p.add_argument("--seed", type=int, default=0, help="seed for synthetic data")
-    p.set_defaults(func=_cmd_poles)
+    p.set_defaults(func=_cmd_poles, render={"text": _text_poles, "csv": _csv_poles})
 
     p = sub.add_parser("rodier", parents=[common],
                        help="exponent-pattern classification of a gl4 parameter")
     p.add_argument("--params", required=True, help="gl4 parameter JSON file")
     p.add_argument("--q", type=int, required=True, help="residue cardinality")
-    p.set_defaults(func=_cmd_rodier)
+    p.set_defaults(func=_cmd_rodier, render={"text": _text_rodier})
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command.  The command returns its payload (None when nothing
+    goes to stdout) and exit code, or raises ``ValueError``; here alone the
+    payload is rendered and written, and an error becomes ``error: ...`` on
+    stderr with exit code 2."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -401,10 +378,21 @@ def main(argv=None) -> int:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        payload, code = args.func(args)
+        if payload is not None:
+            render = {"json": _json_text, **args.render}.get(args.format)
+            if render is None:
+                raise UsageError(f"{args.format} format is not available for this command")
+            text = render(payload)
+            try:
+                with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise UsageError(f"cannot write output: {exc}") from None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

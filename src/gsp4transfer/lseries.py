@@ -40,6 +40,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .isobaric import (
+    CuspidalSymbol,
     IsobaricRep,
     SymbolRegistry,
     isobaric,
@@ -51,6 +52,9 @@ from .satake import PlaceData, place  # noqa: F401  (place is re-exported)
 DEFAULT_GRID = (1.30, 1.20, 1.12, 1.06, 1.03)
 DEFAULT_MIN_PLACE = 100  # fit window floor: drop places q <= this
 DEFAULT_X = 100_000
+# Largest sieve bound.  `poles --mode both` peaks at about 170 MB at X = 10^6
+# and grows linearly in X, so about 1 GB at this bound.
+MAX_X = 10**7
 
 _POLE_EPS = 1e-12
 
@@ -64,7 +68,9 @@ class EstimationError(ArithmeticError):
 
 
 def primes_up_to(x: int) -> list[int]:
-    """Rational primes <= x by sieve."""
+    """Rational primes <= x by sieve; x above ``MAX_X`` is refused."""
+    if x > MAX_X:
+        raise ValueError(f"X = {x} is above the largest supported bound {MAX_X}")
     if x < 2:
         return []
     sieve = np.ones(x + 1, dtype=bool)
@@ -295,31 +301,35 @@ def stream_seed(seed: int, key: str) -> int:
 def synthetic_reps(descriptors, seed: int, X: int) -> list[IsobaricRep]:
     """Transfers of lifted descriptors, rebuilt over synthetic angle data.
 
-    Every degree-2 symbol gets data at all primes <= X in a shadow registry.
-    The identification pattern of the descriptors is preserved: each dual
-    pair of symbol ids shares one stream seeded by (seed, smaller id), the
-    dual side receives the entrywise inverses, and self-dual symbols get
-    plain inverse-closed angle data.  Non-self-dual symbols additionally
-    carry a place-varying unimodular central twist, so that a symbol is
-    locally equivalent to its dual only when it is declared self-dual.
+    Every degree-2 constituent becomes a plain ``CuspidalSymbol`` with data
+    at all primes <= X, built once per id and attached to no registry.  The
+    identification pattern of the descriptors is preserved: each dual pair
+    of symbol ids shares one stream seeded by (seed, smaller id), the larger
+    id receives its entrywise inverses, and self-dual symbols get plain
+    inverse-closed angle data.  Non-self-dual pairs additionally carry a
+    place-varying unimodular central twist, so that a symbol is locally
+    equivalent to its dual only when it is declared self-dual.
     """
     primes = primes_up_to(X)
-    shadow = SymbolRegistry()
+    streams: dict[str, np.ndarray] = {}
+    symbols: dict[str, CuspidalSymbol] = {}
     for desc in descriptors:
         if not desc.from_gso:
             raise ValueError("numeric estimates need degree-2 constituents")
         for sym in desc.pair:
-            base = sym if sym.id <= sym.dual_id else sym.dual()
-            if base.id in shadow:
+            if sym.id in symbols:
                 continue
-            params = _sato_tate_params(stream_seed(seed, base.id + ":angles"), len(primes))
-            if not sym.is_self_dual:
-                # angle and twist streams must be independent
-                rng = np.random.Generator(np.random.PCG64(stream_seed(seed, base.id + ":twist")))
-                params = np.exp(2j * math.pi * rng.random(len(primes)))[:, None] * params
-            shadow.create(base.id, 2, central_char=base.central_char_id, self_dual=sym.is_self_dual,
-                          dual_id=base.dual_id, qs=primes, params=params)
-    return [isobaric([shadow.get(s.id) for s in desc.pair]) for desc in descriptors]
+            key = min(sym.id, sym.dual_id)
+            if key not in streams:
+                params = _sato_tate_params(stream_seed(seed, key + ":angles"), len(primes))
+                if not sym.is_self_dual:
+                    # angle and twist streams must be independent
+                    rng = np.random.Generator(np.random.PCG64(stream_seed(seed, key + ":twist")))
+                    params = np.exp(2j * math.pi * rng.random(len(primes)))[:, None] * params
+                streams[key] = params
+            params = streams[key] if sym.id == key else 1 / streams[key]
+            symbols[sym.id] = CuspidalSymbol(sym.id, 2, sym.dual_id, sym.central_char_id, primes, params)
+    return [isobaric([symbols[s.id] for s in desc.pair]) for desc in descriptors]
 
 
 # ---------------------------------------------------------------------------

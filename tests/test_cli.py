@@ -725,3 +725,53 @@ class TestExitContractFuzz:
                 json.loads(out, parse_constant=reject_constant)
 
         check()
+
+
+class TestExitContractFiles:
+    """Faults of the input and output files, not of the document's contents:
+    exit 2, nothing on stdout and one ``error:`` line on stderr."""
+
+    INPUT_ARGV = {
+        "transfer": ["--in"],
+        "poles": ["--mode", "both", "--X", "300", "--in"],
+        "rodier": ["--q", "9", "--params"],
+    }
+
+    @staticmethod
+    def assert_one_error_line(code, out, err):
+        assert code == 2 and out == "", (code, out, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", ["transfer", "poles", "rodier"])
+    @pytest.mark.parametrize("fault", ["deep_nesting", "invalid_utf8", "empty", "directory"])
+    def test_unreadable_input(self, capsys, tmp_path, command, fault):
+        path = tmp_path / "doc.json"
+        if fault == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes({"deep_nesting": b"[" * 200_000, "invalid_utf8": b'{"\xff\xfe": 1}',
+                              "empty": b""}[fault])
+        self.assert_one_error_line(*run(capsys, command, *self.INPUT_ARGV[command], str(path)))
+
+    @pytest.mark.parametrize("command", ["verify-groups", "transfer", "poles", "rodier"])
+    @pytest.mark.parametrize("target", ["missing_directory", "directory"])
+    def test_unwritable_output(self, capsys, tmp_path, command, target):
+        argv = {
+            "verify-groups": ["--q", "3"],
+            "transfer": ["--in", write_doc(tmp_path, lifted_pair_doc(), "lift.json")],
+            "poles": ["--in", write_doc(tmp_path, lifted_pair_doc(dual_second=True), "pair.json")],
+            "rodier": ["--q", "9", "--params", write_doc(tmp_path, RODIER_DOC, "gl4.json")],
+        }[command]
+        assert run(capsys, command, *argv)[0] == 0
+        out = tmp_path / "missing" / "out.txt" if target == "missing_directory" else tmp_path
+        self.assert_one_error_line(*run(capsys, command, *argv, "--out", str(out)))
+
+    def test_x_above_sieve_bound(self, capsys, tmp_path, monkeypatch):
+        from gsp4transfer import lseries
+
+        monkeypatch.setattr(lseries, "MAX_X", 1000)
+        path = write_doc(tmp_path, lifted_pair_doc(dual_second=True))
+        code, out, err = run(capsys, "poles", "--in", path, "--mode", "both", "--X", "1001")
+        self.assert_one_error_line(code, out, err)
+        assert err.startswith("error: numeric estimate failed: ")
+        assert run(capsys, "poles", "--in", path, "--mode", "both", "--X", "1000")[0] == 0

@@ -1,10 +1,13 @@
 import cmath
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from gsp4transfer.isobaric import InsufficientLocalData, SymbolRegistry, isobaric
+from gsp4transfer import lseries
+from gsp4transfer.isobaric import InsufficientLocalData, SymbolRegistry, isobaric, load_document
 from gsp4transfer.lseries import (
     DEFAULT_GRID,
     EulerProductSweep,
@@ -25,6 +28,8 @@ from gsp4transfer.lseries import (
     read_theta_csv,
     sample_sato_tate,
     sato_tate_symbol,
+    stream_seed,
+    synthetic_reps,
     write_eigenvalue_csv,
     write_sweep_csv,
     write_theta_csv,
@@ -91,6 +96,10 @@ class TestPrimes:
 
     def test_count_below_1e5(self):
         assert len(primes_up_to(100_000)) == 9592
+
+    def test_bound_refused_before_sieving(self):
+        with pytest.raises(ValueError, match="above the largest supported bound"):
+            primes_up_to(lseries.MAX_X + 1)
 
 
 def local_rs_factor(sigma, tau, q, s):
@@ -308,6 +317,63 @@ class TestSatoTate:
         assert set(again) == set(data)
         for p in data:
             assert again[p][0] == pytest.approx(data[p][0], abs=1e-12)
+
+
+def registry_reps(descriptors, seed, X):
+    """Oracle: the synthetic reps through a shadow ``SymbolRegistry``, where
+    ``create`` registers each dual pair of ids from the stream of the smaller
+    id and materializes the dual."""
+    primes = primes_up_to(X)
+    shadow = SymbolRegistry()
+    for desc in descriptors:
+        for sym in desc.pair:
+            base = sym if sym.id <= sym.dual_id else sym.dual()
+            if base.id in shadow:
+                continue
+            params = _sato_tate_params(stream_seed(seed, base.id + ":angles"), len(primes))
+            if not sym.is_self_dual:
+                rng = np.random.Generator(np.random.PCG64(stream_seed(seed, base.id + ":twist")))
+                params = np.exp(2j * math.pi * rng.random(len(primes)))[:, None] * params
+            shadow.create(base.id, 2, central_char=base.central_char_id, self_dual=sym.is_self_dual,
+                          dual_id=base.dual_id, qs=primes, params=params)
+    return [isobaric([shadow.get(s.id) for s in desc.pair]) for desc in descriptors]
+
+
+# a self-dual S next to a pair B, Bd; the second descriptor uses the larger id
+SYNTHETIC_DOC = {
+    "symbols": [
+        {"id": "S", "degree": 2, "dual": "S", "local": {"2": [[0.6, 0.8], [0.6, -0.8]]}},
+        {"id": "B", "degree": 2, "dual": "Bd", "local": {"2": [[0.8, 0.6], [0.8, -0.6]]}},
+    ],
+    "descriptors": [
+        {"from_gso": True, "terms": ["S", "B"], "gross_char": "1"},
+        {"from_gso": True, "terms": ["S", "Bd"], "gross_char": "1"},
+    ],
+}
+
+
+class TestSyntheticReps:
+    def test_same_bits_as_registry_construction(self):
+        descriptors = load_document(SYNTHETIC_DOC)[1]
+        for seed in (0, 7):
+            got, want = synthetic_reps(descriptors, seed, 2000), registry_reps(descriptors, seed, 2000)
+            for g, w in zip(got, want):
+                for a, b in zip(g.constituents, w.constituents):
+                    assert (a.id, a.dual_id) == (b.id, b.dual_id)
+                    assert np.array_equal(a.qs, b.qs)
+                    assert np.array_equal(a.params.view(np.uint64), b.params.view(np.uint64))
+
+    def test_freed_without_garbage_collection(self):
+        descriptors = load_document(SYNTHETIC_DOC)[1]
+        gc.disable()
+        try:
+            reps = synthetic_reps(descriptors, 0, 2000)
+            refs = [weakref.ref(sym) for rep in reps for sym in rep.constituents]
+            del reps
+            alive = sum(ref() is not None for ref in refs)
+        finally:
+            gc.enable()
+        assert len(refs) == 4 and alive == 0
 
 
 class TestPoleEstimates:
