@@ -69,15 +69,15 @@ class UsageError(ValueError):
 
 
 def _read_json(path: str, what: str, parse=None, faults: tuple = (json.JSONDecodeError,)):
-    """``parse`` of the JSON document at ``path`` (the document itself when
-    ``parse`` is None).  An unreadable file, a document nested too deep to
-    decode, or one of ``faults`` raised by decoding or ``parse`` is a
-    ``UsageError``: "cannot read <what>: ..."."""
+    """``parse`` of the UTF-8 JSON document at ``path`` (the document itself
+    when ``parse`` is None).  An unreadable file, bytes that are not UTF-8, a
+    document nested too deep to decode, or one of ``faults`` raised by
+    decoding or ``parse`` is a ``UsageError``: "cannot read <what>: ..."."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         return doc if parse is None else parse(doc)
-    except (OSError, RecursionError, *faults) as exc:
+    except (OSError, UnicodeDecodeError, RecursionError, *faults) as exc:
         raise UsageError(f"cannot read {what}: {exc}") from None
 
 
@@ -136,8 +136,8 @@ def _place_template() -> tuple[str, tuple[int, ...]]:
 
     It is read off the encoder: ``json.dumps(..., indent=2, sort_keys=True)``
     of an entry whose values are the markers "@0", "@1", ..., so the layout
-    cannot drift from ``json.dumps`` of the entry itself.  %s renders ints and
-    finite floats as JSON does (``float.__repr__``).
+    cannot drift from ``json.dumps`` of the entry itself.  %s renders ints as
+    JSON does; floats are filled in as their ``float.__repr__`` texts.
     """
     text = json.dumps(_place_doc(*(f"@{k}" for k in range(30))), indent=2, sort_keys=True)
     slots = tuple(int(k) for k in re.findall(r'"@(\d+)"', text))
@@ -145,26 +145,48 @@ def _place_template() -> tuple[str, tuple[int, ...]]:
     return "    " + text.replace("\n", "\n    "), slots
 
 
+# Column of a row's distinct values (alpha_1, beta_1, mu_1, alpha_2, beta_2,
+# mu_2) for each GL(2) entry (alpha_1, beta_1, alpha_2, beta_2).
+_GL2_COLUMNS = np.array([0, 1, 3, 4])
+
+
 class _Places:
-    """``places`` of a transfer payload, held as columns of a ``PlaceChain``:
-    q, commutes, then the flat values of ``_place_doc``.  ``_json_text``
-    formats the rows straight from the columns through ``_place_template``.
+    """``places`` of a transfer payload: a ``PlaceChain`` and its q and
+    commutes columns, which text output reads.  ``_json_text`` formats the
+    rows straight from the chain through ``_place_template``.
     """
 
     def __init__(self, chain: PlaceChain):
-        floats = np.concatenate(
-            [chain.gl2[:, 0], chain.mu[:, :1], chain.gl2[:, 1], chain.mu[:, 1:], chain.gsp4, chain.gl4],
-            axis=1,
-        ).view(float)  # (P, 28): re, im interleaved
-        self.columns = [chain.qs.tolist(), chain.commutes.tolist(), *floats.T.tolist()]
+        self.chain = chain
+        self.qs = chain.qs.tolist()
+        self.commutes = chain.commutes.tolist()
 
     def __len__(self) -> int:
-        return len(self.columns[0])
+        return len(self.qs)
 
     def json_rows(self) -> str:
+        """The rows, each float rendered once: of a row's 14 complex values
+        only the six of its GL(2) parameters are distinct, since every GSp(4)
+        and GL(4) entry is a copy of a GL(2) entry.  The copies are matched by
+        their bits, so 0.0 and -0.0 stay apart; an entry that copies none raises."""
         template, slots = _place_template()
-        columns = [self.columns[0], ["true" if c else "false" for c in self.columns[1]], *self.columns[2:]]
-        return ",\n".join(template % row for row in zip(*(columns[k] for k in slots)))
+        chain, n = self.chain, len(self)
+        distinct = np.concatenate([chain.gl2[:, 0], chain.mu[:, :1], chain.gl2[:, 1], chain.mu[:, 1:]], axis=1)
+        # JSON renders finite floats with float.__repr__
+        texts = list(map(float.__repr__, distinct.view(float).ravel().tolist()))
+        copies = np.concatenate([chain.gsp4, chain.gl4], axis=1).view(np.uint64).reshape(n, 8, 1, 2)
+        sources = np.ascontiguousarray(chain.gl2).reshape(n, 4).view(np.uint64).reshape(n, 1, 4, 2)
+        match = (copies == sources).all(axis=3)
+        if not match.any(axis=2).all():
+            raise RuntimeError("a GSp(4) or GL(4) entry copies no GL(2) entry")
+        # the distinct value each of a row's 14 complex values shows
+        columns = np.concatenate([np.broadcast_to(np.arange(6), (n, 6)), _GL2_COLUMNS[match.argmax(axis=2)]], axis=1)
+        # each argument of _place_doc as an index into pool: the 12 float texts
+        # of each row (row p from 12 p), then the n qs, then the n commutes
+        floats = (2 * columns[:, :, None] + [0, 1]).reshape(n, 28) + 12 * np.arange(n)[:, None]
+        index = np.concatenate([np.arange(12 * n, 14 * n).reshape(2, n).T, floats], axis=1)
+        pool = np.array(texts + self.qs + ["true" if c else "false" for c in self.commutes], dtype=object)
+        return ",\n".join(template % tuple(row) for row in pool[index[:, slots]].tolist())
 
 
 def _text_transfer(payload: dict) -> str:
@@ -176,7 +198,7 @@ def _text_transfer(payload: dict) -> str:
     for cond in payload["conditions"]:
         lines.append(f"  recorded: {cond}")
     places = payload["places"]
-    for q, commutes in zip(*places.columns[:2]) if places else ():
+    for q, commutes in zip(places.qs, places.commutes) if places else ():
         lines.append(f"  q={q}: gl2 x gl2 -> gsp4 -> gl4, diagram {'commutes' if commutes else 'FAILS'}")
     if payload["violation"]:
         lines.append(f"constraint failed: {payload['violation']}")
@@ -385,7 +407,7 @@ def main(argv=None) -> int:
                 raise UsageError(f"{args.format} format is not available for this command")
             text = render(payload)
             try:
-                with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+                with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
                     fh.write(text)
             except OSError as exc:
                 raise UsageError(f"cannot write output: {exc}") from None

@@ -101,7 +101,8 @@ def _sweep_values(r1: IsobaricRep, r2: IsobaricRep, qs: np.ndarray, s_values) ->
         pole = (np.abs(1.0 - z) < _POLE_EPS).any(axis=(1, 2))
         if pole.any():
             raise LocalPole(f"local factor pole at s={s[pole][0]}")
-        total += np.log1p(-z).sum(axis=(1, 2))
+        # log1p(-z) in z's buffer, the pole check done with it
+        total += np.log1p(np.negative(z, out=z), out=z).sum(axis=(1, 2))
     return np.exp(-total)
 
 
@@ -250,13 +251,18 @@ def _inverse_angle_cdf(u: np.ndarray) -> np.ndarray:
     right[(right < math.pi) & ~(_angle_cdf(right) > u + 2 * _CDF_ERR)] = np.inf
     lo = np.zeros_like(u)
     hi = np.full_like(u, math.pi)
+    # mid replaces lo where below, else hi: a select on the bits by an
+    # all-ones or all-zeros uint64 mask, cheaper than np.where on a random mask
+    lo_bits, hi_bits = lo.view(np.uint64), hi.view(np.uint64)
     for _ in range(48):
         mid = 0.5 * (lo + hi)
         below = mid < left
         near = np.flatnonzero((mid >= left) & (mid <= right))
         below[near] = _angle_cdf(mid[near]) < u[near]
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        take = np.negative(below.astype(np.uint64))
+        mid_bits = mid.view(np.uint64)
+        lo_bits ^= (lo_bits ^ mid_bits) & take
+        hi_bits ^= (hi_bits ^ mid_bits) & ~take
     return 0.5 * (lo + hi)
 
 

@@ -1,9 +1,14 @@
 import copy
+import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +26,8 @@ from gsp4transfer.satake import (
     theta_lift_params,
     transfer_gsp4_to_gl4,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -427,6 +434,44 @@ class TestTransferOracle:
         code, payload = assert_transfer_matches_oracle(capsys, tmp_path, doc)
         assert code == 0 and payload["places"] == []
 
+    def test_signed_zeros_keep_their_constituent(self, capsys, tmp_path):
+        # equal in value, not in bits: the GL(4) entries of P2 must print -0.0
+        doc = lifted_pair_doc()
+        doc["symbols"][0]["local"]["3"] = [[0.0, 1.0], [0.0, -1.0]]
+        doc["symbols"][1]["local"]["3"] = [[-0.0, 1.0], [-0.0, -1.0]]
+        code, payload = assert_transfer_matches_oracle(capsys, tmp_path, doc)
+        entries = next(e for e in payload["places"] if e["q"] == 3)["gl4"]["entries"]
+        assert code == 0 and [math.copysign(1, re) for re, _ in entries] == [1, -1, 1, -1]
+
+    def test_mismatch_at_first_place_prints_no_places(self, capsys, tmp_path):
+        doc = lifted_pair_doc()
+        doc["symbols"][1]["local"]["2"] = [[2.0, 0.0], [1.0, 0.0]]
+        code, payload = assert_transfer_matches_oracle(capsys, tmp_path, doc)
+        assert code == 1 and payload["places"] == []
+        out = run(capsys, "transfer", "--in", write_doc(tmp_path, doc), "--format", "json")[1]
+        assert '\n  "places": [],\n' in out
+
+    @pytest.mark.parametrize("doctor", ["nudged", "signed_zero"])
+    def test_entry_without_source_raises(self, capsys, tmp_path, monkeypatch, doctor):
+        from gsp4transfer import cli
+        from gsp4transfer.isobaric import transfer_places as chain_of
+
+        def doctored(desc):
+            chain = chain_of(desc)
+            gsp4 = chain.gsp4.copy()
+            if doctor == "nudged":
+                gsp4[0, 0] += 1e-9
+            else:  # at q=5 the first entry is beta_1 = -i, real part 0.0
+                gsp4[1, 0] = complex(-gsp4[1, 0].real, gsp4[1, 0].imag)
+            return dataclasses.replace(chain, gsp4=gsp4)
+
+        monkeypatch.setattr(cli, "transfer_places", doctored)
+        path = write_doc(tmp_path, lifted_pair_doc())
+        with pytest.raises(RuntimeError, match="copies no GL"):
+            main(["transfer", "--in", path, "--format", "json"])
+        assert capsys.readouterr().out == ""
+        assert run(capsys, "transfer", "--in", path)[0] == 0  # text output reads no floats
+
 
 class TestPoles:
     def test_case_3b_symbolic(self, capsys, tmp_path):
@@ -751,7 +796,27 @@ class TestExitContractFiles:
         else:
             path.write_bytes({"deep_nesting": b"[" * 200_000, "invalid_utf8": b'{"\xff\xfe": 1}',
                               "empty": b""}[fault])
-        self.assert_one_error_line(*run(capsys, command, *self.INPUT_ARGV[command], str(path)))
+        code, out, err = run(capsys, command, *self.INPUT_ARGV[command], str(path))
+        self.assert_one_error_line(code, out, err)
+        what = "parameters" if command == "rodier" else "descriptor file"
+        assert err.startswith(f"error: cannot read {what}: "), err
+
+    def test_utf8_whatever_the_locale(self, tmp_path):
+        # symbol ids outside ASCII, read under the C locale with UTF-8 mode off
+        doc = json.dumps(lifted_pair_doc(), ensure_ascii=False).replace('"P1', '"Pé').replace('"P2', '"Qé')
+        path = tmp_path / "doc.json"
+        path.write_text(doc, encoding="utf-8")
+        target = tmp_path / "out.txt"
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": str(SRC)}
+        env.pop("PYTHONIOENCODING", None)
+        outs = []
+        for tail in (["--format", "json"], ["--out", str(target)]):
+            proc = subprocess.run([sys.executable, "-m", "gsp4transfer.cli", "transfer", "--in", str(path), *tail],
+                                  capture_output=True, env=env)
+            assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
+            outs.append(proc.stdout)
+        assert json.loads(outs[0])["isobaric"] == ["Pé", "Qé"]
+        assert "  isobaric transfer: Pé + Qé\n" in target.read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("command", ["verify-groups", "transfer", "poles", "rodier"])
     @pytest.mark.parametrize("target", ["missing_directory", "directory"])
