@@ -1,6 +1,6 @@
 """Transfer calculus for degree-4 similitude parameters.
 
-Subpackages:
+Modules:
 
 - satake: exact/float Satake scalars, dual-group parameter containers,
   the lifting maps between them, Weyl orbits, exponent classification.

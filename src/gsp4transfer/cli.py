@@ -14,7 +14,6 @@ import argparse
 import json
 import re
 import sys
-from contextlib import nullcontext
 from functools import lru_cache
 
 import numpy as np
@@ -53,14 +52,14 @@ CONSTRAINT_ERRORS = (CentralCharMismatch, ConstituentsNotDistinct, NotUnitaryNor
 
 def _json_text(payload: dict) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline; a
-    ``_Places`` under ``places`` is spliced in from its rows.  Top-level keys
-    are the only lines that start with two spaces and a quote."""
-    places = payload.get("places")
-    if not isinstance(places, _Places):
+    ``PlaceChain`` under ``places`` is spliced in from ``_place_rows``.
+    Top-level keys are the only lines that start with two spaces and a quote."""
+    chain = payload.get("places")
+    if not isinstance(chain, PlaceChain):
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     text = json.dumps({**payload, "places": []}, indent=2, sort_keys=True)
-    if len(places):
-        text = text.replace('\n  "places": []', '\n  "places": [\n' + places.json_rows() + "\n  ]", 1)
+    if len(chain.qs):
+        text = text.replace('\n  "places": []', '\n  "places": [\n' + _place_rows(chain) + "\n  ]", 1)
     return text + "\n"
 
 
@@ -146,47 +145,27 @@ def _place_template() -> tuple[str, tuple[int, ...]]:
 
 
 # Column of a row's distinct values (alpha_1, beta_1, mu_1, alpha_2, beta_2,
-# mu_2) for each GL(2) entry (alpha_1, beta_1, alpha_2, beta_2).
+# mu_2) for each GL(2) slot (alpha_1, beta_1, alpha_2, beta_2).
 _GL2_COLUMNS = np.array([0, 1, 3, 4])
 
 
-class _Places:
-    """``places`` of a transfer payload: a ``PlaceChain`` and its q and
-    commutes columns, which text output reads.  ``_json_text`` formats the
-    rows straight from the chain through ``_place_template``.
-    """
-
-    def __init__(self, chain: PlaceChain):
-        self.chain = chain
-        self.qs = chain.qs.tolist()
-        self.commutes = chain.commutes.tolist()
-
-    def __len__(self) -> int:
-        return len(self.qs)
-
-    def json_rows(self) -> str:
-        """The rows, each float rendered once: of a row's 14 complex values
-        only the six of its GL(2) parameters are distinct, since every GSp(4)
-        and GL(4) entry is a copy of a GL(2) entry.  The copies are matched by
-        their bits, so 0.0 and -0.0 stay apart; an entry that copies none raises."""
-        template, slots = _place_template()
-        chain, n = self.chain, len(self)
-        distinct = np.concatenate([chain.gl2[:, 0], chain.mu[:, :1], chain.gl2[:, 1], chain.mu[:, 1:]], axis=1)
-        # JSON renders finite floats with float.__repr__
-        texts = list(map(float.__repr__, distinct.view(float).ravel().tolist()))
-        copies = np.concatenate([chain.gsp4, chain.gl4], axis=1).view(np.uint64).reshape(n, 8, 1, 2)
-        sources = np.ascontiguousarray(chain.gl2).reshape(n, 4).view(np.uint64).reshape(n, 1, 4, 2)
-        match = (copies == sources).all(axis=3)
-        if not match.any(axis=2).all():
-            raise RuntimeError("a GSp(4) or GL(4) entry copies no GL(2) entry")
-        # the distinct value each of a row's 14 complex values shows
-        columns = np.concatenate([np.broadcast_to(np.arange(6), (n, 6)), _GL2_COLUMNS[match.argmax(axis=2)]], axis=1)
-        # each argument of _place_doc as an index into pool: the 12 float texts
-        # of each row (row p from 12 p), then the n qs, then the n commutes
-        floats = (2 * columns[:, :, None] + [0, 1]).reshape(n, 28) + 12 * np.arange(n)[:, None]
-        index = np.concatenate([np.arange(12 * n, 14 * n).reshape(2, n).T, floats], axis=1)
-        pool = np.array(texts + self.qs + ["true" if c else "false" for c in self.commutes], dtype=object)
-        return ",\n".join(template % tuple(row) for row in pool[index[:, slots]].tolist())
+def _place_rows(chain: PlaceChain) -> str:
+    """The JSON rows of a chain's places, each float rendered once: of a
+    row's 14 complex values only the six of its GL(2) parameters are
+    distinct, since every GSp(4) and GL(4) entry is a slot of a GL(2) entry."""
+    template, slots = _place_template()
+    n = len(chain.qs)
+    distinct = np.concatenate([chain.gl2[:, 0], chain.mu[:, :1], chain.gl2[:, 1], chain.mu[:, 1:]], axis=1)
+    # JSON renders finite floats with float.__repr__
+    texts = np.array(list(map(float.__repr__, distinct.view(float).ravel().tolist())), dtype=object)
+    # the distinct value each of a row's 14 complex values shows
+    columns = np.concatenate([np.broadcast_to(np.arange(6), (n, 6)), _GL2_COLUMNS[chain.gsp4],
+                              _GL2_COLUMNS[chain.gl4]], axis=1)
+    rows = np.empty((n, 30), dtype=object)  # the arguments of _place_doc
+    rows[:, 0] = chain.qs.tolist()
+    rows[:, 1] = ["true" if c else "false" for c in chain.commutes.tolist()]
+    rows[:, 2:] = np.take_along_axis(texts.reshape(n, 6, 2), columns[:, :, None], axis=1).reshape(n, 28)
+    return ",\n".join(template % tuple(row) for row in rows[:, slots].tolist())
 
 
 def _text_transfer(payload: dict) -> str:
@@ -197,8 +176,8 @@ def _text_transfer(payload: dict) -> str:
         lines.append(f"  isobaric transfer: {' + '.join(payload['isobaric'])}")
     for cond in payload["conditions"]:
         lines.append(f"  recorded: {cond}")
-    places = payload["places"]
-    for q, commutes in zip(places.qs, places.commutes) if places else ():
+    chain = payload["places"]
+    for q, commutes in zip(chain.qs.tolist(), chain.commutes.tolist()) if chain else ():
         lines.append(f"  q={q}: gl2 x gl2 -> gsp4 -> gl4, diagram {'commutes' if commutes else 'FAILS'}")
     if payload["violation"]:
         lines.append(f"constraint failed: {payload['violation']}")
@@ -237,7 +216,7 @@ def _cmd_transfer(args) -> tuple[dict, int]:
     payload["conditions"] = list(transfer_conditions(desc))
     if desc.from_gso:
         chain = transfer_places(desc)
-        payload["places"] = _Places(chain)
+        payload["places"] = chain
         if chain.mismatch is not None:
             # sampled local data of the pair has unequal central values
             payload["violation"] = chain.mismatch.constraint
@@ -407,8 +386,15 @@ def main(argv=None) -> int:
                 raise UsageError(f"{args.format} format is not available for this command")
             text = render(payload)
             try:
-                with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
-                    fh.write(text)
+                if args.out:
+                    with open(args.out, "w", encoding="utf-8") as fh:
+                        fh.write(text)
+                elif hasattr(sys.stdout, "buffer"):
+                    # UTF-8 whatever the locale, as --out
+                    sys.stdout.flush()
+                    sys.stdout.buffer.write(text.encode("utf-8"))
+                else:
+                    sys.stdout.write(text)
             except OSError as exc:
                 raise UsageError(f"cannot write output: {exc}") from None
     except ValueError as exc:

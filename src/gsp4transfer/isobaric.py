@@ -472,10 +472,13 @@ class PlaceChain:
     row per place its two constituents both sample, in ascending q.
 
     ``gl2[p, k]`` is (alpha, beta) of constituent k and ``mu[p, k]`` their
-    product, the central value; ``gsp4[p]`` is the lifted parameter rendered
-    as (t1, t2, t3, t4), similitude ``mu[p, 0]``; ``gl4[p]`` is its embedded
-    multiset in canonical order; ``commutes[p]`` says whether that multiset
-    matches the direct transfer of the torus data (mu, alpha_1, alpha_2).
+    product, the central value.  The lift and the embedding only reorder the
+    four GL(2) entries, so ``gsp4`` and ``gl4`` hold slots, indices 0..3 of
+    (alpha_1, beta_1, alpha_2, beta_2) in ``gl2[p].ravel()``: ``gsp4[p]`` are
+    those of the lifted parameter rendered as (t1, t2, t3, t4), similitude
+    ``mu[p, 0]``, and ``gl4[p]`` those of its embedded multiset in canonical
+    order.  ``commutes[p]`` says whether that multiset matches the direct
+    transfer of the torus data (mu, alpha_1, alpha_2).
     When the central values differ at some place, the rows stop before the
     first such place and ``mismatch`` holds the error.
     """
@@ -530,13 +533,16 @@ def transfer_places(desc: GSp4Descriptor) -> PlaceChain:
             ((direct[:, 2:] == 0).any(axis=1), "unramified character value must be nonzero"),
         )
         failed = np.stack([mask for mask, _ in faults], axis=1)
-        swap = _before(b, a)
-        x, y = np.where(swap, b, a), np.where(swap, a, b)  # each pair sorted
-        swap = _before(x[:, 1], x[:, 0])[:, None]
-        x, y = np.where(swap, x[:, ::-1], x), np.where(swap, y[:, ::-1], y)  # pairs sorted by first entry
+        entries = gl2.reshape(-1, 4)
+        x = 2 * np.arange(2) + _before(b, a)  # slot of each sorted pair's first entry
+        first = np.take_along_axis(entries, x, axis=1)
+        swap = _before(first[:, 1], first[:, 0])[:, None]
+        x = np.where(swap, x[:, ::-1], x)  # pairs sorted by first entry
+        y = x ^ 1  # slot of each pair's second entry
         embedded = np.stack([x[:, 0], y[:, 0], x[:, 1], y[:, 1]], axis=1)
-        gl4 = np.take_along_axis(embedded, np.lexsort((embedded.imag, embedded.real)), axis=1)
-        commutes = match_multiset_rows(embedded, direct)
+        values = np.take_along_axis(entries, embedded, axis=1)
+        gl4 = np.take_along_axis(embedded, np.lexsort((values.imag, values.real)), axis=1)
+        commutes = match_multiset_rows(values, direct)
     gsp4 = np.stack([x[:, 0], x[:, 1], y[:, 1], y[:, 0]], axis=1)
     mismatch = None
     bad = np.flatnonzero(failed.any(axis=1))

@@ -516,25 +516,15 @@ def rodier_class(e: ExponentVector, tol: float = MATCH_TOL) -> RodierVerdict:
     """
     a, b, c, d = e.e
     if e.is_exact:
-        if (a, b, c, d) == (-HALF, -HALF, HALF, HALF):
-            return FAMILY_B
-        if (a, b, c, d) == (-THREE_HALVES, -HALF, HALF, THREE_HALVES):
-            return FAMILY_C
-        if a == -HALF and d == HALF and b == -c and 0 <= c <= QUARTER:
-            return family_a(c)
-        return NOT_IN_LIST
-
-    def near(x, y):
-        return abs(float(x) - float(y)) <= tol
-
-    if near(a, -0.5) and near(b, -0.5) and near(c, 0.5) and near(d, 0.5):
+        near, slack, r = (lambda x, y: x == y), 0, c
+    else:
+        near, slack, r = (lambda x, y: abs(float(x) - float(y)) <= tol), tol, float(c)
+    if near(a, -HALF) and near(b, -HALF) and near(c, HALF) and near(d, HALF):
         return FAMILY_B
-    if near(a, -1.5) and near(b, -0.5) and near(c, 0.5) and near(d, 1.5):
+    if near(a, -THREE_HALVES) and near(b, -HALF) and near(c, HALF) and near(d, THREE_HALVES):
         return FAMILY_C
-    if near(a, -0.5) and near(d, 0.5) and near(float(b) + float(c), 0.0):
-        r = float(c)
-        if -tol <= r <= 0.25 + tol:
-            return family_a(r)
+    if near(a, -HALF) and near(d, HALF) and near(b, -c) and -slack <= r <= QUARTER + slack:
+        return family_a(r)
     return NOT_IN_LIST
 
 

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import io
 import json
 import math
@@ -16,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gsp4transfer.cli import main
-from gsp4transfer.isobaric import load_document, transfer, transfer_conditions
+from gsp4transfer.isobaric import load_document, transfer, transfer_conditions, transfer_places
 from gsp4transfer.satake import (
     CentralCharMismatch,
     GL2Param,
@@ -175,6 +174,63 @@ def seeded_lifted_doc(rng, n: int, self_dual: bool) -> dict:
                         "central_char": "1" if self_dual else "chi", "local": local})
     return {"symbols": symbols, "isobaric": [{"term": "S0", "r": "0"}, {"term": "S1", "r": "0"}],
             "from_gso": True, "gross_char": "1" if self_dual else "chi"}
+
+
+def local_at_3_doc(p1, p2) -> dict:
+    """``lifted_pair_doc`` with (alpha, beta) ``p1`` and ``p2`` of the two constituents at q = 3."""
+    doc = lifted_pair_doc()
+    doc["symbols"][0]["local"]["3"] = p1
+    doc["symbols"][1]["local"]["3"] = p2
+    return doc
+
+
+def prefix_mismatch_doc() -> dict:
+    """41 seeded places whose central values differ first at the 21st."""
+    doc = seeded_lifted_doc(np.random.default_rng(5), 41, self_dual=False)
+    q = sorted(doc["symbols"][1]["local"], key=int)[20]
+    a, b = doc["symbols"][1]["local"][q]
+    doc["symbols"][1]["local"][q] = [a, [b[0] * (1 + 1e-6), b[1] * (1 + 1e-6)]]
+    return doc
+
+
+def first_place_mismatch_doc() -> dict:
+    doc = lifted_pair_doc()
+    doc["symbols"][1]["local"]["2"] = [[2.0, 0.0], [1.0, 0.0]]
+    return doc
+
+
+def exponent_notation_doc() -> dict:
+    """Values that JSON prints in exponent notation, at q = 7."""
+    doc = lifted_pair_doc()
+    doc["symbols"][0]["local"]["7"] = [[1e-05, 2.5e+17], [2.5e+17, -1e-05]]
+    beta = complex(1e-05, 2.5e+17) * complex(2.5e+17, -1e-05) / 5e+17
+    doc["symbols"][1]["local"]["7"] = [[5e+17, 0.0], [beta.real, beta.imag]]
+    return doc
+
+
+def empty_local_doc() -> dict:
+    doc = lifted_pair_doc()
+    for sym in doc["symbols"]:
+        sym["local"] = {}
+    return doc
+
+
+# equal in value, not in bits: the GL(4) entries of P2 must print -0.0
+SIGNED_ZEROS = ([[0.0, 1.0], [0.0, -1.0]], [[-0.0, 1.0], [-0.0, -1.0]])
+# central values equal within tolerance, the diagram does not commute
+NOT_COMMUTING = ([[1e-6, 0.0], [1e-7, 0.0]], [[1e-7, 0.0], [1e-7, 0.0]])
+
+# valid lifted documents of the transfer oracle tests, by name
+ORACLE_DOCS = {
+    "seeded_self_dual": lambda: seeded_lifted_doc(np.random.default_rng(0), 300, self_dual=True),
+    "seeded": lambda: seeded_lifted_doc(np.random.default_rng(1), 120, self_dual=False),
+    "prefix_mismatch": prefix_mismatch_doc,
+    "first_place_mismatch": first_place_mismatch_doc,
+    "signed_zeros": lambda: local_at_3_doc(*SIGNED_ZEROS),
+    "not_commuting": lambda: local_at_3_doc(*NOT_COMMUTING),
+    "exponent_notation": exponent_notation_doc,
+    "empty_local": empty_local_doc,
+}
 
 
 def assert_transfer_matches_oracle(capsys, tmp_path, doc):
@@ -389,10 +445,7 @@ class TestTransferOracle:
         assert any(local[0][q] == local[1][q] for q in local[0])
 
     def test_central_value_mismatch_keeps_prefix(self, capsys, tmp_path):
-        doc = seeded_lifted_doc(np.random.default_rng(5), 41, self_dual=False)
-        q = sorted(doc["symbols"][1]["local"], key=int)[20]
-        a, b = doc["symbols"][1]["local"][q]
-        doc["symbols"][1]["local"][q] = [a, [b[0] * (1 + 1e-6), b[1] * (1 + 1e-6)]]
+        doc = prefix_mismatch_doc()
         code, payload = assert_transfer_matches_oracle(capsys, tmp_path, doc)
         assert code == 1 and payload["violation"] == "central_char_compatibility"
         assert [e["q"] for e in payload["places"]] == sorted(map(int, doc["symbols"][1]["local"]))[:20]
@@ -404,23 +457,17 @@ class TestTransferOracle:
         ([[1e-200, 0.0], [1e-200, 0.0]], [[1.0, 0.0], [1.0, 0.0]], 2),
         # mu / alpha_2 of the direct transfer underflows to zero
         ([[1e-150, 0.0], [1e-150, 0.0]], [[1e100, 0.0], [1e-113, 0.0]], 2),
-        # central values equal within tolerance, the diagram does not commute
-        ([[1e-6, 0.0], [1e-7, 0.0]], [[1e-7, 0.0], [1e-7, 0.0]], 1),
+        (*NOT_COMMUTING, 1),
     ])
     def test_extreme_magnitudes_match_scalar_chain(self, capsys, tmp_path, p1, p2, want):
-        doc = lifted_pair_doc()
-        doc["symbols"][0]["local"]["3"] = p1
-        doc["symbols"][1]["local"]["3"] = p2
+        doc = local_at_3_doc(p1, p2)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code, _ = assert_transfer_matches_oracle(capsys, tmp_path, doc)
         assert code == want
 
     def test_exponent_notation_empty_places_and_out_path(self, capsys, tmp_path):
-        doc = lifted_pair_doc()
-        doc["symbols"][0]["local"]["7"] = [[1e-05, 2.5e+17], [2.5e+17, -1e-05]]
-        beta = complex(1e-05, 2.5e+17) * complex(2.5e+17, -1e-05) / 5e+17
-        doc["symbols"][1]["local"]["7"] = [[5e+17, 0.0], [beta.real, beta.imag]]
+        doc = exponent_notation_doc()
         code, payload = assert_transfer_matches_oracle(capsys, tmp_path, doc)
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert code == 0 and "1e-05" in text and "2.5e+17" in text
@@ -429,48 +476,38 @@ class TestTransferOracle:
                            "--out", str(target))
         assert code == 0 and out == "" and target.read_text() == text
 
-        for sym in doc["symbols"]:
-            sym["local"] = {}
-        code, payload = assert_transfer_matches_oracle(capsys, tmp_path, doc)
+        code, payload = assert_transfer_matches_oracle(capsys, tmp_path, empty_local_doc())
         assert code == 0 and payload["places"] == []
 
     def test_signed_zeros_keep_their_constituent(self, capsys, tmp_path):
-        # equal in value, not in bits: the GL(4) entries of P2 must print -0.0
-        doc = lifted_pair_doc()
-        doc["symbols"][0]["local"]["3"] = [[0.0, 1.0], [0.0, -1.0]]
-        doc["symbols"][1]["local"]["3"] = [[-0.0, 1.0], [-0.0, -1.0]]
-        code, payload = assert_transfer_matches_oracle(capsys, tmp_path, doc)
+        code, payload = assert_transfer_matches_oracle(capsys, tmp_path, local_at_3_doc(*SIGNED_ZEROS))
         entries = next(e for e in payload["places"] if e["q"] == 3)["gl4"]["entries"]
         assert code == 0 and [math.copysign(1, re) for re, _ in entries] == [1, -1, 1, -1]
 
     def test_mismatch_at_first_place_prints_no_places(self, capsys, tmp_path):
-        doc = lifted_pair_doc()
-        doc["symbols"][1]["local"]["2"] = [[2.0, 0.0], [1.0, 0.0]]
+        doc = first_place_mismatch_doc()
         code, payload = assert_transfer_matches_oracle(capsys, tmp_path, doc)
         assert code == 1 and payload["places"] == []
         out = run(capsys, "transfer", "--in", write_doc(tmp_path, doc), "--format", "json")[1]
         assert '\n  "places": [],\n' in out
 
-    @pytest.mark.parametrize("doctor", ["nudged", "signed_zero"])
-    def test_entry_without_source_raises(self, capsys, tmp_path, monkeypatch, doctor):
-        from gsp4transfer import cli
-        from gsp4transfer.isobaric import transfer_places as chain_of
-
-        def doctored(desc):
-            chain = chain_of(desc)
-            gsp4 = chain.gsp4.copy()
-            if doctor == "nudged":
-                gsp4[0, 0] += 1e-9
-            else:  # at q=5 the first entry is beta_1 = -i, real part 0.0
-                gsp4[1, 0] = complex(-gsp4[1, 0].real, gsp4[1, 0].imag)
-            return dataclasses.replace(chain, gsp4=gsp4)
-
-        monkeypatch.setattr(cli, "transfer_places", doctored)
-        path = write_doc(tmp_path, lifted_pair_doc())
-        with pytest.raises(RuntimeError, match="copies no GL"):
-            main(["transfer", "--in", path, "--format", "json"])
-        assert capsys.readouterr().out == ""
-        assert run(capsys, "transfer", "--in", path)[0] == 0  # text output reads no floats
+    @pytest.mark.parametrize("name", ORACLE_DOCS)
+    def test_chain_slots_gather_the_scalar_entries(self, name):
+        # gsp4 and gl4 are slots of gl2.reshape(-1, 4); gathered, they are the
+        # scalar chain's GSp(4) and GL(4) entries bit for bit
+        doc = ORACLE_DOCS[name]()
+        chain = transfer_places(load_document(doc)[1][0])
+        places = oracle_transfer(doc)[1]["places"]
+        assert chain.qs.tolist() == [e["q"] for e in places]
+        for kind in ("gsp4", "gl4"):
+            slots = getattr(chain, kind)
+            assert slots.dtype.kind == "i" and slots.shape == (len(places), 4)
+            assert (np.sort(slots, axis=1) == np.arange(4)).all()
+            gathered = np.take_along_axis(chain.gl2.reshape(-1, 4), slots, axis=1)
+            want = np.array([e[kind]["entries"] for e in places], dtype=float).reshape(-1, 4, 2)
+            assert (gathered.view(float).reshape(-1, 4, 2).view(np.uint64) == want.view(np.uint64)).all()
+        # (t1, t4) and (t2, t3) are each one constituent's slots
+        assert (chain.gsp4[:, [0, 1]] // 2 == chain.gsp4[:, [3, 2]] // 2).all()
 
 
 class TestPoles:
@@ -810,13 +847,14 @@ class TestExitContractFiles:
         env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": str(SRC)}
         env.pop("PYTHONIOENCODING", None)
         outs = []
-        for tail in (["--format", "json"], ["--out", str(target)]):
+        for tail in (["--format", "json"], ["--out", str(target)], []):
             proc = subprocess.run([sys.executable, "-m", "gsp4transfer.cli", "transfer", "--in", str(path), *tail],
                                   capture_output=True, env=env)
             assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
             outs.append(proc.stdout)
         assert json.loads(outs[0])["isobaric"] == ["Pé", "Qé"]
         assert "  isobaric transfer: Pé + Qé\n" in target.read_text(encoding="utf-8")
+        assert outs[2].decode("utf-8") == target.read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("command", ["verify-groups", "transfer", "poles", "rodier"])
     @pytest.mark.parametrize("target", ["missing_directory", "directory"])
