@@ -6,8 +6,8 @@ identity Gram matrix, so similitude membership is the plain condition
 m^t m = lambda * I.
 
 The pair map sends (g1, g2) to the matrix of X -> g1 X g2^t on M_2(F_q)
-(the tensor-square action; see _beta_codes_and_dets for the relation to
-the transpose-on-the-left convention).  That map multiplies the determinant
+(the tensor-square action; see _beta_codes for the relation to the
+transpose-on-the-left convention).  That map multiplies the determinant
 form by det(g1) det(g2), and det is isometric to the standard form x.x in
 dimension 4 over any odd F_q (same dimension and square-class of
 discriminant).  We realize the isometry by an explicit det-orthonormal
@@ -18,15 +18,17 @@ genuine element of GO(4, F_q) with similitude factor det(g1) det(g2).
 Group elements exist only as integer codes: the base-q digits of a
 flattened 4x4 matrix.  The module lists GO(4, F_q) by closed-form
 enumeration as codes with their lambda and det, computes kernel and image
-of the pair map as codes by exhaustive vectorized evaluation, and packages
-the comparison into a report.  q is restricted to odd primes
+of the pair map as codes by int64 products over T x GL(2), T a
+transversal of the scalars in GL(2) (a scalar moves between the factors,
+so these pairs reach the whole image and every kernel pair up to a scalar),
+and packages the comparison into a report.  q is restricted to odd primes
 (characteristic 2 breaks the symmetric-form theory) and to q <= 7 for
 exhaustive work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -41,9 +43,6 @@ class UnsupportedField(ValueError):
 def _check_q(q: int) -> None:
     if q not in SUPPORTED_Q:
         raise UnsupportedField(f"q must be one of {SUPPORTED_Q}, got {q}")
-
-
-Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
 
 def _modinv(a: int, q: int) -> int:
@@ -99,16 +98,21 @@ def _det_frame(q: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def gl2_elements(q: int) -> list[Mat2]:
-    """All of GL(2, F_q) in lexicographic entry order."""
-    out = []
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                for d in range(q):
-                    if (a * d - b * c) % q != 0:
-                        out.append(((a, b), (c, d)))
-    return out
+def gl2_elements(q: int) -> np.ndarray:
+    """All of GL(2, F_q) as an (n, 2, 2) int64 array in lexicographic entry order."""
+    m = np.indices((q, q, q, q), dtype=np.int64).reshape(4, -1)  # columns (a, b, c, d) in lex order
+    return m.T[(m[0] * m[3] - m[1] * m[2]) % q != 0].reshape(-1, 2, 2)
+
+
+def _scalar_transversal(mats: np.ndarray) -> np.ndarray:
+    """The rows of mats whose first nonzero entry, row-major, is 1.
+
+    Each scalar class {c g : c in F_q^*} of GL(2) holds exactly one such
+    element, so on gl2_elements(q) this is a transversal of the scalars,
+    with n / (q - 1) elements.
+    """
+    flat = mats.reshape(len(mats), 4)
+    return mats[flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)] == 1]
 
 
 def _encode(flat: np.ndarray, q: int) -> np.ndarray:
@@ -125,19 +129,14 @@ def _decode(code: int, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(digits[4 * i : 4 * i + 4]) for i in range(4))
 
 
-# Byte budget of one float32 temporary of the pair map; bounds the chunk size.
-_CHUNK_BYTES = 32 << 20
+def _beta_codes(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
+    """Codes of beta over left x right, (k, 2, 2) and (m, 2, 2) arrays of GL2 elements.
 
-
-def _beta_codes_and_dets(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Codes of beta over all ordered GL2 x GL2 pairs, plus GL2 determinants.
-
-    Returns (codes, dets) where codes[i * n + j] is the code of
-    beta(g_i, g_j) = C^-1 (g_i (x) g_j) C mod q, C the frame of _det_frame,
-    and dets the determinants of GL2 in gl2_elements order; the similitude
-    factor of beta(g_i, g_j) is dets[i] * dets[j] mod q and its determinant
-    the square of that, so the image lies in the index-2 subgroup where
-    det = lambda^2.
+    codes[i * len(right) + j] is the code of
+    beta(g, h) = C^-1 (g (x) h) C mod q for g = left[i], h = right[j], C the
+    frame of _det_frame.  The similitude factor of beta(g, h) is
+    det(g) det(h) mod q and its determinant the square of that, so the image
+    lies in the index-2 subgroup where det = lambda^2.
 
     beta(g1, g2) is the matrix of X -> g1 X g2^t on M_2, the tensor-square
     action v (x) w -> g1 v (x) g2 w under the rank-one identification
@@ -148,41 +147,30 @@ def _beta_codes_and_dets(q: int) -> tuple[np.ndarray, np.ndarray]:
     products.)
 
     Since g1 (x) g2 = (g1 (x) I)(I (x) g2), beta(g1, g2) = L(g1) R(g2) mod q
-    with L(g) = C^-1 (g (x) I) C and R(g) = C^-1 (I (x) g) C, so one chunk
-    of first factors is a single (c*4, 4) @ (4, n*4) product.  Entries of L
-    and R are below q, so every product entry is an integer of at most
-    4 (q - 1)^2 = 144 and float32 arithmetic is exact.  Chunks are bounded
-    by bytes.
-    """
-    gl2 = gl2_elements(q)
-    n = len(gl2)
-    mats = np.array(gl2, dtype=np.int64)          # (n, 2, 2)
-    dets = (mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]) % q
+    with L(g) = C^-1 (g (x) I) C and R(g) = C^-1 (I (x) g) C, so row r of
+    beta over all pairs is one (len(left), 4) @ (4, 4 len(right)) int64
+    product.  The rows are taken one at a time, so no temporary is larger
+    than one row (22 MB at q = 7).  All four at once (87 MB) sit on top of
+    the heap that the GO(4) enumeration leaves behind: repeated checks in
+    one process then peaked at up to 230 MB of RSS instead of about 160.
 
+    A scalar moves between the factors: (c g1) (x) g2 = g1 (x) (c g2), so
+    beta(c t, c^-1 g) = beta(t, g).  Every pair of GL2 x GL2 is
+    (c t, c^-1 g) for exactly one c in F_q^*, t in the scalar transversal T
+    of _scalar_transversal and g in GL2.  So beta(T x GL2) is the whole
+    image, and the kernel has q - 1 pairs for each identity code there.
+    """
     C, Cinv = _det_frame(q)
     eye = np.eye(2, dtype=np.int64)[None]
-    left = (Cinv @ np.kron(mats, eye) @ C) % q    # L(g_a), (n, 4, 4)
-    right = (Cinv @ np.kron(eye, mats) @ C) % q   # R(g_b), (n, 4, 4)
-    lhs = left.reshape(n * 4, 4).astype(np.float32)                      # row (a, i)
-    rhs = right.transpose(1, 0, 2).reshape(4, n * 4).astype(np.float32)  # column (b, j)
-    col_weights = (q ** np.arange(4)).astype(np.float32)
-    row_weights = (q ** (4 * np.arange(4))).astype(np.float64)
-
-    def chunk_codes(lo: int, hi: int) -> np.ndarray:
-        prod = lhs[4 * lo : 4 * hi] @ rhs          # entry ((a, i), (b, j)) = beta(g_a, g_b)[i, j]
-        # prod % q, exactly: (x + 1/2) / q stays at least 1/(2q) from an integer
-        quot = prod + np.float32(0.5)
-        quot *= np.float32(1.0 / q)
-        np.floor(quot, out=quot)
-        quot *= -q
-        prod += quot
-        rows = prod.reshape(hi - lo, 4, n, 4) @ col_weights      # (c, 4, n), at most q^4 - 1
-        # base-q code below q^16 < 2^53, exact in float64
-        return (row_weights @ rows.astype(np.float64)).astype(np.int64).reshape(-1)
-
-    chunk = max(1, min(n, _CHUNK_BYTES // (16 * n * lhs.itemsize)))
-    codes = np.concatenate([chunk_codes(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)])
-    return codes, dets
+    lhs = (Cinv @ np.kron(left, eye) @ C) % q     # L(left[i]), (k, 4, 4)
+    rhs = (Cinv @ np.kron(eye, right) @ C) % q    # R(right[j]), (m, 4, 4)
+    rhs = rhs.transpose(1, 0, 2).reshape(4, -1)   # column (j, s) is column s of R(right[j])
+    codes = np.zeros(len(left) * len(right), dtype=np.int64)
+    for r in range(4):
+        row = lhs[:, r] @ rhs                     # entry (i, (j, s)) = beta(left[i], right[j])[r, s]
+        row %= q
+        codes += row.reshape(-1, 4) @ q ** (4 * r + np.arange(4))  # code = sum of beta[r, s] q^(4r + s) < 2^46
+    return codes
 
 
 def _norm_vectors(q: int) -> dict[int, np.ndarray]:
@@ -280,6 +268,7 @@ class GsoPresentationReport:
             ("image_size", self.image_size == self.image_expected),
             ("image_equals_gso", self.image_equals_gso),
             ("sl2_image_in_so", self.sl2_image_in_so),
+            ("sl2_image_index_2", self.sl2_image_in_so and 2 * self.sl2_image_size == self.so_size),
         )
 
     @property
@@ -287,29 +276,22 @@ class GsoPresentationReport:
         return all(passed for _, passed in self.checks)
 
     def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "kernel_size": self.kernel_size,
-            "kernel_expected": self.kernel_expected,
-            "kernel_is_scalar_pairs": self.kernel_is_scalar_pairs,
-            "image_size": self.image_size,
-            "image_expected": self.image_expected,
-            "gso_size": self.gso_size,
-            "equal": self.image_equals_gso,
-            "go_size": self.go_size,
-            "so_size": self.so_size,
-            "sl2_image_size": self.sl2_image_size,
-            "sl2_image_in_so": self.sl2_image_in_so,
-            "checks": {name: passed for name, passed in self.checks},
-            "ok": self.ok,
-        } | ({"counterexample": self.counterexample} if self.counterexample else {})
+        """The fields, image_equals_gso under the key "equal", then checks and ok;
+        counterexample only when there is one."""
+        payload = {
+            "equal" if f.name == "image_equals_gso" else f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "counterexample"
+        }
+        payload |= {"checks": dict(self.checks), "ok": self.ok}
+        return payload | ({"counterexample": self.counterexample} if self.counterexample is not None else {})
 
 
 def _sorted_unique(codes: np.ndarray) -> np.ndarray:
     """np.unique by one sort and an adjacent compare.
 
-    On the 4 million int64 pair-map codes at q = 7, numpy 2.4's hash-based
-    np.unique took 1.66 s and this 0.08 s (2-vCPU x86 machine).
+    On the 677 376 int64 pair-map codes at q = 7, numpy 2.4's hash-based
+    np.unique took 0.67-0.76 s and this 0.01 s (2-vCPU x86 machine).
     """
     codes = np.sort(codes)
     keep = np.ones(len(codes), dtype=bool)
@@ -337,30 +319,31 @@ def verify_gso_presentation(q: int) -> GsoPresentationReport:
     Asserted facts: the kernel is exactly the scalar pairs (c I, c^-1 I),
     q - 1 of them; the image has size |GL2|^2 / (q - 1); the image equals
     the independently enumerated {g in GO(4) : det g = lambda^2}; and pairs
-    of determinant-1 matrices land in {det = 1, lambda = 1}.  A failed
-    assertion is a report entry, not an exception; the report then carries
-    the first offending item: a non-scalar kernel pair, or the first code of
-    a failed set comparison, tagged with the side it came from ("image",
-    "gso" or "sl2_image").
+    of determinant-1 matrices land in {det = 1, lambda = 1}, as a subgroup
+    of index 2.  A failed assertion is a report entry, not an exception; the
+    report then carries the first offending item: a non-scalar kernel pair,
+    or the first code of a failed set comparison, tagged with the side it
+    came from ("image", "gso" or "sl2_image").
+
+    The pair map runs on T x GL2, T the scalar transversal (see _beta_codes):
+    that is the whole image, and kernel_size is q - 1 times the identity
+    codes there.  The only scalar pair in T x GL2 is (I, I), so any other
+    pair with the identity code is itself a non-scalar kernel pair; the
+    counterexample is the first of them in row-major (t, g) order.
+    SL2 x SL2 is mapped on its own.
     """
     _check_q(q)
-    gl2 = gl2_elements(q)
-    n = len(gl2)
-    codes, dets = _beta_codes_and_dets(q)
+    mats = gl2_elements(q)
+    n = len(mats)
+    transversal = _scalar_transversal(mats)
+    codes = _beta_codes(transversal, mats, q)
     image_codes = _sorted_unique(codes)
     image_expected = n * n // (q - 1)
 
     id_code = int(_encode(np.eye(4, dtype=np.int64).reshape(1, 16), q)[0])
-    kernel_idx = np.nonzero(codes == id_code)[0]
-    kernel_pairs = [(gl2[int(k) // n], gl2[int(k) % n]) for k in kernel_idx]
-
-    def is_scalar_pair(g1: Mat2, g2: Mat2) -> bool:
-        if g1[0][1] or g1[1][0] or g2[0][1] or g2[1][0]:
-            return False
-        c = g1[0][0]
-        return g1[1][1] == c and g2[0][0] == g2[1][1] and (c * g2[0][0]) % q == 1
-
-    bad_pair = next((pair for pair in kernel_pairs if not is_scalar_pair(*pair)), None)
+    t_idx, g_idx = np.divmod(np.flatnonzero(codes == id_code), n)
+    kernel_pairs = np.stack([transversal[t_idx], mats[g_idx]], axis=1)  # (hits, 2, 2, 2)
+    bad_pairs = kernel_pairs[~(kernel_pairs == np.eye(2, dtype=np.int64)).all(axis=(1, 2, 3))]
 
     go_codes, go_lams, go_dets = enumerate_go4_codes(q)
     gso_mask = go_dets == (go_lams * go_lams) % q
@@ -371,14 +354,14 @@ def verify_gso_presentation(q: int) -> GsoPresentationReport:
 
     so_mask = (go_dets == 1) & (go_lams == 1)
     so_codes = np.sort(go_codes[so_mask])
-    sl2_mask_rows = dets == 1
-    sl2_pair_mask = sl2_mask_rows[:, None] & sl2_mask_rows[None, :]
-    sl2_codes = _sorted_unique(codes[sl2_pair_mask.reshape(-1)])
+    dets = (mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]) % q
+    sl2 = mats[dets == 1]
+    sl2_codes = _sorted_unique(_beta_codes(sl2, sl2, q))
     sl2_in_so = bool(np.isin(sl2_codes, so_codes).all())
 
     counterexample = None
-    if bad_pair is not None:
-        counterexample = {"check": "kernel_is_scalar_pairs", "pair": [[list(r) for r in g] for g in bad_pair]}
+    if len(bad_pairs):
+        counterexample = {"check": "kernel_is_scalar_pairs", "pair": bad_pairs[0].tolist()}
     elif not image_equals_gso:
         diff = np.setxor1d(image_codes, gso_codes)
         if len(diff):
@@ -391,9 +374,9 @@ def verify_gso_presentation(q: int) -> GsoPresentationReport:
 
     return GsoPresentationReport(
         q=q,
-        kernel_size=len(kernel_pairs),
+        kernel_size=(q - 1) * len(kernel_pairs),
         kernel_expected=q - 1,
-        kernel_is_scalar_pairs=bad_pair is None,
+        kernel_is_scalar_pairs=not len(bad_pairs),
         image_size=int(len(image_codes)),
         image_expected=image_expected,
         gso_size=int(len(gso_codes)),

@@ -49,6 +49,11 @@ def similitude_factor(m, q) -> int | None:
     return lam if lam and np.array_equal(gram, lam * I4) else None
 
 
+def gl2_tuples(q):
+    """gl2_elements(q) as a list of nested tuples, in the same order."""
+    return [tuple(map(tuple, g)) for g in gl2_elements(q).tolist()]
+
+
 def random_gl2(rng, q):
     while True:
         g = tuple(tuple(rng.randrange(q) for _ in range(2)) for _ in range(2))
@@ -91,7 +96,10 @@ class TestBetaMap:
 
     def test_singular_rejected(self):
         for q in (3, 5, 7):
-            gl2 = gl2_elements(q)
+            mats = gl2_elements(q)
+            assert mats.dtype == np.int64 and mats.shape[1:] == (2, 2)
+            gl2 = gl2_tuples(q)
+            assert gl2 == sorted(gl2)  # lexicographic entry order
             assert len(gl2) == len(set(gl2)) == (q * q - 1) * (q * q - q)
             assert all(det2(g, q) for g in gl2)
 
@@ -104,14 +112,15 @@ class TestBetaMap:
             assert lam is not None and det4(e) % q == (lam * lam) % q
 
 
-class TestSimilitudeElement:
+class TestSimilitudeFactor:
     def test_reflection_not_gso(self):
         q = 5
         refl = np.diag([1, 1, 1, q - 1])
         codes, lams, dets = enumerate_go4_codes(q)
         (i,) = np.nonzero(codes == _encode(refl.reshape(1, 16), q)[0])[0]
         assert (lams[i], dets[i]) == (1, q - 1) and det4(refl) % q == q - 1
-        assert not np.isin(codes[i], simgroups._beta_codes_and_dets(q)[0])
+        mats = gl2_elements(q)
+        assert not np.isin(codes[i], simgroups._beta_codes(mats, mats, q))
 
     @pytest.mark.parametrize("q", [3, 5])
     def test_lambda_multiplicative(self, q):
@@ -166,8 +175,8 @@ class TestEnumeration:
     def test_kernel_exactness_exhaustive_q3(self):
         q = 3
         kernel = []
-        for g1 in gl2_elements(q):
-            for g2 in gl2_elements(q):
+        for g1 in gl2_tuples(q):
+            for g2 in gl2_tuples(q):
                 if np.array_equal(beta(g1, g2, q), I4):
                     kernel.append((g1, g2))
         assert kernel == [
@@ -212,27 +221,40 @@ class TestClosedFormKernels:
     def test_pair_map_codes_match_beta_map(self):
         q = 7
         gl2 = gl2_elements(q)
-        n = len(gl2)
-        codes, dets = simgroups._beta_codes_and_dets(q)
         rng = random.Random(700)
+        rows = [rng.randrange(len(gl2)) for _ in range(200)]
+        cols = [rng.randrange(len(gl2)) for _ in range(200)]
+        left, right = gl2[rows], gl2[cols]
+        codes = simgroups._beta_codes(left, right, q)
+        assert codes.shape == (200 * 200,)
         for _ in range(200):
-            i, j = rng.randrange(n), rng.randrange(n)
-            e = beta(gl2[i], gl2[j], q)
-            assert np.array_equal(simgroups._decode(int(codes[i * n + j]), q), e)
-            assert dets[i] * dets[j] % q == similitude_factor(e, q)
+            i, j = rng.randrange(200), rng.randrange(200)
+            e = beta(left[i], right[j], q)
+            assert np.array_equal(simgroups._decode(int(codes[i * 200 + j]), q), e)
+            assert det2(left[i], q) * det2(right[j], q) % q == similitude_factor(e, q)
 
-    def test_chunk_budget_does_not_change_codes(self, monkeypatch):
-        default = simgroups._beta_codes_and_dets(3)
-        monkeypatch.setattr(simgroups, "_CHUNK_BYTES", 1)  # one first factor per chunk
-        tiny = simgroups._beta_codes_and_dets(3)
-        assert all(np.array_equal(a, b) for a, b in zip(default, tiny))
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_transversal_gives_image_and_kernel(self, q):
+        mats = gl2_elements(q)
+        n = len(mats)
+        transversal = simgroups._scalar_transversal(mats)
+        assert len(transversal) == n // (q - 1)
+        # each scalar class {c g} meets the transversal exactly once
+        classes = [{tuple((c * g % q).ravel()) for c in range(1, q)} for g in transversal]
+        assert sum(map(len, classes)) == n and set().union(*classes) == {tuple(g.ravel()) for g in mats}
+        full = simgroups._beta_codes(mats, mats, q)
+        assert np.array_equal(np.unique(full), np.unique(simgroups._beta_codes(transversal, mats, q)))
+        id_code = _encode(I4.reshape(1, 16), q)[0]
+        hits = [(tuple(mats[k // n].ravel()), tuple(mats[k % n].ravel())) for k in np.flatnonzero(full == id_code)]
+        scalar = lambda c: (c, 0, 0, c)
+        assert sorted(hits) == [(scalar(c), scalar(pow(c, -1, q))) for c in range(1, q)]
 
     def test_enumeration_independent_of_pair_map(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("the enumeration must not use the pair map")
 
         monkeypatch.setattr(simgroups, "_det_frame", forbidden)
-        monkeypatch.setattr(simgroups, "_beta_codes_and_dets", forbidden)
+        monkeypatch.setattr(simgroups, "_beta_codes", forbidden)
         codes, lams, dets = enumerate_go4_codes(5)
         assert len(codes) == 2 * (480 * 480 // 4)
 
@@ -248,11 +270,31 @@ class TestVerifyReport:
         assert report.go_size == 2304
         payload = report.to_json()
         assert payload["equal"] is True and payload["q"] == 3
+        assert sorted(payload) == [
+            "checks", "equal", "go_size", "gso_size", "image_expected", "image_size", "kernel_expected",
+            "kernel_is_scalar_pairs", "kernel_size", "ok", "q", "sl2_image_in_so", "sl2_image_size", "so_size",
+        ]
+        assert payload["checks"] == dict(report.checks) and all(payload["checks"].values())
+
+    def test_sl2_image_must_have_index_2(self, monkeypatch):
+        pair_map = simgroups._beta_codes
+
+        def sl2_to_identity(left, right, q):
+            codes = pair_map(left, right, q)
+            if len(left) == len(right):  # SL2 x SL2; T x GL2 has q - 1 times more right factors
+                codes[:] = _encode(I4.reshape(1, 16), q)[0]
+            return codes
+
+        monkeypatch.setattr(simgroups, "_beta_codes", sl2_to_identity)
+        report = verify_gso_presentation(3)
+        assert not report.ok and report.sl2_image_in_so and report.sl2_image_size == 1
+        assert [name for name, passed in report.checks if not passed] == ["sl2_image_index_2"]
+        assert report.counterexample is None
 
     def test_q3_sl2_pairs_land_in_so(self):
         q = 3
         rng = random.Random(7)
-        sl2 = [g for g in gl2_elements(q) if det2(g, q) == 1]
+        sl2 = [g for g in gl2_tuples(q) if det2(g, q) == 1]
         for _ in range(40):
             g1, g2 = rng.choice(sl2), rng.choice(sl2)
             e = beta(g1, g2, q)
@@ -263,18 +305,18 @@ class TestVerifyReport:
             verify_gso_presentation(4)
 
     def test_kernel_failure_reports_first_non_scalar_pair(self, monkeypatch):
-        pair_map = simgroups._beta_codes_and_dets
+        pair_map = simgroups._beta_codes
 
-        def identity_at_second_pair(q):
-            codes, dets = pair_map(q)
-            codes = codes.copy()
-            codes[1] = simgroups._encode(np.eye(4, dtype=np.int64).reshape(1, 16), q)[0]
-            return codes, dets
+        def identity_at_second_pair(left, right, q):
+            codes = pair_map(left, right, q)
+            # a second, later non-scalar hit: the report must name the first one
+            codes[[1, -1]] = simgroups._encode(np.eye(4, dtype=np.int64).reshape(1, 16), q)[0]
+            return codes
 
-        monkeypatch.setattr(simgroups, "_beta_codes_and_dets", identity_at_second_pair)
+        monkeypatch.setattr(simgroups, "_beta_codes", identity_at_second_pair)
         report = verify_gso_presentation(3)
         assert not report.ok and not report.kernel_is_scalar_pairs
-        g1, g2 = gl2_elements(3)[:2]
+        g1, g2 = gl2_tuples(3)[:2]  # the first transversal element is the first of GL2
         assert report.to_json()["counterexample"] == {
             "check": "kernel_is_scalar_pairs",
             "pair": [[list(r) for r in g1], [list(r) for r in g2]],
@@ -282,18 +324,17 @@ class TestVerifyReport:
 
     @pytest.mark.parametrize("q", [3, 5])
     def test_set_failure_reports_witness_det(self, monkeypatch, q):
-        pair_map = simgroups._beta_codes_and_dets
+        pair_map = simgroups._beta_codes
         rng = np.random.default_rng(q)
         stray = rng.integers(q, size=16)  # an arbitrary matrix, almost surely outside GO(4)
         stray_code = int(_encode(stray.reshape(1, 16), q)[0])
 
-        def stray_at_second_pair(q):
-            codes, dets = pair_map(q)
-            codes = codes.copy()
+        def stray_at_second_pair(left, right, q):
+            codes = pair_map(left, right, q)
             codes[1] = stray_code
-            return codes, dets
+            return codes
 
-        monkeypatch.setattr(simgroups, "_beta_codes_and_dets", stray_at_second_pair)
+        monkeypatch.setattr(simgroups, "_beta_codes", stray_at_second_pair)
         report = verify_gso_presentation(q)
         assert not report.image_equals_gso
         m = stray.reshape(4, 4)
