@@ -5,8 +5,11 @@ import pytest
 
 from gsp4transfer import simgroups
 from gsp4transfer.simgroups import (
+    SUPPORTED_Q,
     UnsupportedField,
+    _cross4,
     _encode,
+    _modinv,
     _norm_vectors,
     enumerate_go4_codes,
     gl2_elements,
@@ -209,14 +212,84 @@ def enumerate_go4_codes_backtracking(q):
     return np.array(codes), np.array(lams), np.array(dets)
 
 
+def enumerate_go4_codes_per_class(q):
+    """Reference oracle: GO(4, F_q) as (codes, lams, dets), the closed form run once per lambda.
+
+    For each lambda the first three columns run over every triple of
+    mutually orthogonal norm-lambda vectors; the cross product v of a triple
+    gives the two norm-lambda fourth columns +-v / lambda, and the
+    determinant c4 . v.  Ordered by (lambda, c1, c2, c3, c4).
+    """
+    by_norm = _norm_vectors(q)
+    col_code = q ** (4 * np.arange(4, dtype=np.int64))
+    lex_rank = q ** np.arange(3, -1, -1, dtype=np.int64)
+    codes, lams, dets = [], [], []
+    for lam in range(1, q):
+        pool = by_norm[lam]
+        orth = (pool @ pool.T) % q == 0
+        i1, i2 = np.nonzero(orth)
+        t, i3 = np.nonzero(orth[i1] & orth[i2])
+        i1, i2 = i1[t], i2[t]
+        coords = pool.T
+        v = _cross4(coords[:, i1], coords[:, i2], coords[:, i3])
+        plus = (_modinv(lam, q) * v) % q
+        minus = (q - plus) % q
+        swap = lex_rank @ plus > lex_rank @ minus
+        first, second = np.where(swap, minus, plus), np.where(swap, plus, minus)
+        pool_code = pool @ col_code
+        head = pool_code[i1] + q * pool_code[i2] + q * q * pool_code[i3]
+        codes.append(np.stack([head + q**3 * (col_code @ c4) for c4 in (first, second)], axis=1).reshape(-1))
+        lams.append(np.full(codes[-1].shape, lam, dtype=np.int64))
+        dets.append(np.stack([(c4 * v).sum(axis=0) % q for c4 in (first, second)], axis=1).reshape(-1))
+    return np.concatenate(codes), np.concatenate(lams), np.concatenate(dets)
+
+
 def sorted_triples(arrays):
     return sorted(zip(*(a.tolist() for a in arrays)))
+
+
+def sorted_triple_rows(arrays):
+    """sorted_triples as an (n, 3) int64 array: Python tuples of 1.35 M elements at q = 7 take seconds."""
+    order = np.lexsort(arrays[::-1])
+    return np.stack([a[order].astype(np.int64) for a in arrays], axis=1)
+
+
+def o4_order(q):
+    """|O(4, F_q)| for the split form x.x: 2 q^2 (q^2 - 1)^2."""
+    return 2 * q**2 * (q**2 - 1) ** 2
 
 
 class TestClosedFormKernels:
     @pytest.mark.parametrize("q", [3, 5])
     def test_enumeration_matches_backtracking_oracle(self, q):
         assert sorted_triples(enumerate_go4_codes(q)) == sorted_triples(enumerate_go4_codes_backtracking(q))
+
+    @pytest.mark.parametrize("q", SUPPORTED_Q)
+    def test_cosets_match_per_class_oracle(self, q):
+        assert np.array_equal(
+            sorted_triple_rows(enumerate_go4_codes(q)), sorted_triple_rows(enumerate_go4_codes_per_class(q))
+        )
+
+    @pytest.mark.parametrize("q", SUPPORTED_Q)
+    def test_two_squares_for_every_residue(self, q):
+        for t in range(q):
+            a, b = simgroups._two_squares(t, q)
+            assert 0 <= a < q and 0 <= b < q and (a * a + b * b - t) % q == 0
+
+    @pytest.mark.parametrize("q", SUPPORTED_Q)
+    def test_each_class_is_one_o4_block(self, q):
+        codes, lams, dets = enumerate_go4_codes(q)
+        size = o4_order(q)
+        assert len(codes) == (q - 1) * size
+        for lam in range(1, q):
+            block = slice((lam - 1) * size, lam * size)
+            assert (lams[block] == lam).all()
+            assert np.diff(np.sort(codes[block])).all()  # duplicate-free
+
+    def test_bad_coset_representative_raises(self, monkeypatch):
+        monkeypatch.setattr(simgroups, "_two_squares", lambda t, q: (1, 1))  # 1 + 1 = 2 only
+        with pytest.raises(ArithmeticError, match="lambda = 3"):
+            enumerate_go4_codes(5)
 
     def test_pair_map_codes_match_beta_map(self):
         q = 7
@@ -290,6 +363,37 @@ class TestVerifyReport:
         assert not report.ok and report.sl2_image_in_so and report.sl2_image_size == 1
         assert [name for name, passed in report.checks if not passed] == ["sl2_image_index_2"]
         assert report.counterexample is None
+
+    @pytest.mark.parametrize("q", [3, 5])
+    @pytest.mark.parametrize("stray", ["above_so", "below_so", "gso_lambda_not_1"])
+    def test_sl2_failure_reports_stray_code(self, monkeypatch, q, stray):
+        go_codes, lams, dets = enumerate_go4_codes(q)
+        so_codes = go_codes[(lams == 1) & (dets == 1)]
+        gso_other = go_codes[(lams != 1) & (dets == lams * lams % q)]
+        stray_code = {
+            "above_so": int(so_codes.max()) + 1,  # past the last element of the sorted search
+            "below_so": int(so_codes.min()) - 1,
+            "gso_lambda_not_1": int(gso_other[0]),
+        }[stray]
+        pair_map = simgroups._beta_codes
+
+        def stray_in_sl2_image(left, right, q):
+            codes = pair_map(left, right, q)
+            if len(left) == len(right):  # SL2 x SL2; T x GL2 has q - 1 times more right factors
+                codes = np.append(codes, stray_code)
+            return codes
+
+        monkeypatch.setattr(simgroups, "_beta_codes", stray_in_sl2_image)
+        report = verify_gso_presentation(q)
+        assert not report.sl2_image_in_so and report.image_equals_gso
+        assert report.counterexample == simgroups._code_witness("sl2_image_in_so", "sl2_image", stray_code, q)
+
+    @pytest.mark.parametrize("q", SUPPORTED_Q)
+    def test_in_sorted_matches_isin(self, q):
+        pool = np.sort(enumerate_go4_codes(q)[0][::7])
+        values = np.concatenate([pool[::3], pool[:5] - 1, pool[-5:] + 1, [0, pool[0], pool[-1]]])
+        assert np.array_equal(simgroups._in_sorted(values, pool), np.isin(values, pool))
+        assert not simgroups._in_sorted(values, pool[:0]).any()
 
     def test_q3_sl2_pairs_land_in_so(self):
         q = 3
