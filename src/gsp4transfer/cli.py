@@ -29,7 +29,7 @@ from .isobaric import (
     transfer_conditions,
     transfer_places,
 )
-from .lseries import EstimationError, LocalPole, estimate_with_sweep, synthetic_reps
+from .lseries import EstimationError, LocalPole, estimate_with_sweep, sweep_csv_text, synthetic_reps
 from .satake import (
     CentralCharMismatch,
     GL4Param,
@@ -243,10 +243,8 @@ def _text_poles(payload: dict) -> str:
 
 
 def _csv_poles(payload: dict) -> str:
-    rows = ["s,re,im"]
-    for s, (re, im) in zip(payload["sweep"]["s"], payload["sweep"]["values"]):
-        rows.append(f"{s!r},{re!r},{im!r}")
-    return "\n".join(rows) + "\n"
+    sweep = payload["sweep"]
+    return sweep_csv_text((s, real, imag) for s, (real, imag) in zip(sweep["s"], sweep["values"]))
 
 
 def _cmd_poles(args) -> tuple[dict | None, int]:

@@ -17,11 +17,9 @@ and almost none of the multiplicity signal, so the fit window drops places
 below a floor; the pole order is insensitive to any finite set of local
 factors, which is the point of working with partial L-functions.
 
-Synthetic local data is drawn from the angle density (2/pi) sin^2(theta)
-by inverse CDF.  The angles are, bit for bit, those of a 48-step bisection
-on the CDF; a Newton solve for the root settles every bisection step whose
-midpoint lies outside a checked error band around it, so only the last few
-steps evaluate the CDF.
+Synthetic local data is drawn from the Sato-Tate angle density
+(2/pi) sin^2(theta), the image of Haar measure on SU(2), in closed form:
+cos(theta) is the x-coordinate of a uniform point of the unit disc.
 
 A weight-12 eigenvalue table provides a real-world fixture.  Its exact
 coefficients tau(n) come from eight products of a sparse series on int64
@@ -67,18 +65,23 @@ class EstimationError(ArithmeticError):
     """The slope fit received nonfinite values."""
 
 
-def primes_up_to(x: int) -> list[int]:
-    """Rational primes <= x by sieve; x above ``MAX_X`` is refused."""
+def _prime_array(x: int) -> np.ndarray:
+    """Rational primes <= x by sieve, as int64; x above ``MAX_X`` is refused."""
     if x > MAX_X:
         raise ValueError(f"X = {x} is above the largest supported bound {MAX_X}")
     if x < 2:
-        return []
+        return np.zeros(0, dtype=np.int64)
     sieve = np.ones(x + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, int(x**0.5) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0].tolist()
+    return np.flatnonzero(sieve).astype(np.int64, copy=False)
+
+
+def primes_up_to(x: int) -> list[int]:
+    """Rational primes <= x by sieve; x above ``MAX_X`` is refused."""
+    return _prime_array(x).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +193,8 @@ def estimate_with_sweep(
 ) -> tuple[float, EulerProductSweep]:
     """Pole-order estimate together with the underlying sweep values."""
     grid = _check_grid(DEFAULT_GRID if grid is None else grid)
-    window = np.array([p for p in primes_up_to(X) if p > min_place], dtype=np.int64)
+    primes = _prime_array(X)
+    window = primes[primes > min_place]
     if not len(window):
         raise ValueError(f"no places in window ({min_place}, {X}]")
     values = _sweep_values(r1, r2, window, grid)
@@ -208,72 +212,22 @@ def estimate_with_sweep(
 # ---------------------------------------------------------------------------
 
 
-# A bound on |_angle_cdf(t) - (t - sin t cos t) / pi| over 0 <= t <= pi: about
-# eight times the sum of its roundings with sin and cos good to 4 ulp.  The
-# slack also covers the rounding of u -+ 2 * _CDF_ERR.
-_CDF_ERR = 2.0**-48
-
-
-def _angle_cdf(theta: np.ndarray) -> np.ndarray:
-    return (theta - np.sin(theta) * np.cos(theta)) / math.pi
-
-
-def _inverse_angle_cdf(u: np.ndarray) -> np.ndarray:
-    """Angles theta with CDF(theta) = u, bit for bit the final midpoint of a
-    48-step bisection of [0, pi] on ``_angle_cdf(mid) < u`` (pi / 2^48 < 1e-10).
-
-    The bisection is replayed with the same float midpoints, but a midpoint
-    evaluates ``_angle_cdf`` only inside a band around the root found by
-    Newton's method; left of the band the decision is "below", right of it
-    "not below".  The band edges are checked with ``_angle_cdf`` itself: the
-    exact CDF increases and ``_angle_cdf`` stays within _CDF_ERR of it, so
-    ``_angle_cdf(left) < u - 2 _CDF_ERR`` settles every midpoint left of ``left``,
-    and likewise on the right.  Where a check fails the band is all of [0, pi].
-    """
-    # Newton on CDF(theta) = min(u, 1 - u) over [0, pi/2], where the CDF is
-    # convex; cbrt(1.5 pi v) lies left of the root since CDF(t) <= 2 t^3 / (3 pi).
-    v = np.minimum(u, 1.0 - u)
-    theta = np.cbrt(1.5 * math.pi * v)
-    for _ in range(4):  # float accuracy from this start; the band check does not rely on it
-        sin, cos = np.sin(theta), np.cos(theta)
-        slope = (2 / math.pi) * sin * sin
-        step = np.divide((theta - sin * cos) / math.pi - v, slope, out=np.zeros_like(theta), where=slope > 0)
-        theta = np.clip(theta - step, 0.0, 0.5 * math.pi)
-    theta = np.where(u > 0.5, math.pi - theta, theta)
-    # half-width: four times the checks' margin 2 _CDF_ERR over the CDF's slope,
-    # infinite where the slope is 0 (theta = 0)
-    with np.errstate(divide="ignore"):
-        width = 8 * _CDF_ERR / ((2 / math.pi) * np.sin(theta) ** 2)
-    # a band edge clipped to 0 or pi needs no check: no midpoint lies beyond it
-    left = np.maximum(theta - width, 0.0)
-    right = np.minimum(theta + width, math.pi)
-    left[(left > 0.0) & ~(_angle_cdf(left) < u - 2 * _CDF_ERR)] = -np.inf
-    right[(right < math.pi) & ~(_angle_cdf(right) > u + 2 * _CDF_ERR)] = np.inf
-    lo = np.zeros_like(u)
-    hi = np.full_like(u, math.pi)
-    # mid replaces lo where below, else hi: a select on the bits by an
-    # all-ones or all-zeros uint64 mask, cheaper than np.where on a random mask
-    lo_bits, hi_bits = lo.view(np.uint64), hi.view(np.uint64)
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        below = mid < left
-        near = np.flatnonzero((mid >= left) & (mid <= right))
-        below[near] = _angle_cdf(mid[near]) < u[near]
-        take = np.negative(below.astype(np.uint64))
-        mid_bits = mid.view(np.uint64)
-        lo_bits ^= (lo_bits ^ mid_bits) & take
-        hi_bits ^= (hi_bits ^ mid_bits) & ~take
-    return 0.5 * (lo + hi)
-
-
 def _sato_tate_params(seed: int, n: int) -> np.ndarray:
     """(n, 2) synthetic tempered GL(2) parameters {e^{i theta_k}, e^{-i theta_k}},
-    theta_k drawn from the density (2/pi) sin^2 by inverse CDF.  The stream is
-    a deterministic function of the seed; the generator is PCG64, a named
-    64-bit generator with published reference output."""
-    u = np.random.Generator(np.random.PCG64(seed)).random(n)
-    theta = _inverse_angle_cdf(u)
-    a = np.cos(theta) + 1j * np.sin(theta)
+    theta_k drawn from the Sato-Tate density (2/pi) sin^2 on [0, pi].
+
+    Exact in closed form: the x-coordinate c = sqrt(u0) cos(2 pi u1) of a
+    uniform point of the unit disc has the semicircle density
+    (2/pi) sqrt(1 - c^2), the law of half the trace of a Haar-random element
+    of SU(2); with c = cos theta it is (2/pi) sin^2 theta.  Since
+    |c| <= sqrt(u0) < 1 the square root of (1 - c)(1 + c) never sees a
+    negative number.  Row k uses draws 2k and 2k + 1, so the data at a prime
+    does not depend on how many rows follow.  The stream is a deterministic
+    function of the seed; the generator is PCG64, a named 64-bit generator
+    with published reference output."""
+    u = np.random.Generator(np.random.PCG64(seed)).random((n, 2))
+    c = np.sqrt(u[:, 0]) * np.cos(2 * math.pi * u[:, 1])
+    a = c + 1j * np.sqrt((1 - c) * (1 + c))
     return np.stack([a, a.conj()], axis=1)
 
 
@@ -488,10 +442,12 @@ def read_theta_csv(path) -> dict[int, tuple[complex, complex]]:
     return out
 
 
+def sweep_csv_text(rows: Iterable[tuple[float, float, float]]) -> str:
+    """Plot-ready CSV text: the header s,re,im, then one line per (s, re, im)."""
+    return "".join(["s,re,im\n"] + [f"{s!r},{re!r},{im!r}\n" for s, re, im in rows])
+
+
 def write_sweep_csv(path, sweep: EulerProductSweep) -> None:
-    """Plot-ready rows s,re,im for a sweep."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "re", "im"])
-        for s, v in zip(sweep.s_grid, sweep.values):
-            writer.writerow([repr(s), repr(v.real), repr(v.imag)])
+    """``sweep_csv_text`` of a sweep, written as ``poles --format csv --out`` writes it."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(sweep_csv_text((s, v.real, v.imag) for s, v in zip(sweep.s_grid, sweep.values)))

@@ -91,10 +91,11 @@ def _det_frame(q: int) -> tuple[np.ndarray, np.ndarray]:
         ],
         dtype=np.int64,
     )
-    assert np.array_equal((C.T @ G @ C) % q, np.eye(4, dtype=np.int64))
-    # inverse of C from orthonormality: C^-1 = C^t G
+    # inverse of C from orthonormality: C^-1 = C^t G; checking it checks
+    # C^t G C = I, the same matrix mod q
     Cinv = (C.T @ G) % q
-    assert np.array_equal((Cinv @ C) % q, np.eye(4, dtype=np.int64))
+    if not np.array_equal((Cinv @ C) % q, np.eye(4, dtype=np.int64)):
+        raise ArithmeticError(f"determinant frame for a, b = {a}, {b} is not orthonormal mod {q}")
     return C, Cinv
 
 

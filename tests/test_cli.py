@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from gsp4transfer.cli import main
 from gsp4transfer.isobaric import load_document, transfer, transfer_conditions, transfer_places
+from gsp4transfer.lseries import estimate_with_sweep, synthetic_reps, write_sweep_csv
 from gsp4transfer.satake import (
     CentralCharMismatch,
     GL2Param,
@@ -572,6 +573,19 @@ class TestPoles:
         assert code == 0
         lines = target.read_text().strip().splitlines()
         assert lines[0] == "s,re,im" and len(lines) == 6
+
+    def test_csv_out_matches_library_sweep_file(self, capsys, tmp_path):
+        doc = lifted_pair_doc(dual_second=True)
+        target, library = tmp_path / "cli.csv", tmp_path / "library.csv"
+        code, _, _ = run(
+            capsys, "poles", "--in", write_doc(tmp_path, doc), "--mode", "numeric", "--X", "3000",
+            "--seed", "5", "--format", "csv", "--out", str(target),
+        )
+        assert code == 0
+        reps = synthetic_reps(load_document(doc)[1], 5, 3000)
+        write_sweep_csv(library, estimate_with_sweep(reps[0], reps[1], 3000)[1])
+        assert target.read_bytes() == library.read_bytes()
+        assert b"\r" not in target.read_bytes()
 
     def test_single_descriptor_is_usage_error(self, capsys, tmp_path):
         path = write_doc(tmp_path, lifted_pair_doc())

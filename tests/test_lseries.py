@@ -12,9 +12,7 @@ from gsp4transfer.lseries import (
     DEFAULT_GRID,
     EulerProductSweep,
     LocalPole,
-    _angle_cdf,
     _discriminant_coeffs,
-    _inverse_angle_cdf,
     _sato_tate_params,
     delta_eigenvalues,
     eigen_symbol,
@@ -72,22 +70,6 @@ def sparse_discriminant_coeffs(n):
                 new[i + e] += coef * cur[i]
         cur = new
     return tuple(cur)
-
-
-def bisect_angle_cdf(u):
-    """Reference for ``_inverse_angle_cdf``: 48 bisection steps on [0, pi],
-    each evaluating ``_angle_cdf`` at every midpoint.  Returns the final
-    midpoints and, concatenated, every midpoint visited."""
-    lo = np.zeros_like(u)
-    hi = np.full_like(u, math.pi)
-    mids = []
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        mids.append(mid)
-        below = _angle_cdf(mid) < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi), np.concatenate(mids)
 
 
 class TestPrimes:
@@ -270,43 +252,49 @@ class TestSatoTate:
             assert abs(a * b - 1) < 1e-12
 
     def test_first_moment_matches_quadrature(self):
-        # E[2 cos theta] under the angle density, by Simpson quadrature
+        # E[(2 cos theta)^k] under the angle density, by Simpson quadrature: 0 for
+        # odd k, the Catalan number C_{k/2} for even k.  The bound is five standard
+        # errors, 5 sqrt(Var / n) with Var = C_k - E^2, which is 0.05 at k = 1.
         density = lambda t: (2 / math.pi) * math.sin(t) ** 2
-        expected = simpson(lambda t: 2 * math.cos(t) * density(t), 0.0, math.pi)
-        assert abs(expected) < 1e-12
+        catalan = [1, 1, 2, 5, 14, 42, 132]
         primes = primes_up_to(104_729)  # 10^4 primes
         data = sample_sato_tate(20260808, primes)
-        mean = sum((a + b).real for a, b in data.values()) / len(data)
-        assert abs(mean - expected) < 0.05
+        traces = np.array([(a + b).real for a, b in data.values()])
+        for k in range(1, 7):
+            expected = simpson(lambda t: (2 * math.cos(t)) ** k * density(t), 0.0, math.pi)
+            exact = catalan[k // 2] if k % 2 == 0 else 0
+            assert abs(expected - exact) < 1e-10, k
+            bound = 5 * math.sqrt((catalan[k] - exact**2) / len(traces))
+            assert abs(float((traces**k).mean()) - expected) < bound, k
 
     def test_cdf_normalization(self):
         density = lambda t: (2 / math.pi) * math.sin(t) ** 2
         assert simpson(density, 0.0, math.pi) == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 256, 1000, 9592, 30_000])
-    def test_kernel_matches_bisection_bits(self, n):
-        for seed in range(max(2, min(40, 40_000 // max(n, 1)))):
-            u = np.random.Generator(np.random.PCG64(seed)).random(n)
-            theta, _ = bisect_angle_cdf(u)
-            assert _inverse_angle_cdf(u).view(np.uint64).tolist() == theta.view(np.uint64).tolist(), seed
-            a = np.cos(theta) + 1j * np.sin(theta)
-            params = np.stack([a, a.conj()], axis=1)
-            assert _sato_tate_params(seed, n).view(np.uint64).tolist() == params.view(np.uint64).tolist()
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 9592])
+    def test_stream_definition(self, n):
+        # c = sqrt(u0) cos(2 pi u1) on row k = draws 2k, 2k + 1; a = c + i sqrt(1 - c^2)
+        for seed in (0, 1, 20260808):
+            u = np.random.Generator(np.random.PCG64(seed)).random((n, 2))
+            c = np.sqrt(u[:, 0]) * np.cos(2 * math.pi * u[:, 1])
+            a = c + 1j * np.sqrt((1 - c) * (1 + c))
+            want = np.stack([a, a.conj()], axis=1)
+            assert _sato_tate_params(seed, n).view(np.uint64).tolist() == want.view(np.uint64).tolist(), seed
 
-    def test_kernel_matches_bisection_bits_on_adversarial_u(self):
-        fixed = [0.0, 5e-324, 1e-300, 1e-200, 2.0**-60, 2.0**-47, 1e-15, 1e-8,
-                 np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 1 - 1e-15, 1 - 2.0**-53]
-        # decisions on a knife edge: u equal to the CDF at a bisection midpoint
-        _, mids = bisect_angle_cdf(np.random.Generator(np.random.PCG64(7)).random(100))
-        cdf_at_mids = _angle_cdf(mids)
-        cdf_at_mids = cdf_at_mids[(cdf_at_mids >= 0.0) & (cdf_at_mids < 1.0)]
-        u = np.concatenate([fixed, cdf_at_mids, np.nextafter(cdf_at_mids, 0.0), np.nextafter(cdf_at_mids, 1.0)])
-        got = _inverse_angle_cdf(u).view(np.uint64)
-        want = bisect_angle_cdf(u)[0].view(np.uint64)
-        assert got.tolist() == want.tolist(), u[got != want]
-        for x in fixed:  # one entry at a time too
-            one = np.array([x])
-            assert _inverse_angle_cdf(one).view(np.uint64).tolist() == bisect_angle_cdf(one)[0].view(np.uint64).tolist(), x
+    def test_prefix_does_not_depend_on_length(self):
+        full = _sato_tate_params(17, 9592).view(np.uint64)
+        for m in (0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 100, 1229, 9591):
+            assert _sato_tate_params(17, m).view(np.uint64).tolist() == full[:m].tolist(), m
+
+    def test_kolmogorov_smirnov_against_exact_cdf(self):
+        # the 1% critical value of the one-sample KS distance is 1.63 / sqrt(n)
+        n = 100_000
+        theta = np.sort(np.angle(_sato_tate_params(20260808, n)[:, 0]))
+        assert theta[0] >= 0.0 and theta[-1] <= math.pi
+        cdf = (theta - np.sin(theta) * np.cos(theta)) / math.pi
+        ranks = np.arange(1, n + 1) / n
+        distance = max((ranks - cdf).max(), (cdf - (ranks - 1 / n)).max())
+        assert distance < 1.63 / math.sqrt(n)
 
     def test_theta_csv_roundtrip(self, tmp_path):
         primes = primes_up_to(200)
@@ -447,6 +435,19 @@ class TestPoleEstimates:
         assert sweep.s_grid == DEFAULT_GRID
         assert len(sweep.values) == 5
         assert sweep.X == 5000
+
+    @pytest.mark.parametrize("min_place", [0, 100, 101, 4993])
+    def test_window_is_the_places_above_min_place(self, min_place):
+        r_sigma, r_tau, _ = self.setup_reps(5000)
+        window = np.array([p for p in primes_up_to(5000) if p > min_place], dtype=np.int64)
+        want = lseries._sweep_values(r_sigma, r_tau, window, DEFAULT_GRID)
+        _, sweep = estimate_with_sweep(r_sigma, r_tau, 5000, min_place=min_place)
+        assert np.array(sweep.values).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_empty_window_refused(self):
+        r_sigma, _, _ = self.setup_reps(5000)
+        with pytest.raises(ValueError, match="no places in window"):
+            estimate_with_sweep(r_sigma, r_sigma, 5000, min_place=4999)
 
     def test_overflow_is_estimation_failure(self):
         from gsp4transfer.lseries import EstimationError

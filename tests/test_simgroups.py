@@ -291,6 +291,15 @@ class TestClosedFormKernels:
         with pytest.raises(ArithmeticError, match="lambda = 3"):
             enumerate_go4_codes(5)
 
+    def test_bad_determinant_frame_raises(self, monkeypatch):
+        monkeypatch.setattr(simgroups, "_two_squares", lambda t, q: (1, 1))  # 1 + 1 = 2, not -1 mod 5
+        simgroups._det_frame.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError, match="not orthonormal mod 5"):
+                simgroups._det_frame(5)
+        finally:
+            simgroups._det_frame.cache_clear()
+
     def test_pair_map_codes_match_beta_map(self):
         q = 7
         gl2 = gl2_elements(q)
