@@ -28,10 +28,10 @@ from .satake import (
     FLOAT_TOL,
     CentralCharMismatch,
     PlaceData,
+    check_places,
     complex_pairs,
     match_multiset_rows,
     perfect_matching,
-    place,
     within_tol,
 )
 
@@ -90,8 +90,7 @@ class CuspidalSymbol:
                              f"expected {self.degree}")
         order = np.argsort(qs)
         qs, params = qs[order], params[order]
-        for q in qs.tolist():
-            place(q)  # a prime power
+        check_places(qs)
         if np.any(np.diff(qs) == 0) or np.any(params == 0):
             raise ValueError(f"symbol {self.id}: a place is sampled twice or a parameter is zero")
         # every later use (duals, chains, JSON output) needs finite values with finite inverses

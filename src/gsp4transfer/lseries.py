@@ -50,7 +50,7 @@ from .satake import PlaceData, place  # noqa: F401  (place is re-exported)
 DEFAULT_GRID = (1.30, 1.20, 1.12, 1.06, 1.03)
 DEFAULT_MIN_PLACE = 100  # fit window floor: drop places q <= this
 DEFAULT_X = 100_000
-# Largest sieve bound.  `poles --mode both` peaks at about 170 MB at X = 10^6
+# Largest sieve bound.  `poles --mode both` peaks at about 128 MB at X = 10^6
 # and grows linearly in X, so about 1 GB at this bound.
 MAX_X = 10**7
 
@@ -96,14 +96,28 @@ def _sweep_values(r1: IsobaricRep, r2: IsobaricRep, qs: np.ndarray, s_values) ->
     s = np.asarray(s_values, dtype=complex)
     logq = np.log(np.asarray(qs, dtype=float))
     total = np.zeros(len(s), dtype=complex)
+    powers = {}  # q^-(s + shift) per distinct shift; a 2 + 2 pairing has one
     for factor in rs_factorization(r1, r2):
+        shift = float(factor.shift)
+        if shift not in powers:
+            powers[shift] = np.exp(-np.multiply.outer(s + shift, logq))
         a = factor.sigma.params[rows_at(factor.sigma, qs)]
         b = factor.tau.params[rows_at(factor.tau, qs)]
         lam = (a[:, :, None] * b[:, None, :]).reshape(len(qs), a.shape[1] * b.shape[1])
-        z = lam * np.exp(-np.multiply.outer(s + float(factor.shift), logq))[:, :, None]
-        pole = (np.abs(1.0 - z) < _POLE_EPS).any(axis=(1, 2))
-        if pole.any():
-            raise LocalPole(f"local factor pole at s={s[pole][0]}")
+        z = lam * powers[shift][:, :, None]
+        # The pole check |1 - z| < eps runs only when some Re z > t =
+        # fl(1 - 2 eps), since it cannot fire at any other z.  The real part
+        # of 1 - z is fl(1 - Re z), and abs is a hypot, at least as large as
+        # either part (the exact hypot is, and a faithful rounding cannot
+        # fall below a float under it).  If Re z <= t, then in exact
+        # arithmetic 1 - Re z >= 1 - t >= 2 eps - 2^-54 >= eps, and rounding
+        # is monotone, so fl(1 - Re z) >= eps as well.  t = fl(1 - eps)
+        # would not do: 1 - fl(1 - 1e-12) is below 1e-12, so z =
+        # fl(1 - 1e-12) is a pole that the filter Re z > fl(1 - 1e-12) misses.
+        if (z.real > 1.0 - 2 * _POLE_EPS).any():
+            pole = (np.abs(1.0 - z) < _POLE_EPS).any(axis=(1, 2))
+            if pole.any():
+                raise LocalPole(f"local factor pole at s={s[pole][0]}")
         # log1p(-z) in z's buffer, the pole check done with it
         total += np.log1p(np.negative(z, out=z), out=z).sum(axis=(1, 2))
     return np.exp(-total)
@@ -414,7 +428,7 @@ def read_eigenvalue_csv(path, weight: int = 12) -> EigenvalueTable:
 
 def write_eigenvalue_csv(path, table: EigenvalueTable) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["p", "a_p"])
         for row in table.rows:
             writer.writerow([row.p, row.a_p])
@@ -423,7 +437,7 @@ def write_eigenvalue_csv(path, table: EigenvalueTable) -> None:
 def write_theta_csv(path, data: Mapping[int, tuple[complex, complex]]) -> None:
     """Dump synthetic data as p,theta rows (theta = arg of the first parameter)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["p", "theta"])
         for p in sorted(data):
             writer.writerow([p, repr(math.atan2(data[p][0].imag, data[p][0].real))])

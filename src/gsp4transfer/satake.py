@@ -117,6 +117,47 @@ def _is_prime_power(n: int) -> bool:
     return False
 
 
+# Places below this bound are looked up in a sieved table (2^24 bytes at
+# most), which covers every place a sieve of lseries.MAX_X = 10^7 yields.
+PRIME_POWER_TABLE_CAP = 2**24
+
+
+@lru_cache(maxsize=None)
+def _prime_power_table(n: int) -> np.ndarray:
+    """Read-only boolean table of length n: entry m says whether m is a prime power."""
+    table = np.ones(n, dtype=bool)
+    table[:2] = False
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if table[p]:
+            table[p * p :: p] = False
+    primes = powers = np.flatnonzero(table[: math.isqrt(n - 1) + 1])
+    while len(primes):
+        keep = powers <= (n - 1) // primes  # the next power is still below n
+        primes, powers = primes[keep], powers[keep] * primes[keep]
+        table[powers] = True
+    table.flags.writeable = False
+    return table
+
+
+def check_places(qs: np.ndarray) -> None:
+    """Check that every entry of the ascending int64 array qs is a prime power.
+
+    Raises ``place(q)``'s error for the smallest q that is not.  Places
+    below ``PRIME_POWER_TABLE_CAP`` are one table lookup each; larger ones
+    go through ``place``.
+    """
+    split = int(np.searchsorted(qs, PRIME_POWER_TABLE_CAP))
+    small = qs[:split]
+    if len(small):
+        if small[0] < 2:
+            place(int(small[0]))
+        bad = ~_prime_power_table(1 << int(small[-1]).bit_length())[small]
+        if bad.any():
+            place(int(small[bad.argmax()]))
+    for q in qs[split:].tolist():
+        place(q)
+
+
 @dataclass(frozen=True)
 class ExactForm:
     """Exact value q^r * e^(2*pi*i*turns); turns is kept normalized mod 1."""

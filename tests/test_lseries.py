@@ -2,12 +2,20 @@ import cmath
 import gc
 import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gsp4transfer import lseries
-from gsp4transfer.isobaric import InsufficientLocalData, SymbolRegistry, isobaric, load_document
+from gsp4transfer import lseries, satake
+from gsp4transfer.isobaric import (
+    CuspidalSymbol,
+    InsufficientLocalData,
+    IsobaricRep,
+    SymbolRegistry,
+    isobaric,
+    load_document,
+)
 from gsp4transfer.lseries import (
     DEFAULT_GRID,
     EulerProductSweep,
@@ -209,6 +217,23 @@ class TestPartialL:
                     expected *= local_rs_factor(sigma_at[p], tau_at[p], p, s)
         assert partial_L(r1, r2, 300, s) == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize("s", [1.4, 1.2 + 3.5j])
+    def test_twisted_terms_match_local_factor_oracle(self, s):
+        """Factors with distinct shifts each use q^-(s + shift) of their own."""
+        primes = primes_up_to(200)
+        reg = SymbolRegistry()
+        sigma, tau, rho = (sato_tate_symbol(reg, sid, seed, primes)
+                           for sid, seed in (("sigma", 31), ("tau", 32), ("rho", 33)))
+        r1 = IsobaricRep(((sigma, Fraction(1, 4)), (tau, Fraction(-1, 4))))
+        r2 = IsobaricRep(((rho, Fraction(1, 8)), (sigma, Fraction(-1, 8))))
+        expected = 1.0 + 0j
+        for left, r in r1.terms:
+            for right, rr in r2.terms:
+                left_at, right_at = (dict(zip(sym.qs.tolist(), sym.params.tolist())) for sym in (left, right))
+                for p in primes:
+                    expected *= local_rs_factor(left_at[p], right_at[p], p, s + float(r + rr))
+        assert partial_L(r1, r2, 200, s) == pytest.approx(expected, rel=1e-10)
+
     def test_complex_s_path(self):
         reg = SymbolRegistry()
         rep = trivial_rep(reg)
@@ -217,6 +242,48 @@ class TestPartialL:
         for p in primes_up_to(50):
             expected /= 1 - p ** (-(2.0 + 0.5j))
         assert v == pytest.approx(expected)
+
+
+def ulp_steps(x, k=3):
+    """x and its k float neighbours on each side."""
+    out = [x]
+    for direction in (-math.inf, math.inf):
+        y = x
+        for _ in range(k):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+# z on and next to the edge of the disc |1 - z| < 1e-12, along both axes;
+# fl(1 - 1e-12) itself is inside, since 1 - fl(1 - 1e-12) < 1e-12
+POLE_EDGE = ([complex(x) for x in ulp_steps(1.0 - 1e-12) + ulp_steps(1.0 + 1e-12)]
+             + [complex(1.0, y) for y in ulp_steps(1e-12) + ulp_steps(-1e-12)]
+             + [complex(1.0 - 0.7e-12, 0.7e-12), complex(1.0 - 0.8e-12, 0.8e-12)])
+
+
+class TestPoleEdge:
+    """``partial_L`` raises ``LocalPole`` exactly when |1 - z| < 1e-12 for
+    the z it computes, also one float step either side of the disc's edge."""
+
+    @pytest.mark.parametrize("s", [0.0, 0.5 + 1.0j])
+    def test_pole_check_unchanged_at_the_edge(self, s):
+        # q^-s at q = 2 as the sweep computes it; at s = 0 it is exactly 1
+        w = np.exp(-np.multiply.outer(np.array([s], dtype=complex), np.log([2.0])))[0]
+        outcomes = set()
+        for target in POLE_EDGE:
+            a = target if s == 0 else target / complex(w[0])
+            z = np.array([a]) * np.array([1 + 0j]) * w
+            expected = bool(abs(1.0 - z[0]) < 1e-12)
+            outcomes.add(expected)
+            reg = SymbolRegistry()
+            rep = isobaric([reg.create("A", 1, qs=[2], params=[(a,)])])
+            if expected:
+                with pytest.raises(LocalPole):
+                    partial_L(rep, trivial_rep(reg, X=2), 2, s)
+            else:
+                partial_L(rep, trivial_rep(reg, X=2), 2, s)
+        assert outcomes == {True, False}
 
 
 class TestSweep:
@@ -302,6 +369,7 @@ class TestSatoTate:
         path = tmp_path / "theta.csv"
         write_theta_csv(path, data)
         again = read_theta_csv(path)
+        assert b"\r" not in path.read_bytes()
         assert set(again) == set(data)
         for p in data:
             assert again[p][0] == pytest.approx(data[p][0], abs=1e-12)
@@ -362,6 +430,20 @@ class TestSyntheticReps:
         finally:
             gc.enable()
         assert len(refs) == 4 and alive == 0
+
+    def test_places_below_the_table_cap_skip_miller_rabin(self, monkeypatch):
+        calls = []
+        is_prime_power = satake._is_prime_power
+        monkeypatch.setattr(satake, "_is_prime_power", lambda n: calls.append(n) or is_prime_power(n))
+        descriptors = load_document(SYNTHETIC_DOC)[1]
+        satake.place.cache_clear()
+        satake._prime_power_table.cache_clear()
+        reps = synthetic_reps(descriptors, 0, 100_000)
+        assert len(reps[0].constituents[0].qs) == 9592
+        assert calls == []
+        # a place at or above the cap still goes through the scalar check
+        CuspidalSymbol("big", 1, "big", "1", [2, satake.PRIME_POWER_TABLE_CAP, 10**18 + 3], [1, 1, 1])
+        assert calls == [satake.PRIME_POWER_TABLE_CAP, 10**18 + 3]
 
 
 class TestPoleEstimates:
@@ -499,6 +581,7 @@ class TestDeltaEigenvalues:
         path = tmp_path / "ap.csv"
         write_eigenvalue_csv(path, table)
         again = read_eigenvalue_csv(path)
+        assert b"\r" not in path.read_bytes()
         assert again == table
 
     def test_bad_header_rejected(self, tmp_path):

@@ -3,6 +3,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,11 +15,15 @@ from gsp4transfer.satake import (
     GL2Param,
     GL4Param,
     PRIME_POWER_LIMIT,
+    PRIME_POWER_TABLE_CAP,
     GSp4Param,
     PlaceData,
     UnramChar,
+    _is_prime_power,
+    _prime_power_table,
     as_char,
     chars_equal,
+    check_places,
     check_selfdual_twist,
     exponents,
     gsp4_to_gl4_embed,
@@ -26,6 +31,7 @@ from gsp4transfer.satake import (
     match_multisets,
     param_from_json,
     param_to_json,
+    place,
     rodier_class,
     theta_lift_params,
     transfer_gsp4_to_gl4,
@@ -349,6 +355,44 @@ class TestPlaceData:
     def test_beyond_exact_range_rejected(self):
         with pytest.raises(ValueError, match="below"):
             PlaceData(PRIME_POWER_LIMIT)
+
+
+def first_place_error(qs):
+    """Reference for ``check_places``: ``place`` on each q in turn."""
+    try:
+        for q in qs:
+            place(q)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+CAP = PRIME_POWER_TABLE_CAP
+
+
+class TestCheckPlaces:
+    def test_table_matches_scalar_check(self):
+        reference = [_is_prime_power(n) for n in range(2**16)]
+        for k in range(2, 17):  # every size: at 2^7 the last power of 5 is 125
+            table = _prime_power_table(2**k)
+            assert table.tolist() == reference[: 2**k]
+            assert not table.flags.writeable
+
+    @pytest.mark.parametrize("qs", [
+        [], [2, 3, 4, 5, 7, 8, 9], [0], [1], [0, 1, 2], [-7, -1, 3], [-(2**63), 2],
+        [2, 3, 6, 10], [4, 49, 121, 1331, 1332], [CAP - 1], [CAP - 3, CAP - 1],
+        [CAP, CAP + 1], [CAP + 1], [2, 3, CAP, 10**18 + 3], [10**18], [10**18 + 3],
+        [7, 10**18, 10**18 + 3], [6, CAP + 1, 10**18], [5, CAP + 1, 10**18],
+        [3, 2**31 - 1, 2**61 - 1, 3**39], [2, (2**31 - 1) * 3],
+    ])
+    def test_same_error_as_a_place_loop(self, qs):
+        qs = np.array(qs, dtype=np.int64)
+        try:
+            check_places(qs)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == first_place_error(qs.tolist())
 
 
 class TestExponents:
