@@ -33,7 +33,7 @@ from .lseries import EstimationError, LocalPole, estimate_with_sweep, sweep_csv_
 from .satake import (
     CentralCharMismatch,
     GL4Param,
-    PlaceData,
+    check_place,
     exponents,
     param_doc,
     param_from_json,
@@ -302,10 +302,10 @@ def _cmd_rodier(args) -> tuple[dict, int]:
     param = _read_json(args.params, "parameters", param_from_json, (KeyError, ValueError))
     if not isinstance(param, GL4Param):
         raise UsageError("expected a gl4 parameter document")
-    pl = PlaceData(args.q)
-    if not all(c.consistent_at(pl.q) for c in param.entries):
-        raise UsageError(f"exact forms disagree with their float values at q={pl.q}")
-    vec = exponents(param, pl)
+    q = check_place(args.q)
+    if not all(c.consistent_at(q) for c in param.entries):
+        raise UsageError(f"exact forms disagree with their float values at q={q}")
+    vec = exponents(param, q)
     verdict = rodier_class(vec)
     payload = {
         "q": args.q,

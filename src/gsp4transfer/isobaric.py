@@ -27,11 +27,11 @@ import numpy as np
 from .satake import (
     FLOAT_TOL,
     CentralCharMismatch,
-    PlaceData,
     check_places,
     complex_pairs,
     match_multiset_rows,
     perfect_matching,
+    place_array,
     within_tol,
 )
 
@@ -80,10 +80,7 @@ class CuspidalSymbol:
     def __post_init__(self):
         if self.degree not in (1, 2, 3, 4):
             raise ValueError(f"degree must be in 1..4, got {self.degree}")
-        try:
-            qs = np.array(self.qs, dtype=np.int64).reshape(-1)
-        except OverflowError:
-            raise ValueError(f"symbol {self.id}: a place is beyond the int64 range") from None
+        qs = place_array(self.qs, f"symbol {self.id}")
         params = np.array(self.params, dtype=complex).reshape(len(qs), -1 if len(qs) else self.degree)
         if params.shape[1] != self.degree:
             raise ValueError(f"symbol {self.id}: {params.shape[1]} parameters per place, "
@@ -591,7 +588,7 @@ def jiang_case_analysis(d1: GSp4Descriptor, d2: GSp4Descriptor) -> CaseAnalysis:
 def associate_match(
     list1: Sequence[CuspidalSymbol],
     list2: Sequence[CuspidalSymbol],
-    sample: Iterable[PlaceData],
+    sample: Iterable[int],
 ) -> tuple[int, ...] | None:
     """Match two cuspidal lists up to permutation from sampled local data.
 
@@ -600,7 +597,8 @@ def associate_match(
     the lists are not associate.  Missing local data at a sampled place
     raises InsufficientLocalData.
     """
-    qs = np.array(sorted({pl.q for pl in sample}), dtype=np.int64)
+    qs = np.unique(place_array(list(sample), "associate_match"))
+    check_places(qs)
     if not len(qs):
         raise InsufficientLocalData("need at least one sampled place")
     rows1, rows2 = ([sym.params[rows_at(sym, qs)] for sym in lst] for lst in (list1, list2))

@@ -45,7 +45,7 @@ from .isobaric import (
     rows_at,
     rs_factorization,
 )
-from .satake import PlaceData, place  # noqa: F401  (place is re-exported)
+from .satake import check_places, place_array, prime_sieve
 
 DEFAULT_GRID = (1.30, 1.20, 1.12, 1.06, 1.03)
 DEFAULT_MIN_PLACE = 100  # fit window floor: drop places q <= this
@@ -66,17 +66,11 @@ class EstimationError(ArithmeticError):
 
 
 def _prime_array(x: int) -> np.ndarray:
-    """Rational primes <= x by sieve, as int64; x above ``MAX_X`` is refused."""
+    """Rational primes <= x as int64, from ``satake.prime_sieve``; x above
+    ``MAX_X`` is refused.  Internal callers pass it to symbols as it is."""
     if x > MAX_X:
         raise ValueError(f"X = {x} is above the largest supported bound {MAX_X}")
-    if x < 2:
-        return np.zeros(0, dtype=np.int64)
-    sieve = np.ones(x + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(x**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).astype(np.int64, copy=False)
+    return np.flatnonzero(prime_sieve(max(x, 0) + 1)).astype(np.int64, copy=False)
 
 
 def primes_up_to(x: int) -> list[int]:
@@ -129,15 +123,20 @@ def partial_L(
     X: int,
     s: complex,
     *,
-    places: Iterable[PlaceData] | None = None,
+    places: Iterable[int] | None = None,
 ) -> complex:
     """Truncated Rankin-Selberg product over the places q <= X.
 
-    An explicit place set overrides the bound; the empty set gives the
-    empty product 1.  Local data must be present at every requested place.
+    An explicit set of places (ints) overrides the bound; the empty set
+    gives the empty product 1.  Local data must be present at every
+    requested place.
     """
-    qs = primes_up_to(X) if places is None else sorted({pl.q for pl in places})
-    return complex(_sweep_values(r1, r2, np.array(qs, dtype=np.int64), [s])[0])
+    if places is None:
+        qs = _prime_array(X)
+    else:
+        qs = np.unique(place_array(list(places), "partial_L"))
+        check_places(qs)
+    return complex(_sweep_values(r1, r2, qs, [s])[0])
 
 
 @dataclass(frozen=True)
@@ -284,7 +283,7 @@ def synthetic_reps(descriptors, seed: int, X: int) -> list[IsobaricRep]:
     place-varying unimodular central twist, so that a symbol is locally
     equivalent to its dual only when it is declared self-dual.
     """
-    primes = primes_up_to(X)
+    primes = _prime_array(X)
     streams: dict[str, np.ndarray] = {}
     symbols: dict[str, CuspidalSymbol] = {}
     for desc in descriptors:

@@ -39,25 +39,6 @@ class CentralCharMismatch(ValueError):
     constraint = "central_char_compatibility"
 
 
-@dataclass(frozen=True)
-class PlaceData:
-    """A non-archimedean place, identified by its residue-field cardinality."""
-
-    q: int
-
-    def __post_init__(self):
-        if self.q >= PRIME_POWER_LIMIT:
-            raise ValueError(f"residue cardinality must be below {PRIME_POWER_LIMIT}, got {self.q}")
-        if self.q < 2 or not _is_prime_power(self.q):
-            raise ValueError(f"residue cardinality must be a prime power >= 2, got {self.q}")
-
-
-@lru_cache(maxsize=None)
-def place(q: int) -> PlaceData:
-    """The place of residue cardinality q, validated once per process."""
-    return PlaceData(q)
-
-
 # Miller-Rabin with the first thirteen prime bases is exact below this bound
 # (Sorenson and Webster, 2015), and with the first four below 3215031751
 # (Jaeschke, 1993); larger residue cardinalities are rejected.
@@ -117,19 +98,34 @@ def _is_prime_power(n: int) -> bool:
     return False
 
 
+def check_place(q: int) -> int:
+    """q, checked to be a place: a prime power >= 2, below ``PRIME_POWER_LIMIT``."""
+    if q >= PRIME_POWER_LIMIT:
+        raise ValueError(f"residue cardinality must be below {PRIME_POWER_LIMIT}, got {q}")
+    if q < 2 or not _is_prime_power(q):
+        raise ValueError(f"residue cardinality must be a prime power >= 2, got {q}")
+    return q
+
+
 # Places below this bound are looked up in a sieved table (2^24 bytes at
 # most), which covers every place a sieve of lseries.MAX_X = 10^7 yields.
 PRIME_POWER_TABLE_CAP = 2**24
 
 
+def prime_sieve(n: int) -> np.ndarray:
+    """Sieve of Eratosthenes: boolean array of length n >= 1, entry m says whether m is prime."""
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return sieve
+
+
 @lru_cache(maxsize=None)
 def _prime_power_table(n: int) -> np.ndarray:
     """Read-only boolean table of length n: entry m says whether m is a prime power."""
-    table = np.ones(n, dtype=bool)
-    table[:2] = False
-    for p in range(2, math.isqrt(n - 1) + 1):
-        if table[p]:
-            table[p * p :: p] = False
+    table = prime_sieve(n)
     primes = powers = np.flatnonzero(table[: math.isqrt(n - 1) + 1])
     while len(primes):
         keep = powers <= (n - 1) // primes  # the next power is still below n
@@ -139,23 +135,36 @@ def _prime_power_table(n: int) -> np.ndarray:
     return table
 
 
-def check_places(qs: np.ndarray) -> None:
-    """Check that every entry of the ascending int64 array qs is a prime power.
+def place_array(qs, owner: str) -> np.ndarray:
+    """qs as a flat int64 array; a non-integer place or one beyond int64 raises, naming ``owner``."""
+    try:
+        out = np.array(qs, dtype=np.int64).reshape(-1)
+    except OverflowError:
+        raise ValueError(f"{owner}: a place is beyond the int64 range") from None
+    except (TypeError, ValueError):  # complex, None, text that is no number
+        out = None
+    if out is None or len(out) and np.asarray(qs).dtype.kind not in "iu":  # float, text, bool
+        raise ValueError(f"{owner}: places must be integers")
+    return out
 
-    Raises ``place(q)``'s error for the smallest q that is not.  Places
-    below ``PRIME_POWER_TABLE_CAP`` are one table lookup each; larger ones
-    go through ``place``.
+
+def check_places(qs: np.ndarray) -> None:
+    """Check that every entry of the ascending int64 array qs is a place.
+
+    Raises ``check_place``'s error for the smallest entry that is not.
+    Entries below ``PRIME_POWER_TABLE_CAP`` are one lookup each in a sieved
+    table; larger ones go through ``check_place`` and its Miller-Rabin.
     """
     split = int(np.searchsorted(qs, PRIME_POWER_TABLE_CAP))
     small = qs[:split]
     if len(small):
         if small[0] < 2:
-            place(int(small[0]))
+            check_place(int(small[0]))
         bad = ~_prime_power_table(1 << int(small[-1]).bit_length())[small]
         if bad.any():
-            place(int(small[bad.argmax()]))
+            check_place(int(small[bad.argmax()]))
     for q in qs[split:].tolist():
-        place(q)
+        check_place(q)
 
 
 @dataclass(frozen=True)
@@ -537,11 +546,11 @@ def weyl_orbit(quad: Sequence[Scalar]) -> tuple[tuple[UnramChar, ...], ...]:
     return tuple(orbit)
 
 
-def exponents(p: GL4Param, place: PlaceData) -> ExponentVector:
-    """Sorted exponents e_i = log|x_i| / log q at the given place."""
+def exponents(p: GL4Param, q: int) -> ExponentVector:
+    """Sorted exponents e_i = log|x_i| / log q at the place q."""
     if all(c.is_exact for c in p.entries):
         return ExponentVector(tuple(sorted(c.exact.r for c in p.entries)))
-    logq = math.log(place.q)
+    logq = math.log(q)
     return ExponentVector(tuple(sorted(math.log(abs(c.value)) / logq for c in p.entries)))
 
 

@@ -23,7 +23,6 @@ from gsp4transfer.lseries import (
     delta_eigenvalues,
     estimate_pole_order,
     primes_up_to,
-    place,
     sato_tate_symbol,
 )
 from gsp4transfer.satake import (
@@ -233,10 +232,9 @@ def test_criterion_7_eigenvalue_fixture():
 
 def test_criterion_8_association_matching():
     rng = random.Random(818181)
-    sample = [place(p) for p in primes_up_to(80)][:20]
+    sample = primes_up_to(80)[:20]
     assert len(sample) == 20
     ok = True
-    qs = [pl.q for pl in sample]
     for trial in range(20):
         def fresh_data():
             out = []
@@ -248,10 +246,10 @@ def test_criterion_8_association_matching():
         n = rng.randrange(2, 6)
         datasets = [fresh_data() for _ in range(n)]
         reg1, reg2 = SymbolRegistry(), SymbolRegistry()
-        list1 = [reg1.create(f"s{i}", 2, qs=qs, params=datasets[i]) for i in range(n)]
+        list1 = [reg1.create(f"s{i}", 2, qs=sample, params=datasets[i]) for i in range(n)]
         perm = list(range(n))
         rng.shuffle(perm)
-        list2 = [reg2.create(f"t{j}", 2, qs=qs, params=datasets[perm[j]]) for j in range(n)]
+        list2 = [reg2.create(f"t{j}", 2, qs=sample, params=datasets[perm[j]]) for j in range(n)]
         phi = associate_match(list1, list2, sample)
         ok &= phi == tuple(perm)
         # corrupt one place of one constituent: verdict must flip
@@ -262,7 +260,7 @@ def test_criterion_8_association_matching():
         list3 = []
         for j in range(n):
             data = corrupted_data if j == k else datasets[perm[j]]
-            list3.append(reg3.create(f"u{j}", 2, qs=qs, params=data))
+            list3.append(reg3.create(f"u{j}", 2, qs=sample, params=data))
         ok &= associate_match(list1, list3, sample) is None
         if not ok:
             break

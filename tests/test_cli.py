@@ -18,6 +18,7 @@ from gsp4transfer.cli import main
 from gsp4transfer.isobaric import load_document, transfer, transfer_conditions, transfer_places
 from gsp4transfer.lseries import estimate_with_sweep, synthetic_reps, write_sweep_csv
 from gsp4transfer.satake import (
+    PRIME_POWER_LIMIT,
     CentralCharMismatch,
     GL2Param,
     gsp4_to_gl4_embed,
@@ -376,6 +377,13 @@ class TestTransfer:
         assert code == 2 and out == ""
         assert err == f"error: malformed document: symbol P2: a local parameter at q=5 {fault}\n"
 
+    def test_place_beyond_int64_exit_two(self, capsys, tmp_path):
+        doc = lifted_pair_doc()
+        doc["symbols"][0]["local"]["9223372036854775808"] = [[1, 0], [1, 0]]
+        code, out, err = run(capsys, "transfer", "--in", write_doc(tmp_path, doc))
+        assert code == 2 and out == ""
+        assert err == "error: malformed document: symbol P1: a place is beyond the int64 range\n"
+
     @pytest.mark.parametrize("command", ["transfer", "poles"])
     def test_duplicate_symbol_id_exit_two(self, capsys, tmp_path, command):
         doc = lifted_pair_doc(dual_second=command == "poles")
@@ -661,6 +669,15 @@ class TestRodier:
         path = self.write_params(tmp_path, ["0", "0", "0", "0"])
         code, _, err = run(capsys, "rodier", "--params", path, "--q", "6")
         assert code == 2
+
+    def test_q_beyond_int64_takes_the_scalar_check(self, capsys, tmp_path):
+        q = 3**41  # above the int64 range, so no place array can hold it
+        doc = {"kind": "gl4", "entries": [[q**-0.5, 0.0]] * 2 + [[q**0.5, 0.0]] * 2}
+        path = write_doc(tmp_path, doc, "params.json")
+        code, out, err = run(capsys, "rodier", "--params", path, "--q", str(q))
+        assert (code, err) == (0, "") and out.endswith("verdict: family B\n")
+        code, out, err = run(capsys, "rodier", "--params", path, "--q", str(PRIME_POWER_LIMIT))
+        assert (code, out) == (2, "") and "must be below" in err
 
     @pytest.mark.parametrize("corrupt", ["top_level_list", "top_level_string", "entries_number",
                                          "string_coordinate", "one_element_pair", "exact_true",

@@ -39,11 +39,9 @@ from gsp4transfer.isobaric import (
 from gsp4transfer.satake import (
     MATCH_TOL,
     CentralCharMismatch,
-    PlaceData,
     UnramChar,
     match_multisets,
     perfect_matching,
-    place,
 )
 
 
@@ -57,17 +55,17 @@ def gl2_local(rng, places):
     for _ in places:
         t = rng.uniform(0.1, 3.0)
         params.append((unit(t), unit(-t)))
-    return {"qs": [p.q for p in places], "params": params}
+    return {"qs": list(places), "params": params}
 
 
 def local_params(sym):
-    """A symbol's local data per place: PlaceData -> tuple of UnramChar."""
-    return {place(q): tuple(map(UnramChar, row)) for q, row in zip(sym.qs.tolist(), sym.params.tolist())}
+    """A symbol's local data per place: q -> tuple of UnramChar."""
+    return {q: tuple(map(UnramChar, row)) for q, row in zip(sym.qs.tolist(), sym.params.tolist())}
 
 
 @pytest.fixture
 def places():
-    return [PlaceData(p) for p in (2, 3, 5, 7, 11)]
+    return [2, 3, 5, 7, 11]
 
 
 @pytest.fixture
@@ -97,13 +95,28 @@ class TestRegistry:
     def test_self_dual_requires_inverse_closed(self, registry, places):
         with pytest.raises(ValueError):
             registry.create(
-                "bad", 2, self_dual=True, qs=[places[0].q], params=[(2 + 0j, 3 + 0j)]
+                "bad", 2, self_dual=True, qs=[places[0]], params=[(2 + 0j, 3 + 0j)]
             )
 
     def test_self_dual_accepts_unit_pairs(self, registry, places):
         rng = random.Random(2)
         sym = registry.create("sd", 2, self_dual=True, **gl2_local(rng, places))
         assert sym.dual() is sym
+
+    @pytest.mark.parametrize("qs", [[2.9, 3.2], [2 + 0j, 3 + 0j], ["2", "3"], [True, True]])
+    def test_non_integer_places_refused(self, registry, qs):
+        with pytest.raises(ValueError, match="^symbol a: places must be integers$"):
+            registry.create("a", 1, qs=qs, params=[(1 + 0j,), (1 + 0j,)])
+        assert list(registry) == []
+
+    @pytest.mark.parametrize("qs", [[2**63], [2, 2**63], [3, 3**41]])
+    def test_places_beyond_int64_refused(self, registry, qs):
+        with pytest.raises(ValueError, match="^symbol a: a place is beyond the int64 range$"):
+            registry.create("a", 1, qs=qs, params=[(1 + 0j,)] * len(qs))
+
+    def test_no_places(self, registry):
+        sym = registry.create("a", 2, qs=[], params=[])
+        assert sym.qs.dtype == np.int64 and sym.params.shape == (0, 2)
 
     def test_duplicate_id_rejected(self, registry):
         registry.create("x", 2)
@@ -129,11 +142,11 @@ class TestRegistry:
         c = reg2.create("c", 2, **gl2_local(rng, places))
         assert equivalent(a, b)
         assert not equivalent(a, c)
-        assert not equivalent(a, reg1.create("deg1", 1, qs=[p.q for p in places], params=[(1 + 0j,)] * 5))
+        assert not equivalent(a, reg1.create("deg1", 1, qs=places, params=[(1 + 0j,)] * 5))
 
     def test_equivalence_is_symmetric(self, registry, places):
-        a = registry.create("a", 2, qs=[places[0].q], params=[(1, 1 + 1.8e-9)])
-        b = registry.create("b", 2, qs=[places[0].q], params=[(1 + 0.9e-9, 1 - 0.95e-9)])
+        a = registry.create("a", 2, qs=[places[0]], params=[(1, 1 + 1.8e-9)])
+        b = registry.create("b", 2, qs=[places[0]], params=[(1 + 0.9e-9, 1 - 0.95e-9)])
         assert equivalent(a, b) and equivalent(b, a)
 
 
@@ -513,11 +526,19 @@ class TestAssociateMatch:
         other = reg.create("x_corrupt", 2, qs=lst[0].qs, params=corrupted)
         assert associate_match([lst[0], lst[1]], [other, lst[1]], places) is None
 
+    def test_sample_places_are_checked(self, places):
+        reg = SymbolRegistry()
+        lst = self.make_list(reg, ["a"], places, random.Random(19))
+        with pytest.raises(ValueError, match="must be a prime power >= 2, got 6$"):
+            associate_match(lst, lst, [2, 6, 3])
+        with pytest.raises(ValueError, match="^associate_match: places must be integers$"):
+            associate_match(lst, lst, [2.0, 3.0])
+
     def test_degree_mismatch(self, places):
         rng = random.Random(17)
         reg = SymbolRegistry()
         a = reg.create("a", 2, **gl2_local(rng, places))
-        b = reg.create("b", 1, qs=[p.q for p in places], params=[(1 + 0j,)] * 5)
+        b = reg.create("b", 1, qs=places, params=[(1 + 0j,)] * 5)
         assert associate_match([a], [b], places) is None
 
 
@@ -525,14 +546,14 @@ def associate_match_per_place(list1, list2, sample):
     """Reference oracle: association matching place by place through the
     ``local_params`` dicts and ``match_multisets``, with a pooled pass that
     rejects lists whose pooled multisets differ at some place."""
-    places = sorted(set(sample), key=lambda p: p.q)
+    places = sorted(set(sample))
     if not places:
         raise InsufficientLocalData("need at least one sampled place")
     view = {sym.id: local_params(sym) for sym in list(list1) + list(list2)}
     for sym in list(list1) + list(list2):
         for pl in places:
             if pl not in view[sym.id]:
-                raise InsufficientLocalData(f"symbol {sym.id} has no local data at q={pl.q}")
+                raise InsufficientLocalData(f"symbol {sym.id} has no local data at q={pl}")
     if len(list1) != len(list2):
         return None
     for pl in places:
@@ -601,9 +622,9 @@ def association_case(rng):
         list2.pop()
     elif rng.random() < 0.05:
         list2.append(symbol(2, data(2)))
-    sample = [PlaceData(q) for q in qs]
+    sample = list(qs)
     if rng.random() < 0.03:
-        sample.append(PlaceData(13))  # sampled by no symbol
+        sample.append(13)  # sampled by no symbol
     return list1, list2, sample
 
 
@@ -660,11 +681,10 @@ class TestDocuments:
     def test_dual_materialized_with_inverse_data(self):
         registry, _ = load_document(self.build_doc())
         p1, p1d = registry.get("P1"), registry.get("P1d")
-        place = PlaceData(2)
         from gsp4transfer.satake import match_multisets
 
-        inv = [x.inverse() for x in local_params(p1)[place]]
-        assert match_multisets(local_params(p1d)[place], inv)
+        inv = [x.inverse() for x in local_params(p1)[2]]
+        assert match_multisets(local_params(p1d)[2], inv)
 
     def test_descriptor_array(self):
         doc = self.build_doc()
@@ -725,7 +745,7 @@ class TestDocuments:
         )
         registry, _ = load_document(doc)
         p1, p1d = registry.get("P1"), registry.get("P1d")
-        assert PlaceData(3) in local_params(p1d)  # filled from P1's data
+        assert 3 in local_params(p1d)  # filled from P1's data
         assert p1d.params[p1d.qs == 3].tobytes() == (1 / p1.params[p1.qs == 3]).tobytes()
 
     def test_duplicate_declaration_rejected(self):
@@ -765,4 +785,4 @@ class TestDocuments:
         start = time.perf_counter()
         registry, _ = load_document(doc)
         assert time.perf_counter() - start < 0.5
-        assert PlaceData(1000000000000000003) in local_params(registry.get("P1"))
+        assert 1000000000000000003 in local_params(registry.get("P1"))

@@ -27,7 +27,6 @@ from gsp4transfer.lseries import (
     estimate_pole_order,
     estimate_with_sweep,
     partial_L,
-    place,
     primes_up_to,
     ramanujan_tau,
     read_eigenvalue_csv,
@@ -86,6 +85,17 @@ class TestPrimes:
 
     def test_count_below_1e5(self):
         assert len(primes_up_to(100_000)) == 9592
+
+    def test_matches_a_list_sieve(self):
+        n = 3000
+        is_prime = [False, False] + [True] * (n - 1)
+        for p in range(2, n + 1):
+            if is_prime[p]:
+                for m in range(p * p, n + 1, p):
+                    is_prime[m] = False
+        reference = [p for p in range(n + 1) if is_prime[p]]
+        for x in range(-3, n + 1):
+            assert primes_up_to(x) == [p for p in reference if p <= x], x
 
     def test_bound_refused_before_sieving(self):
         with pytest.raises(ValueError, match="above the largest supported bound"):
@@ -177,13 +187,20 @@ class TestPartialL:
         reg = SymbolRegistry()
         sigma = sato_tate_symbol(reg, "sigma", 11, primes)
         rep = isobaric([sigma])
-        part1 = [place(p) for p in primes if p < 50]
-        part2 = [place(p) for p in primes if p >= 50]
+        part1 = [p for p in primes if p < 50]
+        part2 = [p for p in primes if p >= 50]
         whole = partial_L(rep, rep, 300, 1.8)
         split = partial_L(rep, rep, 300, 1.8, places=part1) * partial_L(
             rep, rep, 300, 1.8, places=part2
         )
         assert abs(whole - split) <= 1e-12 * abs(whole)
+
+    def test_explicit_places_are_checked(self):
+        rep = isobaric([sato_tate_symbol(SymbolRegistry(), "sigma", 11, primes_up_to(50))])
+        with pytest.raises(ValueError, match="must be a prime power >= 2, got 6$"):
+            partial_L(rep, rep, 50, 1.8, places=[7, 6, 2])
+        with pytest.raises(ValueError, match="^partial_L: places must be integers$"):
+            partial_L(rep, rep, 50, 1.8, places=[2.5])
 
     def test_conjugation_symmetry(self):
         primes = primes_up_to(500)
@@ -436,7 +453,6 @@ class TestSyntheticReps:
         is_prime_power = satake._is_prime_power
         monkeypatch.setattr(satake, "_is_prime_power", lambda n: calls.append(n) or is_prime_power(n))
         descriptors = load_document(SYNTHETIC_DOC)[1]
-        satake.place.cache_clear()
         satake._prime_power_table.cache_clear()
         reps = synthetic_reps(descriptors, 0, 100_000)
         assert len(reps[0].constituents[0].qs) == 9592

@@ -17,12 +17,12 @@ from gsp4transfer.satake import (
     PRIME_POWER_LIMIT,
     PRIME_POWER_TABLE_CAP,
     GSp4Param,
-    PlaceData,
     UnramChar,
     _is_prime_power,
     _prime_power_table,
     as_char,
     chars_equal,
+    check_place,
     check_places,
     check_selfdual_twist,
     exponents,
@@ -31,7 +31,6 @@ from gsp4transfer.satake import (
     match_multisets,
     param_from_json,
     param_to_json,
-    place,
     rodier_class,
     theta_lift_params,
     transfer_gsp4_to_gl4,
@@ -331,14 +330,16 @@ def prime_power_by_trial_division(n):
 
 
 class TestPlaceData:
+    """``check_place``, the scalar check of one place."""
+
     def test_prime_powers_agree_with_trial_division(self):
         for n in range(10**4):
             ok = prime_power_by_trial_division(n)
             if ok:
-                assert PlaceData(n).q == n
+                assert check_place(n) == n
             else:
                 with pytest.raises(ValueError, match="prime power"):
-                    PlaceData(n)
+                    check_place(n)
 
     @pytest.mark.parametrize("q, ok", [(2**61 - 1, True), (3**45, True), (10**18 + 3, True),
                                        ((2**31 - 1) * (2**61 - 1), False), (7**2 * 11, False),
@@ -347,21 +348,21 @@ class TestPlaceData:
                                        (3215031751, False), (3825123056546413051, False)])
     def test_large_cardinalities(self, q, ok):
         if ok:
-            assert PlaceData(q).q == q
+            assert check_place(q) == q
         else:
             with pytest.raises(ValueError):
-                PlaceData(q)
+                check_place(q)
 
     def test_beyond_exact_range_rejected(self):
         with pytest.raises(ValueError, match="below"):
-            PlaceData(PRIME_POWER_LIMIT)
+            check_place(PRIME_POWER_LIMIT)
 
 
 def first_place_error(qs):
-    """Reference for ``check_places``: ``place`` on each q in turn."""
+    """Reference for ``check_places``: ``check_place`` on each q in turn."""
     try:
         for q in qs:
-            place(q)
+            check_place(q)
     except ValueError as exc:
         return str(exc)
     return None
@@ -398,7 +399,7 @@ class TestCheckPlaces:
 class TestExponents:
     def test_units(self):
         p = GL4Param(tuple(as_char(1) for _ in range(4)))
-        assert exponents(p, PlaceData(5)).e == (0.0, 0.0, 0.0, 0.0)
+        assert exponents(p, 5).e == (0.0, 0.0, 0.0, 0.0)
 
     def test_half_exponents(self):
         q = 5
@@ -408,13 +409,13 @@ class TestExponents:
             UnramChar.from_exact(0, 0, q),
             UnramChar.from_exact(0, Fraction(1, 2), q),
         )
-        vec = exponents(GL4Param(entries), PlaceData(q))
+        vec = exponents(GL4Param(entries), q)
         assert vec.e == (Fraction(-1, 2), 0, 0, Fraction(1, 2))
         assert vec.is_exact
 
     def test_direct_logarithms(self):
         p = GL4Param(tuple(as_char(x) for x in (3, Fraction(1, 3), 27, Fraction(1, 27))))
-        vec = exponents(p, PlaceData(3))
+        vec = exponents(p, 3)
         assert vec.e == pytest.approx((-3.0, -1.0, 1.0, 3.0))
 
 
