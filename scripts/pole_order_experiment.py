@@ -8,7 +8,6 @@ rounded estimate should reproduce the symbolic order in every row.
 """
 
 import argparse
-import csv
 import json
 import time
 from pathlib import Path
@@ -73,10 +72,10 @@ def main() -> int:
     summary_path = out_dir / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2))
 
-    with open(out_dir / "estimates.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(summary["rows"][0]))
-        writer.writeheader()
-        writer.writerows(summary["rows"])
+    # no field holds a comma or a quote, so plain joins make a valid CSV
+    fields = list(summary["rows"][0])
+    lines = [fields] + [[row[f] for f in fields] for row in summary["rows"]]
+    (out_dir / "estimates.csv").write_text("".join(",".join(map(str, line)) + "\n" for line in lines))
 
     mismatches = [r for r in summary["rows"] if r["rounded"] != r["symbolic_order"]]
     print(f"\nsummary -> {summary_path} ({len(mismatches)} rounding mismatches)")

@@ -640,7 +640,8 @@ def registry_from_json(symbols: Sequence[dict]) -> SymbolRegistry:
     Undeclared duals are materialized with entrywise-inverse local data;
     declared duals are checked for mutually inverse multisets at shared
     places and backfilled at places only one side declares.  Self-dual
-    symbols must carry inverse-closed multisets.  An id may be declared once.
+    symbols must carry inverse-closed multisets.  An id may be declared once,
+    and a place key must be ASCII decimal digits.
     """
     if not isinstance(symbols, list) or not all(isinstance(d, dict) for d in symbols):
         raise ValueError("symbols must be a list of objects")
@@ -658,7 +659,13 @@ def registry_from_json(symbols: Sequence[dict]) -> SymbolRegistry:
         if not isinstance(pairs, dict):
             raise ValueError(error)
         params = complex_pairs(list(pairs.values()), 3, error) if pairs else []
-        syms[sid] = CuspidalSymbol(sid, degree, dual, cc, [int(q) for q in pairs], params)
+        # one pass over all keys: int() alone takes "+13" or " 13 ", and isascii()
+        # comes first so that encode() cannot fail on a lone surrogate
+        digits = "".join(pairs)
+        if pairs and not (digits.isascii() and digits.encode().isdigit() and "" not in pairs):
+            bad = next(k for k in pairs if not (k.isascii() and k.isdigit()))
+            raise ValueError(f"symbol {sid}: place key {bad!a} is not a decimal integer")
+        syms[sid] = CuspidalSymbol(sid, degree, dual, cc, list(map(int, pairs)), params)
     for sid in list(syms):
         sym = syms[sid]
         syms[sym.dual_id] = _dual_of(sym, syms.get(sym.dual_id))

@@ -29,11 +29,10 @@ lift is proven exact for n < 2^15 and refuses larger n.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -407,52 +406,8 @@ def eigen_symbol(registry: SymbolRegistry, sid: str, table: EigenvalueTable):
 
 
 # ---------------------------------------------------------------------------
-# CSV interfaces
+# Sweep CSV
 # ---------------------------------------------------------------------------
-
-
-def read_eigenvalue_csv(path, weight: int = 12) -> EigenvalueTable:
-    """Ingest rows of p,a_p and attach normalized parameters."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["p", "a_p"]:
-            raise ValueError('expected CSV header "p,a_p"')
-        for rec in reader:
-            p, a_p = int(rec["p"]), int(rec["a_p"])
-            alpha, beta = _normalized_pair(a_p, p, weight)
-            rows.append(EigenvalueRow(p, a_p, alpha, beta))
-    return EigenvalueTable(weight, tuple(rows))
-
-
-def write_eigenvalue_csv(path, table: EigenvalueTable) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["p", "a_p"])
-        for row in table.rows:
-            writer.writerow([row.p, row.a_p])
-
-
-def write_theta_csv(path, data: Mapping[int, tuple[complex, complex]]) -> None:
-    """Dump synthetic data as p,theta rows (theta = arg of the first parameter)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["p", "theta"])
-        for p in sorted(data):
-            writer.writerow([p, repr(math.atan2(data[p][0].imag, data[p][0].real))])
-
-
-def read_theta_csv(path) -> dict[int, tuple[complex, complex]]:
-    out = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["p", "theta"]:
-            raise ValueError('expected CSV header "p,theta"')
-        for rec in reader:
-            t = float(rec["theta"])
-            a = complex(math.cos(t), math.sin(t))
-            out[int(rec["p"])] = (a, a.conjugate())
-    return out
 
 
 def sweep_csv_text(rows: Iterable[tuple[float, float, float]]) -> str:

@@ -39,9 +39,10 @@ class CentralCharMismatch(ValueError):
     constraint = "central_char_compatibility"
 
 
-# Miller-Rabin with the first thirteen prime bases is exact below this bound
-# (Sorenson and Webster, 2015), and with the first four below 3215031751
-# (Jaeschke, 1993); larger residue cardinalities are rejected.
+# Miller-Rabin with the first four prime bases is exact below 3215031751
+# (Jaeschke, 1993), with the first nine below 3825123056546413051 (Jiang and
+# Deng, Math. Comp. 2014) and with all thirteen below this bound (Sorenson and
+# Webster, 2015); larger residue cardinalities are rejected.
 PRIME_POWER_LIMIT = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -56,7 +57,7 @@ def _is_prime(n: int) -> bool:
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for a in _MR_BASES[:4] if n < 3_215_031_751 else _MR_BASES:
+    for a in _MR_BASES[:4 if n < 3_215_031_751 else 9 if n < 3_825_123_056_546_413_051 else 13]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -79,6 +80,7 @@ def _iroot(n: int, k: int) -> int:
     return r
 
 
+@lru_cache(maxsize=4096)  # bounded: a place shared by several symbols is tested once
 def _is_prime_power(n: int) -> bool:
     """Whether n = p^k for a prime p and k >= 1; exact for n < PRIME_POWER_LIMIT."""
     if n < 2:
@@ -138,12 +140,16 @@ def _prime_power_table(n: int) -> np.ndarray:
 def place_array(qs, owner: str) -> np.ndarray:
     """qs as a flat int64 array; a non-integer place or one beyond int64 raises, naming ``owner``."""
     try:
+        arr = np.asarray(qs)
+        # numpy casts uint64 to int64 with wraparound, so check the range first
+        if arr.dtype.kind == "u" and np.any(arr > np.iinfo(np.int64).max):
+            raise OverflowError
         out = np.array(qs, dtype=np.int64).reshape(-1)
     except OverflowError:
         raise ValueError(f"{owner}: a place is beyond the int64 range") from None
     except (TypeError, ValueError):  # complex, None, text that is no number
         out = None
-    if out is None or len(out) and np.asarray(qs).dtype.kind not in "iu":  # float, text, bool
+    if out is None or len(out) and arr.dtype.kind not in "iu":  # float, text, bool
         raise ValueError(f"{owner}: places must be integers")
     return out
 

@@ -377,6 +377,17 @@ class TestTransfer:
         assert code == 2 and out == ""
         assert err == f"error: malformed document: symbol P2: a local parameter at q=5 {fault}\n"
 
+    @pytest.mark.parametrize("command", ["transfer", "poles"])
+    @pytest.mark.parametrize("key", ["1_3", "+13", " 13 ", "\u0661\u0663", "", "\ud800"])
+    def test_place_key_not_decimal_digits_exit_two(self, capsys, tmp_path, command, key):
+        # int() reads the first four keys as 13; a lone surrogate cannot be encoded
+        doc = lifted_pair_doc(dual_second=command == "poles")
+        p1, p2 = (sym["local"] for sym in doc["symbols"])
+        p1[key], p2["13"] = p1["5"], p2["5"]
+        code, out, err = run(capsys, command, "--in", write_doc(tmp_path, doc))
+        assert code == 2 and out == ""
+        assert err == f"error: malformed document: symbol P1: place key {ascii(key)} is not a decimal integer\n"
+
     def test_place_beyond_int64_exit_two(self, capsys, tmp_path):
         doc = lifted_pair_doc()
         doc["symbols"][0]["local"]["9223372036854775808"] = [[1, 0], [1, 0]]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsp4transfer import satake
 from gsp4transfer.isobaric import (
     REASON_CONTRAGREDIENT,
     REASON_GL1_TWIST,
@@ -109,10 +110,15 @@ class TestRegistry:
             registry.create("a", 1, qs=qs, params=[(1 + 0j,), (1 + 0j,)])
         assert list(registry) == []
 
-    @pytest.mark.parametrize("qs", [[2**63], [2, 2**63], [3, 3**41]])
+    @pytest.mark.parametrize("qs", [[2**63], [2, 2**63], [3, 3**41],
+                                    np.array([2**63 + 3], dtype=np.uint64)])
     def test_places_beyond_int64_refused(self, registry, qs):
         with pytest.raises(ValueError, match="^symbol a: a place is beyond the int64 range$"):
             registry.create("a", 1, qs=qs, params=[(1 + 0j,)] * len(qs))
+
+    def test_uint64_places_in_range_accepted(self, registry):
+        sym = registry.create("a", 1, qs=np.array([3, 2**61 - 1], dtype=np.uint64), params=[(1 + 0j,)] * 2)
+        assert sym.qs.dtype == np.int64 and sym.qs.tolist() == [3, 2**61 - 1]
 
     def test_no_places(self, registry):
         sym = registry.create("a", 2, qs=[], params=[])
@@ -786,3 +792,21 @@ class TestDocuments:
         registry, _ = load_document(doc)
         assert time.perf_counter() - start < 0.5
         assert 1000000000000000003 in local_params(registry.get("P1"))
+
+    def test_large_place_tested_once_per_document(self, monkeypatch):
+        # P1, P2 and their two materialized duals hold the same 200 places
+        # above 10^18; Miller-Rabin runs once for each distinct one
+        primes, q = [], 10**18 + 1
+        while len(primes) < 200:
+            primes += [q] * satake._is_prime(q)
+            q += 2
+        doc = self.build_doc()
+        for sym in doc["symbols"]:
+            sym["local"] = dict.fromkeys(map(str, primes), sym["local"]["2"])
+        calls = []
+        is_prime = satake._is_prime
+        monkeypatch.setattr(satake, "_is_prime", lambda n: calls.append(n) or is_prime(n))
+        satake._is_prime_power.cache_clear()
+        registry, _ = load_document(doc)
+        assert sorted(calls) == primes
+        assert all(sym.qs.tolist() == primes for sym in registry) and len(list(registry)) == 4

@@ -29,15 +29,11 @@ from gsp4transfer.lseries import (
     partial_L,
     primes_up_to,
     ramanujan_tau,
-    read_eigenvalue_csv,
-    read_theta_csv,
     sample_sato_tate,
     sato_tate_symbol,
     stream_seed,
     synthetic_reps,
-    write_eigenvalue_csv,
     write_sweep_csv,
-    write_theta_csv,
 )
 
 
@@ -380,17 +376,6 @@ class TestSatoTate:
         distance = max((ranks - cdf).max(), (cdf - (ranks - 1 / n)).max())
         assert distance < 1.63 / math.sqrt(n)
 
-    def test_theta_csv_roundtrip(self, tmp_path):
-        primes = primes_up_to(200)
-        data = sample_sato_tate(8, primes)
-        path = tmp_path / "theta.csv"
-        write_theta_csv(path, data)
-        again = read_theta_csv(path)
-        assert b"\r" not in path.read_bytes()
-        assert set(again) == set(data)
-        for p in data:
-            assert again[p][0] == pytest.approx(data[p][0], abs=1e-12)
-
 
 def registry_reps(descriptors, seed, X):
     """Oracle: the synthetic reps through a shadow ``SymbolRegistry``, where
@@ -591,20 +576,6 @@ class TestDeltaEigenvalues:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             delta_eigenvalues(20_000)
-
-    def test_csv_roundtrip(self, tmp_path):
-        table = delta_eigenvalues(50)
-        path = tmp_path / "ap.csv"
-        write_eigenvalue_csv(path, table)
-        again = read_eigenvalue_csv(path)
-        assert b"\r" not in path.read_bytes()
-        assert again == table
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("prime,coeff\n2,-24\n")
-        with pytest.raises(ValueError):
-            read_eigenvalue_csv(path)
 
     def test_real_data_gives_simple_pole(self):
         table = delta_eigenvalues(10_000)

@@ -344,8 +344,9 @@ class TestPlaceData:
     @pytest.mark.parametrize("q, ok", [(2**61 - 1, True), (3**45, True), (10**18 + 3, True),
                                        ((2**31 - 1) * (2**61 - 1), False), (7**2 * 11, False),
                                        (PRIME_POWER_LIMIT - 1, False),
-                                       # strong pseudoprimes to the bases 2..7 and 2..23
-                                       (3215031751, False), (3825123056546413051, False)])
+                                       # strong pseudoprimes to the first 4, 8, 11 and 12 prime bases
+                                       (3215031751, False), (341550071728321, False),
+                                       (3825123056546413051, False), (318665857834031151167461, False)])
     def test_large_cardinalities(self, q, ok):
         if ok:
             assert check_place(q) == q

@@ -34,5 +34,8 @@ def test_pole_experiment_runs(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert len(summary["rows"]) == 6
     assert all(r["rounded"] == r["symbolic_order"] for r in summary["rows"])
-    assert (tmp_path / "estimates.csv").exists()
+    estimates = (tmp_path / "estimates.csv").read_bytes().split(b"\n")
+    assert estimates[0] == b"case,X,symbolic_order,estimate,rounded,seconds"
+    assert len(estimates) == 8 and estimates[-1] == b""
+    assert estimates[2].split(b",")[:3] == [b"simple", b"5000", b"1"]
     assert (tmp_path / "sweep_double_5000.csv").read_text().startswith("s,re,im")
