@@ -49,8 +49,8 @@ from .satake import check_places, place_array, prime_sieve
 DEFAULT_GRID = (1.30, 1.20, 1.12, 1.06, 1.03)
 DEFAULT_MIN_PLACE = 100  # fit window floor: drop places q <= this
 DEFAULT_X = 100_000
-# Largest sieve bound.  `poles --mode both` peaks at about 128 MB at X = 10^6
-# and grows linearly in X, so about 1 GB at this bound.
+# Largest sieve bound.  `poles --mode both` peaks at about 100 MB at X = 10^6
+# and 210 MB at 3 x 10^6, linear in X, so about 0.6 GB at this bound.
 MAX_X = 10**7
 
 _POLE_EPS = 1e-12
@@ -83,21 +83,40 @@ def primes_up_to(x: int) -> list[int]:
 
 
 def _sweep_values(r1: IsobaricRep, r2: IsobaricRep, qs: np.ndarray, s_values) -> np.ndarray:
-    """Partial product over the places ``qs`` at each s, real or complex: per
-    Rankin-Selberg factor one broadcast over (s, place, parameter pair) sums
-    log(1 - z), z = a_i b_j q^-(s + shift); the product is exp(-total)."""
+    """Partial product over the places ``qs`` at each s, real or complex.
+
+    Per Rankin-Selberg factor, z = a_i b_j q^-(s + shift) is one broadcast
+    over (s, parameter pair, place).  The factor's local value at q is 1 / w,
+    w the product of 1 - z over its k parameter pairs, taken by k - 1
+    multiplies.  Each w is split once into modulus and phase: log|w|, one
+    real log per place, adds into a real total, and w / |w| multiplies into
+    a unit phase.  The value is exp(-(total + i arg phase)), so it overflows
+    to inf and underflows to 0 as a sum of logs does, never to NaN.
+
+    Range: the pole check keeps every |1 - z| >= 1e-12 and k <= 16, so w
+    cannot underflow; it overflows only where |z| passes 2^(1024 / k), and a
+    factor where it does sums the logs of its k terms instead.  Accuracy:
+    numpy's complex abs rounds |w| near 1 low by about a third of an ulp on
+    average, so |value| can read high by up to about 5e-17 per place and
+    factor (1e-12 relative for a 2 + 2 pairing at X = 10^5)."""
     s = np.asarray(s_values, dtype=complex)
     logq = np.log(np.asarray(qs, dtype=float))
-    total = np.zeros(len(s), dtype=complex)
+    total = np.zeros(len(s))
+    phase = np.ones(len(s), dtype=complex)
+    r = np.empty((len(s), len(qs)))  # |w|, then log|w|, for every factor
     powers = {}  # q^-(s + shift) per distinct shift; a 2 + 2 pairing has one
+    local = {}  # (parameter, place) data per symbol; each recurs across factors
     for factor in rs_factorization(r1, r2):
         shift = float(factor.shift)
         if shift not in powers:
             powers[shift] = np.exp(-np.multiply.outer(s + shift, logq))
-        a = factor.sigma.params[rows_at(factor.sigma, qs)]
-        b = factor.tau.params[rows_at(factor.tau, qs)]
-        lam = (a[:, :, None] * b[:, None, :]).reshape(len(qs), a.shape[1] * b.shape[1])
-        z = lam * powers[shift][:, :, None]
+        for sym in (factor.sigma, factor.tau):
+            if id(sym) not in local:
+                local[id(sym)] = sym.params[rows_at(sym, qs)].T
+        a, b = local[id(factor.sigma)], local[id(factor.tau)]
+        # (pair, place), so that each pair's slice of z is a contiguous row per s
+        lam = (a[:, None, :] * b[None, :, :]).reshape(len(a) * len(b), len(qs))
+        z = lam * powers[shift][:, None, :]
         # The pole check |1 - z| < eps runs only when some Re z > t =
         # fl(1 - 2 eps), since it cannot fire at any other z.  The real part
         # of 1 - z is fl(1 - Re z), and abs is a hypot, at least as large as
@@ -111,9 +130,24 @@ def _sweep_values(r1: IsobaricRep, r2: IsobaricRep, qs: np.ndarray, s_values) ->
             pole = (np.abs(1.0 - z) < _POLE_EPS).any(axis=(1, 2))
             if pole.any():
                 raise LocalPole(f"local factor pole at s={s[pole][0]}")
-        # log1p(-z) in z's buffer, the pole check done with it
-        total += np.log1p(np.negative(z, out=z), out=z).sum(axis=(1, 2))
-    return np.exp(-total)
+        # 1 - z in z's buffer, the pole check done with it
+        np.subtract(1.0, z, out=z)
+        w = z[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
+            for j in range(1, z.shape[1]):
+                w *= z[:, j]
+        np.abs(w, out=r)
+        if np.isfinite(r).all():
+            w /= r
+            np.log(r, out=r)
+        else:  # the product left the float range: sum the logs of its factors
+            logw = np.log1p(-(lam * powers[shift][:, None, :])).sum(axis=1)
+            np.exp(1j * logw.imag, out=w)
+            r[...] = logw.real
+        phase *= w.prod(axis=1)
+        total += r.sum(axis=1)
+        del lam, z, w  # so that the next factor's z is not allocated beside this one
+    return np.exp(-(total + 1j * np.angle(phase)))
 
 
 def partial_L(
@@ -161,8 +195,9 @@ class EulerProductSweep:
         object.__setattr__(self, "values", vals)
 
 
-def _log_truncated_zeta(qs: np.ndarray, s: float) -> float:
-    return float(-np.log1p(-(qs.astype(float) ** (-s))).sum())
+def _log_truncated_zeta(qs: np.ndarray, grid: Sequence[float]) -> np.ndarray:
+    """log of prod (1 - q^-s)^-1 over the places ``qs``, at each real s of the grid."""
+    return -np.log1p(-np.exp(-np.multiply.outer(grid, np.log(qs.astype(float))))).sum(axis=1)
 
 
 def _check_grid(grid: Sequence[float]) -> tuple[float, ...]:
@@ -211,7 +246,7 @@ def estimate_with_sweep(
         raise ValueError(f"no places in window ({min_place}, {X}]")
     values = _sweep_values(r1, r2, window, grid)
     y = np.log(np.abs(values))
-    x = np.array([_log_truncated_zeta(window, s) for s in grid])
+    x = _log_truncated_zeta(window, grid)
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
         raise EstimationError("nonfinite values in slope fit")
     slope = float(np.polyfit(x, y, 1)[0])
@@ -308,6 +343,8 @@ def synthetic_reps(descriptors, seed: int, X: int) -> list[IsobaricRep]:
 # Weight-12 eigenvalue fixture
 # ---------------------------------------------------------------------------
 
+DELTA_WEIGHT = 12  # weight of the cusp form x prod (1 - x^m)^24
+
 
 @dataclass(frozen=True)
 class EigenvalueRow:
@@ -319,9 +356,9 @@ class EigenvalueRow:
 
 @dataclass(frozen=True)
 class EigenvalueTable:
-    """Hecke data with normalized Satake parameters for a fixed weight."""
+    """Hecke data of the weight-``DELTA_WEIGHT`` cusp form, with normalized
+    Satake parameters."""
 
-    weight: int
     rows: tuple[EigenvalueRow, ...]
 
 
@@ -371,8 +408,8 @@ def ramanujan_tau(m: int) -> int:
     return _discriminant_coeffs(m)[m - 1]
 
 
-def _normalized_pair(a_p: int, p: int, weight: int) -> tuple[complex, complex]:
-    t = a_p / p ** ((weight - 1) / 2)
+def _normalized_pair(a_p: int, p: int) -> tuple[complex, complex]:
+    t = a_p / p ** ((DELTA_WEIGHT - 1) / 2)
     disc = 4.0 - t * t
     if disc >= 0:
         alpha = complex(t / 2.0, math.sqrt(disc) / 2.0)
@@ -394,9 +431,9 @@ def delta_eigenvalues(N: int) -> EigenvalueTable:
     rows = []
     for p in primes_up_to(N):
         a_p = coeffs[p - 1]
-        alpha, beta = _normalized_pair(a_p, p, 12)
+        alpha, beta = _normalized_pair(a_p, p)
         rows.append(EigenvalueRow(p, a_p, alpha, beta))
-    return EigenvalueTable(12, tuple(rows))
+    return EigenvalueTable(tuple(rows))
 
 
 def eigen_symbol(registry: SymbolRegistry, sid: str, table: EigenvalueTable):

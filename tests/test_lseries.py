@@ -1,6 +1,7 @@
 import cmath
 import gc
 import math
+import sys
 import weakref
 from fractions import Fraction
 
@@ -164,6 +165,7 @@ class TestPartialL:
         reg = SymbolRegistry()
         rep = trivial_rep(reg)
         assert partial_L(rep, rep, 1, 2.0) == 1.0
+        assert partial_L(rep, rep, 100, 0.5 + 1j, places=[]) == 1.0
 
     def test_isobaric_factorization_identity(self):
         primes = primes_up_to(200)
@@ -247,6 +249,20 @@ class TestPartialL:
                     expected *= local_rs_factor(left_at[p], right_at[p], p, s + float(r + rr))
         assert partial_L(r1, r2, 200, s) == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize("s", [1.4, 0.3 + 2j])
+    @pytest.mark.parametrize("degree", [1, 2, 4])
+    def test_root_pairs_per_factor_match_local_factor_oracle(self, degree, s):
+        """One factor of k = degree^2 root pairs: 1, 4 and 16."""
+        primes = primes_up_to(300)
+        rng = np.random.default_rng(degree)
+        reg = SymbolRegistry()
+        left, right = (reg.create(sid, degree, qs=primes, params=np.exp(2j * np.pi * rng.random((len(primes), degree))))
+                       for sid in ("A", "B"))
+        expected = 1.0 + 0j
+        for p, a, b in zip(primes, left.params.tolist(), right.params.tolist()):
+            expected *= local_rs_factor(a, b, p, s)
+        assert partial_L(isobaric([left]), isobaric([right]), 300, s) == pytest.approx(expected, rel=1e-10, abs=0)
+
     def test_complex_s_path(self):
         reg = SymbolRegistry()
         rep = trivial_rep(reg)
@@ -255,6 +271,64 @@ class TestPartialL:
         for p in primes_up_to(50):
             expected /= 1 - p ** (-(2.0 + 0.5j))
         assert v == pytest.approx(expected)
+
+
+def log_sum_oracle(left, right, qs, s):
+    """-log of the partial product of a one-term pairing: the sum of
+    log(1 - a_i b_j q^-s) over every place and root pair."""
+    q = np.asarray(qs, dtype=float)
+    z = (left.params[:, :, None] * right.params[:, None, :]).reshape(len(q), -1) * q[:, None] ** (-s)
+    return complex(np.log(1 - z).sum())
+
+
+class TestPartialLRange:
+    """At X = 10^6 and Re s <= 1/2 the partial product can leave the float
+    range.  It is inf where log|L| > log(max float) and 0 where log|L| is
+    below the log of the least subnormal, as a sum of logs gives it, and
+    never NaN."""
+
+    X = 10**6
+
+    @pytest.fixture(scope="class")
+    def pairings(self):
+        primes = primes_up_to(self.X)
+        reg = SymbolRegistry()
+        one = reg.create("one", 1, self_dual=True, qs=primes, params=np.ones((len(primes), 1)))
+        sigma = sato_tate_symbol(reg, "sigma", 5, primes)
+        big = np.concatenate([_sato_tate_params(6, len(primes)), 1j * _sato_tate_params(7, len(primes))], axis=1)
+        Sigma = reg.create("Sigma", 4, qs=primes, params=big)
+        # k = 1, 4 and 16 root pairs; the trivial pairing's phase is exactly real
+        return {1: (one, one), 4: (sigma, sigma), 16: (Sigma, Sigma.dual())}
+
+    # s = -0.5 gives 0, where 1 / prod(1 - z) overflows its product to NaN;
+    # at s = -4, |z| = q^4 passes 2^64 and the 16-pair product overflows
+    @pytest.mark.parametrize("s", [0.5, 0.5 + 3j, 0.3, 0.1, 0.1 + 1j, -0.5, -0.5 + 2j, -4.0])
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_matches_log_sum_oracle(self, pairings, k, s):
+        left, right = pairings[k]
+        total = log_sum_oracle(left, right, left.qs, s)
+        with np.errstate(over="ignore"):
+            v = partial_L(isobaric([left]), isobaric([right]), self.X, s)
+        assert not (math.isnan(v.real) or math.isnan(v.imag)), v
+        if -total.real > math.log(sys.float_info.max):
+            assert abs(v) == math.inf
+        elif -total.real < math.log(5e-324):
+            assert v == 0
+        else:
+            assert v == pytest.approx(cmath.exp(-total), rel=1e-10, abs=0)
+
+    def test_overflowing_place_product_beside_near_poles(self):
+        """|w| passes 2^1056 at q = 2 and is near 2^-585 at q = 3, so the
+        product of the two is finite while the one at q = 2 is not."""
+        theta = np.linspace(0.1, 2.0, 4)
+        eps = 1e-11 * np.exp(3j * theta)
+        reg = SymbolRegistry()
+        left = reg.create("L", 4, qs=[2, 3], params=[2.0**33 * np.exp(1j * theta), np.ones(4)])
+        right = reg.create("R", 4, qs=[2, 3], params=[2.0**33 * np.exp(-2j * theta), 1 - eps])
+        v = partial_L(isobaric([left]), isobaric([right]), 3, 0.0)
+        expected = cmath.exp(-log_sum_oracle(left, right, [2, 3], 0.0))
+        assert 0 < abs(expected) < 1e-100
+        assert v == pytest.approx(expected, rel=1e-10, abs=0)
 
 
 def ulp_steps(x, k=3):
