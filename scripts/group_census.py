@@ -2,8 +2,9 @@
 """Census of the degree-4 orthogonal similitude groups over small fields.
 
 Runs the exhaustive pair-map verification for each requested q and prints
-a table of kernel/image/GSO sizes with timings.  The q = 7 run enumerates
-about 1.35 million group elements.
+a table of kernel/image/GSO sizes with timings.  Under the row of a failed
+q it prints the failed checks and the report's counterexample.  The q = 7
+run enumerates about 1.35 million group elements.
 """
 
 import argparse
@@ -11,6 +12,21 @@ import json
 import time
 
 from gsp4transfer.simgroups import SUPPORTED_Q, verify_gso_presentation
+
+
+def failure_lines(report) -> list[str]:
+    """The failed checks of a report and its counterexample, if it has one."""
+    lines = ["    failed: " + ", ".join(name for name, passed in report.checks if not passed)]
+    cx = report.counterexample
+    if cx and "pair" in cx:
+        lines.append(f"    counterexample ({cx['check']}): non-scalar kernel pair {cx['pair'][0]}, {cx['pair'][1]}")
+    elif cx:
+        lines.append(
+            f"    counterexample ({cx['check']}): code {cx['code']} from {cx['side']}, "
+            f"lambda {cx['lam']}, det {cx['det']}"
+        )
+        lines.extend(f"      {row}" for row in cx["matrix"])
+    return lines
 
 
 def main() -> int:
@@ -37,6 +53,8 @@ def main() -> int:
             f"{report.gso_size:>9} {report.go_size:>9} {report.so_size:>7} "
             f"{str(report.ok):>4} {elapsed:>7.2f}"
         )
+        if not report.ok:
+            print("\n".join(failure_lines(report)))
     if args.json_out:
         with open(args.json_out, "w") as fh:
             json.dump(reports, fh, indent=2)

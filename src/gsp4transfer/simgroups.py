@@ -20,11 +20,13 @@ flattened 4x4 matrix.  The module lists GO(4, F_q) as codes with their
 lambda and det: O(4) by closed-form enumeration, and each lambda-class as
 its coset g O(4), g a fixed similitude of factor lambda (see
 enumerate_go4_codes).  It computes kernel and image of the pair map as
-codes by int64 products over T x GL(2), T a transversal of the scalars in
-GL(2) (a scalar moves between the factors, so these pairs reach the whole
-image and every kernel pair up to a scalar), and packages the comparison
-into a report.  q is restricted to odd primes (characteristic 2 breaks
-the symmetric-form theory) and to q <= 7 for exhaustive work.
+codes over T x GL(2), T a transversal of the scalars in GL(2) (a scalar
+moves between the factors, so these pairs reach the whole image and every
+kernel pair up to a scalar): beta(t, g) = L(t) R(g), and a table of L(t)
+applied to the few distinct columns of the R(g) gives every code by four
+gathers (see _beta_codes).  It packages the comparison into a report.  q
+is restricted to odd primes (characteristic 2 breaks the symmetric-form
+theory) and to q <= 7 for exhaustive work.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ def _scalar_transversal(mats: np.ndarray) -> np.ndarray:
 
 
 def _encode(flat: np.ndarray, q: int) -> np.ndarray:
-    """Base-q code of flattened 4x4 matrices; fits in int64 for q <= 7."""
+    """Base-q code of flattened 4x4 matrices; fits in int64 for q <= 13 (q^16 < 2^63)."""
     powers = q ** np.arange(16, dtype=np.int64)
     return flat.astype(np.int64) @ powers
 
@@ -133,6 +135,16 @@ def _decode(code: int, q: int) -> tuple[tuple[int, ...], ...]:
         digits.append(int(code % q))
         code //= q
     return tuple(tuple(digits[4 * i : 4 * i + 4]) for i in range(4))
+
+
+def _mod(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q, in [0, q), for an integer array, by floor division.
+
+    numpy vectorizes integer floor division by a scalar but not the
+    remainder: on 451 584 int32 entries this takes 0.55 ms and x % q 4.4 ms
+    (numpy 2.4, 2-vCPU x86 machine).
+    """
+    return x - q * (x // q)
 
 
 def _beta_codes(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
@@ -153,12 +165,15 @@ def _beta_codes(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
     products.)
 
     Since g1 (x) g2 = (g1 (x) I)(I (x) g2), beta(g1, g2) = L(g1) R(g2) mod q
-    with L(g) = C^-1 (g (x) I) C and R(g) = C^-1 (I (x) g) C, so row r of
-    beta over all pairs is one (len(left), 4) @ (4, 4 len(right)) int64
-    product.  The rows are taken one at a time, so no temporary is larger
-    than one row (22 MB at q = 7).  All four at once (87 MB) sit on top of
-    the heap that the GO(4) enumeration leaves behind: repeated checks in
-    one process then peaked at up to 230 MB of RSS instead of about 160.
+    with L(g) = C^-1 (g (x) I) C and R(g) = C^-1 (I (x) g) C, so column s of
+    beta(g, h) is L(g) applied to column s of R(h), mod q.  Over all of GL2
+    the 4 |GL2| columns of the R(h) take only 48, 480 and 2016 distinct
+    values u_c at q = 3, 5, 7.  So a column table comes first:
+    table[i, c] = sum_r ((L(left[i]) u_c) mod q)_r q^(4r), the code of that
+    column placed in column 0.  It takes four (k, u) products on int16
+    (entries below 4 (q - 1)^2), reduced mod q on k u entries each.  Then
+    code(i, j) = sum_s q^s table[i, col(j, s)], col(j, s) the index of
+    column s of R(right[j]): four gathers over (k, m).
 
     A scalar moves between the factors: (c g1) (x) g2 = g1 (x) (c g2), so
     beta(c t, c^-1 g) = beta(t, g).  Every pair of GL2 x GL2 is
@@ -168,15 +183,25 @@ def _beta_codes(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
     """
     C, Cinv = _det_frame(q)
     eye = np.eye(2, dtype=np.int64)[None]
-    lhs = (Cinv @ np.kron(left, eye) @ C) % q     # L(left[i]), (k, 4, 4)
+    lhs = ((Cinv @ np.kron(left, eye) @ C) % q).astype(np.int16)  # L(left[i]), (k, 4, 4)
     rhs = (Cinv @ np.kron(eye, right) @ C) % q    # R(right[j]), (m, 4, 4)
-    rhs = rhs.transpose(1, 0, 2).reshape(4, -1)   # column (j, s) is column s of R(right[j])
-    codes = np.zeros(len(left) * len(right), dtype=np.int64)
+    digits = q ** np.arange(4)
+    distinct, col = np.unique(rhs.transpose(0, 2, 1) @ digits, return_inverse=True)  # base-q codes of the columns
+    cols = (distinct // digits[:, None] % q).astype(np.int16)  # (4, u): column c is u_c
+    table = np.zeros((len(left), len(distinct)), dtype=np.int64)
     for r in range(4):
-        row = lhs[:, r] @ rhs                     # entry (i, (j, s)) = beta(left[i], right[j])[r, s]
-        row %= q
-        codes += row.reshape(-1, 4) @ q ** (4 * r + np.arange(4))  # code = sum of beta[r, s] q^(4r + s) < 2^46
-    return codes
+        entry = lhs[:, r, 0, None] * cols[0]      # (k, u): row r of L(left[i]) times u_c
+        for t in range(1, 4):
+            entry += lhs[:, r, t, None] * cols[t]
+        table += _mod(entry, q) * np.int64(q ** (4 * r))
+    col = col.reshape(len(right), 4)              # col[j, s]: index of column s of R(right[j])
+    codes = np.take(table, col[:, 0], axis=1)     # (k, m); code = sum of beta[r, s] q^(4r + s) < 2^46
+    gathered = np.empty_like(codes)
+    for s in range(1, 4):
+        np.take(table, col[:, s], axis=1, out=gathered)
+        gathered *= q**s
+        codes += gathered
+    return codes.reshape(-1)
 
 
 def _norm_vectors(q: int) -> dict[int, np.ndarray]:
@@ -190,7 +215,7 @@ def _cross4(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Generalized cross product: x . v = det[a b c x] for every x.
 
     a, b, c hold T vectors as columns, shape (4, T); so does v, with
-    integer entries (no reduction mod q).
+    integer entries (no reduction mod q) of a's dtype.
     """
     plucker = {(i, j): a[i] * b[j] - a[j] * b[i] for i in range(4) for j in range(i + 1, 4)}
     v = np.empty_like(a)
@@ -201,22 +226,56 @@ def _cross4(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return v
 
 
+def _o4_columns(pool: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """O(4, F_q) in closed form, as columns drawn from the pool of unit vectors.
+
+    The first three columns run over every triple of mutually orthogonal unit
+    vectors.  The triples come from the neighbour table of the orthogonality
+    graph: O(4) is transitive on unit vectors, so each has the same number d
+    of unit vectors orthogonal to it, listed in ascending order.  c2 and c3
+    are neighbours of c1, and c3 one orthogonal to c2: a (len(pool), d, d)
+    mask.  The cross product v of a triple spans its orthogonal complement,
+    and the adjugate identity v = det * c4 with det = +-1 makes the two unit
+    fourth columns exactly +-v; the determinant is c4 . v.  The cross product
+    runs on int32 coordinates, whose entries stay below 3 (q - 1)^3.
+
+    Returns (first, last, dets) for the T triples, each taken with c4 = v and
+    then c4 = -v: first (T,) holds c1 n + c2 and last (T, 2) holds c3 n + c4,
+    pool indices as flat indices of pool x pool (n = len(pool)), and dets
+    (T, 2) the determinants.  Triples are in lexicographic order.
+    """
+    n = len(pool)
+    lex_rank = q ** np.arange(3, -1, -1, dtype=np.int64)
+    pool_index = np.zeros(q**4, dtype=np.int64)
+    pool_index[pool @ lex_rank] = np.arange(n)
+    orth = (pool @ pool.T) % q == 0
+    nbr = np.nonzero(orth)[1].reshape(n, -1)            # (n, d): the unit vectors orthogonal to each, ascending
+    d = nbr.shape[1]
+    # flat index (c1 d + a) d + b of each c2 = nbr[c1, a], c3 = nbr[c1, b] with c2 . c3 = 0, lexicographic
+    pair, b = np.divmod(np.flatnonzero(orth.ravel()[n * nbr[:, :, None] + nbr[:, None, :]]), d)
+    i1, i2 = pair // d, nbr.ravel()[pair]
+    i3 = nbr[i1, b]
+    coords = pool.T.astype(np.int32)
+    v = _cross4(*(np.take(coords, i, axis=1) for i in (i1, i2, i3)))
+    fourth = np.stack([_mod(v, q), _mod(-v, q)])        # (2, 4, T): c4 = v and c4 = -v
+    i4 = pool_index[((fourth[:, 0] * q + fourth[:, 1]) * q + fourth[:, 2]) * q + fourth[:, 3]].T  # (T, 2)
+    dets = fourth[:, 0] * v[0]                          # (2, T): c4 . v
+    for r in range(1, 4):
+        dets += fourth[:, r] * v[r]
+    return i1 * n + i2, i3[:, None] * n + i4, _mod(dets, q).T
+
+
 def enumerate_go4_codes(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form enumeration of GO(4, F_q) as (codes, lams, dets).
 
-    O(4) comes first, in closed form, as columns drawn from the pool of unit
-    vectors: the first three run over every triple of mutually orthogonal
-    unit vectors, read off the pool's orthogonality mask.  The cross product
-    v of such a triple spans its orthogonal complement, and the adjugate
-    identity v = det * c4 with det = +-1 makes the two unit fourth columns
-    exactly +-v; the determinant is c4 . v.
-
-    Every other lambda-class is a coset of O(4).  Take a^2 + b^2 = lambda,
-    R = [[a, -b], [b, a]] and g = R (+) R (g = I for lambda = 1).  Then
-    g^t g = lambda I and det g = lambda^2, so M -> g M is a bijection from
-    O(4) onto the matrices with m^t m = lambda I, and det(g M) =
-    lambda^2 det M.  Column j of g M is g c_j, so the codes of a class are
-    sums of the codes of g c, c in the pool, gathered at the columns of O(4).
+    O(4) comes first, from _o4_columns.  Every other lambda-class is a coset
+    of O(4).  Take a^2 + b^2 = lambda, R = [[a, -b], [b, a]] and
+    g = R (+) R (g = I for lambda = 1).  Then g^t g = lambda I and
+    det g = lambda^2, so M -> g M is a bijection from O(4) onto the matrices
+    with m^t m = lambda I, and det(g M) = lambda^2 det M.  Column j of g M is
+    g c_j, so the code of g M is the code of the columns (g c1, g c2) plus
+    q^2 times that of (g c3, g c4), both gathered from one table over
+    pool x pool per class.
 
     Elements come out ordered by lambda, then by the O(4) factor M: its
     triple (c1, c2, c3) in lexicographic order, then c4 = v before c4 = -v.
@@ -225,21 +284,9 @@ def enumerate_go4_codes(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     _check_q(q)
     pool = _norm_vectors(q)[1]  # unit vectors, lexicographic
-    lex_rank = q ** np.arange(3, -1, -1, dtype=np.int64)
-    pool_index = np.zeros(q**4, dtype=np.int64)
-    pool_index[pool @ lex_rank] = np.arange(len(pool))
-    orth = (pool @ pool.T) % q == 0
-    i1, i2 = np.nonzero(orth)
-    t, i3 = np.nonzero(orth[i1] & orth[i2])
-    i1, i2 = i1[t], i2[t]
-    coords = pool.T
-    v = _cross4(coords[:, i1], coords[:, i2], coords[:, i3])
-    fourth = np.stack([v % q, -v % q])                  # (2, 4, T): c4 = v and c4 = -v
-    i4 = pool_index[lex_rank @ fourth].T                # (T, 2) pool rows of the fourth columns
-    o4_dets = ((fourth * v).sum(axis=1) % q).T.ravel()  # c4 . v, in output order
-
+    first, last, o4_dets = _o4_columns(pool, q)  # its temporaries are freed before the output is allocated
     col_code = q ** (4 * np.arange(4, dtype=np.int64))  # code of a vector placed in column 0
-    size = len(o4_dets)
+    size = last.size
     codes = np.empty((q - 1) * size, dtype=np.int64)
     lams = np.repeat(np.arange(1, q, dtype=np.int8), size)
     dets = np.empty((q - 1) * size, dtype=np.int8)
@@ -249,10 +296,10 @@ def enumerate_go4_codes(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if not np.array_equal((g.T @ g) % q, lam * np.eye(4, dtype=np.int64)):
             raise ArithmeticError(f"coset representative for lambda = {lam} is not a similitude: {g.tolist()}")
         pool_code = ((pool @ g.T) % q) @ col_code      # code of g c in column 0, for each c in the pool
-        head = pool_code[i1] + q * pool_code[i2] + q * q * pool_code[i3]
+        pair_code = (pool_code[:, None] + q * pool_code).ravel()  # code of (g c, g c') in columns 0 and 1
         block = slice((lam - 1) * size, lam * size)
-        np.add(head[:, None], q**3 * pool_code[i4], out=codes[block].reshape(-1, 2))
-        dets[block] = o4_dets * (lam * lam % q) % q
+        np.add(pair_code[first][:, None], (q * q * pair_code)[last], out=codes[block].reshape(-1, 2))
+        dets[block] = _mod(o4_dets * (lam * lam % q), q).ravel()
     return codes, lams, dets
 
 

@@ -1,7 +1,14 @@
+import dataclasses
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gsp4transfer import simgroups
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -21,6 +28,49 @@ def test_group_census_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(out.read_text())
     assert payload[0]["q"] == 3 and payload[0]["ok"] is True
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("kind", ["code", "pair"])
+def test_group_census_prints_counterexample(monkeypatch, capsys, kind):
+    census = load_script("group_census.py")
+    report = simgroups.verify_gso_presentation(3)
+    if kind == "code":
+        code = int(simgroups._encode(np.diag([1, 1, 1, 2]).reshape(1, 16), 3)[0])  # a reflection
+        failed = dataclasses.replace(
+            report,
+            image_equals_gso=False,
+            counterexample=simgroups._code_witness("image_equals_gso", "gso", code, 3),
+        )
+        expected = [
+            "    failed: image_equals_gso",
+            f"    counterexample (image_equals_gso): code {code} from gso, lambda 1, det 2",
+            "      [1, 0, 0, 0]",
+            "      [0, 1, 0, 0]",
+            "      [0, 0, 1, 0]",
+            "      [0, 0, 0, 2]",
+        ]
+    else:
+        pair = [[[1, 0], [0, 1]], [[1, 0], [0, 2]]]
+        failed = dataclasses.replace(
+            report, kernel_is_scalar_pairs=False, counterexample={"check": "kernel_is_scalar_pairs", "pair": pair}
+        )
+        expected = [
+            "    failed: kernel_is_scalar_pairs",
+            "    counterexample (kernel_is_scalar_pairs): non-scalar kernel pair [[1, 0], [0, 1]], [[1, 0], [0, 2]]",
+        ]
+    monkeypatch.setattr(census, "verify_gso_presentation", lambda q: failed)
+    monkeypatch.setattr(sys, "argv", ["group_census.py", "--q", "3"])
+    assert census.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].split()[:7] == ["3", "2", "1152", "1152", "2304", "576", "False"]
+    assert lines[3:] == expected
 
 
 def test_pole_experiment_runs(tmp_path):

@@ -9,6 +9,7 @@ from gsp4transfer.simgroups import (
     UnsupportedField,
     _cross4,
     _encode,
+    _mod,
     _modinv,
     _norm_vectors,
     enumerate_go4_codes,
@@ -43,6 +44,23 @@ def beta(g1, g2, q) -> np.ndarray:
     """Reference pair map: C^-1 (g1 (x) g2) C mod q, one pair at a time."""
     C, Cinv = simgroups._det_frame(q)
     return (Cinv @ (np.kron(np.array(g1) % q, np.array(g2) % q) % q) @ C) % q
+
+
+def beta_codes_by_rows(left, right, q) -> np.ndarray:
+    """Reference pair map: the codes of _beta_codes, one row of beta at a time.
+
+    beta(g, h) = L(g) R(h) mod q, so row r of beta over all pairs is one
+    (len(left), 4) @ (4, 4 len(right)) product of row r of L(left[i]) with the
+    columns of R(right[j]), reduced mod q and weighted by its digits q^(4r + s).
+    """
+    C, Cinv = simgroups._det_frame(q)
+    eye = np.eye(2, dtype=np.int64)[None]
+    lhs = (Cinv @ np.kron(left, eye) @ C) % q
+    rhs = ((Cinv @ np.kron(eye, right) @ C) % q).transpose(1, 0, 2).reshape(4, -1)
+    codes = np.zeros(len(left) * len(right), dtype=np.int64)
+    for r in range(4):
+        codes += (lhs[:, r] @ rhs % q).reshape(-1, 4) @ q ** (4 * r + np.arange(4))
+    return codes
 
 
 def similitude_factor(m, q) -> int | None:
@@ -314,6 +332,53 @@ class TestClosedFormKernels:
             e = beta(left[i], right[j], q)
             assert np.array_equal(simgroups._decode(int(codes[i * 200 + j]), q), e)
             assert det2(left[i], q) * det2(right[j], q) % q == similitude_factor(e, q)
+
+    @pytest.mark.parametrize("q", SUPPORTED_Q)
+    def test_column_table_matches_row_oracle(self, q):
+        mats = gl2_elements(q)
+        sl2 = mats[[det2(g, q) == 1 for g in mats.tolist()]]
+        for left, right in ((simgroups._scalar_transversal(mats), mats), (sl2, sl2)):
+            codes = simgroups._beta_codes(left, right, q)
+            assert codes.dtype == np.int64
+            assert np.array_equal(codes, beta_codes_by_rows(left, right, q))
+
+    @pytest.mark.parametrize("q", [5, 7])
+    def test_column_table_on_repeated_rows_and_columns(self, q):
+        mats = gl2_elements(q)
+        rng = np.random.default_rng(q)
+        # 200 draws from 40 elements each: every block repeats rows and columns
+        left = mats[rng.choice(rng.choice(len(mats), 40, replace=False), 200)]
+        right = mats[rng.choice(rng.choice(len(mats), 40, replace=False), 200)]
+        assert np.array_equal(simgroups._beta_codes(left, right, q), beta_codes_by_rows(left, right, q))
+
+    def test_column_table_with_an_empty_factor(self):
+        mats = gl2_elements(3)
+        for left, right in ((mats[:0], mats), (mats, mats[:0])):
+            codes = simgroups._beta_codes(left, right, 3)
+            assert codes.shape == (0,) and codes.dtype == np.int64
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    def test_mod_matches_remainder(self, dtype):
+        info = np.iinfo(dtype)
+        x = np.concatenate([np.arange(-300, 300), [info.min, info.min + 1, info.max - 1, info.max]])
+        x = np.unique(np.clip(x, info.min, info.max)).astype(dtype)
+        for q in SUPPORTED_Q:
+            assert np.array_equal(_mod(x, q), x % q)
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_o4_block_order(self, q):
+        """O(4) comes first: triples (c1, c2, c3) in lexicographic order, then c4 = v before c4 = -v."""
+        codes, lams, dets = enumerate_go4_codes(q)
+        size = o4_order(q)
+        assert (lams[:size] == 1).all()
+        mats = np.array([simgroups._decode(c, q) for c in codes[:size].tolist()])  # (size, 4, 4)
+        rank = q ** np.arange(3, -1, -1)
+        cols = mats.transpose(0, 2, 1) @ rank                                       # lex rank of each column
+        triples = cols[:, :3].tolist()
+        assert triples[::2] == triples[1::2] and triples == sorted(triples)
+        plus, minus = mats[::2, :, 3], mats[1::2, :, 3]
+        assert np.array_equal((plus + minus) % q, np.zeros_like(plus))
+        assert (dets[:size:2] == 1).all() and (dets[1:size:2] == q - 1).all()
 
     @pytest.mark.parametrize("q", [3, 5])
     def test_transversal_gives_image_and_kernel(self, q):
