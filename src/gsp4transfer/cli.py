@@ -51,16 +51,17 @@ CONSTRAINT_ERRORS = (CentralCharMismatch, ConstituentsNotDistinct, NotUnitaryNor
 
 
 def _json_text(payload: dict) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline; a
-    ``PlaceChain`` under ``places`` is spliced in from ``_place_rows``.
+    """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline; the
+    entries of a ``PlaceChain`` under ``places`` are written by ``_place_rows``.
     Top-level keys are the only lines that start with two spaces and a quote."""
     chain = payload.get("places")
     if not isinstance(chain, PlaceChain):
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    text = json.dumps({**payload, "places": []}, indent=2, sort_keys=True)
-    if len(chain.qs):
-        text = text.replace('\n  "places": []', '\n  "places": [\n' + _place_rows(chain) + "\n  ]", 1)
-    return text + "\n"
+    text = json.dumps({**payload, "places": []}, indent=2, sort_keys=True) + "\n"
+    if not len(chain.qs):
+        return text
+    head, _, tail = text.partition('\n  "places": []')
+    return _place_rows(chain, head + '\n  "places": [\n', "\n  ]" + tail)
 
 
 class UsageError(ValueError):
@@ -129,19 +130,18 @@ def _place_doc(q, commutes, *v) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _place_template() -> tuple[str, tuple[int, ...]]:
-    """The JSON text of one ``places`` entry, at its depth in the payload, as
-    a %-format, and the flat value (argument of ``_place_doc``) for each slot.
+def _place_template() -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The JSON text of one ``places`` entry, at its depth in the payload, cut
+    at its values: the literal pieces between them, and the flat value
+    (argument of ``_place_doc``) each gap between two pieces shows.
 
     It is read off the encoder: ``json.dumps(..., indent=2, sort_keys=True)``
     of an entry whose values are the markers "@0", "@1", ..., so the layout
-    cannot drift from ``json.dumps`` of the entry itself.  %s renders ints as
-    JSON does; floats are filled in as their ``float.__repr__`` texts.
+    cannot drift from ``json.dumps`` of the entry itself.
     """
     text = json.dumps(_place_doc(*(f"@{k}" for k in range(30))), indent=2, sort_keys=True)
-    slots = tuple(int(k) for k in re.findall(r'"@(\d+)"', text))
-    text = re.sub(r'"@\d+"', "%s", text.replace("%", "%%"))
-    return "    " + text.replace("\n", "\n    "), slots
+    text = "    " + text.replace("\n", "\n    ")
+    return tuple(re.split(r'"@\d+"', text)), tuple(int(k) for k in re.findall(r'"@(\d+)"', text))
 
 
 # Column of a row's distinct values (alpha_1, beta_1, mu_1, alpha_2, beta_2,
@@ -149,23 +149,34 @@ def _place_template() -> tuple[str, tuple[int, ...]]:
 _GL2_COLUMNS = np.array([0, 1, 3, 4])
 
 
-def _place_rows(chain: PlaceChain) -> str:
-    """The JSON rows of a chain's places, each float rendered once: of a
-    row's 14 complex values only the six of its GL(2) parameters are
-    distinct, since every GSp(4) and GL(4) entry is a slot of a GL(2) entry."""
-    template, slots = _place_template()
-    n = len(chain.qs)
+def _place_rows(chain: PlaceChain, head: str, tail: str) -> str:
+    """``head``, the JSON entries of a chain's places joined by ",\n", and
+    ``tail``, as one ``str.join`` over a vocabulary of texts: the template's
+    pieces, the q texts, "true" and "false", and each row's 12 distinct floats
+    rendered once (every GSp(4) and GL(4) entry is a slot of a GL(2) entry)."""
+    pieces, slots = _place_template()
+    n, last = len(chain.qs), len(pieces) - 1
     distinct = np.concatenate([chain.gl2[:, 0], chain.mu[:, :1], chain.gl2[:, 1], chain.mu[:, 1:]], axis=1)
-    # JSON renders finite floats with float.__repr__
-    texts = np.array(list(map(float.__repr__, distinct.view(float).ravel().tolist())), dtype=object)
+    # the vocabulary: pieces[:last], head + pieces[0], pieces[last] + ",\n",
+    # pieces[last] + tail, "true", "false", then the q texts and the floats,
+    # which JSON renders with int.__repr__ and float.__repr__
+    vocab = [*pieces[:last], head + pieces[0], pieces[last] + ",\n", pieces[last] + tail, "true", "false",
+             *map(int.__repr__, chain.qs.tolist()),
+             *map(float.__repr__, distinct.view(float).ravel().tolist())]
+    q0 = last + 5  # index of the first q text; the floats follow the n q texts
+    rows = np.arange(n)[:, None]
     # the distinct value each of a row's 14 complex values shows
     columns = np.concatenate([np.broadcast_to(np.arange(6), (n, 6)), _GL2_COLUMNS[chain.gsp4],
                               _GL2_COLUMNS[chain.gl4]], axis=1)
-    rows = np.empty((n, 30), dtype=object)  # the arguments of _place_doc
-    rows[:, 0] = chain.qs.tolist()
-    rows[:, 1] = ["true" if c else "false" for c in chain.commutes.tolist()]
-    rows[:, 2:] = np.take_along_axis(texts.reshape(n, 6, 2), columns[:, :, None], axis=1).reshape(n, 28)
-    return ",\n".join(template % tuple(row) for row in rows[:, slots].tolist())
+    values = np.empty((n, 30), dtype=np.intp)  # vocabulary index of each argument of _place_doc
+    values[:, :1] = q0 + rows
+    values[:, 1] = last + 4 - chain.commutes
+    values[:, 2:] = q0 + n + 12 * rows + (2 * columns[:, :, None] + np.arange(2)).reshape(n, 28)
+    words = np.empty((n, 2 * last + 1), dtype=np.intp)
+    words[:, 0::2] = np.arange(last + 1)
+    words[:, 1::2] = values[:, slots]
+    words[0, 0], words[:, -1], words[-1, -1] = last, last + 1, last + 2
+    return "".join(np.fromiter(vocab, dtype=object, count=len(vocab)).take(words.ravel()).tolist())
 
 
 def _text_transfer(payload: dict) -> str:

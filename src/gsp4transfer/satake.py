@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -331,12 +331,28 @@ def match_multisets(xs: Iterable[Scalar], ys: Iterable[Scalar], tol: float = MAT
     return perfect_matching(adj) is not None
 
 
+@lru_cache(maxsize=None)
+def _matching_table(d: int) -> np.ndarray:
+    """Read-only boolean table of length 2^(d * d): entry m says whether the
+    d x d boolean matrix whose entry (i, j) is bit d * i + j of m has a
+    perfect matching, a permutation p with every entry (i, p(i)) set."""
+    masks = np.arange(1 << d * d)
+    table = np.zeros(len(masks), dtype=bool)
+    for perm in permutations(range(d)):
+        bits = sum(1 << d * i + j for i, j in enumerate(perm))
+        table |= masks & bits == bits
+    table.flags.writeable = False
+    return table
+
+
 def match_multiset_rows(xs: np.ndarray, ys: np.ndarray, tol: float = MATCH_TOL) -> np.ndarray:
     """Row-wise ``match_multisets`` of (P, d) float arrays, d <= 4: row p
-    matches when some permutation pairs xs[p] with ys[p] within tolerance."""
-    close = within_tol(xs[:, :, None], ys[:, None, :], tol)  # (P, d, d)
-    d = range(xs.shape[1])
-    return np.any([close[:, d, perm].all(axis=1) for perm in permutations(d)], axis=0)
+    matches when some permutation pairs xs[p] with ys[p] within tolerance.
+    Each row's d x d ``within_tol`` bits, packed into one int, are looked up
+    in ``_matching_table``."""
+    n, d = xs.shape
+    close = within_tol(xs[:, :, None], ys[:, None, :], tol).reshape(n, d * d)
+    return _matching_table(d)[close @ (1 << np.arange(d * d))]
 
 
 # ---------------------------------------------------------------------------
@@ -607,11 +623,24 @@ def complex_pairs(values, ndim: int, error: str) -> np.ndarray:
     """Document values that are ``[re, im]`` pairs of JSON numbers, nested in
     lists to ``ndim`` levels counting the pairs, as a complex array of the
     nesting's shape; a ValueError for anything else, ``error`` unless numpy
-    finds the nesting ragged."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iuf" or arr.ndim != ndim or arr.shape[-1] != 2:
-        raise ValueError(error)
-    return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
+    finds the nesting ragged.  A JSON boolean is not a number here.
+
+    The nesting and the leaf types are checked level by level on flattened
+    lists, and the leaves become one flat array; numpy's own dtype rules
+    decide which integers it holds (beyond [-2^63, 2^64) none)."""
+    shape, items = [], [values]
+    for _ in range(ndim):
+        if set(map(type, items)) != {list} or len(sizes := set(map(len, items))) != 1:
+            break
+        shape.append(sizes.pop())
+        items = list(chain.from_iterable(items))
+    else:
+        if shape[-1] == 2 and set(map(type, items)) <= {int, float}:
+            arr = np.array(items)
+            if arr.dtype.kind in "iuf":
+                return arr.astype(float, copy=False).reshape(shape).view(complex)[..., 0]
+    np.asarray(values)  # raises numpy's error when the nesting is ragged
+    raise ValueError(error)
 
 
 def _finite_pairs(values, ndim: int, name: str) -> list | complex:

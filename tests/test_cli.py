@@ -403,6 +403,46 @@ class TestTransfer:
         assert code == 2 and out == ""
         assert err == "error: malformed document: symbol id 'P1' declared twice\n"
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+    def test_from_gso_not_boolean_exit_two(self, capsys, tmp_path, value):
+        doc = lifted_pair_doc()
+        doc["from_gso"] = value
+        code, out, err = run(capsys, "transfer", "--in", write_doc(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert err == "error: malformed document: from_gso must be true or false\n"
+
+    @pytest.mark.parametrize("key", ["gross_char", "omega"])
+    @pytest.mark.parametrize("value", [0, False, [], 5])
+    def test_gross_char_and_omega_not_strings_exit_two(self, capsys, tmp_path, key, value):
+        doc = lifted_pair_doc()
+        doc[key] = value
+        code, out, err = run(capsys, "transfer", "--in", write_doc(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert err == "error: malformed document: gross_char and omega must be strings\n"
+
+    def test_empty_gross_char_is_an_id(self, capsys, tmp_path):
+        # only absent or null means absent; the constituents carry "chi", not ""
+        doc = lifted_pair_doc()
+        doc["gross_char"] = ""
+        code, out, err = run(capsys, "transfer", "--in", write_doc(tmp_path, doc))
+        assert (code, err) == (1, "") and out.endswith("constraint failed: central_char_compatibility\n")
+
+    def test_null_gross_char_and_omega_are_absent(self, capsys, tmp_path):
+        doc = lifted_pair_doc()
+        want = run(capsys, "transfer", "--in", write_doc(tmp_path, doc))
+        doc["gross_char"] = doc["omega"] = None
+        assert run(capsys, "transfer", "--in", write_doc(tmp_path, doc)) == want
+        assert want[0] == 0 and "(x) chi" in want[1]
+
+    @pytest.mark.parametrize("slot", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_in_local_pair_exit_two(self, capsys, tmp_path, slot, value):
+        doc = lifted_pair_doc()
+        doc["symbols"][0]["local"]["2"][slot[0]][slot[1]] = value
+        code, out, err = run(capsys, "transfer", "--in", write_doc(tmp_path, doc), "--format", "json")
+        assert (code, out) == (2, "")
+        assert err == "error: malformed document: symbol P1: local data must map places to [re, im] pairs\n"
+
     def test_missing_file_exit_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "transfer", "--in", str(tmp_path / "nope.json"))
         assert code == 2 and "cannot read" in err
@@ -689,6 +729,16 @@ class TestRodier:
         assert (code, err) == (0, "") and out.endswith("verdict: family B\n")
         code, out, err = run(capsys, "rodier", "--params", path, "--q", str(PRIME_POWER_LIMIT))
         assert (code, out) == (2, "") and "must be below" in err
+
+    @pytest.mark.parametrize("field, value", [("entries", [[True, 0.0], [1 / 3, 0.0], [3.0, 0.0], [3.0, 0.0]]),
+                                              ("entries", [[1 / 3, False]] * 2 + [[3.0, 0.0]] * 2),
+                                              ("mu", [True, 0.0])])
+    def test_boolean_in_pair_exit_two(self, capsys, tmp_path, field, value):
+        # a JSON boolean is not a number, also among numbers
+        doc = dict(RODIER_DOC, **{field: value})
+        code, out, err = run(capsys, "rodier", "--params", write_doc(tmp_path, doc), "--q", "9")
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read parameters: {field} must be [re, im] pairs of numbers\n"
 
     @pytest.mark.parametrize("corrupt", ["top_level_list", "top_level_string", "entries_number",
                                          "string_coordinate", "one_element_pair", "exact_true",

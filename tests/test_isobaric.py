@@ -150,6 +150,29 @@ class TestRegistry:
         assert not equivalent(a, c)
         assert not equivalent(a, reg1.create("deg1", 1, qs=places, params=[(1 + 0j,)] * 5))
 
+    @pytest.mark.parametrize("at", [0, 7, 8, 11])
+    def test_equivalence_decided_at_every_common_place(self, at):
+        # the first common places are tested first; a difference after them
+        # still counts
+        qs = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+        params = np.exp(1j * np.arange(24.0)).reshape(12, 2)
+        other = params.copy()
+        other[at, 0] *= 1.001
+        reg = SymbolRegistry()
+        a, b, c = (reg.create(sid, 2, qs=qs, params=p) for sid, p in (("a", params), ("b", params), ("c", other)))
+        assert equivalent(a, b) and not equivalent(a, c) and not equivalent(c, a)
+
+    @pytest.mark.parametrize("value, fault", [
+        # 1 / value underflows to zero
+        (1e308 + 1e308j, "a place is sampled twice or a parameter is zero"),
+        # 1 / value is finite, but its own inverse overflows
+        (1.7976931348623157e308, "a local parameter at q=2 has no finite inverse"),
+    ])
+    def test_undeclared_dual_checks_its_values(self, registry, value, fault):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=rf"^symbol a\^: {fault}$"):
+            registry.create("a", 1, qs=[2, 3], params=[(value,), (1 + 0j,)])
+        assert list(registry) == []
+
     def test_equivalence_is_symmetric(self, registry, places):
         a = registry.create("a", 2, qs=[places[0]], params=[(1, 1 + 1.8e-9)])
         b = registry.create("b", 2, qs=[places[0]], params=[(1 + 0.9e-9, 1 - 0.95e-9)])

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -18,16 +19,20 @@ from gsp4transfer.satake import (
     PRIME_POWER_TABLE_CAP,
     GSp4Param,
     UnramChar,
+    MATCH_TOL,
     _is_prime_power,
+    _matching_table,
     _prime_power_table,
     as_char,
     chars_equal,
     check_place,
+    complex_pairs,
     check_places,
     check_selfdual_twist,
     exponents,
     gsp4_to_gl4_embed,
     langlands_param_from_induction,
+    match_multiset_rows,
     match_multisets,
     param_from_json,
     param_to_json,
@@ -105,6 +110,35 @@ class TestMultisetMatching:
         ys = [1 + 0.9e-9, 1 - 0.95e-9]
         assert match_multisets(xs, ys)
         assert match_multisets(ys, xs)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matching_table_against_permutations(self, d):
+        # entry (i, j) of mask m is bit d * i + j; a perfect matching is a
+        # permutation whose every entry is set
+        table = _matching_table(d)
+        masks = np.arange(1 << d * d)
+        bits = (masks[:, None] >> np.arange(d * d) & 1).astype(bool).reshape(-1, d, d)
+        want = np.zeros(len(masks), dtype=bool)
+        for perm in permutations(range(d)):
+            want |= bits[:, range(d), perm].all(axis=1)
+        assert table.shape == want.shape and (table == want).all()
+        assert not table.flags.writeable
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_rows_agree_with_scalar_matching_on_near_ties(self, d):
+        # entries drawn from a few values, then moved by about MATCH_TOL, so
+        # that many entries are equal within tolerance and some just miss
+        rng = np.random.default_rng(d)
+        centers = np.array([1, 1j, -1 + 0.5j, 2.5, 1e-9])
+        xs = rng.choice(centers, size=(400, d))
+        ys = np.take_along_axis(xs, np.argsort(rng.random((400, d)), axis=1), axis=1)
+        xs, ys = (z + MATCH_TOL * rng.uniform(-1.5, 1.5, z.shape) * np.exp(2j * np.pi * rng.random(z.shape))
+                  for z in (xs, ys))
+        for a, b in ((xs, ys), (ys, xs)):
+            got = match_multiset_rows(a, b)
+            want = [match_multisets(x, y) for x, y in zip(a.tolist(), b.tolist())]
+            assert got.tolist() == want
+        assert 0 < sum(want) < len(want)
 
 
 class TestTransferMap:
@@ -491,6 +525,35 @@ class TestSelfDualTwist:
         p = GL4Param(tuple(as_char(x) for x in (2, 3, 5, 7)))
         # the inverse multiset is {1/2, 1/3, 1/5, 1/7}
         assert not check_selfdual_twist(p, 1)
+
+
+class TestComplexPairs:
+    @pytest.mark.parametrize("values, ndim, want", [
+        ([[1, 0], [0.5, -2]], 2, [1, 0.5 - 2j]),
+        ([[[1.5, 0]], [[0, 2]]], 3, [[1.5], [2j]]),
+        ([3, 4], 1, 3 + 4j),
+        # integers numpy holds as int64 or uint64, alone or with floats
+        ([[-(2**63), 2**64 - 1]], 2, [complex(-(2**63), 2**64 - 1)]),
+        ([[2**63, 0.5]], 2, [complex(2**63, 0.5)]),
+    ])
+    def test_accepted(self, values, ndim, want):
+        z = complex_pairs(values, ndim, "bad")
+        assert z.dtype == complex and z.tolist() == want
+
+    @pytest.mark.parametrize("values, ndim", [
+        ([[True, 0.0]], 2), ([[1.0, False]], 2), ([True, 1.0], 1),
+        ([[2**64, 0.0]], 2), ([[-(2**63) - 1, 0.0]], 2),  # beyond what numpy holds as an integer
+        ([[1.0], [2.0]], 2), ([[1.0, 2.0, 3.0]], 2),  # not pairs
+        ([[1.0, 2.0]], 1), ([[1.0, 2.0]], 3), ([], 1), ([[]], 2),  # not nested ndim deep
+        ([(1.0, 2.0)], 2), ([[1.0, None]], 2), ([[1.0, "2"]], 2), ("12", 1), ({"1": 2}, 1),
+    ])
+    def test_refused(self, values, ndim):
+        with pytest.raises(ValueError, match="^bad$"):
+            complex_pairs(values, ndim, "bad")
+
+    def test_ragged_nesting_keeps_numpy_message(self):
+        with pytest.raises(ValueError, match="inhomogeneous shape"):
+            complex_pairs([[1.0, 2.0], [3.0]], 2, "bad")
 
 
 class TestSerialization:
