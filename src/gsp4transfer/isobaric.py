@@ -17,7 +17,6 @@ the oracle.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -89,7 +88,18 @@ class CuspidalSymbol:
         order = np.argsort(qs)
         qs, params = qs[order], params[order]
         check_places(qs)
-        _set_local_data(self, qs, params)
+        if np.any(np.diff(qs) == 0) or np.any(params == 0):
+            raise ValueError(f"symbol {self.id}: a place is sampled twice or a parameter is zero")
+        # every later use (duals, chains, JSON output) needs finite values with finite inverses
+        with np.errstate(over="ignore", invalid="ignore"):
+            for bad, fault in ((~np.isfinite(params), "is not finite"),
+                               (~np.isfinite(1 / params), "has no finite inverse")):
+                if bad.any():
+                    q = int(qs[bad.any(axis=1)][0])
+                    raise ValueError(f"symbol {self.id}: a local parameter at q={q} {fault}")
+        qs.flags.writeable = params.flags.writeable = False
+        object.__setattr__(self, "qs", qs)
+        object.__setattr__(self, "params", params)
 
     def __eq__(self, other):
         return isinstance(other, CuspidalSymbol) and self.id == other.id
@@ -107,24 +117,6 @@ class CuspidalSymbol:
         if self._registry is None:
             raise ValueError(f"symbol {self.id} is not attached to a registry")
         return self._registry.get(self.dual_id)
-
-
-def _set_local_data(sym: CuspidalSymbol, qs: np.ndarray, params: np.ndarray) -> None:
-    """Set ``sym``'s local data: ``qs``, ascending places already checked, and
-    ``params``, one row per place, both made read-only.  Raises unless each
-    place is sampled once and every parameter is nonzero and finite with a
-    finite inverse, as every later use (duals, chains, JSON output) needs."""
-    if (qs[1:] == qs[:-1]).any() or (params == 0).any():
-        raise ValueError(f"symbol {sym.id}: a place is sampled twice or a parameter is zero")
-    with np.errstate(over="ignore", invalid="ignore"):
-        inverse = 1 / params
-    for finite, fault in ((np.isfinite(params), "is not finite"), (np.isfinite(inverse), "has no finite inverse")):
-        if not finite.all():
-            q = int(qs[~finite.all(axis=1)][0])
-            raise ValueError(f"symbol {sym.id}: a local parameter at q={q} {fault}")
-    qs.flags.writeable = params.flags.writeable = False
-    object.__setattr__(sym, "qs", qs)
-    object.__setattr__(sym, "params", params)
 
 
 def _first_mismatch(qs: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> int | None:
@@ -159,14 +151,8 @@ def _dual_of(sym: CuspidalSymbol, declared: CuspidalSymbol | None = None) -> Cus
         return sym
     inverse = 1 / sym.params
     if declared is None:
-        # a copy, not __init__: sym's places are converted, sorted and checked
-        # already, but 1 / p can be zero and 1 / (1 / p) can overflow
-        dual = copy.copy(sym)
-        for name, value in (("id", sym.dual_id), ("dual_id", sym.id), ("_registry", None),
-                            ("central_char_id", inverse_char_id(sym.central_char_id))):
-            object.__setattr__(dual, name, value)
-        _set_local_data(dual, sym.qs, inverse)
-        return dual
+        cc = inverse_char_id(sym.central_char_id)
+        return CuspidalSymbol(sym.dual_id, sym.degree, sym.id, cc, sym.qs, inverse)
     if declared.dual_id != sym.id:
         raise ValueError(f"dual of dual of {sym.id} is not {sym.id}")
     common, i, j = np.intersect1d(sym.qs, declared.qs, assume_unique=True, return_indices=True)
@@ -186,10 +172,6 @@ def equivalent(a: CuspidalSymbol, b: CuspidalSymbol) -> bool:
         return False
     common, ia, ib = np.intersect1d(a.qs, b.qs, assume_unique=True, return_indices=True)
     if not len(common):
-        return False
-    # distinct symbols mostly differ at their first common places already
-    head = slice(0, 8)
-    if _first_mismatch(common[head], a.params[ia[head]], b.params[ib[head]]) is not None:
         return False
     return _first_mismatch(common, a.params[ia], b.params[ib]) is None
 

@@ -335,8 +335,9 @@ def match_multisets(xs: Iterable[Scalar], ys: Iterable[Scalar], tol: float = MAT
 def _matching_table(d: int) -> np.ndarray:
     """Read-only boolean table of length 2^(d * d): entry m says whether the
     d x d boolean matrix whose entry (i, j) is bit d * i + j of m has a
-    perfect matching, a permutation p with every entry (i, p(i)) set."""
-    masks = np.arange(1 << d * d)
+    perfect matching, a permutation p with every entry (i, p(i)) set.  With
+    d <= 4 a mask fits in 16 bits."""
+    masks = np.arange(1 << d * d, dtype=np.uint16)
     table = np.zeros(len(masks), dtype=bool)
     for perm in permutations(range(d)):
         bits = sum(1 << d * i + j for i, j in enumerate(perm))
@@ -619,23 +620,30 @@ def _char_to_json(c: UnramChar) -> tuple[list, dict | None]:
     return pair, {"r": str(c.exact.r), "turns": str(c.exact.turns)}
 
 
+_PAIR_CONTAINERS = frozenset({list, tuple})
+_PAIR_NUMBERS = (int, float, np.integer, np.floating)
+
+
 def complex_pairs(values, ndim: int, error: str) -> np.ndarray:
-    """Document values that are ``[re, im]`` pairs of JSON numbers, nested in
-    lists to ``ndim`` levels counting the pairs, as a complex array of the
-    nesting's shape; a ValueError for anything else, ``error`` unless numpy
-    finds the nesting ragged.  A JSON boolean is not a number here.
+    """Document values that are ``[re, im]`` pairs of numbers, nested in lists
+    or tuples to ``ndim`` levels counting the pairs, or a numeric array of that
+    shape, as a complex array of the nesting's shape; a ValueError for
+    anything else, ``error`` unless numpy finds the nesting ragged.  A boolean
+    is not a number here.
 
     The nesting and the leaf types are checked level by level on flattened
     lists, and the leaves become one flat array; numpy's own dtype rules
     decide which integers it holds (beyond [-2^63, 2^64) none)."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
     shape, items = [], [values]
     for _ in range(ndim):
-        if set(map(type, items)) != {list} or len(sizes := set(map(len, items))) != 1:
+        if not set(map(type, items)) <= _PAIR_CONTAINERS or len(sizes := set(map(len, items))) != 1:
             break
         shape.append(sizes.pop())
         items = list(chain.from_iterable(items))
     else:
-        if shape[-1] == 2 and set(map(type, items)) <= {int, float}:
+        if shape[-1] == 2 and all(issubclass(t, _PAIR_NUMBERS) and t is not bool for t in set(map(type, items))):
             arr = np.array(items)
             if arr.dtype.kind in "iuf":
                 return arr.astype(float, copy=False).reshape(shape).view(complex)[..., 0]

@@ -152,8 +152,7 @@ class TestRegistry:
 
     @pytest.mark.parametrize("at", [0, 7, 8, 11])
     def test_equivalence_decided_at_every_common_place(self, at):
-        # the first common places are tested first; a difference after them
-        # still counts
+        # a difference at any one common place, first, inner or last, counts
         qs = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
         params = np.exp(1j * np.arange(24.0)).reshape(12, 2)
         other = params.copy()

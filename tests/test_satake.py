@@ -535,6 +535,10 @@ class TestComplexPairs:
         # integers numpy holds as int64 or uint64, alone or with floats
         ([[-(2**63), 2**64 - 1]], 2, [complex(-(2**63), 2**64 - 1)]),
         ([[2**63, 0.5]], 2, [complex(2**63, 0.5)]),
+        # tuples, numpy scalars and numeric arrays, as library callers pass them
+        ([(1.0, 2.0), [3, 4.0]], 2, [1 + 2j, 3 + 4j]),
+        ([[np.float64(1.5), np.int64(-2)]], 2, [1.5 - 2j]),
+        (np.array([[[1, 2]], [[3, 4]]]), 3, [[1 + 2j], [3 + 4j]]),
     ])
     def test_accepted(self, values, ndim, want):
         z = complex_pairs(values, ndim, "bad")
@@ -545,7 +549,8 @@ class TestComplexPairs:
         ([[2**64, 0.0]], 2), ([[-(2**63) - 1, 0.0]], 2),  # beyond what numpy holds as an integer
         ([[1.0], [2.0]], 2), ([[1.0, 2.0, 3.0]], 2),  # not pairs
         ([[1.0, 2.0]], 1), ([[1.0, 2.0]], 3), ([], 1), ([[]], 2),  # not nested ndim deep
-        ([(1.0, 2.0)], 2), ([[1.0, None]], 2), ([[1.0, "2"]], 2), ("12", 1), ({"1": 2}, 1),
+        ([[np.bool_(True), 0.0]], 2), (np.array([[True, False]]), 2), ([[1.0, 2j]], 2),
+        ([[1.0, None]], 2), ([[1.0, "2"]], 2), ("12", 1), ({"1": 2}, 1),
     ])
     def test_refused(self, values, ndim):
         with pytest.raises(ValueError, match="^bad$"):
