@@ -32,6 +32,7 @@ from .satake import (
     match_multiset_rows,
     perfect_matching,
     place_array,
+    rational,
     within_tol,
 )
 
@@ -90,10 +91,13 @@ class CuspidalSymbol:
         check_places(qs)
         if np.any(np.diff(qs) == 0) or np.any(params == 0):
             raise ValueError(f"symbol {self.id}: a place is sampled twice or a parameter is zero")
-        # every later use (duals, chains, JSON output) needs finite values with finite inverses
-        with np.errstate(over="ignore", invalid="ignore"):
+        # every later use (duals, chains, JSON output) needs finite values whose
+        # inverses, the dual's values, are finite with finite inverses in turn
+        with np.errstate(all="ignore"):
+            inverse = 1 / params
             for bad, fault in ((~np.isfinite(params), "is not finite"),
-                               (~np.isfinite(1 / params), "has no finite inverse")):
+                               (~np.isfinite(inverse), "has no finite inverse"),
+                               (~np.isfinite(1 / inverse), "has an inverse that is zero or has no finite inverse")):
                 if bad.any():
                     q = int(qs[bad.any(axis=1)][0])
                     raise ValueError(f"symbol {self.id}: a local parameter at q={q} {fault}")
@@ -141,15 +145,17 @@ def _dual_of(sym: CuspidalSymbol, declared: CuspidalSymbol | None = None) -> Cus
     inverse-closed.  A ``declared`` dual must name ``sym`` as its dual and be
     entrywise inverse to it at shared places; it comes back with the inverse
     of ``sym``'s data added at places only ``sym`` samples.  Otherwise the
-    dual is a new symbol with the inverse data and central character.
+    dual is a new symbol with the inverse data and central character.  The
+    symbol's constructor has checked that its inverse data is finite and
+    nonzero, so the one division here cannot overflow.
     """
+    inverse = 1 / sym.params
     if sym.is_self_dual:
-        q = _first_mismatch(sym.qs, sym.params, 1 / sym.params)
+        q = _first_mismatch(sym.qs, sym.params, inverse)
         if q is not None:
             raise ValueError(f"symbol {sym.id}: local data at q={q} is not inverse-closed, "
                              "cannot be self-dual")
         return sym
-    inverse = 1 / sym.params
     if declared is None:
         cc = inverse_char_id(sym.central_char_id)
         return CuspidalSymbol(sym.dual_id, sym.degree, sym.id, cc, sym.qs, inverse)
@@ -300,12 +306,11 @@ def rs_factorization(r1: IsobaricRep, r2: IsobaricRep) -> list[RSFactor]:
 class PoleReport:
     """Exact pole order at s = 1 with one witness pair per unit of order."""
 
-    order: int
     witnesses: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if self.order != len(self.witnesses):
-            raise ValueError("order must equal the number of witnesses")
+    @property
+    def order(self) -> int:
+        return len(self.witnesses)
 
 
 def pole_order_at_one(r1: IsobaricRep, r2: IsobaricRep) -> PoleReport:
@@ -324,7 +329,7 @@ def pole_order_at_one(r1: IsobaricRep, r2: IsobaricRep) -> PoleReport:
         for j, (s2, _) in enumerate(r2.terms):
             if equivalent(s2, s1d):
                 witnesses.append((i, j))
-    return PoleReport(len(witnesses), tuple(witnesses))
+    return PoleReport(tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------
@@ -689,11 +694,8 @@ def descriptor_from_json(doc: dict, registry: SymbolRegistry) -> GSp4Descriptor:
     from_gso = doc.get("from_gso", False)
     if not isinstance(from_gso, bool):
         raise ValueError("from_gso must be true or false")
-    try:
-        twists = [Fraction(str(item.get("r", "0"))) for item in terms]
-    except ZeroDivisionError:
-        raise ValueError("twist exponent has a zero denominator") from None
-    if any(twists):
+    # a list, not a generator: every twist is read, so a malformed one is refused even after a nonzero one
+    if any([rational(item.get("r", "0"), "twist exponent r") for item in terms]):
         raise NotUnitaryNormalized(
             "unitary_normalization: descriptor terms must carry twist 0"
         )

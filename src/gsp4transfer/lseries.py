@@ -284,17 +284,10 @@ def sample_sato_tate(seed: int, primes: Sequence[int]) -> dict[int, tuple[comple
     return {int(p): (a, b) for p, (a, b) in zip(primes, params)}
 
 
-def sato_tate_symbol(
-    registry: SymbolRegistry,
-    sid: str,
-    seed: int,
-    primes: Sequence[int],
-    *,
-    central_char: str = "1",
-):
-    """Register a self-dual degree-2 symbol carrying synthetic local data."""
-    return registry.create(sid, 2, central_char=central_char, self_dual=True,
-                           qs=primes, params=_sato_tate_params(seed, len(primes)))
+def sato_tate_symbol(registry: SymbolRegistry, sid: str, seed: int, primes: Sequence[int]):
+    """Register a self-dual degree-2 symbol with trivial central character
+    carrying synthetic local data."""
+    return registry.create(sid, 2, self_dual=True, qs=primes, params=_sato_tate_params(seed, len(primes)))
 
 
 def stream_seed(seed: int, key: str) -> int:

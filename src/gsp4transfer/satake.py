@@ -197,9 +197,6 @@ class ExactForm:
     def inverse(self) -> "ExactForm":
         return ExactForm(-self.r, -self.turns)
 
-    def __pow__(self, n: int) -> "ExactForm":
-        return ExactForm(self.r * n, self.turns * n)
-
 
 @dataclass(frozen=True)
 class UnramChar:
@@ -228,11 +225,11 @@ class UnramChar:
     def is_exact(self) -> bool:
         return self.exact is not None
 
-    def consistent_at(self, q: int, rel_tol: float = FLOAT_TOL) -> bool:
+    def consistent_at(self, q: int) -> bool:
         """Whether re-evaluating the exact form at q reproduces ``value``."""
         if self.exact is None:
             return True
-        return within_tol(self.exact.evaluate(q), self.value, rel_tol)
+        return within_tol(self.exact.evaluate(q), self.value, FLOAT_TOL)
 
     def __mul__(self, other) -> "UnramChar":
         other = as_char(other)
@@ -248,20 +245,12 @@ class UnramChar:
         exact = self.exact.inverse() if self.exact else None
         return UnramChar(1.0 / self.value, exact)
 
-    def __pow__(self, n: int) -> "UnramChar":
-        exact = self.exact**n if self.exact else None
-        return UnramChar(self.value**n, exact)
-
 
 Scalar = Union[complex, float, int, Fraction, UnramChar]
 
 
 def as_char(x: Scalar) -> UnramChar:
-    if isinstance(x, UnramChar):
-        return x
-    if isinstance(x, Fraction):
-        return UnramChar(complex(float(x)))
-    return UnramChar(complex(x))
+    return x if isinstance(x, UnramChar) else UnramChar(complex(x))
 
 
 def _modulus(z):
@@ -346,13 +335,15 @@ def _matching_table(d: int) -> np.ndarray:
     return table
 
 
-def match_multiset_rows(xs: np.ndarray, ys: np.ndarray, tol: float = MATCH_TOL) -> np.ndarray:
+def match_multiset_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Row-wise ``match_multisets`` of (P, d) float arrays, d <= 4: row p
     matches when some permutation pairs xs[p] with ys[p] within tolerance.
     Each row's d x d ``within_tol`` bits, packed into one int, are looked up
-    in ``_matching_table``."""
+    in ``_matching_table``.  A difference of finite entries may overflow to
+    infinity, which is then simply not within tolerance."""
     n, d = xs.shape
-    close = within_tol(xs[:, :, None], ys[:, None, :], tol).reshape(n, d * d)
+    with np.errstate(over="ignore"):
+        close = within_tol(xs[:, :, None], ys[:, None, :]).reshape(n, d * d)
     return _matching_table(d)[close @ (1 << np.arange(d * d))]
 
 
@@ -438,10 +429,6 @@ class GL4Param:
             raise ValueError("expected exactly 4 entries")
         object.__setattr__(self, "entries", entries)
 
-    @property
-    def values(self) -> tuple[complex, complex, complex, complex]:
-        return tuple(c.value for c in self.entries)
-
     def product(self) -> UnramChar:
         out = self.entries[0]
         for c in self.entries[1:]:
@@ -478,15 +465,6 @@ class RodierVerdict:
     @property
     def in_list(self) -> bool:
         return self.family != "not_in_list"
-
-
-FAMILY_B = RodierVerdict("B")
-FAMILY_C = RodierVerdict("C")
-NOT_IN_LIST = RodierVerdict("not_in_list")
-
-
-def family_a(r) -> RodierVerdict:
-    return RodierVerdict("A", r)
 
 
 # ---------------------------------------------------------------------------
@@ -593,12 +571,12 @@ def rodier_class(e: ExponentVector, tol: float = MATCH_TOL) -> RodierVerdict:
     else:
         near, slack, r = (lambda x, y: abs(float(x) - float(y)) <= tol), tol, float(c)
     if near(a, -HALF) and near(b, -HALF) and near(c, HALF) and near(d, HALF):
-        return FAMILY_B
+        return RodierVerdict("B")
     if near(a, -THREE_HALVES) and near(b, -HALF) and near(c, HALF) and near(d, THREE_HALVES):
-        return FAMILY_C
+        return RodierVerdict("C")
     if near(a, -HALF) and near(d, HALF) and near(b, -c) and -slack <= r <= QUARTER + slack:
-        return family_a(r)
-    return NOT_IN_LIST
+        return RodierVerdict("A", r)
+    return RodierVerdict("not_in_list")
 
 
 def check_selfdual_twist(p: GL4Param, omega: Scalar) -> bool:
@@ -627,9 +605,9 @@ _PAIR_NUMBERS = (int, float, np.integer, np.floating)
 def complex_pairs(values, ndim: int, error: str) -> np.ndarray:
     """Document values that are ``[re, im]`` pairs of numbers, nested in lists
     or tuples to ``ndim`` levels counting the pairs, or a numeric array of that
-    shape, as a complex array of the nesting's shape; a ValueError for
-    anything else, ``error`` unless numpy finds the nesting ragged.  A boolean
-    is not a number here.
+    shape, as a complex array of the nesting's shape; a ValueError with the
+    text ``error`` for anything else, a ragged nesting too.  A boolean is not
+    a number here.
 
     The nesting and the leaf types are checked level by level on flattened
     lists, and the leaves become one flat array; numpy's own dtype rules
@@ -647,7 +625,6 @@ def complex_pairs(values, ndim: int, error: str) -> np.ndarray:
             arr = np.array(items)
             if arr.dtype.kind in "iuf":
                 return arr.astype(float, copy=False).reshape(shape).view(complex)[..., 0]
-    np.asarray(values)  # raises numpy's error when the nesting is ragged
     raise ValueError(error)
 
 
@@ -658,16 +635,26 @@ def _finite_pairs(values, ndim: int, name: str) -> list | complex:
     return z.tolist()
 
 
+def rational(value, name: str) -> Fraction:
+    """A rational number of a JSON document as a Fraction: an integer, a
+    finite float (its exact binary value) or a string ``Fraction`` reads,
+    such as ``"-1/2"``; a ValueError naming ``name`` for anything else.  A
+    boolean is not a number here."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise ValueError(f"{name} must be an integer, a finite float or a rational string, got {value!r}")
+
+
 def _char_from_json(value: complex, exact) -> UnramChar:
     if exact is None:
         return UnramChar(value)
     if not isinstance(exact, dict):
         raise ValueError(f"an exact form must be an object with r and turns, got {exact!r}")
-    try:
-        form = ExactForm(Fraction(exact["r"]), Fraction(exact["turns"]))
-    except (TypeError, ZeroDivisionError, OverflowError) as exc:
-        raise ValueError(f"invalid exact form {exact!r}: {exc}") from None
-    return UnramChar(value, form)
+    return UnramChar(value, ExactForm(rational(exact["r"], "exact form r"),
+                                      rational(exact["turns"], "exact form turns")))
 
 
 def param_to_json(p: GL2Param | GSp4Param | GL4Param) -> dict:

@@ -378,6 +378,53 @@ class TestTransfer:
         assert err == f"error: malformed document: symbol P2: a local parameter at q=5 {fault}\n"
 
     @pytest.mark.parametrize("command", ["transfer", "poles"])
+    @pytest.mark.parametrize("dual", ["undeclared", "declared", "self"])
+    def test_value_its_dual_cannot_hold_exit_two(self, capsys, tmp_path, command, dual):
+        # numpy's 1 / (1e308 + 1e308j) underflows to zero; the symbol that holds it
+        # is refused by name before any code divides or matches without the rule
+        doc = lifted_pair_doc(dual_second=command == "poles")
+        p1 = doc["symbols"][0]
+        p1["local"]["2"][0] = [1e308, 1e308]
+        if dual == "declared":
+            doc["symbols"].append({"id": "P1d", "degree": 2, "dual": "P1", "central_char": "~chi",
+                                   "local": {"2": [[0.6, -0.8], [0.6, 0.8]]}})
+        elif dual == "self":
+            p1["dual"] = "P1"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, command, "--in", write_doc(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert err == ("error: malformed document: symbol P1: a local parameter at q=2 "
+                       "has an inverse that is zero or has no finite inverse\n")
+
+    def test_self_dual_values_farther_apart_than_the_float_range_exit_two(self, capsys, tmp_path):
+        # 1.5e308 and -6.7e307, the inverse of -1.5e-308, differ by more than the largest float
+        doc = lifted_pair_doc()
+        doc["symbols"][0].update(dual="P1", local={"2": [[1.5e308, 0.0], [-1.5e-308, 0.0]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "transfer", "--in", write_doc(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert err == "error: malformed document: symbol P1: local data at q=2 is not inverse-closed, cannot be self-dual\n"
+
+    @pytest.mark.parametrize("value, want", [(0, 0), (0.0, 0), (-0.0, 0), ("0", 0), ("-0/3", 0), (" 0 ", 0),
+                                             (1, 1), (1e-300, 1), ("1/2", 1), ("5e-1", 1),
+                                             (True, 2), (False, 2), (None, 2), ([0], 2), ("1/0", 2), ("x", 2)])
+    def test_twist_exponent_reads_numbers_and_rational_strings(self, capsys, tmp_path, value, want):
+        doc = lifted_pair_doc()
+        doc["isobaric"][0]["r"] = value
+        code, out, err = run(capsys, "transfer", "--in", write_doc(tmp_path, doc))
+        assert code == want
+        if want == 1:
+            assert out.endswith("constraint failed: unitary_normalization\n") and err == ""
+        elif want == 2:
+            assert out == "" and err == ("error: malformed document: twist exponent r must be an integer, "
+                                         f"a finite float or a rational string, got {value!r}\n")
+            # refused also after a nonzero twist
+            doc["isobaric"] = [{"term": "P1", "r": "1"}, {"term": "P2", "r": value}]
+            assert run(capsys, "transfer", "--in", write_doc(tmp_path, doc))[:2] == (2, "")
+
+    @pytest.mark.parametrize("command", ["transfer", "poles"])
     @pytest.mark.parametrize("key", ["1_3", "+13", " 13 ", "\u0661\u0663", "", "\ud800"])
     def test_place_key_not_decimal_digits_exit_two(self, capsys, tmp_path, command, key):
         # int() reads the first four keys as 13; a lone surrogate cannot be encoded
@@ -740,11 +787,19 @@ class TestRodier:
         assert (code, out) == (2, "")
         assert err == f"error: cannot read parameters: {field} must be [re, im] pairs of numbers\n"
 
+    def test_exact_forms_read_numbers_and_rational_strings(self, capsys, tmp_path):
+        want = run(capsys, "rodier", "--params", write_doc(tmp_path, RODIER_DOC), "--q", "9", "--format", "json")
+        doc = copy.deepcopy(RODIER_DOC)
+        doc["exact"] = [{"r": r, "turns": turns}
+                        for r, turns in [(-0.5, 0), ("-1/2", 1), (" 1/2 ", 0.0), ("5e-1", "-2/2")]]
+        got = run(capsys, "rodier", "--params", write_doc(tmp_path, doc), "--q", "9", "--format", "json")
+        assert got == want and want[0] == 0 and '"family": "B"' in want[1]
+
     @pytest.mark.parametrize("corrupt", ["top_level_list", "top_level_string", "entries_number",
                                          "string_coordinate", "one_element_pair", "exact_true",
                                          "exact_numbers", "mu_string", "zero_denominator",
                                          "huge_r", "infinite_turns", "nan_entry", "huge_entry",
-                                         "short_exact", "long_exact"])
+                                         "short_exact", "long_exact", "true_r", "false_turns"])
     def test_malformed_parameters_exit_two(self, capsys, tmp_path, corrupt):
         doc = copy.deepcopy(RODIER_DOC)
         if corrupt == "top_level_list":
@@ -775,6 +830,11 @@ class TestRodier:
             doc["exact"] = doc["exact"][:1]
         elif corrupt == "long_exact":
             doc["exact"].append(doc["exact"][0])
+        elif corrupt == "true_r":  # Fraction(True) is 1, but a JSON boolean is not a number
+            doc["exact"][0]["r"] = True
+        elif corrupt == "false_turns":  # every turns false would read as family B
+            for form in doc["exact"]:
+                form["turns"] = False
         text = json.dumps(doc)
         if corrupt == "huge_entry":
             text = text.replace("3.0", "1e400", 1)

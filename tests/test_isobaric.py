@@ -161,14 +161,14 @@ class TestRegistry:
         a, b, c = (reg.create(sid, 2, qs=qs, params=p) for sid, p in (("a", params), ("b", params), ("c", other)))
         assert equivalent(a, b) and not equivalent(a, c) and not equivalent(c, a)
 
-    @pytest.mark.parametrize("value, fault", [
-        # 1 / value underflows to zero
-        (1e308 + 1e308j, "a place is sampled twice or a parameter is zero"),
-        # 1 / value is finite, but its own inverse overflows
-        (1.7976931348623157e308, "a local parameter at q=2 has no finite inverse"),
+    @pytest.mark.parametrize("value", [
+        1e308 + 1e308j,  # 1 / value underflows to zero
+        1.7976931348623157e308,  # 1 / value is finite, but its own inverse overflows
     ])
-    def test_undeclared_dual_checks_its_values(self, registry, value, fault):
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match=rf"^symbol a\^: {fault}$"):
+    def test_undeclared_dual_checks_its_values(self, registry, value):
+        # the symbol refuses the data its dual could not hold, so the dual is never built
+        fault = "a local parameter at q=2 has an inverse that is zero or has no finite inverse"
+        with pytest.raises(ValueError, match=f"^symbol a: {fault}$"):
             registry.create("a", 1, qs=[2, 3], params=[(value,), (1 + 0j,)])
         assert list(registry) == []
 

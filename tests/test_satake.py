@@ -36,6 +36,7 @@ from gsp4transfer.satake import (
     match_multisets,
     param_from_json,
     param_to_json,
+    rational,
     rodier_class,
     theta_lift_params,
     transfer_gsp4_to_gl4,
@@ -139,6 +140,11 @@ class TestMultisetMatching:
             want = [match_multisets(x, y) for x, y in zip(a.tolist(), b.tolist())]
             assert got.tolist() == want
         assert 0 < sum(want) < len(want)
+
+    def test_rows_whose_difference_overflows_do_not_match(self):
+        xs = np.array([[1.5e308 + 0j, 1.0]])
+        with np.errstate(all="raise"):
+            assert match_multiset_rows(xs, -xs).tolist() == [False]
 
 
 class TestTransferMap:
@@ -551,14 +557,28 @@ class TestComplexPairs:
         ([[1.0, 2.0]], 1), ([[1.0, 2.0]], 3), ([], 1), ([[]], 2),  # not nested ndim deep
         ([[np.bool_(True), 0.0]], 2), (np.array([[True, False]]), 2), ([[1.0, 2j]], 2),
         ([[1.0, None]], 2), ([[1.0, "2"]], 2), ("12", 1), ({"1": 2}, 1),
+        ([[1.0, 2.0], [3.0]], 2),  # ragged: the caller's message, not numpy's
     ])
     def test_refused(self, values, ndim):
         with pytest.raises(ValueError, match="^bad$"):
             complex_pairs(values, ndim, "bad")
 
-    def test_ragged_nesting_keeps_numpy_message(self):
-        with pytest.raises(ValueError, match="inhomogeneous shape"):
-            complex_pairs([[1.0, 2.0], [3.0]], 2, "bad")
+
+class TestRational:
+    @pytest.mark.parametrize("value, want", [
+        (3, Fraction(3)), (-(2**70), Fraction(-(2**70))),
+        (0.1, Fraction(3602879701896397, 2**55)),  # a float's exact binary value
+        (-0.0, Fraction(0)), ("-1/2", Fraction(-1, 2)), (" 3/6 ", Fraction(1, 2)),
+        ("0.1", Fraction(1, 10)), ("1e-5", Fraction(1, 10**5)), ("-0/3", Fraction(0)),
+    ])
+    def test_accepted(self, value, want):
+        assert rational(value, "r") == want
+
+    @pytest.mark.parametrize("value", [True, False, None, [1], {"r": 1}, math.inf, -math.inf, math.nan,
+                                       "1/0", "x", "", "inf", "1/2/3", 1j])
+    def test_refused(self, value):
+        with pytest.raises(ValueError, match=r"^r must be an integer, a finite float or a rational string, got "):
+            rational(value, "r")
 
 
 class TestSerialization:
