@@ -4,7 +4,9 @@
 Runs the exhaustive pair-map verification for each requested q and prints
 a table of kernel/image/GSO sizes with timings.  Under the row of a failed
 q it prints the failed checks and the report's counterexample.  The q = 7
-run enumerates about 1.35 million group elements.
+run enumerates 1 354 752 group elements, one similitude class of 225 792
+at a time; q = 11 (34.8 million, about 2.5 s) and q = 13 (114.5 million,
+about 8.5 s) are also supported.
 """
 
 import argparse

@@ -670,7 +670,11 @@ def registry_from_json(symbols: Sequence[dict]) -> SymbolRegistry:
         if pairs and not (digits.isascii() and digits.encode().isdigit() and "" not in pairs):
             bad = next(k for k in pairs if not (k.isascii() and k.isdigit()))
             raise ValueError(f"symbol {sid}: place key {bad!a} is not a decimal integer")
-        syms[sid] = CuspidalSymbol(sid, degree, dual, cc, list(map(int, pairs)), params)
+        try:
+            places = list(map(int, pairs))
+        except ValueError:  # int() reads at most 4300 digits; leading zeros aside, far beyond int64
+            raise ValueError(f"symbol {sid}: a place is beyond the int64 range") from None
+        syms[sid] = CuspidalSymbol(sid, degree, dual, cc, places, params)
     for sid in list(syms):
         sym = syms[sid]
         syms[sym.dual_id] = _dual_of(sym, syms.get(sym.dual_id))

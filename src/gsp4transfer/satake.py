@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -635,13 +636,26 @@ def _finite_pairs(values, ndim: int, name: str) -> list | complex:
     return z.tolist()
 
 
+RATIONAL_STRING_BOUND = 1000
+_DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def rational(value, name: str) -> Fraction:
     """A rational number of a JSON document as a Fraction: an integer, a
     finite float (its exact binary value) or a string ``Fraction`` reads,
     such as ``"-1/2"``; a ValueError naming ``name`` for anything else.  A
-    boolean is not a number here."""
+    boolean is not a number here.  A string may have at most
+    RATIONAL_STRING_BOUND characters and a decimal exponent of at most that
+    magnitude: ``Fraction`` builds the power of ten of the exponent exactly
+    (10^(10^7) takes seconds), so the numerator and denominator stay within
+    about 2000 digits, and within the 4300 that int and str convert."""
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
+            if isinstance(value, str) and (
+                len(value) > RATIONAL_STRING_BOUND
+                or (exponent := _DECIMAL_EXPONENT.search(value)) and abs(int(exponent[1])) > RATIONAL_STRING_BOUND
+            ):
+                raise ValueError
             return Fraction(value)
         except (ValueError, ZeroDivisionError, OverflowError):
             pass

@@ -16,17 +16,19 @@ raw Kronecker matrix g1 (x) g2 into those coordinates; the result is a
 genuine element of GO(4, F_q) with similitude factor det(g1) det(g2).
 
 Group elements exist only as integer codes: the base-q digits of a
-flattened 4x4 matrix.  The module lists GO(4, F_q) as codes with their
-lambda and det: O(4) by closed-form enumeration, and each lambda-class as
-its coset g O(4), g a fixed similitude of factor lambda (see
-enumerate_go4_codes).  It computes kernel and image of the pair map as
+flattened 4x4 matrix.  The module lists GO(4, F_q) one similitude class at
+a time, as codes with their det: O(4) by closed-form enumeration, once, and
+each lambda-class as its coset g O(4), g a fixed similitude of factor lambda
+(see enumerate_go4_codes).  It computes kernel and image of the pair map as
 codes over T x GL(2), T a transversal of the scalars in GL(2) (a scalar
 moves between the factors, so these pairs reach the whole image and every
 kernel pair up to a scalar): beta(t, g) = L(t) R(g), and a table of L(t)
 applied to the few distinct columns of the R(g) gives every code by four
-gathers (see _beta_codes).  It packages the comparison into a report.  q
-is restricted to odd primes (characteristic 2 breaks the symmetric-form
-theory) and to q <= 7 for exhaustive work.
+gathers (see _beta_codes).  It compares the two sides class by class and
+packages the comparison into a report (see verify_gso_presentation).  q is
+restricted to odd primes (characteristic 2 breaks the symmetric-form
+theory) and to q <= 13 for exhaustive work: codes are int64 while
+q^16 < 2^63, which fails at q = 17.
 """
 
 from __future__ import annotations
@@ -36,16 +38,12 @@ from functools import lru_cache
 
 import numpy as np
 
-SUPPORTED_Q = (3, 5, 7)
+SUPPORTED_Q = (3, 5, 7, 11, 13)
+_TRIPLES_PER_STEP = 1 << 14  # O(4) triples per step of _o4_columns
 
 
 class UnsupportedField(ValueError):
-    """q outside the supported odd primes {3, 5, 7}."""
-
-
-def _check_q(q: int) -> None:
-    if q not in SUPPORTED_Q:
-        raise UnsupportedField(f"q must be one of {SUPPORTED_Q}, got {q}")
+    """q outside the supported odd primes {3, 5, 7, 11, 13}."""
 
 
 def _modinv(a: int, q: int) -> int:
@@ -147,6 +145,51 @@ def _mod(x: np.ndarray, q: int) -> np.ndarray:
     return x - q * (x // q)
 
 
+def _left_factors(left: np.ndarray, q: int) -> np.ndarray:
+    """L(g) = C^-1 (g (x) I) C mod q for each g of a (k, 2, 2) array, as (k, 4, 4) int16."""
+    C, Cinv = _det_frame(q)
+    return ((Cinv @ np.kron(left, np.eye(2, dtype=np.int64)[None]) @ C) % q).astype(np.int16)
+
+
+def _right_columns(right: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct columns u_c of the R(h) = C^-1 (I (x) h) C mod q, h in a (m, 2, 2) array.
+
+    Returns (cols, col): cols (4, u) int16, column c is u_c, and col (m, 4),
+    col[j, s] the index c of column s of R(right[j]).
+    """
+    C, Cinv = _det_frame(q)
+    rhs = (Cinv @ np.kron(np.eye(2, dtype=np.int64)[None], right) @ C) % q  # (m, 4, 4)
+    digits = q ** np.arange(4)
+    distinct, col = np.unique(rhs.transpose(0, 2, 1) @ digits, return_inverse=True)  # base-q codes of the columns
+    return (distinct // digits[:, None] % q).astype(np.int16), col.reshape(len(right), 4)
+
+
+def _pair_codes(lhs: np.ndarray, cols: np.ndarray, col: np.ndarray, q: int) -> np.ndarray:
+    """Codes of L(g) R(h) for g, h over left x right, from _left_factors and _right_columns.
+
+    codes[i * len(col) + j] is the code of lhs[i] times R(right[j]), whose
+    column s is lhs[i] applied to u_c, c = col[j, s].  A column table comes
+    first: table[i, c] = sum_r ((lhs[i] u_c) mod q)_r q^(4r), the code of
+    that column placed in column 0.  It takes four (k, u) products on int16
+    (entries below 4 (q - 1)^2 = 576 at q = 13), reduced mod q on k u entries
+    each.  Then code(i, j) = sum_s q^s table[i, col[j, s]]: four gathers
+    over (k, m).
+    """
+    table = np.zeros((len(lhs), cols.shape[1]), dtype=np.int64)
+    for r in range(4):
+        entry = lhs[:, r, 0, None] * cols[0]      # (k, u): row r of lhs[i] times u_c
+        for t in range(1, 4):
+            entry += lhs[:, r, t, None] * cols[t]
+        table += q ** (4 * r) * _mod(entry, q).astype(np.int64)  # int64 also under numpy 1.x's value-based casts
+    codes = np.take(table, col[:, 0], axis=1)     # (k, m); code = sum of beta[r, s] q^(4r + s) < q^16
+    gathered = np.empty_like(codes)
+    for s in range(1, 4):
+        np.take(table, col[:, s], axis=1, out=gathered)
+        gathered *= q**s
+        codes += gathered
+    return codes.reshape(-1)
+
+
 def _beta_codes(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
     """Codes of beta over left x right, (k, 2, 2) and (m, 2, 2) arrays of GL2 elements.
 
@@ -167,13 +210,10 @@ def _beta_codes(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
     Since g1 (x) g2 = (g1 (x) I)(I (x) g2), beta(g1, g2) = L(g1) R(g2) mod q
     with L(g) = C^-1 (g (x) I) C and R(g) = C^-1 (I (x) g) C, so column s of
     beta(g, h) is L(g) applied to column s of R(h), mod q.  Over all of GL2
-    the 4 |GL2| columns of the R(h) take only 48, 480 and 2016 distinct
-    values u_c at q = 3, 5, 7.  So a column table comes first:
-    table[i, c] = sum_r ((L(left[i]) u_c) mod q)_r q^(4r), the code of that
-    column placed in column 0.  It takes four (k, u) products on int16
-    (entries below 4 (q - 1)^2), reduced mod q on k u entries each.  Then
-    code(i, j) = sum_s q^s table[i, col(j, s)], col(j, s) the index of
-    column s of R(right[j]): four gathers over (k, m).
+    the 4 |GL2| columns of the R(h) take only |GL2| distinct values (48,
+    480, 2016 and 13 200 at q = 3, 5, 7 and 11), and over the h of one
+    determinant |GL2| / (q - 1) of them; _pair_codes applies the L(g) to
+    those distinct columns once and gathers the codes.
 
     A scalar moves between the factors: (c g1) (x) g2 = g1 (x) (c g2), so
     beta(c t, c^-1 g) = beta(t, g).  Every pair of GL2 x GL2 is
@@ -181,27 +221,7 @@ def _beta_codes(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
     of _scalar_transversal and g in GL2.  So beta(T x GL2) is the whole
     image, and the kernel has q - 1 pairs for each identity code there.
     """
-    C, Cinv = _det_frame(q)
-    eye = np.eye(2, dtype=np.int64)[None]
-    lhs = ((Cinv @ np.kron(left, eye) @ C) % q).astype(np.int16)  # L(left[i]), (k, 4, 4)
-    rhs = (Cinv @ np.kron(eye, right) @ C) % q    # R(right[j]), (m, 4, 4)
-    digits = q ** np.arange(4)
-    distinct, col = np.unique(rhs.transpose(0, 2, 1) @ digits, return_inverse=True)  # base-q codes of the columns
-    cols = (distinct // digits[:, None] % q).astype(np.int16)  # (4, u): column c is u_c
-    table = np.zeros((len(left), len(distinct)), dtype=np.int64)
-    for r in range(4):
-        entry = lhs[:, r, 0, None] * cols[0]      # (k, u): row r of L(left[i]) times u_c
-        for t in range(1, 4):
-            entry += lhs[:, r, t, None] * cols[t]
-        table += _mod(entry, q) * np.int64(q ** (4 * r))
-    col = col.reshape(len(right), 4)              # col[j, s]: index of column s of R(right[j])
-    codes = np.take(table, col[:, 0], axis=1)     # (k, m); code = sum of beta[r, s] q^(4r + s) < 2^46
-    gathered = np.empty_like(codes)
-    for s in range(1, 4):
-        np.take(table, col[:, s], axis=1, out=gathered)
-        gathered *= q**s
-        codes += gathered
-    return codes.reshape(-1)
+    return _pair_codes(_left_factors(left, q), *_right_columns(right, q), q)
 
 
 def _norm_vectors(q: int) -> dict[int, np.ndarray]:
@@ -232,75 +252,82 @@ def _o4_columns(pool: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.nd
     The first three columns run over every triple of mutually orthogonal unit
     vectors.  The triples come from the neighbour table of the orthogonality
     graph: O(4) is transitive on unit vectors, so each has the same number d
-    of unit vectors orthogonal to it, listed in ascending order.  c2 and c3
-    are neighbours of c1, and c3 one orthogonal to c2: a (len(pool), d, d)
-    mask.  The cross product v of a triple spans its orthogonal complement,
-    and the adjugate identity v = det * c4 with det = +-1 makes the two unit
-    fourth columns exactly +-v; the determinant is c4 . v.  The cross product
-    runs on int32 coordinates, whose entries stay below 3 (q - 1)^3.
+    of unit vectors orthogonal to it, listed in ascending order, and is the
+    c1 of the same number of triples.  c2 and c3 are neighbours of c1, and
+    c3 one orthogonal to c2: a (len(pool), d, d) mask.  The cross product v
+    of a triple spans its orthogonal complement, and the adjugate identity
+    v = det * c4 with det = +-1 makes the two unit fourth columns exactly
+    +-v; the determinant is c4 . v.  The cross product runs on int32
+    coordinates, whose entries stay below 3 (q - 1)^3 (5184 at q = 13), and
+    c4 . v below 12 (q - 1)^4.  The triples are taken a few hundred c1 at a
+    time, so that these temporaries stay within a few MB whatever q.
 
     Returns (first, last, dets) for the T triples, each taken with c4 = v and
     then c4 = -v: first (T,) holds c1 n + c2 and last (T, 2) holds c3 n + c4,
-    pool indices as flat indices of pool x pool (n = len(pool)), and dets
-    (T, 2) the determinants.  Triples are in lexicographic order.
+    pool indices as int32 flat indices of pool x pool (n = len(pool), n^2 < 2^31),
+    and dets (T, 2) the determinants, int8.  Triples are in lexicographic order.
     """
     n = len(pool)
     lex_rank = q ** np.arange(3, -1, -1, dtype=np.int64)
-    pool_index = np.zeros(q**4, dtype=np.int64)
+    pool_index = np.zeros(q**4, dtype=np.int32)
     pool_index[pool @ lex_rank] = np.arange(n)
     orth = (pool @ pool.T) % q == 0
     nbr = np.nonzero(orth)[1].reshape(n, -1)            # (n, d): the unit vectors orthogonal to each, ascending
     d = nbr.shape[1]
-    # flat index (c1 d + a) d + b of each c2 = nbr[c1, a], c3 = nbr[c1, b] with c2 . c3 = 0, lexicographic
-    pair, b = np.divmod(np.flatnonzero(orth.ravel()[n * nbr[:, :, None] + nbr[:, None, :]]), d)
-    i1, i2 = pair // d, nbr.ravel()[pair]
-    i3 = nbr[i1, b]
+    per_c1 = int(orth[nbr[0, :, None], nbr[0]].sum())  # triples with a given c1
     coords = pool.T.astype(np.int32)
-    v = _cross4(*(np.take(coords, i, axis=1) for i in (i1, i2, i3)))
-    fourth = np.stack([_mod(v, q), _mod(-v, q)])        # (2, 4, T): c4 = v and c4 = -v
-    i4 = pool_index[((fourth[:, 0] * q + fourth[:, 1]) * q + fourth[:, 2]) * q + fourth[:, 3]].T  # (T, 2)
-    dets = fourth[:, 0] * v[0]                          # (2, T): c4 . v
-    for r in range(1, 4):
-        dets += fourth[:, r] * v[r]
-    return i1 * n + i2, i3[:, None] * n + i4, _mod(dets, q).T
+    first = np.empty(n * per_c1, dtype=np.int32)
+    last = np.empty((n * per_c1, 2), dtype=np.int32)
+    dets = np.empty((n * per_c1, 2), dtype=np.int8)
+    step = max(1, _TRIPLES_PER_STEP // per_c1)
+    for lo in range(0, n, step):
+        rows = nbr[lo : lo + step]
+        # flat index (c1 d + a) d + b of each c2 = rows[c1, a], c3 = rows[c1, b] with c2 . c3 = 0, lexicographic
+        pair, b = np.divmod(np.flatnonzero(orth[rows[:, :, None], rows[:, None, :]]), d)
+        i1, i2 = lo + pair // d, rows.ravel()[pair]
+        i3 = nbr[i1, b]
+        v = _cross4(*(np.take(coords, i, axis=1) for i in (i1, i2, i3)))
+        fourth = np.stack([_mod(v, q), _mod(-v, q)])    # (2, 4, t): c4 = v and c4 = -v
+        i4 = pool_index[((fourth[:, 0] * q + fourth[:, 1]) * q + fourth[:, 2]) * q + fourth[:, 3]]  # (2, t)
+        block = slice(lo * per_c1, lo * per_c1 + len(pair))
+        first[block] = i1 * n + i2
+        last[block] = i3[:, None] * n + i4.T
+        det = fourth[:, 0] * v[0]                       # (2, t): c4 . v
+        for r in range(1, 4):
+            det += fourth[:, r] * v[r]
+        dets[block] = _mod(det, q).T
+    return first, last, dets
 
 
-def enumerate_go4_codes(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form enumeration of GO(4, F_q) as (codes, lams, dets).
+def enumerate_go4_codes(q: int, lam: int, pool: np.ndarray, o4: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form enumeration of the class {m in GO(4, F_q) : m^t m = lam I} as (codes, dets).
 
-    O(4) comes first, from _o4_columns.  Every other lambda-class is a coset
-    of O(4).  Take a^2 + b^2 = lambda, R = [[a, -b], [b, a]] and
-    g = R (+) R (g = I for lambda = 1).  Then g^t g = lambda I and
-    det g = lambda^2, so M -> g M is a bijection from O(4) onto the matrices
-    with m^t m = lambda I, and det(g M) = lambda^2 det M.  Column j of g M is
-    g c_j, so the code of g M is the code of the columns (g c1, g c2) plus
-    q^2 times that of (g c3, g c4), both gathered from one table over
-    pool x pool per class.
+    pool is the unit vectors of _norm_vectors and o4 the O(4) columns that
+    _o4_columns draws from it; the caller builds both once for every class.
+    The class is a coset of O(4).  Take a^2 + b^2 = lam, R = [[a, -b], [b, a]]
+    and g = R (+) R (g = I for lam = 1).  Then g^t g = lam I and
+    det g = lam^2, so M -> g M is a bijection from O(4) onto the class, and
+    det(g M) = lam^2 det M.  Column j of g M is g c_j, so the code of g M is
+    the code of the columns (g c1, g c2) plus q^2 times that of (g c3, g c4),
+    both gathered from one table over pool x pool.  Column 0 of every
+    element is g c1, of norm lam: classes share no code.
 
-    Elements come out ordered by lambda, then by the O(4) factor M: its
-    triple (c1, c2, c3) in lexicographic order, then c4 = v before c4 = -v.
-    So the output order is deterministic.  lams and dets are int8.  Nothing
-    here uses the pair map.
+    Elements come out ordered by the O(4) factor M: its triple (c1, c2, c3)
+    in lexicographic order, then c4 = v before c4 = -v.  So the output order
+    is deterministic.  dets is int8.  Nothing here uses the pair map.
     """
-    _check_q(q)
-    pool = _norm_vectors(q)[1]  # unit vectors, lexicographic
-    first, last, o4_dets = _o4_columns(pool, q)  # its temporaries are freed before the output is allocated
+    first, last, o4_dets = o4
+    a, b = (1, 0) if lam == 1 else _two_squares(lam, q)
+    g = np.kron(np.eye(2, dtype=np.int64), [[a, -b], [b, a]]) % q
+    if not np.array_equal((g.T @ g) % q, lam * np.eye(4, dtype=np.int64)):
+        raise ArithmeticError(f"coset representative for lambda = {lam} is not a similitude: {g.tolist()}")
     col_code = q ** (4 * np.arange(4, dtype=np.int64))  # code of a vector placed in column 0
-    size = last.size
-    codes = np.empty((q - 1) * size, dtype=np.int64)
-    lams = np.repeat(np.arange(1, q, dtype=np.int8), size)
-    dets = np.empty((q - 1) * size, dtype=np.int8)
-    for lam in range(1, q):
-        a, b = (1, 0) if lam == 1 else _two_squares(lam, q)
-        g = np.kron(np.eye(2, dtype=np.int64), [[a, -b], [b, a]]) % q
-        if not np.array_equal((g.T @ g) % q, lam * np.eye(4, dtype=np.int64)):
-            raise ArithmeticError(f"coset representative for lambda = {lam} is not a similitude: {g.tolist()}")
-        pool_code = ((pool @ g.T) % q) @ col_code      # code of g c in column 0, for each c in the pool
-        pair_code = (pool_code[:, None] + q * pool_code).ravel()  # code of (g c, g c') in columns 0 and 1
-        block = slice((lam - 1) * size, lam * size)
-        np.add(pair_code[first][:, None], (q * q * pair_code)[last], out=codes[block].reshape(-1, 2))
-        dets[block] = _mod(o4_dets * (lam * lam % q), q).ravel()
-    return codes, lams, dets
+    pool_code = ((pool @ g.T) % q) @ col_code      # code of g c in column 0, for each c in the pool
+    pair_code = (pool_code[:, None] + q * pool_code).ravel()  # code of (g c, g c') in columns 0 and 1
+    codes = pair_code[last]
+    codes *= q * q
+    codes += pair_code[first][:, None]
+    return codes.ravel(), _mod(o4_dets.astype(np.int16) * (lam * lam % q), q).astype(np.int8).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +419,22 @@ def _code_witness(check: str, side: str, code: int, q: int) -> dict:
     }
 
 
+def _column_norms(codes: np.ndarray, q: int) -> np.ndarray:
+    """The norm of column 0 mod q of each code: lambda for an element of GO(4), as in _code_witness."""
+    digits = [codes // q ** (4 * r) % q for r in range(4)]
+    return sum(x * x for x in digits) % q
+
+
+def _compare(image: np.ndarray, gso: np.ndarray) -> tuple[int, int, bool, tuple[int, str] | None]:
+    """Sizes, equality and the least code of the symmetric difference, with its side,
+    of sorted pair-map codes without repeats and sorted enumerated codes."""
+    if len(image) == len(gso) and np.array_equal(image, gso):
+        return len(image), len(gso), True, None
+    diff = np.setxor1d(image, gso)
+    first = (int(diff[0]), "image" if np.isin(diff[0], image) else "gso") if len(diff) else None
+    return len(image), len(gso), False, first
+
+
 def verify_gso_presentation(q: int) -> GsoPresentationReport:
     """Exhaustively compare the pair-map image with the det = lambda^2 set.
 
@@ -401,8 +444,9 @@ def verify_gso_presentation(q: int) -> GsoPresentationReport:
     of determinant-1 matrices land in {det = 1, lambda = 1}, as a subgroup
     of index 2.  A failed assertion is a report entry, not an exception; the
     report then carries the first offending item: a non-scalar kernel pair,
-    or the first code of a failed set comparison, tagged with the side it
-    came from ("image", "gso" or "sl2_image").
+    or the least code of the symmetric difference of a failed set
+    comparison, tagged with the side it came from ("image" or "gso"), or the
+    least SL2 image code outside SO(4) ("sl2_image").
 
     The pair map runs on T x GL2, T the scalar transversal (see _beta_codes):
     that is the whole image, and kernel_size is q - 1 times the identity
@@ -410,32 +454,85 @@ def verify_gso_presentation(q: int) -> GsoPresentationReport:
     pair with the identity code is itself a non-scalar kernel pair; the
     counterexample is the first of them in row-major (t, g) order.
     SL2 x SL2 is mapped on its own.
-    """
-    _check_q(q)
-    mats = gl2_elements(q)
-    n = len(mats)
-    transversal = _scalar_transversal(mats)
-    codes = _beta_codes(transversal, mats, q)
-    image_codes = _sorted_unique(codes)
-    image_expected = n * n // (q - 1)
 
+    The comparison runs one similitude class lambda at a time, and drops
+    each class before the next: the pairs (t, g) with det t det g = lambda,
+    |T| |GL2| / (q - 1) of them, against the det = lambda^2 half of the
+    coset of O(4) that enumerate_go4_codes lists for lambda.  T and GL2 are
+    split by det once, with the L(t) of each part and the R(g) columns of
+    each part (see _pair_codes).  Every enumerated code of class lambda has
+    column 0 of norm lambda, so the totals are those of one whole-set
+    comparison: a class whose two sets differ passes its pair-map codes of
+    another column norm on to that class, which is then compared again.
+    """
+    if q not in SUPPORTED_Q:
+        raise UnsupportedField(f"q must be one of {SUPPORTED_Q}, got {q}")
+    mats = gl2_elements(q)
+    transversal = _scalar_transversal(mats)
+    image_expected = len(mats) * len(mats) // (q - 1)
+    t_dets, g_dets = ((m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]) % q for m in (transversal, mats))
+    t_at = {d: np.flatnonzero(t_dets == d) for d in range(1, q)}  # indices into transversal, by det
+    g_at = {e: np.flatnonzero(g_dets == e) for e in range(1, q)}  # indices into mats, by det
+    lhs = {d: _left_factors(transversal[t], q) for d, t in t_at.items()}
+    rhs = {e: _right_columns(mats[g], q) for e, g in g_at.items()}
     id_code = int(_encode(np.eye(4, dtype=np.int64).reshape(1, 16), q)[0])
-    t_idx, g_idx = np.divmod(np.flatnonzero(codes == id_code), n)
-    kernel_pairs = np.stack([transversal[t_idx], mats[g_idx]], axis=1)  # (hits, 2, 2, 2)
+    pool = _norm_vectors(q)[1]
+    o4 = _o4_columns(pool, q)
+
+    def image_of(lam: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted codes without repeats of the pairs with det t det g = lam, and the
+        (t, g) indices of those with the identity code."""
+        blocks, hits = [], []
+        for d, t in t_at.items():
+            e = lam * _modinv(d, q) % q
+            g = g_at[e]
+            codes = _pair_codes(lhs[d], *rhs[e], q)
+            i, j = np.divmod(np.flatnonzero(codes == id_code), len(g))
+            hits.append(np.stack([t[i], g[j]], axis=1))
+            blocks.append(codes)
+        return _sorted_unique(np.concatenate(blocks)), np.concatenate(hits)
+
+    def gso_of(lam: int) -> tuple[np.ndarray, int]:
+        """Sorted det = lam^2 codes of the class, and the class size."""
+        codes, dets = enumerate_go4_codes(q, lam, pool, o4)
+        gso = codes[dets == lam * lam % q]
+        gso.sort()
+        return gso, len(codes)
+
+    hits, strays, compared = [], [], {}
+    go_size = 0
+    for lam in range(1, q):
+        image_codes, class_hits = image_of(lam)
+        gso_codes, class_size = gso_of(lam)
+        hits.append(class_hits)
+        go_size += class_size
+        if lam == 1:
+            so_codes = gso_codes  # det = lambda^2 = 1
+        if not np.array_equal(image_codes, gso_codes):
+            elsewhere = _column_norms(image_codes, q) != lam
+            strays.append(image_codes[elsewhere])
+            image_codes = image_codes[~elsewhere]
+        compared[lam] = _compare(image_codes, gso_codes)
+    strays = _sorted_unique(np.concatenate(strays or [np.empty(0, dtype=np.int64)]))
+    stray_norms = _column_norms(strays, q)
+    for lam in np.unique(stray_norms).tolist():
+        extra = strays[stray_norms == lam]
+        if lam == 0:  # not a similitude: no class holds it
+            compared[0] = _compare(extra, extra[:0])
+            continue
+        image_codes = image_of(lam)[0]
+        image_codes = np.union1d(image_codes[_column_norms(image_codes, q) == lam], extra)
+        compared[lam] = _compare(image_codes, gso_of(lam)[0])
+    image_size, gso_size, equal, witnesses = zip(*compared.values())
+    image_equals_gso = all(equal)
+    witness = min((w for w in witnesses if w is not None), default=None)  # the least code of all differences
+
+    hits = np.concatenate(hits)
+    hits = hits[np.lexsort(hits.T[::-1])]  # row-major (t, g) order
+    kernel_pairs = np.stack([transversal[hits[:, 0]], mats[hits[:, 1]]], axis=1)  # (hits, 2, 2, 2)
     bad_pairs = kernel_pairs[~(kernel_pairs == np.eye(2, dtype=np.int64)).all(axis=(1, 2, 3))]
 
-    go_codes, go_lams, go_dets = enumerate_go4_codes(q)
-    squares = (np.arange(q) ** 2 % q).astype(np.int8)
-    gso_mask = go_dets == squares[go_lams]
-    gso_codes = np.sort(go_codes[gso_mask])
-    image_equals_gso = bool(
-        len(gso_codes) == len(image_codes) and np.array_equal(gso_codes, image_codes)
-    )
-
-    so_mask = (go_dets == 1) & (go_lams == 1)
-    so_codes = np.sort(go_codes[so_mask])
-    dets = (mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]) % q
-    sl2 = mats[dets == 1]
+    sl2 = mats[g_at[1]]
     sl2_codes = _sorted_unique(_beta_codes(sl2, sl2, q))
     sl2_found = _in_sorted(sl2_codes, so_codes)
     sl2_in_so = bool(sl2_found.all())
@@ -444,11 +541,8 @@ def verify_gso_presentation(q: int) -> GsoPresentationReport:
     if len(bad_pairs):
         counterexample = {"check": "kernel_is_scalar_pairs", "pair": bad_pairs[0].tolist()}
     elif not image_equals_gso:
-        diff = np.setxor1d(image_codes, gso_codes)
-        if len(diff):
-            code = int(diff[0])
-            side = "image" if np.isin(code, image_codes) else "gso"
-            counterexample = _code_witness("image_equals_gso", side, code, q)
+        if witness:
+            counterexample = _code_witness("image_equals_gso", witness[1], witness[0], q)
     elif not sl2_in_so:
         code = int(sl2_codes[~sl2_found][0])
         counterexample = _code_witness("sl2_image_in_so", "sl2_image", code, q)
@@ -458,11 +552,11 @@ def verify_gso_presentation(q: int) -> GsoPresentationReport:
         kernel_size=(q - 1) * len(kernel_pairs),
         kernel_expected=q - 1,
         kernel_is_scalar_pairs=not len(bad_pairs),
-        image_size=int(len(image_codes)),
+        image_size=sum(image_size),
         image_expected=image_expected,
-        gso_size=int(len(gso_codes)),
+        gso_size=sum(gso_size),
         image_equals_gso=image_equals_gso,
-        go_size=int(len(go_codes)),
+        go_size=go_size,
         so_size=int(len(so_codes)),
         sl2_image_size=int(len(sl2_codes)),
         sl2_image_in_so=sl2_in_so,

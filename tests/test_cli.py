@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -269,12 +270,14 @@ class TestVerifyGroups:
 
         enumerate_go4_codes = simgroups.enumerate_go4_codes
 
-        def drop_one_gso_element(q):
-            codes, lams, dets = enumerate_go4_codes(q)
-            i = int(np.nonzero(dets == lams * lams % q)[0][0])
+        def drop_one_gso_element(q, lam, pool, o4):
+            codes, dets = enumerate_go4_codes(q, lam, pool, o4)
+            if lam != 1:
+                return codes, dets
+            i = int(np.nonzero(dets == 1)[0][0])  # the first det = lambda^2 element of the first class
             dropped.append(simgroups._decode(int(codes[i]), q))
             keep = np.arange(len(codes)) != i
-            return codes[keep], lams[keep], dets[keep]
+            return codes[keep], dets[keep]
 
         dropped = []
         monkeypatch.setattr(simgroups, "enumerate_go4_codes", drop_one_gso_element)
@@ -285,6 +288,7 @@ class TestVerifyGroups:
         code, out, _ = run(capsys, "verify-groups", "--q", "3", "--format", "json")
         cx = json.loads(out)["counterexample"]
         assert code == 1 and cx["side"] == "image" and cx["matrix"] == [list(r) for r in dropped[0]]
+        assert len(dropped) == 2  # one element, once per run
 
     def test_even_q_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify-groups", "--q", "4")
@@ -409,7 +413,8 @@ class TestTransfer:
 
     @pytest.mark.parametrize("value, want", [(0, 0), (0.0, 0), (-0.0, 0), ("0", 0), ("-0/3", 0), (" 0 ", 0),
                                              (1, 1), (1e-300, 1), ("1/2", 1), ("5e-1", 1),
-                                             (True, 2), (False, 2), (None, 2), ([0], 2), ("1/0", 2), ("x", 2)])
+                                             (True, 2), (False, 2), (None, 2), ([0], 2), ("1/0", 2), ("x", 2),
+                                             ("0e1000", 0), ("1e-1000", 1), ("0e3000000", 2), ("1e-1001", 2)])
     def test_twist_exponent_reads_numbers_and_rational_strings(self, capsys, tmp_path, value, want):
         doc = lifted_pair_doc()
         doc["isobaric"][0]["r"] = value
@@ -424,6 +429,24 @@ class TestTransfer:
             doc["isobaric"] = [{"term": "P1", "r": "1"}, {"term": "P2", "r": value}]
             assert run(capsys, "transfer", "--in", write_doc(tmp_path, doc))[:2] == (2, "")
 
+    @pytest.mark.parametrize("field", ["twist", "r", "turns"])
+    def test_huge_decimal_exponent_exits_two_at_once(self, capsys, tmp_path, field):
+        # reading these exactly would build 10^3000000 or 10^999999999
+        value = "0e3000000" if field == "twist" else "1e999999999"
+        if field == "twist":
+            doc = lifted_pair_doc()
+            doc["isobaric"][0]["r"] = value
+            argv = ["transfer", "--in", write_doc(tmp_path, doc)]
+        else:
+            doc = copy.deepcopy(RODIER_DOC)
+            doc["exact"][0][field] = value
+            argv = ["rodier", "--params", write_doc(tmp_path, doc), "--q", "9"]
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        name = "twist exponent r" if field == "twist" else f"exact form {field}"
+        assert (code, out) == (2, "") and f"{name} must be an integer, a finite float or a rational string" in err
+
     @pytest.mark.parametrize("command", ["transfer", "poles"])
     @pytest.mark.parametrize("key", ["1_3", "+13", " 13 ", "\u0661\u0663", "", "\ud800"])
     def test_place_key_not_decimal_digits_exit_two(self, capsys, tmp_path, command, key):
@@ -436,11 +459,12 @@ class TestTransfer:
         assert err == f"error: malformed document: symbol P1: place key {ascii(key)} is not a decimal integer\n"
 
     def test_place_beyond_int64_exit_two(self, capsys, tmp_path):
-        doc = lifted_pair_doc()
-        doc["symbols"][0]["local"]["9223372036854775808"] = [[1, 0], [1, 0]]
-        code, out, err = run(capsys, "transfer", "--in", write_doc(tmp_path, doc))
-        assert code == 2 and out == ""
-        assert err == "error: malformed document: symbol P1: a place is beyond the int64 range\n"
+        for key in ["9223372036854775808", "1" + "0" * 19, "9" * 5000]:  # int() refuses the last: over 4300 digits
+            doc = lifted_pair_doc()
+            doc["symbols"][0]["local"][key] = [[1, 0], [1, 0]]
+            code, out, err = run(capsys, "transfer", "--in", write_doc(tmp_path, doc))
+            assert code == 2 and out == ""
+            assert err == "error: malformed document: symbol P1: a place is beyond the int64 range\n"
 
     @pytest.mark.parametrize("command", ["transfer", "poles"])
     def test_duplicate_symbol_id_exit_two(self, capsys, tmp_path, command):

@@ -570,12 +570,18 @@ class TestRational:
         (0.1, Fraction(3602879701896397, 2**55)),  # a float's exact binary value
         (-0.0, Fraction(0)), ("-1/2", Fraction(-1, 2)), (" 3/6 ", Fraction(1, 2)),
         ("0.1", Fraction(1, 10)), ("1e-5", Fraction(1, 10**5)), ("-0/3", Fraction(0)),
+        # the largest decimal exponents and the longest string read
+        ("1e1000", Fraction(10**1000)), ("2E-1_000 ", Fraction(2, 10**1000)),
+        pytest.param("1" * 1000, Fraction(int("1" * 1000)), id="1000_digits"),
     ])
     def test_accepted(self, value, want):
         assert rational(value, "r") == want
 
     @pytest.mark.parametrize("value", [True, False, None, [1], {"r": 1}, math.inf, -math.inf, math.nan,
-                                       "1/0", "x", "", "inf", "1/2/3", 1j])
+                                       "1/0", "x", "", "inf", "1/2/3", 1j,
+                                       "1e1001", "0e-1001", "0e3000000", "1e999999999",
+                                       pytest.param("1" * 1001, id="1001_digits"),
+                                       pytest.param(" " * 1000 + "1", id="1001_chars_padded")])
     def test_refused(self, value):
         with pytest.raises(ValueError, match=r"^r must be an integer, a finite float or a rational string, got "):
             rational(value, "r")

@@ -19,6 +19,16 @@ from gsp4transfer.simgroups import (
 
 I2 = ((1, 0), (0, 1))
 I4 = np.eye(4, dtype=np.int64)
+EXHAUSTIVE_Q = (3, 5, 7)  # the q whose whole GO(4) a test may hold at once
+
+
+def go4(q):
+    """GO(4, F_q) as (codes, lams, dets): enumerate_go4_codes run for each lambda in turn, concatenated."""
+    pool = _norm_vectors(q)[1]
+    o4 = simgroups._o4_columns(pool, q)
+    classes = [enumerate_go4_codes(q, lam, pool, o4) for lam in range(1, q)]
+    lams = np.repeat(np.arange(1, q, dtype=np.int8), len(classes[0][0]))
+    return np.concatenate([c for c, _ in classes]), lams, np.concatenate([d for _, d in classes])
 
 
 def det2(g, q):
@@ -137,7 +147,7 @@ class TestSimilitudeFactor:
     def test_reflection_not_gso(self):
         q = 5
         refl = np.diag([1, 1, 1, q - 1])
-        codes, lams, dets = enumerate_go4_codes(q)
+        codes, lams, dets = go4(q)
         (i,) = np.nonzero(codes == _encode(refl.reshape(1, 16), q)[0])[0]
         assert (lams[i], dets[i]) == (1, q - 1) and det4(refl) % q == q - 1
         mats = gl2_elements(q)
@@ -154,12 +164,12 @@ class TestSimilitudeFactor:
 
 class TestEnumeration:
     def test_unsupported_q(self):
-        for bad in (2, 4, 9, 11):
-            with pytest.raises(UnsupportedField):
-                enumerate_go4_codes(bad)
+        for bad in (2, 4, 9, 15, 17):
+            with pytest.raises(UnsupportedField, match=r"q must be one of \(3, 5, 7, 11, 13\), got"):
+                verify_gso_presentation(bad)
 
     def test_q3_census(self):
-        codes, lams, dets = enumerate_go4_codes(3)
+        codes, lams, dets = go4(3)
         assert len(codes) == len(set(codes.tolist()))  # duplicate-free
         assert _encode(I4.reshape(1, 16), 3)[0] in codes
         gso = dets == lams * lams % 3
@@ -167,13 +177,13 @@ class TestEnumeration:
         assert len(codes) == 2 * gso.sum()
 
     def test_q3_deterministic_order(self):
-        first = enumerate_go4_codes(3)
-        second = enumerate_go4_codes(3)
+        first = go4(3)
+        second = go4(3)
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     def test_all_elements_valid(self):
         q = 3
-        for code, lam, det in zip(*(a[::97].tolist() for a in enumerate_go4_codes(q))):
+        for code, lam, det in zip(*(a[::97].tolist() for a in go4(q))):
             m = np.array(simgroups._decode(code, q))
             assert similitude_factor(m, q) == lam
             assert det4(m) % q == det
@@ -280,13 +290,11 @@ def o4_order(q):
 class TestClosedFormKernels:
     @pytest.mark.parametrize("q", [3, 5])
     def test_enumeration_matches_backtracking_oracle(self, q):
-        assert sorted_triples(enumerate_go4_codes(q)) == sorted_triples(enumerate_go4_codes_backtracking(q))
+        assert sorted_triples(go4(q)) == sorted_triples(enumerate_go4_codes_backtracking(q))
 
-    @pytest.mark.parametrize("q", SUPPORTED_Q)
+    @pytest.mark.parametrize("q", EXHAUSTIVE_Q)
     def test_cosets_match_per_class_oracle(self, q):
-        assert np.array_equal(
-            sorted_triple_rows(enumerate_go4_codes(q)), sorted_triple_rows(enumerate_go4_codes_per_class(q))
-        )
+        assert np.array_equal(sorted_triple_rows(go4(q)), sorted_triple_rows(enumerate_go4_codes_per_class(q)))
 
     @pytest.mark.parametrize("q", SUPPORTED_Q)
     def test_two_squares_for_every_residue(self, q):
@@ -294,9 +302,9 @@ class TestClosedFormKernels:
             a, b = simgroups._two_squares(t, q)
             assert 0 <= a < q and 0 <= b < q and (a * a + b * b - t) % q == 0
 
-    @pytest.mark.parametrize("q", SUPPORTED_Q)
+    @pytest.mark.parametrize("q", EXHAUSTIVE_Q)
     def test_each_class_is_one_o4_block(self, q):
-        codes, lams, dets = enumerate_go4_codes(q)
+        codes, lams, dets = go4(q)
         size = o4_order(q)
         assert len(codes) == (q - 1) * size
         for lam in range(1, q):
@@ -307,7 +315,7 @@ class TestClosedFormKernels:
     def test_bad_coset_representative_raises(self, monkeypatch):
         monkeypatch.setattr(simgroups, "_two_squares", lambda t, q: (1, 1))  # 1 + 1 = 2 only
         with pytest.raises(ArithmeticError, match="lambda = 3"):
-            enumerate_go4_codes(5)
+            go4(5)
 
     def test_bad_determinant_frame_raises(self, monkeypatch):
         monkeypatch.setattr(simgroups, "_two_squares", lambda t, q: (1, 1))  # 1 + 1 = 2, not -1 mod 5
@@ -333,7 +341,7 @@ class TestClosedFormKernels:
             assert np.array_equal(simgroups._decode(int(codes[i * 200 + j]), q), e)
             assert det2(left[i], q) * det2(right[j], q) % q == similitude_factor(e, q)
 
-    @pytest.mark.parametrize("q", SUPPORTED_Q)
+    @pytest.mark.parametrize("q", EXHAUSTIVE_Q)
     def test_column_table_matches_row_oracle(self, q):
         mats = gl2_elements(q)
         sl2 = mats[[det2(g, q) == 1 for g in mats.tolist()]]
@@ -342,7 +350,7 @@ class TestClosedFormKernels:
             assert codes.dtype == np.int64
             assert np.array_equal(codes, beta_codes_by_rows(left, right, q))
 
-    @pytest.mark.parametrize("q", [5, 7])
+    @pytest.mark.parametrize("q", [5, 7, 11, 13])
     def test_column_table_on_repeated_rows_and_columns(self, q):
         mats = gl2_elements(q)
         rng = np.random.default_rng(q)
@@ -368,7 +376,7 @@ class TestClosedFormKernels:
     @pytest.mark.parametrize("q", [3, 5])
     def test_o4_block_order(self, q):
         """O(4) comes first: triples (c1, c2, c3) in lexicographic order, then c4 = v before c4 = -v."""
-        codes, lams, dets = enumerate_go4_codes(q)
+        codes, lams, dets = go4(q)
         size = o4_order(q)
         assert (lams[:size] == 1).all()
         mats = np.array([simgroups._decode(c, q) for c in codes[:size].tolist()])  # (size, 4, 4)
@@ -396,14 +404,159 @@ class TestClosedFormKernels:
         scalar = lambda c: (c, 0, 0, c)
         assert sorted(hits) == [(scalar(c), scalar(pow(c, -1, q))) for c in range(1, q)]
 
+    @pytest.mark.parametrize("q", [11, 13])
+    def test_class_codes_and_dets_past_q_7(self, q):
+        """A two-element O(4), the identity and the reflection in e4, carried to every class."""
+        pool = _norm_vectors(q)[1]
+        index = {tuple(v): i for i, v in enumerate(pool.tolist())}
+        e1, e2, e3, e4 = (tuple(row) for row in I4.tolist())
+        n = len(pool)
+        first = np.array([index[e1] * n + index[e2]], dtype=np.int32)
+        last = np.array([[index[e3] * n + index[e4], index[e3] * n + index[(0, 0, 0, q - 1)]]], dtype=np.int32)
+        o4 = (first, last, np.array([[1, q - 1]], dtype=np.int8))
+        for lam in range(1, q):
+            codes, dets = enumerate_go4_codes(q, lam, pool, o4)
+            assert dets.dtype == np.int8 and len(codes) == 2
+            for code, det in zip(codes.tolist(), dets.tolist()):
+                m = np.array(simgroups._decode(code, q))
+                assert similitude_factor(m, q) == lam and det == det4(m) % q
+
     def test_enumeration_independent_of_pair_map(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("the enumeration must not use the pair map")
 
-        monkeypatch.setattr(simgroups, "_det_frame", forbidden)
-        monkeypatch.setattr(simgroups, "_beta_codes", forbidden)
-        codes, lams, dets = enumerate_go4_codes(5)
+        for name in ("_det_frame", "_left_factors", "_right_columns", "_pair_codes", "_beta_codes"):
+            monkeypatch.setattr(simgroups, name, forbidden)
+        codes, lams, dets = go4(5)
         assert len(codes) == 2 * (480 * 480 // 4)
+
+
+def verify_gso_presentation_whole_set(q):
+    """Reference oracle: the report of one comparison of the whole sets.
+
+    The pair map runs on all of T x GL2 at once and GO(4) is enumerated
+    whole; the image codes are compared with every det = lambda^2 code, and
+    the counterexample of a failed comparison is the least code of the
+    symmetric difference.
+    """
+    mats = gl2_elements(q)
+    n = len(mats)
+    transversal = simgroups._scalar_transversal(mats)
+    codes = simgroups._beta_codes(transversal, mats, q)
+    image_codes = simgroups._sorted_unique(codes)
+
+    id_code = int(_encode(I4.reshape(1, 16), q)[0])
+    t_idx, g_idx = np.divmod(np.flatnonzero(codes == id_code), n)
+    kernel_pairs = np.stack([transversal[t_idx], mats[g_idx]], axis=1)
+    bad_pairs = kernel_pairs[~(kernel_pairs == np.eye(2, dtype=np.int64)).all(axis=(1, 2, 3))]
+
+    go_codes, go_lams, go_dets = go4(q)
+    squares = (np.arange(q) ** 2 % q).astype(np.int8)
+    gso_codes = np.sort(go_codes[go_dets == squares[go_lams]])
+    image_equals_gso = bool(len(gso_codes) == len(image_codes) and np.array_equal(gso_codes, image_codes))
+
+    so_codes = np.sort(go_codes[(go_dets == 1) & (go_lams == 1)])
+    sl2 = mats[[det2(g, q) == 1 for g in mats.tolist()]]
+    sl2_codes = simgroups._sorted_unique(simgroups._beta_codes(sl2, sl2, q))
+    sl2_found = np.isin(sl2_codes, so_codes)
+
+    counterexample = None
+    if len(bad_pairs):
+        counterexample = {"check": "kernel_is_scalar_pairs", "pair": bad_pairs[0].tolist()}
+    elif not image_equals_gso:
+        diff = np.setxor1d(image_codes, gso_codes)
+        if len(diff):
+            side = "image" if np.isin(diff[0], image_codes) else "gso"
+            counterexample = simgroups._code_witness("image_equals_gso", side, int(diff[0]), q)
+    elif not sl2_found.all():
+        counterexample = simgroups._code_witness("sl2_image_in_so", "sl2_image", int(sl2_codes[~sl2_found][0]), q)
+
+    return simgroups.GsoPresentationReport(
+        q=q,
+        kernel_size=(q - 1) * len(kernel_pairs),
+        kernel_expected=q - 1,
+        kernel_is_scalar_pairs=not len(bad_pairs),
+        image_size=len(image_codes),
+        image_expected=n * n // (q - 1),
+        gso_size=len(gso_codes),
+        image_equals_gso=image_equals_gso,
+        go_size=len(go_codes),
+        so_size=len(so_codes),
+        sl2_image_size=len(sl2_codes),
+        sl2_image_in_so=bool(sl2_found.all()),
+        counterexample=counterexample,
+    )
+
+
+def pair_code(t, g, q) -> int:
+    """The code of beta(t, g), from the reference pair map."""
+    return int(_encode(beta(t, g, q).reshape(1, 16), q)[0])
+
+
+def inject(monkeypatch, fault):
+    """Pass every pair-map output through fault(codes, sl2) -> codes.
+
+    _pair_codes is the one routine that both verify_gso_presentation and
+    the whole-set oracle map pairs with, so both see the same fault.  sl2
+    tells the SL2 x SL2 call apart: only there are the two factors the same
+    size (a det class of T has |GL2| / (q - 1)^2 elements, one of GL2
+    |GL2| / (q - 1), and T itself |GL2| / (q - 1) against all of GL2).
+    """
+    pair_codes = simgroups._pair_codes
+
+    def faulty(lhs, cols, col, q):
+        return fault(pair_codes(lhs, cols, col, q), len(lhs) == len(col))
+
+    monkeypatch.setattr(simgroups, "_pair_codes", faulty)
+
+
+def replace_codes(targets, replacement):
+    """A fault that gives each pair whose code is in targets the code replacement.
+
+    The pair map is one-to-one on T x GL2 off the kernel, so a target code
+    names one pair there, whichever block of pairs it is computed in.
+    """
+
+    def fault(codes, sl2):
+        codes[np.isin(codes, targets)] = replacement
+        return codes
+
+    return fault
+
+
+def named_fault(q, name):
+    """One fault of the pair map by name; the pairs are taken in row-major T x GL2 order."""
+    mats = gl2_elements(q)
+    transversal = simgroups._scalar_transversal(mats)
+    second = pair_code(transversal[0], mats[1], q)  # the second pair; det t det g = 1
+    if name == "kernel":  # the second and the last pair hit the identity; the last has det t det g = -2
+        return replace_codes([second, pair_code(transversal[-1], mats[-1], q)], pair_code(I2, I2, q))
+    if name == "set":  # an arbitrary matrix, almost surely outside GO(4)
+        return replace_codes([second], int(_encode(np.random.default_rng(q).integers(q, size=(1, 16)), q)[0]))
+    if name == "other_class":  # an element of class 2, which another pair also hits
+        g = next(g for g in mats if det2(g, q) == 2 * pow(int(det2(transversal[0], q)), -1, q) % q)
+        return replace_codes([second], pair_code(transversal[0], g, q))
+    if name == "not_similitude":  # the zero matrix
+        return replace_codes([second], 0)
+    if name == "swapped_classes":  # off SL2 x SL2, the second pair and one of class 2 trade codes
+        g = next(g for g in mats if det2(g, q) == 2 * pow(int(det2(transversal[0], q)), -1, q) % q)
+        other = pair_code(transversal[0], g, q)
+
+        def swap(codes, sl2):
+            at_second, at_other = codes == second, codes == other
+            if not sl2:
+                codes[at_second], codes[at_other] = other, second
+            return codes
+
+        return swap
+    if name == "sl2_identity":
+        return lambda codes, sl2: np.full_like(codes, pair_code(I2, I2, q)) if sl2 else codes
+    if name == "sl2_stray":  # a det = 1 element of class 2, outside SO(4)
+        go_codes, lams, dets = go4(q)
+        stray = int(go_codes[(lams == 2) & (dets == 4 % q)][0])
+        return lambda codes, sl2: np.append(codes, stray) if sl2 else codes
+    assert name == "none"
+    return lambda codes, sl2: codes
 
 
 class TestVerifyReport:
@@ -423,16 +576,33 @@ class TestVerifyReport:
         ]
         assert payload["checks"] == dict(report.checks) and all(payload["checks"].values())
 
+    @pytest.mark.parametrize(
+        "q, fault",
+        [(q, fault) for q in EXHAUSTIVE_Q
+         for fault in ["none", "kernel", "set", "swapped_classes", "sl2_identity", "sl2_stray"]]
+        # the oracle's symmetric difference of whole sets takes about 2 s at q = 7
+        + [(q, fault) for q in (3, 5) for fault in ["other_class", "not_similitude"]],
+    )
+    def test_class_by_class_report_matches_whole_set_oracle(self, monkeypatch, q, fault):
+        inject(monkeypatch, named_fault(q, fault))
+        report = verify_gso_presentation(q)
+        assert report.to_json() == verify_gso_presentation_whole_set(q).to_json()
+        assert report.ok == (fault in ("none", "swapped_classes"))  # the image is the same set after a swap
+
+    def test_class_sizes_sum_to_the_group_orders(self):
+        q = 7
+        report = verify_gso_presentation(q)
+        assert report.go_size == (q - 1) * o4_order(q)
+        assert report.so_size == o4_order(q) // 2 and report.gso_size == (q - 1) * report.so_size
+
+    def test_q11_sizes(self):
+        report = verify_gso_presentation(11)
+        assert report.ok and report.counterexample is None
+        assert (report.kernel_size, report.image_size, report.gso_size) == (10, 17_424_000, 17_424_000)
+        assert (report.go_size, report.so_size) == (34_848_000, 1_742_400)
+
     def test_sl2_image_must_have_index_2(self, monkeypatch):
-        pair_map = simgroups._beta_codes
-
-        def sl2_to_identity(left, right, q):
-            codes = pair_map(left, right, q)
-            if len(left) == len(right):  # SL2 x SL2; T x GL2 has q - 1 times more right factors
-                codes[:] = _encode(I4.reshape(1, 16), q)[0]
-            return codes
-
-        monkeypatch.setattr(simgroups, "_beta_codes", sl2_to_identity)
+        inject(monkeypatch, named_fault(3, "sl2_identity"))
         report = verify_gso_presentation(3)
         assert not report.ok and report.sl2_image_in_so and report.sl2_image_size == 1
         assert [name for name, passed in report.checks if not passed] == ["sl2_image_index_2"]
@@ -441,7 +611,7 @@ class TestVerifyReport:
     @pytest.mark.parametrize("q", [3, 5])
     @pytest.mark.parametrize("stray", ["above_so", "below_so", "gso_lambda_not_1"])
     def test_sl2_failure_reports_stray_code(self, monkeypatch, q, stray):
-        go_codes, lams, dets = enumerate_go4_codes(q)
+        go_codes, lams, dets = go4(q)
         so_codes = go_codes[(lams == 1) & (dets == 1)]
         gso_other = go_codes[(lams != 1) & (dets == lams * lams % q)]
         stray_code = {
@@ -449,22 +619,15 @@ class TestVerifyReport:
             "below_so": int(so_codes.min()) - 1,
             "gso_lambda_not_1": int(gso_other[0]),
         }[stray]
-        pair_map = simgroups._beta_codes
-
-        def stray_in_sl2_image(left, right, q):
-            codes = pair_map(left, right, q)
-            if len(left) == len(right):  # SL2 x SL2; T x GL2 has q - 1 times more right factors
-                codes = np.append(codes, stray_code)
-            return codes
-
-        monkeypatch.setattr(simgroups, "_beta_codes", stray_in_sl2_image)
+        inject(monkeypatch, lambda codes, sl2: np.append(codes, stray_code) if sl2 else codes)
         report = verify_gso_presentation(q)
         assert not report.sl2_image_in_so and report.image_equals_gso
         assert report.counterexample == simgroups._code_witness("sl2_image_in_so", "sl2_image", stray_code, q)
+        assert report.to_json() == verify_gso_presentation_whole_set(q).to_json()
 
-    @pytest.mark.parametrize("q", SUPPORTED_Q)
+    @pytest.mark.parametrize("q", EXHAUSTIVE_Q)
     def test_in_sorted_matches_isin(self, q):
-        pool = np.sort(enumerate_go4_codes(q)[0][::7])
+        pool = np.sort(go4(q)[0][::7])
         values = np.concatenate([pool[::3], pool[:5] - 1, pool[-5:] + 1, [0, pool[0], pool[-1]]])
         assert np.array_equal(simgroups._in_sorted(values, pool), np.isin(values, pool))
         assert not simgroups._in_sorted(values, pool[:0]).any()
@@ -483,36 +646,23 @@ class TestVerifyReport:
             verify_gso_presentation(4)
 
     def test_kernel_failure_reports_first_non_scalar_pair(self, monkeypatch):
-        pair_map = simgroups._beta_codes
-
-        def identity_at_second_pair(left, right, q):
-            codes = pair_map(left, right, q)
-            # a second, later non-scalar hit: the report must name the first one
-            codes[[1, -1]] = simgroups._encode(np.eye(4, dtype=np.int64).reshape(1, 16), q)[0]
-            return codes
-
-        monkeypatch.setattr(simgroups, "_beta_codes", identity_at_second_pair)
-        report = verify_gso_presentation(3)
-        assert not report.ok and not report.kernel_is_scalar_pairs
-        g1, g2 = gl2_tuples(3)[:2]  # the first transversal element is the first of GL2
-        assert report.to_json()["counterexample"] == {
-            "check": "kernel_is_scalar_pairs",
-            "pair": [[list(r) for r in g1], [list(r) for r in g2]],
-        }
+        # a second, later non-scalar hit, in another class at q = 5: the report must name the first one
+        for q in (3, 5):
+            with monkeypatch.context() as patch:
+                inject(patch, named_fault(q, "kernel"))
+                report = verify_gso_presentation(q)
+            assert not report.ok and not report.kernel_is_scalar_pairs
+            g1, g2 = gl2_tuples(q)[:2]  # the first transversal element is the first of GL2
+            assert report.to_json()["counterexample"] == {
+                "check": "kernel_is_scalar_pairs",
+                "pair": [[list(r) for r in g1], [list(r) for r in g2]],
+            }
 
     @pytest.mark.parametrize("q", [3, 5])
     def test_set_failure_reports_witness_det(self, monkeypatch, q):
-        pair_map = simgroups._beta_codes
-        rng = np.random.default_rng(q)
-        stray = rng.integers(q, size=16)  # an arbitrary matrix, almost surely outside GO(4)
+        stray = np.random.default_rng(q).integers(q, size=16)  # the matrix of named_fault(q, "set")
         stray_code = int(_encode(stray.reshape(1, 16), q)[0])
-
-        def stray_at_second_pair(left, right, q):
-            codes = pair_map(left, right, q)
-            codes[1] = stray_code
-            return codes
-
-        monkeypatch.setattr(simgroups, "_beta_codes", stray_at_second_pair)
+        inject(monkeypatch, named_fault(q, "set"))
         report = verify_gso_presentation(q)
         assert not report.image_equals_gso
         m = stray.reshape(4, 4)
@@ -525,11 +675,31 @@ class TestVerifyReport:
             "det": det4(m) % q,
         }
 
+    def test_not_a_similitude_is_the_least_difference(self, monkeypatch):
+        inject(monkeypatch, named_fault(5, "not_similitude"))
+        report = verify_gso_presentation(5)
+        assert report.image_size == report.image_expected and report.gso_size == report.image_expected
+        assert report.counterexample == simgroups._code_witness("image_equals_gso", "image", 0, 5)
+
+    def test_code_of_another_class_is_counted_once(self, monkeypatch):
+        inject(monkeypatch, named_fault(5, "other_class"))
+        report = verify_gso_presentation(5)
+        assert report.image_size == report.image_expected - 1 and report.gso_size == report.image_expected
+        mats = gl2_elements(5)
+        second = pair_code(simgroups._scalar_transversal(mats)[0], mats[1], 5)
+        assert report.counterexample == simgroups._code_witness("image_equals_gso", "gso", second, 5)
+
     @pytest.mark.parametrize("q", [3, 5, 7])
     def test_witness_det_matches_cofactor_expansion(self, q):
         rng = np.random.default_rng(10 + q)
-        go_codes = rng.choice(enumerate_go4_codes(q)[0], 100)
+        go_codes = rng.choice(go4(q)[0], 100)
         codes = np.concatenate([go_codes, _encode(rng.integers(q, size=(100, 16)), q)])
         for code in codes.tolist():
             witness = simgroups._code_witness("check", "side", code, q)
             assert witness["det"] == det4(simgroups._decode(code, q)) % q
+
+    @pytest.mark.parametrize("q", [3, 7, 13])
+    def test_column_norms_match_witness_lambda(self, q):
+        codes = _encode(np.random.default_rng(q).integers(q, size=(200, 16)), q)
+        expected = [simgroups._code_witness("check", "side", code, q)["lam"] for code in codes.tolist()]
+        assert simgroups._column_norms(codes, q).tolist() == expected
