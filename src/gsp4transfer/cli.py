@@ -214,11 +214,18 @@ def _descriptors(args, count: int, expects: str) -> list:
     return descriptors
 
 
+def _recorded(exc: ValueError) -> list[str]:
+    """The shape lemma's reason for refusing a document's twists, as a list
+    of one entry; empty for any other constraint error."""
+    return [exc.reason] if isinstance(exc, NotUnitaryNormalized) and exc.reason else []
+
+
 def _cmd_transfer(args) -> tuple[dict, int]:
     payload = {"from_gso": None, "isobaric": [], "conditions": [], "places": [], "violation": None}
     try:
         (desc,) = _descriptors(args, 1, "exactly one descriptor")
     except CONSTRAINT_ERRORS as exc:
+        payload["conditions"] = _recorded(exc)
         payload["violation"] = exc.constraint
         return payload, EXIT_CONSTRAINT
     rep = transfer(desc)
@@ -262,6 +269,8 @@ def _cmd_poles(args) -> tuple[dict | None, int]:
     try:
         descriptors = _descriptors(args, 2, "a document with two descriptors")
     except CONSTRAINT_ERRORS as exc:
+        for reason in _recorded(exc):
+            print(f"  recorded: {reason}", file=sys.stderr)
         print(f"constraint failed: {exc.constraint}", file=sys.stderr)
         return None, EXIT_CONSTRAINT
     analysis = jiang_case_analysis(descriptors[0], descriptors[1])

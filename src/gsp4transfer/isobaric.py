@@ -4,8 +4,9 @@ Cuspidal representations are formal symbols: an opaque id, a degree, a
 pointer to the contragredient symbol, a central-character id, and sampled
 unramified local parameter multisets.  Symbols live in an append-only
 registry.  On top of them: duals and twists of isobaric sums, the bilinear
-Rankin-Selberg factorization, the exact pole order at s = 1, the
-admissible-shape validator for transfers of unitary cuspidal data, the
+Rankin-Selberg factorization, the exact pole order at s = 1, the shape
+lemma for transfers of unitary cuspidal data (only (4; 0) and (2, 2; 0, 0)
+are admissible), which judges the twists of every document descriptor, the
 case analysis for pairs of degree-4 descriptors, and association matching
 of cuspidal lists from local data.
 
@@ -38,9 +39,11 @@ from .satake import (
 
 
 class NotUnitaryNormalized(ValueError):
-    """Pole-order calculus requires all twist exponents to vanish."""
+    """Pole-order calculus requires all twist exponents to vanish.  ``reason``
+    is the shape lemma's, when ``validate_transfer_shape`` refused the twists."""
 
     constraint = "unitary_normalization"
+    reason: str | None = None
 
 
 class ConstituentsNotDistinct(ValueError):
@@ -623,22 +626,6 @@ def associate_match(
 # ---------------------------------------------------------------------------
 
 
-def registry_to_json(registry: SymbolRegistry) -> list[dict]:
-    out = []
-    for sym in registry:
-        out.append(
-            {
-                "id": sym.id,
-                "degree": sym.degree,
-                "dual": sym.dual_id,
-                "central_char": sym.central_char_id,
-                "local": dict(zip(map(str, sym.qs.tolist()),
-                                  np.stack([sym.params.real, sym.params.imag], axis=-1).tolist())),
-            }
-        )
-    return out
-
-
 def registry_from_json(symbols: Sequence[dict]) -> SymbolRegistry:
     """Rebuild a registry from its document form.
 
@@ -684,6 +671,9 @@ def registry_from_json(symbols: Sequence[dict]) -> SymbolRegistry:
 
 
 def descriptor_from_json(doc: dict, registry: SymbolRegistry) -> GSp4Descriptor:
+    """The descriptor of one document entry.  Its twists form a shape, (2, 2; r1, r2)
+    lifted or (4; r) cuspidal, that ``validate_transfer_shape`` judges; a nonzero
+    twist on a wrong number of terms is refused too, before the count."""
     if not isinstance(doc, dict):
         raise ValueError("a descriptor must be an object")
     terms = doc.get("isobaric")
@@ -698,11 +688,18 @@ def descriptor_from_json(doc: dict, registry: SymbolRegistry) -> GSp4Descriptor:
     from_gso = doc.get("from_gso", False)
     if not isinstance(from_gso, bool):
         raise ValueError("from_gso must be true or false")
-    # a list, not a generator: every twist is read, so a malformed one is refused even after a nonzero one
-    if any([rational(item.get("r", "0"), "twist exponent r") for item in terms]):
-        raise NotUnitaryNormalized(
-            "unitary_normalization: descriptor terms must carry twist 0"
-        )
+    # every twist is read, so a malformed one is refused even after a nonzero one
+    twists = sorted((rational(item.get("r", "0"), "twist exponent r") for item in terms), reverse=True)
+    degree = 2 if from_gso else 4
+    if degree * len(twists) == 4:
+        verdict = validate_transfer_shape([(degree, r) for r in twists])
+        if not verdict.admissible:
+            error = NotUnitaryNormalized(f"unitary_normalization: {verdict.reason}")
+            error.reason = verdict.reason
+            raise error
+    elif any(twists):
+        # no degree-4 shape: the term count is refused below, but a nonzero twist first
+        raise NotUnitaryNormalized("unitary_normalization: descriptor terms must carry twist 0")
     symbols = [registry.get(item["term"]) for item in terms]
     if from_gso:
         if len(symbols) != 2:

@@ -394,13 +394,6 @@ def _discriminant_coeffs(n: int) -> tuple[int, ...]:
     return tuple(np.where(2 * lifted > modulus, lifted - modulus, lifted).tolist())
 
 
-def ramanujan_tau(m: int) -> int:
-    """m-th coefficient of x * prod (1 - x^m)^24."""
-    if m < 1:
-        raise ValueError("index must be >= 1")
-    return _discriminant_coeffs(m)[m - 1]
-
-
 def _normalized_pair(a_p: int, p: int) -> tuple[complex, complex]:
     t = a_p / p ** ((DELTA_WEIGHT - 1) / 2)
     disc = 4.0 - t * t

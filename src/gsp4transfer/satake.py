@@ -7,8 +7,7 @@ can be composed without rounding; the exact form is authoritative whenever
 both operands have one.
 
 The module houses the dual-group parameter containers (GL(2), GSp(4),
-GL(4) semisimple data), the lifting maps between them, the order-8 Weyl
-orbit machinery for Borel-induced character quadruples, the exponent
+GL(4) semisimple data), the lifting maps between them, the exponent
 pattern classifier for pre-unitary subquotients, and JSON serialization
 for all parameter kinds.
 """
@@ -19,6 +18,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, permutations
@@ -189,7 +189,10 @@ class ExactForm:
         try:
             mag = math.exp(float(self.r) * math.log(q))
         except OverflowError:
-            raise ValueError(f"q^r is beyond the float range at q={q}, r={self.r}") from None
+            # r may have thousands of digits: a long one is shown to four figures
+            r = str(self.r)
+            r = f"r={r}" if len(r) <= 24 else f"r~{Decimal(self.r.numerator) / self.r.denominator:.3e}"
+            raise ValueError(f"q^r is beyond the float range at q={q}, {r}") from None
         return mag * cmath.exp(2j * math.pi * float(self.turns))
 
     def __mul__(self, other: "ExactForm") -> "ExactForm":
@@ -412,11 +415,6 @@ class GSp4Param:
         m = t[0] * t[3] if mu is None else as_char(mu)
         return cls(((t[0], t[3]), (t[1], t[2])), m)
 
-    def torus_coordinates(self) -> tuple[UnramChar, UnramChar, UnramChar]:
-        """Coordinates (a0, a1, a2) of the rendered tuple diag(a0a1a2, a0a1, a0a2, a0)."""
-        t1, t2, t3, t4 = self.to_tuple()
-        return (t4, t2 / t4, t3 / t4)
-
 
 @dataclass(frozen=True)
 class GL4Param:
@@ -502,50 +500,6 @@ def gsp4_to_gl4_embed(p: GSp4Param) -> GL4Param:
     """Forget the symplectic pairing: the multiset {x1, y1, x2, y2}."""
     (x1, y1), (x2, y2) = p.pairs
     return GL4Param((x1, y1, x2, y2))
-
-
-def langlands_param_from_induction(c1: Scalar, c2: Scalar, c3: Scalar) -> GSp4Param:
-    """Parameter of the unramified subquotient induced from a Borel character.
-
-    The induction character sends diag(a, b, m/a, m/b) to
-    chi1(a) chi2(b) chi3(m).  The returned parameter is the
-    similitude-consistent tuple (c3, c3*c1, c3*c2, c3*c1*c2) paired as
-    {(c3, c3*c1*c2), (c3*c1, c3*c2)}, so that both coordinate pairs multiply
-    to mu = c3^2 * c1 * c2.
-    """
-    c1, c2, c3 = as_char(c1), as_char(c2), as_char(c3)
-    return GSp4Param(((c3, c3 * c1 * c2), (c3 * c1, c3 * c2)), c3 * c3 * c1 * c2)
-
-
-def weyl_orbit(quad: Sequence[Scalar]) -> tuple[tuple[UnramChar, ...], ...]:
-    """Orbit of an ordered character quadruple under the order-8 group.
-
-    The group is generated by the involution swapping the first two slots
-    and the involution swapping slots (1,3) and (2,4); orbit sizes divide 8.
-    Returned in deterministic breadth-first order starting from the input.
-    """
-    start = tuple(as_char(c) for c in quad)
-
-    def sigma(t):
-        return (t[1], t[0], t[2], t[3])
-
-    def tau(t):
-        return (t[2], t[3], t[0], t[1])
-
-    def seen(t, orbit):
-        return any(all(chars_equal(a, b) for a, b in zip(t, u)) for u in orbit)
-
-    orbit = [start]
-    frontier = [start]
-    while frontier:
-        new = []
-        for t in frontier:
-            for image in (sigma(t), tau(t)):
-                if not seen(image, orbit):
-                    orbit.append(image)
-                    new.append(image)
-        frontier = new
-    return tuple(orbit)
 
 
 def exponents(p: GL4Param, q: int) -> ExponentVector:

@@ -360,13 +360,22 @@ class TestTransfer:
         assert "central_char_compatibility" in out
 
     def test_twisted_descriptor_terms_exit_one(self, capsys, tmp_path):
+        # (2, 2; 1/2, -1/2): the shape lemma refuses it and its reason is recorded
         doc = lifted_pair_doc()
         doc["isobaric"][0]["r"] = "1/2"
         doc["isobaric"][1]["r"] = "-1/2"
         path = write_doc(tmp_path, doc)
-        code, out, _ = run(capsys, "transfer", "--in", path)
-        assert code == 1
-        assert "unitary_normalization" in out
+        reason = "n_t = 2: a pole at s = 1 forces the last twist exponent to vanish"
+        assert run(capsys, "transfer", "--in", path) == (
+            1, f"transfer chain\n  recorded: {reason}\nconstraint failed: unitary_normalization\n", "")
+        code, out, err = run(capsys, "transfer", "--in", path, "--format", "json")
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"conditions": [reason], "from_gso": None, "isobaric": [], "places": [],
+                                   "violation": "unitary_normalization"}
+        # one term forms no degree-4 shape: the nonzero twist is refused as before, without a reason
+        doc["isobaric"] = doc["isobaric"][:1]
+        assert run(capsys, "transfer", "--in", write_doc(tmp_path, doc)) == (
+            1, "transfer chain\nconstraint failed: unitary_normalization\n", "")
 
     @pytest.mark.parametrize("command", ["transfer", "poles"])
     @pytest.mark.parametrize("value, fault", [(math.nan, "is not finite"), (math.inf, "is not finite"),
@@ -421,7 +430,9 @@ class TestTransfer:
         code, out, err = run(capsys, "transfer", "--in", write_doc(tmp_path, doc))
         assert code == want
         if want == 1:
-            assert out.endswith("constraint failed: unitary_normalization\n") and err == ""
+            # (2, 2; r, 0) with r > 0 breaks sum(n_i * r_i) = 0
+            assert out == ("transfer chain\n  recorded: unitarity forces sum(n_i * r_i) = 0\n"
+                           "constraint failed: unitary_normalization\n") and err == ""
         elif want == 2:
             assert out == "" and err == ("error: malformed document: twist exponent r must be an integer, "
                                          f"a finite float or a rational string, got {value!r}\n")
@@ -734,6 +745,17 @@ class TestPoles:
         code, _, err = run(capsys, "poles", "--in", path)
         assert code == 1 and "distinct_constituents" in err
 
+    def test_twisted_descriptor_exit_one(self, capsys, tmp_path):
+        doc = lifted_pair_doc(dual_second=True)
+        doc["descriptors"][1]["isobaric"] = [{"term": "P1d", "r": "1/2"}, {"term": "P2d", "r": "-1/2"}]
+        reason = "n_t = 2: a pole at s = 1 forces the last twist exponent to vanish"
+        assert run(capsys, "poles", "--in", write_doc(tmp_path, doc)) == (
+            1, "", f"  recorded: {reason}\nconstraint failed: unitary_normalization\n")
+        # three terms form no degree-4 shape: refused as before, without a reason
+        doc["descriptors"][1]["isobaric"].append({"term": "P1", "r": "0"})
+        assert run(capsys, "poles", "--in", write_doc(tmp_path, doc)) == (
+            1, "", "constraint failed: unitary_normalization\n")
+
 
 # family B at q = 9
 RODIER_DOC = {"kind": "gl4", "entries": [[1 / 3, 0.0], [1 / 3, 0.0], [3.0, 0.0], [3.0, 0.0]],
@@ -810,6 +832,16 @@ class TestRodier:
         code, out, err = run(capsys, "rodier", "--params", write_doc(tmp_path, doc), "--q", "9")
         assert (code, out) == (2, "")
         assert err == f"error: cannot read parameters: {field} must be [re, im] pairs of numbers\n"
+
+    @pytest.mark.parametrize("r", ["1e400", "-" + "9" * 999], ids=["1e400", "1000_characters"])
+    def test_overflowing_exact_form_gives_a_short_error_line(self, capsys, tmp_path, r):
+        # r in full would be a line of hundreds of digits
+        doc = copy.deepcopy(RODIER_DOC)
+        doc["exact"][0]["r"] = r
+        code, out, err = run(capsys, "rodier", "--params", write_doc(tmp_path, doc), "--q", "9")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: q^r is beyond the float range at q=9, r~") and len(err) <= 80
+        assert err.endswith("e+400\n" if r == "1e400" else "-1.000e+999\n")
 
     def test_exact_forms_read_numbers_and_rational_strings(self, capsys, tmp_path):
         want = run(capsys, "rodier", "--params", write_doc(tmp_path, RODIER_DOC), "--q", "9", "--format", "json")

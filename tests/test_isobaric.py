@@ -24,13 +24,14 @@ from gsp4transfer.isobaric import (
     NotUnitaryNormalized,
     SymbolRegistry,
     associate_match,
+    descriptor_from_json,
     dual,
     equivalent,
     isobaric,
     jiang_case_analysis,
     load_document,
     pole_order_at_one,
-    registry_to_json,
+    registry_from_json,
     reps_equivalent,
     rs_factorization,
     transfer,
@@ -734,17 +735,56 @@ class TestDocuments:
              "local": {"2": [[0.6, -0.8], [0.6, 0.8]]}},  # backfilled at q=3
             {"id": "S", "degree": 2, "dual": "S", "local": {"7": [[0.28, 0.96], [0.28, -0.96]]}},
         ]
-        registry, _ = load_document(doc)
-        doc2 = registry_to_json(registry)
-        from gsp4transfer.isobaric import registry_from_json
+        registry, _ = load_document(json.loads(json.dumps(doc)))
+        assert [sym.id for sym in registry] == [d["id"] for d in doc["symbols"]] + ["P2d"]
+        for d in doc["symbols"]:
+            sym = registry.get(d["id"])
+            assert (sym.degree, sym.dual_id, sym.central_char_id) == (d["degree"], d["dual"], d.get("central_char", "1"))
+            places = sorted(map(int, d["local"]))
+            want = np.array([d["local"][str(q)] for q in places], dtype=float).view(complex)[..., 0]
+            rows = sym.qs.searchsorted(places)
+            assert len(sym.qs) == len(places) + (sym.id == "P1d")
+            assert sym.qs[rows].tobytes() == np.array(places, dtype=np.int64).tobytes()
+            assert sym.params[rows].view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+        p1, p1d = registry.get("P1"), registry.get("P1d")
+        assert p1d.qs.tolist() == [2, 3]
+        assert p1d.params[1].view(np.uint64).tolist() == (1 / p1.params[1]).view(np.uint64).tolist()
 
-        again = registry_from_json(json.loads(json.dumps(doc2)))
-        assert [sym.id for sym in again] == [sym.id for sym in registry]
-        for sym in registry:
-            clone = again.get(sym.id)
-            assert (clone.degree, clone.dual_id, clone.central_char_id) == (sym.degree, sym.dual_id, sym.central_char_id)
-            assert clone.qs.tobytes() == sym.qs.tobytes()
-            assert clone.params.view(np.uint64).tobytes() == sym.params.view(np.uint64).tobytes()
+    def registry_with_cuspidal(self):
+        """The symbols of ``build_doc`` and a self-dual degree-4 symbol C."""
+        return registry_from_json(self.build_doc()["symbols"] + [{"id": "C", "degree": 4, "dual": "C"}])
+
+    @pytest.mark.parametrize("from_gso, terms, twists, reason", [
+        (True, ["P1", "P2"], ["1/2", "-1/2"], REASON_NONZERO_TWIST),
+        (True, ["P1", "P2"], [-0.5, 0.5], REASON_NONZERO_TWIST),  # sorted before the lemma reads them
+        (True, ["P1", "nowhere"], ["1/2", "-1/2"], REASON_NONZERO_TWIST),  # judged before the lookup
+        (True, ["P1", "P2"], [1, 0], REASON_UNITARITY),
+        (False, ["C"], ["1/4"], REASON_UNITARITY),
+    ])
+    def test_twists_judged_by_the_shape_lemma(self, from_gso, terms, twists, reason):
+        registry = self.registry_with_cuspidal()
+        item = {"from_gso": from_gso, "isobaric": [{"term": t, "r": r} for t, r in zip(terms, twists)]}
+        with pytest.raises(NotUnitaryNormalized) as info:
+            descriptor_from_json(item, registry)
+        assert info.value.reason == reason
+        assert str(info.value) == f"unitary_normalization: {reason}"
+        # with the twists zeroed the lemma admits the shape
+        item["isobaric"] = [{"term": t, "r": 0} for t in (["P1", "P2"] if from_gso else ["C"])]
+        assert descriptor_from_json(item, registry).from_gso == from_gso
+
+    @pytest.mark.parametrize("from_gso, terms", [(True, ["P1"]), (True, ["P1", "P2", "P1d"]), (False, ["C", "C"])])
+    def test_nonzero_twist_on_a_wrong_term_count(self, from_gso, terms):
+        # no degree-4 shape to judge: the twist is refused before the count, without a reason
+        registry = self.registry_with_cuspidal()
+        item = {"from_gso": from_gso, "isobaric": [{"term": t, "r": "0"} for t in terms]}
+        item["isobaric"][-1]["r"] = "1"
+        with pytest.raises(NotUnitaryNormalized) as info:
+            descriptor_from_json(item, registry)
+        assert info.value.reason is None
+        item["isobaric"][-1]["r"] = "0"
+        with pytest.raises(ValueError, match="exactly") as info:
+            descriptor_from_json(item, registry)
+        assert not isinstance(info.value, NotUnitaryNormalized)
 
     def test_inconsistent_duals_rejected(self):
         doc = self.build_doc()

@@ -29,7 +29,6 @@ from gsp4transfer.lseries import (
     estimate_with_sweep,
     partial_L,
     primes_up_to,
-    ramanujan_tau,
     sample_sato_tate,
     sato_tate_symbol,
     stream_seed,
@@ -620,8 +619,9 @@ class TestPoleEstimates:
 class TestDeltaEigenvalues:
     def test_matches_naive_expansion(self):
         oracle = naive_tau(30)
+        coeffs = _discriminant_coeffs(30)
         for m in range(1, 31):
-            assert ramanujan_tau(m) == oracle[m]
+            assert coeffs[m - 1] == oracle[m]
 
     def test_frozen_prime_values(self):
         table = delta_eigenvalues(100)

@@ -31,7 +31,6 @@ from gsp4transfer.satake import (
     check_selfdual_twist,
     exponents,
     gsp4_to_gl4_embed,
-    langlands_param_from_induction,
     match_multiset_rows,
     match_multisets,
     param_from_json,
@@ -40,7 +39,6 @@ from gsp4transfer.satake import (
     rodier_class,
     theta_lift_params,
     transfer_gsp4_to_gl4,
-    weyl_orbit,
 )
 
 nonzero_complex = st.complex_numbers(
@@ -236,15 +234,6 @@ class TestEmbedding:
         t = again.to_tuple()
         assert chars_equal(t[0] * t[3], again.mu) and chars_equal(t[1] * t[2], again.mu)
 
-    def test_torus_coordinates_reconstruct(self):
-        p = GSp4Param(((as_char(2), as_char(3)), (as_char(6), as_char(1))), as_char(6))
-        a0, a1, a2 = p.torus_coordinates()
-        t = p.to_tuple()
-        assert chars_equal(a0 * a1 * a2, t[0])
-        assert chars_equal(a0 * a1, t[1])
-        assert chars_equal(a0 * a2, t[2])
-        assert chars_equal(a0, t[3])
-
 
 @st.composite
 def gl2_pairs_equal_mu(draw):
@@ -264,98 +253,6 @@ class TestCommutingDiagram:
         left = gsp4_to_gl4_embed(lifted)
         right = transfer_gsp4_to_gl4(p1.mu, p1.alpha, p2.alpha)
         assert match_multisets(left.entries, right.entries)
-
-
-class TestInduction:
-    def test_trivial(self):
-        p = langlands_param_from_induction(1, 1, 1)
-        assert match_multisets(gsp4_to_gl4_embed(p).entries, [1, 1, 1, 1])
-        assert chars_equal(p.mu, 1)
-
-    def test_hand_evaluation(self):
-        # (c1, c2, c3) = (2, 3, 1): pairs {(1, 6), (2, 3)}, mu = 6
-        p = langlands_param_from_induction(2, 3, 1)
-        assert chars_equal(p.mu, 6)
-        assert match_multisets(gsp4_to_gl4_embed(p).entries, [1, 6, 2, 3])
-
-    @given(nonzero_complex, nonzero_complex, nonzero_complex)
-    @settings(max_examples=100, deadline=None)
-    def test_similitude_identity_forced(self, c1, c2, c3):
-        p = langlands_param_from_induction(c1, c2, c3)
-        (x1, y1), (x2, y2) = p.pairs
-        assert abs(x1.value * y1.value - x2.value * y2.value) <= 1e-9 * max(
-            1.0, abs(x1.value * y1.value)
-        )
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            langlands_param_from_induction(0, 1, 1)
-
-
-def brute_force_orbit(quad):
-    """Independent oracle: close the two generators inside S4, then apply."""
-    sigma = (1, 0, 2, 3)
-    tau = (2, 3, 0, 1)
-
-    def compose(p, r):
-        return tuple(p[r[i]] for i in range(4))
-
-    group = {(0, 1, 2, 3)}
-    frontier = [(0, 1, 2, 3)]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for gen in (sigma, tau):
-                h = compose(g, gen)
-                if h not in group:
-                    group.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return {tuple(quad[g[i]] for i in range(4)) for g in group}, group
-
-
-class TestWeylOrbit:
-    def test_group_has_order_eight(self):
-        _, group = brute_force_orbit((0, 1, 2, 3))
-        assert len(group) == 8
-
-    def test_fixed_point(self):
-        orbit = weyl_orbit([2, 2, 2, 2])
-        assert len(orbit) == 1
-
-    def test_distinct_entries_give_eight(self):
-        quad = (2, 3, 5, 7)
-        orbit = weyl_orbit(quad)
-        expected, _ = brute_force_orbit(quad)
-        got = {tuple(c.value for c in t) for t in orbit}
-        assert len(orbit) == 8
-        assert got == {tuple(complex(x) for x in t) for t in expected}
-
-    def test_abab_has_orbit_four(self):
-        quad = (2, 3, 2, 3)
-        orbit = weyl_orbit(quad)
-        expected, _ = brute_force_orbit(quad)
-        assert len(orbit) == len(expected) == 4
-
-    @given(st.tuples(*([st.sampled_from([1, 2, 3, -1])] * 4)))
-    def test_orbit_size_divides_eight(self, quad):
-        orbit = weyl_orbit(quad)
-        assert 8 % len(orbit) == 0
-
-    @given(st.tuples(*([st.sampled_from([2, 3, 5])] * 4)))
-    def test_idempotent(self, quad):
-        orbit = weyl_orbit(quad)
-        keys = {tuple(c.value for c in t) for t in orbit}
-        for member in orbit:
-            again = weyl_orbit(member)
-            assert {tuple(c.value for c in t) for t in again} == keys
-
-    def test_generators_are_involutions(self):
-        quad = tuple(as_char(c) for c in (2, 3, 5, 7))
-        sigma = lambda t: (t[1], t[0], t[2], t[3])
-        tau = lambda t: (t[2], t[3], t[0], t[1])
-        assert sigma(sigma(quad)) == quad
-        assert tau(tau(quad)) == quad
 
 
 def prime_power_by_trial_division(n):
@@ -607,7 +504,7 @@ class TestSerialization:
         assert chars_equal(again.mu, p.mu)
 
     def test_gsp4_roundtrip(self):
-        p = langlands_param_from_induction(2, 3, 1)
+        p = GSp4Param(((as_char(1), as_char(6)), (as_char(2), as_char(3))), as_char(6))
         again = param_from_json(param_to_json(p))
         assert again.to_tuple() == p.to_tuple()
 
