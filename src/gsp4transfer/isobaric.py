@@ -89,20 +89,24 @@ class CuspidalSymbol:
         if params.shape[1] != self.degree:
             raise ValueError(f"symbol {self.id}: {params.shape[1]} parameters per place, "
                              f"expected {self.degree}")
-        order = np.argsort(qs)
-        qs, params = qs[order], params[order]
+        ascending = (qs[1:] > qs[:-1]).all()
+        if not ascending:  # places that come ascending, as sieved primes do, need no gather
+            order = np.argsort(qs)
+            qs, params = qs[order], params[order]
         check_places(qs)
-        if np.any(np.diff(qs) == 0) or np.any(params == 0):
+        duplicate = not ascending and (qs[1:] == qs[:-1]).any()
+        if duplicate or not params.all():
             raise ValueError(f"symbol {self.id}: a place is sampled twice or a parameter is zero")
         # every later use (duals, chains, JSON output) needs finite values whose
         # inverses, the dual's values, are finite with finite inverses in turn
         with np.errstate(all="ignore"):
             inverse = 1 / params
-            for bad, fault in ((~np.isfinite(params), "is not finite"),
-                               (~np.isfinite(inverse), "has no finite inverse"),
-                               (~np.isfinite(1 / inverse), "has an inverse that is zero or has no finite inverse")):
-                if bad.any():
-                    q = int(qs[bad.any(axis=1)][0])
+            for values, fault in ((params, "is not finite"),
+                                  (inverse, "has no finite inverse"),
+                                  (1 / inverse, "has an inverse that is zero or has no finite inverse")):
+                finite = np.isfinite(values)
+                if not finite.all():
+                    q = int(qs[~finite.all(axis=1)][0])
                     raise ValueError(f"symbol {self.id}: a local parameter at q={q} {fault}")
         qs.flags.writeable = params.flags.writeable = False
         object.__setattr__(self, "qs", qs)

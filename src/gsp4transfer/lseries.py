@@ -17,14 +17,19 @@ and almost none of the multiplicity signal, so the fit window drops places
 below a floor; the pole order is insensitive to any finite set of local
 factors, which is the point of working with partial L-functions.
 
+A partial product runs over blocks of at most ``SWEEP_BLOCK`` places, each
+symbol's rows gathered as one contiguous (parameter, place) array, so its
+work arrays do not grow with X.  The exact local pole check runs only at
+places where a bound on |z|, one product per place, reaches 1/2.
+
 Synthetic local data is drawn from the Sato-Tate angle density
 (2/pi) sin^2(theta), the image of Haar measure on SU(2), in closed form:
 cos(theta) is the x-coordinate of a uniform point of the unit disc.
 
 A weight-12 eigenvalue table provides a real-world fixture.  Its exact
 coefficients tau(n) come from eight products of a sparse series on int64
-residues modulo four primes, lifted by the Chinese remainder theorem; the
-lift is proven exact for n < 2^15 and refuses larger n.
+residues modulo two primes below 2^47, lifted by the Chinese remainder
+theorem; the lift is proven exact for n < 2^15 and refuses larger n.
 """
 
 from __future__ import annotations
@@ -49,11 +54,14 @@ from .satake import check_places, place_array, prime_sieve
 DEFAULT_GRID = (1.30, 1.20, 1.12, 1.06, 1.03)
 DEFAULT_MIN_PLACE = 100  # fit window floor: drop places q <= this
 DEFAULT_X = 100_000
-# Largest sieve bound.  `poles --mode both` peaks at about 100 MB at X = 10^6
-# and 210 MB at 3 x 10^6, linear in X, so about 0.6 GB at this bound.
+# Largest sieve bound.  With a blocked sweep, `poles --mode both` peaks at about
+# 74 MB at X = 10^6, 105 MB at 3 x 10^6 and 245 MB at this bound (Python 3.11,
+# numpy 2.4, Linux); the symbols' data and the sieve grow with X, the sweep's
+# work arrays do not.
 MAX_X = 10**7
 
 _POLE_EPS = 1e-12
+SWEEP_BLOCK = 2**15  # places per block of a partial product
 
 
 class LocalPole(ArithmeticError):
@@ -85,51 +93,81 @@ def primes_up_to(x: int) -> list[int]:
 def _sweep_values(r1: IsobaricRep, r2: IsobaricRep, qs: np.ndarray, s_values) -> np.ndarray:
     """Partial product over the places ``qs`` at each s, real or complex.
 
-    Per Rankin-Selberg factor, z = a_i b_j q^-(s + shift) is one broadcast
-    over (s, parameter pair, place).  The factor's local value at q is 1 / w,
-    w the product of 1 - z over its k parameter pairs, taken by k - 1
-    multiplies.  Each w is split once into modulus and phase: log|w|, one
-    real log per place, adds into a real total, and w / |w| multiplies into
-    a unit phase.  The value is exp(-(total + i arg phase)), so it overflows
-    to inf and underflows to 0 as a sum of logs does, never to NaN.
+    The places are taken in blocks of at most ``SWEEP_BLOCK``, so that the
+    work arrays have a fixed size whatever X is.  Each block gives a real
+    total and a unit phase (see ``_sweep_block``); the totals add and the
+    phases multiply.  The value is exp(-(total + i arg phase)), so it
+    overflows to inf and underflows to 0 as a sum of logs does, never to
+    NaN.  A block looks up every symbol's rows before its first factor, so
+    missing local data is reported before a pole in the same block.
 
+    Accuracy: numpy's complex abs rounds |w| near 1 low by about a third of
+    an ulp on average, so |value| can read high by up to about 5e-17 per
+    place and factor (1e-12 relative for a 2 + 2 pairing at X = 10^5)."""
+    s = np.asarray(s_values, dtype=complex)
+    factors = [(float(f.shift), f.sigma, f.tau) for f in rs_factorization(r1, r2)]
+    symbols = {id(sym): sym for _, sigma, tau in factors for sym in (sigma, tau)}  # each recurs across factors
+    total = np.zeros(len(s))
+    phase = np.ones(len(s), dtype=complex)
+    for start in range(0, len(qs), SWEEP_BLOCK):
+        block = qs[start:start + SWEEP_BLOCK]
+        # each symbol's rows as one contiguous (parameter, place) array
+        local = {key: np.ascontiguousarray(sym.params[rows_at(sym, block)].T) for key, sym in symbols.items()}
+        block_total, block_phase = _sweep_block(s, factors, local, block)
+        total += block_total
+        phase *= block_phase
+    return np.exp(-(total + 1j * np.angle(phase)))
+
+
+def _sweep_block(s: np.ndarray, factors, local: dict, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sum of log|w| and the product of w / |w| over one block of places,
+    at each s, w running over every factor's local values.
+
+    Per Rankin-Selberg factor, z = a_i b_j q^-(s + shift) is one broadcast
+    over (s, parameter pair, place), on the (parameter, place) arrays of
+    ``local``, keyed by ``id`` of the symbol.  The factor's local value at q
+    is 1 / w, w the product of 1 - z over its k parameter pairs, taken by
+    k - 1 multiplies.  Each w is split once into modulus and phase: log|w|,
+    one real log per place, and w / |w|.
+
+    A pole needs |1 - z| < 1e-12, so |z| near 1.  The bound max|a| max|b|
+    q^-(min Re s + shift) on |z| at a place is one product per place; the
+    exact check runs only on the places where the bound reaches 1/2, and
+    rounding moves neither the bound nor |z| by anything near that margin.
     Range: the pole check keeps every |1 - z| >= 1e-12 and k <= 16, so w
     cannot underflow; it overflows only where |z| passes 2^(1024 / k), and a
-    factor where it does sums the logs of its k terms instead.  Accuracy:
-    numpy's complex abs rounds |w| near 1 low by about a third of an ulp on
-    average, so |value| can read high by up to about 5e-17 per place and
-    factor (1e-12 relative for a 2 + 2 pairing at X = 10^5)."""
-    s = np.asarray(s_values, dtype=complex)
+    factor where it does sums the logs of its k terms instead."""
     logq = np.log(np.asarray(qs, dtype=float))
     total = np.zeros(len(s))
     phase = np.ones(len(s), dtype=complex)
     r = np.empty((len(s), len(qs)))  # |w|, then log|w|, for every factor
-    powers = {}  # q^-(s + shift) per distinct shift; a 2 + 2 pairing has one
-    local = {}  # (parameter, place) data per symbol; each recurs across factors
-    for factor in rs_factorization(r1, r2):
-        shift = float(factor.shift)
+    powers = {}  # q^-(s + shift) and the bound on its modulus, per distinct shift
+    for shift, sigma, tau in factors:
         if shift not in powers:
-            powers[shift] = np.exp(-np.multiply.outer(s + shift, logq))
-        for sym in (factor.sigma, factor.tau):
-            if id(sym) not in local:
-                local[id(sym)] = sym.params[rows_at(sym, qs)].T
-        a, b = local[id(factor.sigma)], local[id(factor.tau)]
+            powers[shift] = (np.exp(-np.multiply.outer(s + shift, logq)),
+                             np.exp(-(s.real.min() + shift) * logq))
+        power, bound = powers[shift]
+        a, b = local[id(sigma)], local[id(tau)]
         # (pair, place), so that each pair's slice of z is a contiguous row per s
         lam = (a[:, None, :] * b[None, :, :]).reshape(len(a) * len(b), len(qs))
-        z = lam * powers[shift][:, None, :]
-        # The pole check |1 - z| < eps runs only when some Re z > t =
-        # fl(1 - 2 eps), since it cannot fire at any other z.  The real part
-        # of 1 - z is fl(1 - Re z), and abs is a hypot, at least as large as
-        # either part (the exact hypot is, and a faithful rounding cannot
-        # fall below a float under it).  If Re z <= t, then in exact
-        # arithmetic 1 - Re z >= 1 - t >= 2 eps - 2^-54 >= eps, and rounding
-        # is monotone, so fl(1 - Re z) >= eps as well.  t = fl(1 - eps)
-        # would not do: 1 - fl(1 - 1e-12) is below 1e-12, so z =
-        # fl(1 - 1e-12) is a pole that the filter Re z > fl(1 - 1e-12) misses.
-        if (z.real > 1.0 - 2 * _POLE_EPS).any():
-            pole = (np.abs(1.0 - z) < _POLE_EPS).any(axis=(1, 2))
-            if pole.any():
-                raise LocalPole(f"local factor pole at s={s[pole][0]}")
+        z = lam * power[:, None, :]
+        near = np.abs(a).max(axis=0) * np.abs(b).max(axis=0) * bound >= 0.5
+        if near.any():
+            # At the places near, the pole check |1 - z| < eps runs only when
+            # some Re z > t = fl(1 - 2 eps), since it cannot fire at any other
+            # z.  The real part of 1 - z is fl(1 - Re z), and abs is a hypot, at
+            # least as large as either part (the exact hypot is, and a faithful
+            # rounding cannot fall below a float under it).  If Re z <= t, then
+            # in exact arithmetic 1 - Re z >= 1 - t >= 2 eps - 2^-54 >= eps, and
+            # rounding is monotone, so fl(1 - Re z) >= eps as well.
+            # t = fl(1 - eps) would not do: 1 - fl(1 - 1e-12) is below 1e-12, so
+            # z = fl(1 - 1e-12) is a pole that the filter Re z > fl(1 - 1e-12)
+            # misses.
+            zn = z[:, :, near]
+            if (zn.real > 1.0 - 2 * _POLE_EPS).any():
+                pole = (np.abs(1.0 - zn) < _POLE_EPS).any(axis=(1, 2))
+                if pole.any():
+                    raise LocalPole(f"local factor pole at s={s[pole][0]}")
         # 1 - z in z's buffer, the pole check done with it
         np.subtract(1.0, z, out=z)
         w = z[:, 0]
@@ -141,13 +179,13 @@ def _sweep_values(r1: IsobaricRep, r2: IsobaricRep, qs: np.ndarray, s_values) ->
             w /= r
             np.log(r, out=r)
         else:  # the product left the float range: sum the logs of its factors
-            logw = np.log1p(-(lam * powers[shift][:, None, :])).sum(axis=1)
+            logw = np.log1p(-(lam * power[:, None, :])).sum(axis=1)
             np.exp(1j * logw.imag, out=w)
             r[...] = logw.real
         phase *= w.prod(axis=1)
         total += r.sum(axis=1)
         del lam, z, w  # so that the next factor's z is not allocated beside this one
-    return np.exp(-(total + 1j * np.angle(phase)))
+    return total, phase
 
 
 def partial_L(
@@ -274,8 +312,12 @@ def _sato_tate_params(seed: int, n: int) -> np.ndarray:
     with published reference output."""
     u = np.random.Generator(np.random.PCG64(seed)).random((n, 2))
     c = np.sqrt(u[:, 0]) * np.cos(2 * math.pi * u[:, 1])
-    a = c + 1j * np.sqrt((1 - c) * (1 + c))
-    return np.stack([a, a.conj()], axis=1)
+    out = np.empty((n, 2), dtype=complex)
+    parts = out.view(float)  # columns re a, im a, re conj(a), im conj(a)
+    parts[:, 0] = parts[:, 2] = c
+    np.sqrt((1 - c) * (1 + c), out=parts[:, 1])
+    np.negative(parts[:, 1], out=parts[:, 3])
+    return out
 
 
 def sample_sato_tate(seed: int, primes: Sequence[int]) -> dict[int, tuple[complex, complex]]:
@@ -355,27 +397,30 @@ class EigenvalueTable:
     rows: tuple[EigenvalueRow, ...]
 
 
-# Four primes below 2^23; their product, about 2^92, is the range of the lift.
-_TAU_MODULI = (8388593, 8388587, 8388581, 8388571)
+# The two largest primes below 2^47; their product M, about 2^94, is the range of the lift.
+_TAU_MODULI = (140737488355213, 140737488355201)
 
 
 @lru_cache(maxsize=4)
 def _discriminant_coeffs(n: int) -> tuple[int, ...]:
-    """Coefficients of prod_{m>=1} (1 - x^m)^24 up to x^(n-1), exact integers.
+    """Coefficients of prod_{m>=1} (1 - x^m)^24 up to x^(n-1), exact integers,
+    for n < 2^15; larger n is refused.
 
     The cube of the product is the sparse triangular-number series
     sum_k (-1)^k (2k+1) x^{k(k+1)/2}; eight sparse multiplications give the
     24th power without any dense-times-dense convolution.  They run on int64
-    residues modulo ``_TAU_MODULI``: a product adds its K shifted copies
-    unreduced, at most 2^23 K^2 < 2^39 in size for n < 2^15, and reduces
-    once; the residues are lifted to signed integers by the Chinese remainder
-    theorem.  The lift is exact while |tau(m)| < M / 2 for m <= n, M the
-    product of the moduli; by Deligne, |tau(m)| <= d(m) m^(11/2) <= 2 m^6, so
-    n must keep 2 n^6 below M / 2, which holds exactly for n < 2^15.
+    residues modulo the two primes ``_TAU_MODULI``, through one reused
+    product buffer.  A product adds its K shifted copies unreduced and
+    reduces once.  The K coefficients have |2k+1| summing to K^2, and
+    K <= 2^8 for n < 2^15, so the unreduced sums are at most
+    K^2 (m - 1) < 2^16 2^47 = 2^63 and never wrap.  The residues are lifted
+    to signed integers by the Chinese remainder theorem, which is exact
+    while |tau(m)| < M / 2 for m <= n; by Deligne, |tau(m)| <= d(m) m^(11/2)
+    <= 2 m^6, and M, about 2^94, is above 4 (2 n^6) for n < 2^15.
     """
-    modulus = math.prod(_TAU_MODULI)
-    if 2 * n**6 >= modulus // 2:
+    if n >= 2**15:
         raise OverflowError(f"coefficients up to x^{n - 1} may exceed the lift range")
+    modulus = math.prod(_TAU_MODULI)
     sparse = []
     k = 0
     while k * (k + 1) // 2 < n:
@@ -384,11 +429,14 @@ def _discriminant_coeffs(n: int) -> tuple[int, ...]:
     moduli = np.array(_TAU_MODULI, dtype=np.int64)[:, None]
     cur = np.zeros((len(_TAU_MODULI), n), dtype=np.int64)
     cur[:, 0] = 1
+    new = np.empty_like(cur)
+    term = np.empty_like(cur)  # coef times the shifted copy, reused by every term
     for _ in range(8):
-        new = np.zeros_like(cur)
+        new.fill(0)
         for coef, e in sparse:
-            new[:, e:] += coef * cur[:, : n - e]
-        cur = new % moduli
+            np.multiply(cur[:, : n - e], coef, out=term[:, : n - e])
+            new[:, e:] += term[:, : n - e]
+        np.remainder(new, moduli, out=cur)
     basis = np.array([(modulus // p) * pow(modulus // p, -1, p) for p in _TAU_MODULI], dtype=object)
     lifted = basis @ cur.astype(object) % modulus
     return tuple(np.where(2 * lifted > modulus, lifted - modulus, lifted).tolist())

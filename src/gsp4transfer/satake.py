@@ -602,7 +602,9 @@ def rational(value, name: str) -> Fraction:
     RATIONAL_STRING_BOUND characters and a decimal exponent of at most that
     magnitude: ``Fraction`` builds the power of ten of the exponent exactly
     (10^(10^7) takes seconds), so the numerator and denominator stay within
-    about 2000 digits, and within the 4300 that int and str convert."""
+    about 2000 digits, and within the 4300 that int and str convert.  The
+    message shows a refused value's repr whole up to 40 characters, else its
+    first 40 and its length."""
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
             if isinstance(value, str) and (
@@ -613,7 +615,10 @@ def rational(value, name: str) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError, OverflowError):
             pass
-    raise ValueError(f"{name} must be an integer, a finite float or a rational string, got {value!r}")
+    shown = repr(value)  # a refused string may run to any length
+    if len(shown) > 40:
+        shown = f"{shown[:40]}... ({len(shown)} characters)"
+    raise ValueError(f"{name} must be an integer, a finite float or a rational string, got {shown}")
 
 
 def _char_from_json(value: complex, exact) -> UnramChar:

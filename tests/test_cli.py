@@ -458,6 +458,18 @@ class TestTransfer:
         name = "twist exponent r" if field == "twist" else f"exact form {field}"
         assert (code, out) == (2, "") and f"{name} must be an integer, a finite float or a rational string" in err
 
+    @pytest.mark.parametrize("value", ["1/" + "2" * 4998, "x" * 5000, ["0"] * 2000])
+    def test_long_refused_twist_gives_a_short_error_line(self, capsys, tmp_path, value):
+        # in full, the refused value would make a line of thousands of bytes
+        doc = lifted_pair_doc()
+        doc["isobaric"][0]["r"] = value
+        code, out, err = run(capsys, "transfer", "--in", write_doc(tmp_path, doc))
+        assert (code, out) == (2, "")
+        shown = repr(value)
+        assert err == ("error: malformed document: twist exponent r must be an integer, a finite float "
+                       f"or a rational string, got {shown[:40]}... ({len(shown)} characters)\n")
+        assert len(err.encode()) < 200
+
     @pytest.mark.parametrize("command", ["transfer", "poles"])
     @pytest.mark.parametrize("key", ["1_3", "+13", " 13 ", "\u0661\u0663", "", "\ud800"])
     def test_place_key_not_decimal_digits_exit_two(self, capsys, tmp_path, command, key):

@@ -1,5 +1,6 @@
 import cmath
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -177,6 +178,50 @@ class TestRegistry:
         a = registry.create("a", 2, qs=[places[0]], params=[(1, 1 + 1.8e-9)])
         b = registry.create("b", 2, qs=[places[0]], params=[(1 + 0.9e-9, 1 - 0.95e-9)])
         assert equivalent(a, b) and equivalent(b, a)
+
+
+class TestSymbolConstructor:
+    PLACES = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19]
+
+    def rows(self, order):
+        qs = np.array(self.PLACES, dtype=np.int64)[order]
+        return qs, np.exp(1j * qs[:, None] * np.array([0.3, -0.3]))
+
+    def test_place_order_does_not_matter(self):
+        n = len(self.PLACES)
+        want = CuspidalSymbol("a", 2, "a", "1", *self.rows(np.arange(n)))
+        assert want.qs.tolist() == self.PLACES
+        for order in (np.arange(n)[::-1], np.random.default_rng(3).permutation(n)):
+            got = CuspidalSymbol("a", 2, "a", "1", *self.rows(order))
+            assert got.qs.view(np.uint64).tolist() == want.qs.view(np.uint64).tolist()
+            assert got.params.view(np.uint64).tolist() == want.params.view(np.uint64).tolist()
+            assert not (got.qs.flags.writeable or got.params.flags.writeable)
+
+    def test_caller_arrays_stay_writeable(self):
+        qs, params = self.rows(np.arange(len(self.PLACES)))
+        CuspidalSymbol("a", 2, "a", "1", qs, params)
+        assert qs.flags.writeable and params.flags.writeable
+
+    @pytest.mark.parametrize("qs", [[2, 3, 5, 3], [5, 3, 5], [7, 7], [3, 2, 3, 2]])
+    def test_duplicate_place_refused_in_any_order(self, qs):
+        with pytest.raises(ValueError, match=r"^symbol a: a place is sampled twice or a parameter is zero$"):
+            CuspidalSymbol("a", 1, "a", "1", qs, np.ones((len(qs), 1)))
+
+    @pytest.mark.parametrize("qs", [[2, 3, 5], [5, 3, 2]])
+    def test_zero_parameter_refused(self, qs):
+        with pytest.raises(ValueError, match=r"^symbol a: a place is sampled twice or a parameter is zero$"):
+            CuspidalSymbol("a", 2, "a", "1", qs, [[1, 1], [1, -0.0], [1, 1]])
+
+    @pytest.mark.parametrize("order", [[0, 1, 2], [2, 1, 0], [1, 2, 0]])
+    def test_smallest_bad_place_named(self, order):
+        # two bad places of each kind: the message names the smaller, in any order
+        qs = np.array([3, 5, 7])[order]
+        for bad, fault in ((math.inf, "is not finite"), (1e-320, "has no finite inverse"),
+                           (1e308 + 1e308j, "has an inverse that is zero or has no finite inverse")):
+            params = np.ones((3, 2), dtype=complex)
+            params[qs == 5, 1] = params[qs == 7, 0] = bad
+            with pytest.raises(ValueError, match=f"^symbol a: a local parameter at q=5 {fault}$"):
+                CuspidalSymbol("a", 2, "a", "1", qs, params)
 
 
 class TestDual:

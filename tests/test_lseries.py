@@ -372,6 +372,79 @@ class TestPoleEdge:
         assert outcomes == {True, False}
 
 
+class TestBlockedSweep:
+    """Blocks of a few hundred places on a window of X = 2 10^4 (2237
+    places above 100, eight blocks of 300) against one block of them all."""
+
+    X = 20_000
+    BLOCK = 300
+
+    @pytest.fixture
+    def window(self):
+        primes = np.array(primes_up_to(self.X), dtype=np.int64)
+        return primes[primes > 100]
+
+    def sweep(self, monkeypatch, block, r1, r2, qs, s_values):
+        monkeypatch.setattr(lseries, "SWEEP_BLOCK", block)
+        return lseries._sweep_values(r1, r2, qs, s_values)
+
+    @pytest.mark.parametrize("s_values", [DEFAULT_GRID, [0.5 + 3j, 1.5 - 2j]])
+    def test_blocks_equal_one_block(self, monkeypatch, window, s_values):
+        primes = primes_up_to(self.X)
+        reg = SymbolRegistry()
+        sigma = sato_tate_symbol(reg, "sigma", 3, primes)
+        tau = sato_tate_symbol(reg, "tau", 4, primes)
+        big = reg.create("Big", 4, qs=primes, params=np.concatenate(
+            [_sato_tate_params(5, len(primes)), 1j * _sato_tate_params(6, len(primes))], axis=1))
+        twisted = IsobaricRep(((sigma, Fraction(1, 7)), (tau, Fraction(-1, 7))))
+        for r1, r2 in ((isobaric([sigma, tau]), isobaric([sigma, tau])),
+                       (twisted, isobaric([sigma, tau])),
+                       (isobaric([big]), isobaric([big.dual()]))):
+            blocked = self.sweep(monkeypatch, self.BLOCK, r1, r2, window, s_values)
+            whole = self.sweep(monkeypatch, len(window), r1, r2, window, s_values)
+            assert np.all(np.abs(blocked / whole - 1) <= 1e-13), (blocked, whole)
+
+    def test_pole_only_in_a_later_block(self, monkeypatch, window):
+        # a = q^1.3 at one place of the sixth block makes z = 1 there at s = 1.3;
+        # the other parameter, 10^-3 everywhere, keeps the smallest |a| far from it
+        at = 5 * self.BLOCK + 17
+        params = np.tile(np.array([1, 1e-3], dtype=complex), (len(window), 1))
+        params[at, 0] = float(window[at]) ** 1.3
+        reg = SymbolRegistry()
+        rep = isobaric([reg.create("A", 2, qs=window, params=params)])
+        one = isobaric([reg.create("one", 1, self_dual=True, qs=window, params=np.ones((len(window), 1)))])
+        for block in (self.BLOCK, len(window)):
+            with pytest.raises(LocalPole, match=r"s=\(1\.3\+0j\)"):
+                self.sweep(monkeypatch, block, rep, one, window, [1.4, 1.3, 1.2])
+        # the blocks before and after it are still swept
+        assert abs(self.sweep(monkeypatch, self.BLOCK, rep, one, window, [1.4])[0]) > 0
+        before = window[: 5 * self.BLOCK].astype(float)
+        zeta = math.exp(-(np.log1p(-before**-1.3) + np.log1p(-1e-3 * before**-1.3)).sum())
+        assert self.sweep(monkeypatch, self.BLOCK, rep, one, before, [1.3])[0] == pytest.approx(zeta, rel=1e-12)
+
+    def test_overflow_fallback_inside_one_block(self, monkeypatch, window):
+        """At s = 0 and 5e-13 i, |w| passes 2^1056 at one place of the fourth
+        block, and a near-pole at the next place of that block takes it back
+        into range; elsewhere |z| = 10^-6."""
+        theta = np.linspace(0.1, 2.0, 4)
+        eps = 1e-11 * np.exp(3j * theta)
+        left = np.full((len(window), 4), 1e-3, dtype=complex)
+        right = left.copy()
+        at = 3 * self.BLOCK + 100
+        left[at], right[at] = 2.0**33 * np.exp(1j * theta), 2.0**33 * np.exp(-2j * theta)
+        left[at + 1], right[at + 1] = 1, 1 - eps
+        assert np.log(np.abs(1 - np.multiply.outer(left[at], right[at]))).sum() > 1056 * math.log(2)
+        reg = SymbolRegistry()
+        sl, sr = reg.create("L", 4, qs=window, params=left), reg.create("R", 4, qs=window, params=right)
+        s_values = [0.0, 5e-13j]
+        expected = [cmath.exp(-log_sum_oracle(sl, sr, window, s)) for s in s_values]
+        assert all(0 < abs(e) < 1e-100 for e in expected)
+        assert abs(expected[1] / expected[0] - 1) > 0.1
+        for block in (self.BLOCK, len(window)):
+            got = self.sweep(monkeypatch, block, isobaric([sl]), isobaric([sr]), window, s_values)
+            assert got.tolist() == pytest.approx(expected, rel=1e-10, abs=0)
+
+
 class TestSweep:
     def test_grid_must_decrease(self):
         with pytest.raises(ValueError):
@@ -641,6 +714,15 @@ class TestDeltaEigenvalues:
 
     def test_matches_sparse_oracle_at_full_size(self):
         assert _discriminant_coeffs(10_000) == sparse_discriminant_coeffs(10_000)
+
+    def test_moduli_cover_the_largest_accepted_n(self):
+        # n = 2^15 - 1: the unreduced sums fit int64 and the lift range holds |tau| <= 2 n^6
+        n = 2**15 - 1
+        K = sum(1 for k in range(n) if k * (k + 1) // 2 < n)
+        assert K == 256
+        assert K**2 * (max(lseries._TAU_MODULI) - 1) < 2**63
+        assert 2 * n**6 < math.prod(lseries._TAU_MODULI) // 2
+        assert math.gcd(*lseries._TAU_MODULI) == 1  # so the Chinese remainder lift exists
 
     def test_lift_range_enforced(self):
         # 2 n^6 < M / 2 fails first at n = 2^15; past it the lift could wrap

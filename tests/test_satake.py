@@ -483,6 +483,14 @@ class TestRational:
         with pytest.raises(ValueError, match=r"^r must be an integer, a finite float or a rational string, got "):
             rational(value, "r")
 
+    @pytest.mark.parametrize("length, shown", [(38, "'" + "x" * 38 + "'"),
+                                               (39, "'" + "x" * 39 + "... (41 characters)"),
+                                               (5000, "'" + "x" * 39 + "... (5002 characters)")])
+    def test_refused_value_shown_to_40_characters(self, length, shown):
+        with pytest.raises(ValueError) as info:
+            rational("x" * length, "r")
+        assert str(info.value) == f"r must be an integer, a finite float or a rational string, got {shown}"
+
 
 class TestSerialization:
     def test_exact_roundtrip_bitstable(self):
