@@ -29,6 +29,7 @@ from .satake import (
     FLOAT_TOL,
     CentralCharMismatch,
     check_places,
+    clipped_repr,
     complex_pairs,
     match_multiset_rows,
     perfect_matching,
@@ -646,11 +647,11 @@ def registry_from_json(symbols: Sequence[dict]) -> SymbolRegistry:
         sid, degree, dual = doc.get("id"), doc.get("degree"), doc.get("dual")
         cc, pairs = doc.get("central_char", "1"), doc.get("local") or {}
         if not all(isinstance(x, str) for x in (sid, dual, cc)):
-            raise ValueError(f"symbol {sid!r}: id, dual and central_char must be strings")
+            raise ValueError(f"symbol {clipped_repr(sid)}: id, dual and central_char must be strings")
         if sid in syms:
-            raise ValueError(f"symbol id {sid!r} declared twice")
+            raise ValueError(f"symbol id {clipped_repr(sid)} declared twice")
         if not isinstance(degree, int) or isinstance(degree, bool):
-            raise ValueError(f"symbol {sid}: degree must be an integer, got {degree!r}")
+            raise ValueError(f"symbol {sid}: degree must be an integer, got {clipped_repr(degree)}")
         error = f"symbol {sid}: local data must map places to [re, im] pairs"
         if not isinstance(pairs, dict):
             raise ValueError(error)

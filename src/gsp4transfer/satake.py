@@ -603,8 +603,7 @@ def rational(value, name: str) -> Fraction:
     magnitude: ``Fraction`` builds the power of ten of the exponent exactly
     (10^(10^7) takes seconds), so the numerator and denominator stay within
     about 2000 digits, and within the 4300 that int and str convert.  The
-    message shows a refused value's repr whole up to 40 characters, else its
-    first 40 and its length."""
+    message shows a refused value by ``clipped_repr``."""
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
             if isinstance(value, str) and (
@@ -615,17 +614,22 @@ def rational(value, name: str) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError, OverflowError):
             pass
-    shown = repr(value)  # a refused string may run to any length
-    if len(shown) > 40:
-        shown = f"{shown[:40]}... ({len(shown)} characters)"
-    raise ValueError(f"{name} must be an integer, a finite float or a rational string, got {shown}")
+    raise ValueError(f"{name} must be an integer, a finite float or a rational string, got {clipped_repr(value)}")
+
+
+def clipped_repr(value) -> str:
+    """A refused document value as a message shows it: its repr whole up to 40
+    characters, else its first 40 and its length, since the value may run to
+    any length."""
+    shown = repr(value)
+    return shown if len(shown) <= 40 else f"{shown[:40]}... ({len(shown)} characters)"
 
 
 def _char_from_json(value: complex, exact) -> UnramChar:
     if exact is None:
         return UnramChar(value)
     if not isinstance(exact, dict):
-        raise ValueError(f"an exact form must be an object with r and turns, got {exact!r}")
+        raise ValueError(f"an exact form must be an object with r and turns, got {clipped_repr(exact)}")
     return UnramChar(value, ExactForm(rational(exact["r"], "exact form r"),
                                       rational(exact["turns"], "exact form turns")))
 
@@ -688,4 +692,4 @@ def param_from_json(doc: dict) -> GL2Param | GSp4Param | GL4Param:
         return GSp4Param.from_tuple(chars, mu)
     if kind == "gl4":
         return GL4Param(tuple(chars))
-    raise ValueError(f"unknown parameter kind: {kind!r}")
+    raise ValueError(f"unknown parameter kind: {clipped_repr(kind)}")

@@ -16,13 +16,16 @@ raw Kronecker matrix g1 (x) g2 into those coordinates; the result is a
 genuine element of GO(4, F_q) with similitude factor det(g1) det(g2).
 
 Group elements exist only as integer codes: the base-q digits of a
-flattened 4x4 matrix.  The module lists GO(4, F_q) one similitude class at
-a time, as codes with their det: O(4) by closed-form enumeration, once, and
-each lambda-class as its coset g O(4), g a fixed similitude of factor lambda
-(see enumerate_go4_codes).  It computes kernel and image of the pair map as
-codes over T x GL(2), T a transversal of the scalars in GL(2) (a scalar
-moves between the factors, so these pairs reach the whole image and every
-kernel pair up to a scalar): beta(t, g) = L(t) R(g), and a table of L(t)
+flattened 4x4 matrix.  The module lists GSO(4, F_q), the det = lambda^2
+half of GO(4, F_q), one similitude class at a time: SO(4) by closed-form
+enumeration, once, and each lambda-class half as its coset g SO(4), g a
+fixed similitude of factor lambda and det lambda^2 (see
+enumerate_go4_codes); the other half, det = -lambda^2, is counted, not
+listed.  It computes kernel and image of the pair map as codes over
+T x GL(2), T a transversal of the scalars in GL(2) (a scalar moves between
+the factors, so these pairs reach the whole image and every kernel pair up
+to a scalar), and the image of SL(2) x SL(2) over SL(2) x T+-, T+- a
+transversal of {+-1} in SL(2): beta(t, g) = L(t) R(g), and a table of L(t)
 applied to the few distinct columns of the R(g) gives every code by four
 gathers (see _beta_codes).  It compares the two sides class by class and
 packages the comparison into a report (see verify_gso_presentation).  q is
@@ -110,6 +113,12 @@ def gl2_elements(q: int) -> np.ndarray:
     return m.T[(m[0] * m[3] - m[1] * m[2]) % q != 0].reshape(-1, 2, 2)
 
 
+def _leading_entries(mats: np.ndarray) -> np.ndarray:
+    """The first nonzero entry, row-major, of each matrix of a (k, 2, 2) array."""
+    flat = mats.reshape(len(mats), 4)
+    return flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)]
+
+
 def _scalar_transversal(mats: np.ndarray) -> np.ndarray:
     """The rows of mats whose first nonzero entry, row-major, is 1.
 
@@ -117,8 +126,17 @@ def _scalar_transversal(mats: np.ndarray) -> np.ndarray:
     element, so on gl2_elements(q) this is a transversal of the scalars,
     with n / (q - 1) elements.
     """
-    flat = mats.reshape(len(mats), 4)
-    return mats[flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)] == 1]
+    return mats[_leading_entries(mats) == 1]
+
+
+def _sign_transversal(mats: np.ndarray, q: int) -> np.ndarray:
+    """The rows of mats whose first nonzero entry, row-major, lies in 1..(q - 1) / 2.
+
+    g and -g have first nonzero entries e and q - e, and exactly one of
+    them lies there for odd q; so on a set closed under g -> -g, such as
+    SL(2), this is a transversal of {+-1}, with half its elements.
+    """
+    return mats[2 * _leading_entries(mats) < q]
 
 
 def _encode(flat: np.ndarray, q: int) -> np.ndarray:
@@ -246,8 +264,22 @@ def _cross4(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return v
 
 
-def _o4_columns(pool: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """O(4, F_q) in closed form, as columns drawn from the pool of unit vectors.
+def _det4(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """det [a b c d] for T quadruples of columns, each (4, T), without reduction mod q.
+
+    The Laplace expansion along the 2 x 2 minors of columns (a, b) and their
+    complementary minors of (c, d); it shares no code with _cross4.
+    """
+    total = np.zeros_like(a[0])
+    for i, j, k, l, sign in ((0, 1, 2, 3, 1), (0, 2, 1, 3, -1), (0, 3, 1, 2, 1),
+                             (1, 2, 0, 3, 1), (1, 3, 0, 2, -1), (2, 3, 0, 1, 1)):
+        term = (a[i] * b[j] - a[j] * b[i]) * (c[k] * d[l] - c[l] * d[k])
+        total += term if sign > 0 else -term
+    return total
+
+
+def _o4_columns(pool: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """SO(4, F_q) in closed form, as columns drawn from the pool of unit vectors.
 
     The first three columns run over every triple of mutually orthogonal unit
     vectors.  The triples come from the neighbour table of the orthogonality
@@ -256,16 +288,19 @@ def _o4_columns(pool: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.nd
     c1 of the same number of triples.  c2 and c3 are neighbours of c1, and
     c3 one orthogonal to c2: a (len(pool), d, d) mask.  The cross product v
     of a triple spans its orthogonal complement, and the adjugate identity
-    v = det * c4 with det = +-1 makes the two unit fourth columns exactly
-    +-v; the determinant is c4 . v.  The cross product runs on int32
-    coordinates, whose entries stay below 3 (q - 1)^3 (5184 at q = 13), and
-    c4 . v below 12 (q - 1)^4.  The triples are taken a few hundred c1 at a
+    gives v = det M c4 for either unit completion M = [c1 c2 c3 c4], det M =
+    +-1.  So v is itself a unit vector and det [c1 c2 c3 v] = v . v = 1: the
+    fourth column is c4 = v, and the matrices are exactly SO(4).  c4 . v is
+    still computed, and a value other than 1 raises ArithmeticError; so does
+    a determinant other than 1 by the Laplace expansion of _det4, which does
+    not go through the cross product.  The cross product runs on int32
+    coordinates, whose entries stay below 3 (q - 1)^3 (5184 at q = 13),
+    c4 . v below 12 (q - 1)^4 and the expansion 6 (q - 1)^4.  The triples are taken a few hundred c1 at a
     time, so that these temporaries stay within a few MB whatever q.
 
-    Returns (first, last, dets) for the T triples, each taken with c4 = v and
-    then c4 = -v: first (T,) holds c1 n + c2 and last (T, 2) holds c3 n + c4,
-    pool indices as int32 flat indices of pool x pool (n = len(pool), n^2 < 2^31),
-    and dets (T, 2) the determinants, int8.  Triples are in lexicographic order.
+    Returns (first, last) for the T triples: first holds c1 n + c2 and last
+    c3 n + c4, pool indices as int32 flat indices of pool x pool (n =
+    len(pool), n^2 < 2^31), both (T,).  Triples are in lexicographic order.
     """
     n = len(pool)
     lex_rank = q ** np.arange(3, -1, -1, dtype=np.int64)
@@ -277,8 +312,7 @@ def _o4_columns(pool: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.nd
     per_c1 = int(orth[nbr[0, :, None], nbr[0]].sum())  # triples with a given c1
     coords = pool.T.astype(np.int32)
     first = np.empty(n * per_c1, dtype=np.int32)
-    last = np.empty((n * per_c1, 2), dtype=np.int32)
-    dets = np.empty((n * per_c1, 2), dtype=np.int8)
+    last = np.empty(n * per_c1, dtype=np.int32)
     step = max(1, _TRIPLES_PER_STEP // per_c1)
     for lo in range(0, n, step):
         rows = nbr[lo : lo + step]
@@ -286,37 +320,37 @@ def _o4_columns(pool: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.nd
         pair, b = np.divmod(np.flatnonzero(orth[rows[:, :, None], rows[:, None, :]]), d)
         i1, i2 = lo + pair // d, rows.ravel()[pair]
         i3 = nbr[i1, b]
-        v = _cross4(*(np.take(coords, i, axis=1) for i in (i1, i2, i3)))
-        fourth = np.stack([_mod(v, q), _mod(-v, q)])    # (2, 4, t): c4 = v and c4 = -v
-        i4 = pool_index[((fourth[:, 0] * q + fourth[:, 1]) * q + fourth[:, 2]) * q + fourth[:, 3]]  # (2, t)
+        c1, c2, c3 = (np.take(coords, i, axis=1) for i in (i1, i2, i3))
+        v = _cross4(c1, c2, c3)
+        c4 = _mod(v, q)
+        if (_mod((c4 * v).sum(axis=0), q) != 1).any() or (_mod(_det4(c1, c2, c3, c4), q) != 1).any():
+            raise ArithmeticError(f"a cross product of unit vectors mod {q} is not the unit vector completing SO(4)")
         block = slice(lo * per_c1, lo * per_c1 + len(pair))
         first[block] = i1 * n + i2
-        last[block] = i3[:, None] * n + i4.T
-        det = fourth[:, 0] * v[0]                       # (2, t): c4 . v
-        for r in range(1, 4):
-            det += fourth[:, r] * v[r]
-        dets[block] = _mod(det, q).T
-    return first, last, dets
+        last[block] = i3 * n + pool_index[((c4[0] * q + c4[1]) * q + c4[2]) * q + c4[3]]
+    return first, last
 
 
-def enumerate_go4_codes(q: int, lam: int, pool: np.ndarray, o4: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form enumeration of the class {m in GO(4, F_q) : m^t m = lam I} as (codes, dets).
+def enumerate_go4_codes(q: int, lam: int, pool: np.ndarray, o4: tuple) -> tuple[np.ndarray]:
+    """Closed-form enumeration of {m in GO(4, F_q) : m^t m = lam I, det m = lam^2} as (codes,).
 
-    pool is the unit vectors of _norm_vectors and o4 the O(4) columns that
+    pool is the unit vectors of _norm_vectors and o4 the SO(4) columns that
     _o4_columns draws from it; the caller builds both once for every class.
     The class is a coset of O(4).  Take a^2 + b^2 = lam, R = [[a, -b], [b, a]]
     and g = R (+) R (g = I for lam = 1).  Then g^t g = lam I and
     det g = lam^2, so M -> g M is a bijection from O(4) onto the class, and
-    det(g M) = lam^2 det M.  Column j of g M is g c_j, so the code of g M is
-    the code of the columns (g c1, g c2) plus q^2 times that of (g c3, g c4),
-    both gathered from one table over pool x pool.  Column 0 of every
-    element is g c1, of norm lam: classes share no code.
+    det(g M) = lam^2 det M: g SO(4) is the det = lam^2 half listed here.
+    M -> M diag(1, 1, 1, -1) maps it onto the det = -lam^2 half, so the
+    class has twice as many elements.  Column j of g M is g c_j, so the code
+    of g M is the code of the columns (g c1, g c2) plus q^2 times that of
+    (g c3, g c4), both gathered from one table over pool x pool.  Column 0
+    of every element is g c1, of norm lam: classes share no code.
 
-    Elements come out ordered by the O(4) factor M: its triple (c1, c2, c3)
-    in lexicographic order, then c4 = v before c4 = -v.  So the output order
-    is deterministic.  dets is int8.  Nothing here uses the pair map.
+    Elements come out ordered by the SO(4) factor M, its triple (c1, c2, c3)
+    in lexicographic order, so the output order is deterministic.  Nothing
+    here uses the pair map.
     """
-    first, last, o4_dets = o4
+    first, last = o4
     a, b = (1, 0) if lam == 1 else _two_squares(lam, q)
     g = np.kron(np.eye(2, dtype=np.int64), [[a, -b], [b, a]]) % q
     if not np.array_equal((g.T @ g) % q, lam * np.eye(4, dtype=np.int64)):
@@ -326,8 +360,8 @@ def enumerate_go4_codes(q: int, lam: int, pool: np.ndarray, o4: tuple) -> tuple[
     pair_code = (pool_code[:, None] + q * pool_code).ravel()  # code of (g c, g c') in columns 0 and 1
     codes = pair_code[last]
     codes *= q * q
-    codes += pair_code[first][:, None]
-    return codes.ravel(), _mod(o4_dets.astype(np.int16) * (lam * lam % q), q).astype(np.int8).ravel()
+    codes += pair_code[first]
+    return (codes,)  # a tuple, as perfbench/layers.py reads it: the codes first
 
 
 # ---------------------------------------------------------------------------
@@ -446,19 +480,25 @@ def verify_gso_presentation(q: int) -> GsoPresentationReport:
     report then carries the first offending item: a non-scalar kernel pair,
     or the least code of the symmetric difference of a failed set
     comparison, tagged with the side it came from ("image" or "gso"), or the
-    least SL2 image code outside SO(4) ("sl2_image").
+    least SL2 image code outside SO(4) ("sl2_image").  An enumeration that
+    cannot be trusted raises ArithmeticError instead: a coset representative
+    that is not a similitude, or a fourth column that does not complete SO(4)
+    (see _o4_columns).
 
     The pair map runs on T x GL2, T the scalar transversal (see _beta_codes):
     that is the whole image, and kernel_size is q - 1 times the identity
     codes there.  The only scalar pair in T x GL2 is (I, I), so any other
     pair with the identity code is itself a non-scalar kernel pair; the
     counterexample is the first of them in row-major (t, g) order.
-    SL2 x SL2 is mapped on its own.
+    SL2 x SL2 is mapped on its own, as SL2 x T+-, T+- the transversal of
+    {+-1} of _sign_transversal: beta(g, -h) = beta(-g, h), so that is the
+    same image from half the pairs.
 
     The comparison runs one similitude class lambda at a time, and drops
     each class before the next: the pairs (t, g) with det t det g = lambda,
     |T| |GL2| / (q - 1) of them, against the det = lambda^2 half of the
-    coset of O(4) that enumerate_go4_codes lists for lambda.  T and GL2 are
+    class that enumerate_go4_codes lists for lambda, a coset of SO(4); the
+    whole class, counted in go_size, is twice as large.  T and GL2 are
     split by det once, with the L(t) of each part and the R(g) columns of
     each part (see _pair_codes).  Every enumerated code of class lambda has
     column 0 of norm lambda, so the totals are those of one whole-set
@@ -493,11 +533,10 @@ def verify_gso_presentation(q: int) -> GsoPresentationReport:
         return _sorted_unique(np.concatenate(blocks)), np.concatenate(hits)
 
     def gso_of(lam: int) -> tuple[np.ndarray, int]:
-        """Sorted det = lam^2 codes of the class, and the class size."""
-        codes, dets = enumerate_go4_codes(q, lam, pool, o4)
-        gso = codes[dets == lam * lam % q]
+        """Sorted det = lam^2 codes of the class, and the class size: twice as many."""
+        gso = enumerate_go4_codes(q, lam, pool, o4)[0]
         gso.sort()
-        return gso, len(codes)
+        return gso, 2 * len(gso)
 
     hits, strays, compared = [], [], {}
     go_size = 0
@@ -533,7 +572,7 @@ def verify_gso_presentation(q: int) -> GsoPresentationReport:
     bad_pairs = kernel_pairs[~(kernel_pairs == np.eye(2, dtype=np.int64)).all(axis=(1, 2, 3))]
 
     sl2 = mats[g_at[1]]
-    sl2_codes = _sorted_unique(_beta_codes(sl2, sl2, q))
+    sl2_codes = _sorted_unique(_beta_codes(sl2, _sign_transversal(sl2, q), q))
     sl2_found = _in_sorted(sl2_codes, so_codes)
     sl2_in_so = bool(sl2_found.all())
 

@@ -271,13 +271,11 @@ class TestVerifyGroups:
         enumerate_go4_codes = simgroups.enumerate_go4_codes
 
         def drop_one_gso_element(q, lam, pool, o4):
-            codes, dets = enumerate_go4_codes(q, lam, pool, o4)
+            (codes,) = enumerate_go4_codes(q, lam, pool, o4)
             if lam != 1:
-                return codes, dets
-            i = int(np.nonzero(dets == 1)[0][0])  # the first det = lambda^2 element of the first class
-            dropped.append(simgroups._decode(int(codes[i]), q))
-            keep = np.arange(len(codes)) != i
-            return codes[keep], dets[keep]
+                return (codes,)
+            dropped.append(simgroups._decode(int(codes[0]), q))  # the first det = lambda^2 element of the first class
+            return (codes[1:],)
 
         dropped = []
         monkeypatch.setattr(simgroups, "enumerate_go4_codes", drop_one_gso_element)
@@ -469,6 +467,32 @@ class TestTransfer:
         assert err == ("error: malformed document: twist exponent r must be an integer, a finite float "
                        f"or a rational string, got {shown[:40]}... ({len(shown)} characters)\n")
         assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("site", ["exact", "id_twice", "id_not_string", "kind", "degree"])
+    def test_long_refused_value_gives_a_short_error_line(self, capsys, tmp_path, site):
+        # each message echoes the refused value; in full it would make a line of over 5000 bytes
+        long = "x" * 5000
+        if site in ("exact", "kind"):
+            doc = copy.deepcopy(RODIER_DOC)
+            if site == "exact":
+                doc["exact"][0] = long
+            else:
+                doc["kind"] = long
+            argv = ["rodier", "--params", write_doc(tmp_path, doc), "--q", "9"]
+        else:
+            doc = lifted_pair_doc()
+            first = doc["symbols"][0]
+            if site == "id_twice":
+                first["id"] = long
+                doc["symbols"].append(dict(first))
+            elif site == "id_not_string":
+                first["id"] = ["x"] * 1000  # a repr of 5000 characters
+            else:
+                first["degree"] = long
+            argv = ["transfer", "--in", write_doc(tmp_path, doc)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 200 and "... (50" in err
 
     @pytest.mark.parametrize("command", ["transfer", "poles"])
     @pytest.mark.parametrize("key", ["1_3", "+13", " 13 ", "\u0661\u0663", "", "\ud800"])

@@ -22,13 +22,29 @@ I4 = np.eye(4, dtype=np.int64)
 EXHAUSTIVE_Q = (3, 5, 7)  # the q whose whole GO(4) a test may hold at once
 
 
+def reflect_last_column(codes, q):
+    """The codes of M diag(1, 1, 1, -1) for coded matrices M: column 3 negated mod q."""
+    places = q ** (4 * np.arange(4, dtype=np.int64) + 3)  # the digit of entry (r, 3)
+    entries = codes[:, None] // places % q
+    return codes + ((q - entries) % q - entries) @ places
+
+
 def go4(q):
-    """GO(4, F_q) as (codes, lams, dets): enumerate_go4_codes run for each lambda in turn, concatenated."""
+    """GO(4, F_q) as (codes, lams, dets), one whole class per lambda in turn, concatenated.
+
+    enumerate_go4_codes lists the det = lambda^2 half of a class; each of its
+    elements is followed by its image under M -> M diag(1, 1, 1, -1), which
+    has det -lambda^2.
+    """
     pool = _norm_vectors(q)[1]
     o4 = simgroups._o4_columns(pool, q)
-    classes = [enumerate_go4_codes(q, lam, pool, o4) for lam in range(1, q)]
-    lams = np.repeat(np.arange(1, q, dtype=np.int8), len(classes[0][0]))
-    return np.concatenate([c for c, _ in classes]), lams, np.concatenate([d for _, d in classes])
+    codes, lams, dets = [], [], []
+    for lam in range(1, q):
+        (half,) = enumerate_go4_codes(q, lam, pool, o4)
+        codes.append(np.stack([half, reflect_last_column(half, q)], axis=1).ravel())
+        lams.append(np.full(2 * len(half), lam, dtype=np.int8))
+        dets.append(np.tile(np.array([lam * lam % q, -lam * lam % q], dtype=np.int8), len(half)))
+    return np.concatenate(codes), np.concatenate(lams), np.concatenate(dets)
 
 
 def det2(g, q):
@@ -375,7 +391,8 @@ class TestClosedFormKernels:
 
     @pytest.mark.parametrize("q", [3, 5])
     def test_o4_block_order(self, q):
-        """O(4) comes first: triples (c1, c2, c3) in lexicographic order, then c4 = v before c4 = -v."""
+        """O(4) comes first: triples (c1, c2, c3) in lexicographic order, the SO(4) element (c4 = v)
+        before its reflection (c4 = -v)."""
         codes, lams, dets = go4(q)
         size = o4_order(q)
         assert (lams[:size] == 1).all()
@@ -406,20 +423,60 @@ class TestClosedFormKernels:
 
     @pytest.mark.parametrize("q", [11, 13])
     def test_class_codes_and_dets_past_q_7(self, q):
-        """A two-element O(4), the identity and the reflection in e4, carried to every class."""
+        """Two elements of SO(4), the identity and diag(1, 1, -1, -1), carried to every class."""
         pool = _norm_vectors(q)[1]
         index = {tuple(v): i for i, v in enumerate(pool.tolist())}
         e1, e2, e3, e4 = (tuple(row) for row in I4.tolist())
         n = len(pool)
-        first = np.array([index[e1] * n + index[e2]], dtype=np.int32)
-        last = np.array([[index[e3] * n + index[e4], index[e3] * n + index[(0, 0, 0, q - 1)]]], dtype=np.int32)
-        o4 = (first, last, np.array([[1, q - 1]], dtype=np.int8))
+        first = np.array([index[e1] * n + index[e2]] * 2, dtype=np.int32)
+        last = np.array([index[e3] * n + index[e4], index[(0, 0, q - 1, 0)] * n + index[(0, 0, 0, q - 1)]],
+                        dtype=np.int32)
         for lam in range(1, q):
-            codes, dets = enumerate_go4_codes(q, lam, pool, o4)
-            assert dets.dtype == np.int8 and len(codes) == 2
-            for code, det in zip(codes.tolist(), dets.tolist()):
+            (codes,) = enumerate_go4_codes(q, lam, pool, (first, last))
+            assert len(codes) == 2
+            for code in codes.tolist():
                 m = np.array(simgroups._decode(code, q))
-                assert similitude_factor(m, q) == lam and det == det4(m) % q
+                assert similitude_factor(m, q) == lam and det4(m) % q == lam * lam % q
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_listed_half_has_det_lambda_squared(self, q):
+        pool = _norm_vectors(q)[1]
+        o4 = simgroups._o4_columns(pool, q)
+        for lam in range(1, q):
+            (codes,) = enumerate_go4_codes(q, lam, pool, o4)
+            assert len(codes) == o4_order(q) // 2
+            for code in codes[:: 1 if q == 3 else 53].tolist():
+                m = np.array(simgroups._decode(code, q))
+                assert similitude_factor(m, q) == lam and det4(m) % q == lam * lam % q
+
+    @pytest.mark.parametrize("fault", ["negated", "plus_c1"])
+    def test_wrong_cross_product_raises(self, monkeypatch, fault):
+        """A fourth column of the wrong sign is refused by its determinant (-1), and one off the
+        unit sphere by c4 . v (v + c1 has norm 2, though det [c1 c2 c3 v + c1] is 1)."""
+        cross4 = simgroups._cross4
+        wrong = {"negated": lambda a, b, c: -cross4(a, b, c), "plus_c1": lambda a, b, c: cross4(a, b, c) + a}
+        monkeypatch.setattr(simgroups, "_cross4", wrong[fault])
+        with pytest.raises(ArithmeticError, match=r"not the unit vector completing SO\(4\)"):
+            verify_gso_presentation(5)
+
+    def test_det4_matches_cofactor_expansion(self):
+        rng = np.random.default_rng(4)
+        cols = rng.integers(-20, 20, size=(4, 4, 50))  # (column, row, sample)
+        expected = [det4(cols[:, :, t].T.tolist()) for t in range(50)]
+        assert simgroups._det4(*cols).tolist() == expected
+
+    @pytest.mark.parametrize("q", EXHAUSTIVE_Q)
+    def test_sign_transversal_gives_the_sl2_image(self, q):
+        mats = gl2_elements(q)
+        sl2 = mats[[det2(g, q) == 1 for g in mats.tolist()]]
+        half = simgroups._sign_transversal(sl2, q)
+        assert 2 * len(half) == len(sl2)
+        # g and -g: exactly one of them is in the transversal
+        assert {tuple(g.ravel()) for g in half} ^ {tuple(g.ravel()) for g in -half % q} == {
+            tuple(g.ravel()) for g in sl2
+        }
+        full = np.unique(simgroups._beta_codes(sl2, sl2, q))
+        assert np.array_equal(simgroups._sorted_unique(simgroups._beta_codes(sl2, half, q)), full)
 
     def test_enumeration_independent_of_pair_map(self, monkeypatch):
         def forbidden(*args):
@@ -498,14 +555,16 @@ def inject(monkeypatch, fault):
 
     _pair_codes is the one routine that both verify_gso_presentation and
     the whole-set oracle map pairs with, so both see the same fault.  sl2
-    tells the SL2 x SL2 call apart: only there are the two factors the same
-    size (a det class of T has |GL2| / (q - 1)^2 elements, one of GL2
-    |GL2| / (q - 1), and T itself |GL2| / (q - 1) against all of GL2).
+    tells the SL2 calls apart: only there is the left factor at least as
+    large as the right one.  verify_gso_presentation maps SL2 x T+-, T+- half
+    of SL2, and the oracle SL2 x SL2; a det class of T has |GL2| / (q - 1)^2
+    elements, one of GL2 |GL2| / (q - 1), and T itself |GL2| / (q - 1)
+    against all of GL2.
     """
     pair_codes = simgroups._pair_codes
 
     def faulty(lhs, cols, col, q):
-        return fault(pair_codes(lhs, cols, col, q), len(lhs) == len(col))
+        return fault(pair_codes(lhs, cols, col, q), len(lhs) >= len(col))
 
     monkeypatch.setattr(simgroups, "_pair_codes", faulty)
 
