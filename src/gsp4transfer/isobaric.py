@@ -29,6 +29,7 @@ from .satake import (
     FLOAT_TOL,
     CentralCharMismatch,
     check_places,
+    clipped,
     clipped_repr,
     complex_pairs,
     match_multiset_rows,
@@ -57,6 +58,11 @@ class InsufficientLocalData(ValueError):
     """A sampled place is missing local parameters."""
 
 
+def _label(sid) -> str:
+    """"symbol <id>", as a message names a symbol: the id by ``clipped``."""
+    return "symbol " + clipped(str(sid))
+
+
 def inverse_char_id(cc: str) -> str:
     """Id of the inverse central character; the trivial character is '1'."""
     if cc == "1":
@@ -83,21 +89,24 @@ class CuspidalSymbol:
     _registry: "SymbolRegistry | None" = field(default=None, repr=False)
 
     def __post_init__(self):
+        label = _label(self.id)
         if self.degree not in (1, 2, 3, 4):
-            raise ValueError(f"degree must be in 1..4, got {self.degree}")
-        qs = place_array(self.qs, f"symbol {self.id}")
+            raise ValueError(f"{label}: degree must be in 1..4, got {self.degree}")
+        qs = place_array(self.qs, label)
         params = np.array(self.params, dtype=complex).reshape(len(qs), -1 if len(qs) else self.degree)
         if params.shape[1] != self.degree:
-            raise ValueError(f"symbol {self.id}: {params.shape[1]} parameters per place, "
-                             f"expected {self.degree}")
+            raise ValueError(f"{label}: {params.shape[1]} parameters per place, expected {self.degree}")
         ascending = (qs[1:] > qs[:-1]).all()
         if not ascending:  # places that come ascending, as sieved primes do, need no gather
             order = np.argsort(qs)
             qs, params = qs[order], params[order]
-        check_places(qs)
+        try:
+            check_places(qs)
+        except ValueError as exc:
+            raise ValueError(f"{label}: {exc}") from None
         duplicate = not ascending and (qs[1:] == qs[:-1]).any()
         if duplicate or not params.all():
-            raise ValueError(f"symbol {self.id}: a place is sampled twice or a parameter is zero")
+            raise ValueError(f"{label}: a place is sampled twice or a parameter is zero")
         # every later use (duals, chains, JSON output) needs finite values whose
         # inverses, the dual's values, are finite with finite inverses in turn
         with np.errstate(all="ignore"):
@@ -108,7 +117,7 @@ class CuspidalSymbol:
                 finite = np.isfinite(values)
                 if not finite.all():
                     q = int(qs[~finite.all(axis=1)][0])
-                    raise ValueError(f"symbol {self.id}: a local parameter at q={q} {fault}")
+                    raise ValueError(f"{label}: a local parameter at q={q} {fault}")
         qs.flags.writeable = params.flags.writeable = False
         object.__setattr__(self, "qs", qs)
         object.__setattr__(self, "params", params)
@@ -127,7 +136,7 @@ class CuspidalSymbol:
         if self.is_self_dual:
             return self
         if self._registry is None:
-            raise ValueError(f"symbol {self.id} is not attached to a registry")
+            raise ValueError(f"{_label(self.id)} is not attached to a registry")
         return self._registry.get(self.dual_id)
 
 
@@ -137,12 +146,20 @@ def _first_mismatch(qs: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> int | Non
     return int(qs[bad][0]) if bad.any() else None
 
 
-def rows_at(sym: CuspidalSymbol, qs: np.ndarray) -> np.ndarray:
-    """Row of each q of ``qs`` in the symbol's local data; every q must be sampled."""
+def rows_at(sym: CuspidalSymbol, qs: np.ndarray) -> np.ndarray | slice:
+    """Rows of the places ``qs`` in the symbol's local data, as an index for
+    ``sym.params``; every q must be sampled.
+
+    When ``qs`` is a run of the symbol's places, ``sym.qs[lo:lo + len(qs)]``,
+    as a sweep window over sieved primes is, the rows are that slice, found by
+    one binary search; any other ``qs`` gets an array of rows."""
+    lo = int(np.searchsorted(sym.qs, qs[0])) if len(qs) else 0
+    if np.array_equal(sym.qs[lo:lo + len(qs)], qs):
+        return slice(lo, lo + len(qs))
     rows = np.searchsorted(sym.qs, qs)
     missing = np.append(sym.qs, 0)[rows] != qs
     if missing.any():
-        raise InsufficientLocalData(f"symbol {sym.id} has no local data at q={qs[missing][0]}")
+        raise InsufficientLocalData(f"{_label(sym.id)} has no local data at q={qs[missing][0]}")
     return rows
 
 
@@ -161,18 +178,20 @@ def _dual_of(sym: CuspidalSymbol, declared: CuspidalSymbol | None = None) -> Cus
     if sym.is_self_dual:
         q = _first_mismatch(sym.qs, sym.params, inverse)
         if q is not None:
-            raise ValueError(f"symbol {sym.id}: local data at q={q} is not inverse-closed, "
+            raise ValueError(f"{_label(sym.id)}: local data at q={q} is not inverse-closed, "
                              "cannot be self-dual")
         return sym
     if declared is None:
         cc = inverse_char_id(sym.central_char_id)
         return CuspidalSymbol(sym.dual_id, sym.degree, sym.id, cc, sym.qs, inverse)
     if declared.dual_id != sym.id:
-        raise ValueError(f"dual of dual of {sym.id} is not {sym.id}")
+        name = clipped(str(sym.id))
+        raise ValueError(f"dual of dual of {name} is not {name}")
     common, i, j = np.intersect1d(sym.qs, declared.qs, assume_unique=True, return_indices=True)
     q = _first_mismatch(common, declared.params[j], inverse[i])
     if q is not None:
-        raise ValueError(f"local data of {sym.id} and {declared.id} at q={q} are not entrywise inverse")
+        raise ValueError(f"local data of {clipped(str(sym.id))} and {clipped(str(declared.id))} at q={q} "
+                         "are not entrywise inverse")
     extra = ~np.isin(sym.qs, declared.qs)
     return replace(declared, qs=np.concatenate([declared.qs, sym.qs[extra]]),
                    params=np.concatenate([declared.params, inverse[extra]]))
@@ -209,7 +228,7 @@ class SymbolRegistry:
         """Register all of ``syms`` or, when an id is taken, none of them."""
         for sym in syms:
             if sym.id in self._symbols:
-                raise ValueError(f"symbol id {sym.id!r} already registered")
+                raise ValueError(f"symbol id {clipped_repr(sym.id)} already registered")
         for sym in syms:
             object.__setattr__(sym, "_registry", self)
             self._symbols[sym.id] = sym
@@ -650,9 +669,10 @@ def registry_from_json(symbols: Sequence[dict]) -> SymbolRegistry:
             raise ValueError(f"symbol {clipped_repr(sid)}: id, dual and central_char must be strings")
         if sid in syms:
             raise ValueError(f"symbol id {clipped_repr(sid)} declared twice")
+        label = _label(sid)
         if not isinstance(degree, int) or isinstance(degree, bool):
-            raise ValueError(f"symbol {sid}: degree must be an integer, got {clipped_repr(degree)}")
-        error = f"symbol {sid}: local data must map places to [re, im] pairs"
+            raise ValueError(f"{label}: degree must be an integer, got {clipped_repr(degree)}")
+        error = f"{label}: local data must map places to [re, im] pairs"
         if not isinstance(pairs, dict):
             raise ValueError(error)
         params = complex_pairs(list(pairs.values()), 3, error) if pairs else []
@@ -661,11 +681,11 @@ def registry_from_json(symbols: Sequence[dict]) -> SymbolRegistry:
         digits = "".join(pairs)
         if pairs and not (digits.isascii() and digits.encode().isdigit() and "" not in pairs):
             bad = next(k for k in pairs if not (k.isascii() and k.isdigit()))
-            raise ValueError(f"symbol {sid}: place key {bad!a} is not a decimal integer")
+            raise ValueError(f"{label}: place key {clipped(ascii(bad))} is not a decimal integer")
         try:
             places = list(map(int, pairs))
         except ValueError:  # int() reads at most 4300 digits; leading zeros aside, far beyond int64
-            raise ValueError(f"symbol {sid}: a place is beyond the int64 range") from None
+            raise ValueError(f"{label}: a place is beyond the int64 range") from None
         syms[sid] = CuspidalSymbol(sid, degree, dual, cc, places, params)
     for sid in list(syms):
         sym = syms[sid]
@@ -705,6 +725,9 @@ def descriptor_from_json(doc: dict, registry: SymbolRegistry) -> GSp4Descriptor:
     elif any(twists):
         # no degree-4 shape: the term count is refused below, but a nonzero twist first
         raise NotUnitaryNormalized("unitary_normalization: descriptor terms must carry twist 0")
+    unknown = next((item["term"] for item in terms if item["term"] not in registry), None)
+    if unknown is not None:
+        raise ValueError(f"descriptor term {clipped_repr(unknown)} is not a declared symbol")
     symbols = [registry.get(item["term"]) for item in terms]
     if from_gso:
         if len(symbols) != 2:

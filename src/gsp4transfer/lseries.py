@@ -18,18 +18,22 @@ below a floor; the pole order is insensitive to any finite set of local
 factors, which is the point of working with partial L-functions.
 
 A partial product runs over blocks of at most ``SWEEP_BLOCK`` places, each
-symbol's rows gathered as one contiguous (parameter, place) array, so its
-work arrays do not grow with X.  The exact local pole check runs only at
-places where a bound on |z|, one product per place, reaches 1/2.
+symbol's rows copied into one contiguous (parameter, place) array, so its
+work arrays do not grow with X.  A block that is a run of a symbol's places,
+as every block over sieved primes is, reads its rows as a slice; the primes
+up to X are sieved once and shared by every call at that X.  The exact
+local pole check runs only at places where a bound on |z|, one product per
+place, reaches 1/2.
 
 Synthetic local data is drawn from the Sato-Tate angle density
 (2/pi) sin^2(theta), the image of Haar measure on SU(2), in closed form:
 cos(theta) is the x-coordinate of a uniform point of the unit disc.
 
 A weight-12 eigenvalue table provides a real-world fixture.  Its exact
-coefficients tau(n) come from eight products of a sparse series on int64
-residues modulo two primes below 2^47, lifted by the Chinese remainder
-theorem; the lift is proven exact for n < 2^15 and refuses larger n.
+coefficients tau(n) come from the square of a sparse series, one
+scatter-add, and six more products by that series on int64 residues modulo
+two primes below 2^47, lifted by the Chinese remainder theorem; the lift is
+proven exact for n < 2^15 and refuses larger n.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ DEFAULT_GRID = (1.30, 1.20, 1.12, 1.06, 1.03)
 DEFAULT_MIN_PLACE = 100  # fit window floor: drop places q <= this
 DEFAULT_X = 100_000
 # Largest sieve bound.  With a blocked sweep, `poles --mode both` peaks at about
-# 74 MB at X = 10^6, 105 MB at 3 x 10^6 and 245 MB at this bound (Python 3.11,
+# 73 MB at X = 10^6, 105 MB at 3 x 10^6 and 245 MB at this bound (Python 3.11,
 # numpy 2.4, Linux); the symbols' data and the sieve grow with X, the sweep's
 # work arrays do not.
 MAX_X = 10**7
@@ -72,12 +76,17 @@ class EstimationError(ArithmeticError):
     """The slope fit received nonfinite values."""
 
 
+@lru_cache(maxsize=4)
 def _prime_array(x: int) -> np.ndarray:
-    """Rational primes <= x as int64, from ``satake.prime_sieve``; x above
-    ``MAX_X`` is refused.  Internal callers pass it to symbols as it is."""
+    """Rational primes <= x as a read-only int64 array, from
+    ``satake.prime_sieve``; x above ``MAX_X`` is refused, and a refusal is not
+    cached.  Memoised, so that the synthetic data and the sweep of one X share
+    one sieve; internal callers pass it to symbols as it is."""
     if x > MAX_X:
         raise ValueError(f"X = {x} is above the largest supported bound {MAX_X}")
-    return np.flatnonzero(prime_sieve(max(x, 0) + 1)).astype(np.int64, copy=False)
+    primes = np.flatnonzero(prime_sieve(max(x, 0) + 1)).astype(np.int64, copy=False)
+    primes.flags.writeable = False
+    return primes
 
 
 def primes_up_to(x: int) -> list[int]:
@@ -131,9 +140,10 @@ def _sweep_block(s: np.ndarray, factors, local: dict, qs: np.ndarray) -> tuple[n
     one real log per place, and w / |w|.
 
     A pole needs |1 - z| < 1e-12, so |z| near 1.  The bound max|a| max|b|
-    q^-(min Re s + shift) on |z| at a place is one product per place; the
-    exact check runs only on the places where the bound reaches 1/2, and
-    rounding moves neither the bound nor |z| by anything near that margin.
+    q^-(min Re s + shift) on |z| at a place is one product per place, max|a|
+    taken once per symbol; the exact check runs only on the places where the
+    bound reaches 1/2, and rounding moves neither the bound nor |z| by
+    anything near that margin.
     Range: the pole check keeps every |1 - z| >= 1e-12 and k <= 16, so w
     cannot underflow; it overflows only where |z| passes 2^(1024 / k), and a
     factor where it does sums the logs of its k terms instead."""
@@ -142,6 +152,7 @@ def _sweep_block(s: np.ndarray, factors, local: dict, qs: np.ndarray) -> tuple[n
     phase = np.ones(len(s), dtype=complex)
     r = np.empty((len(s), len(qs)))  # |w|, then log|w|, for every factor
     powers = {}  # q^-(s + shift) and the bound on its modulus, per distinct shift
+    largest = {key: np.abs(x).max(axis=0) for key, x in local.items()}  # max |parameter| per place
     for shift, sigma, tau in factors:
         if shift not in powers:
             powers[shift] = (np.exp(-np.multiply.outer(s + shift, logq)),
@@ -151,7 +162,7 @@ def _sweep_block(s: np.ndarray, factors, local: dict, qs: np.ndarray) -> tuple[n
         # (pair, place), so that each pair's slice of z is a contiguous row per s
         lam = (a[:, None, :] * b[None, :, :]).reshape(len(a) * len(b), len(qs))
         z = lam * power[:, None, :]
-        near = np.abs(a).max(axis=0) * np.abs(b).max(axis=0) * bound >= 0.5
+        near = largest[id(sigma)] * largest[id(tau)] * bound >= 0.5
         if near.any():
             # At the places near, the pole check |1 - z| < eps runs only when
             # some Re z > t = fl(1 - 2 eps), since it cannot fire at any other
@@ -407,16 +418,19 @@ def _discriminant_coeffs(n: int) -> tuple[int, ...]:
     for n < 2^15; larger n is refused.
 
     The cube of the product is the sparse triangular-number series
-    sum_k (-1)^k (2k+1) x^{k(k+1)/2}; eight sparse multiplications give the
-    24th power without any dense-times-dense convolution.  They run on int64
-    residues modulo the two primes ``_TAU_MODULI``, through one reused
-    product buffer.  A product adds its K shifted copies unreduced and
-    reduces once.  The K coefficients have |2k+1| summing to K^2, and
-    K <= 2^8 for n < 2^15, so the unreduced sums are at most
-    K^2 (m - 1) < 2^16 2^47 = 2^63 and never wrap.  The residues are lifted
-    to signed integers by the Chinese remainder theorem, which is exact
-    while |tau(m)| < M / 2 for m <= n; by Deligne, |tau(m)| <= d(m) m^(11/2)
-    <= 2 m^6, and M, about 2^94, is above 4 (2 n^6) for n < 2^15.
+    T = sum_k (-1)^k (2k+1) x^{k(k+1)/2} of K terms, and the 24th power is
+    T^8, built without any dense-times-dense convolution: T^2 by one int64
+    scatter-add of the K^2 pair products (|coefficients| at most
+    (sum |2k+1|)^2 = K^4 <= 2^32), reduced modulo the two primes
+    ``_TAU_MODULI``, then six sparse products by T on those residues, through
+    one reused product buffer.  A product adds its K shifted copies
+    unreduced and reduces once.  The K coefficients have |2k+1| summing to
+    K^2, and K <= 2^8 for n < 2^15; every product starts from residues, so
+    the unreduced sums are at most K^2 (m - 1) < 2^16 2^47 = 2^63 and never
+    wrap.  The residues are lifted to signed integers by the Chinese
+    remainder theorem, which is exact while |tau(m)| < M / 2 for m <= n; by
+    Deligne, |tau(m)| <= d(m) m^(11/2) <= 2 m^6, and M, about 2^94, is above
+    4 (2 n^6) for n < 2^15.
     """
     if n >= 2**15:
         raise OverflowError(f"coefficients up to x^{n - 1} may exceed the lift range")
@@ -426,12 +440,16 @@ def _discriminant_coeffs(n: int) -> tuple[int, ...]:
     while k * (k + 1) // 2 < n:
         sparse.append(((-1) ** k * (2 * k + 1), k * (k + 1) // 2))
         k += 1
+    coefs, exps = np.array(sparse, dtype=np.int64).T
+    exponent = np.add.outer(exps, exps)  # of each pair product
+    kept = exponent < n
+    square = np.zeros(n, dtype=np.int64)
+    np.add.at(square, exponent[kept], np.multiply.outer(coefs, coefs)[kept])
     moduli = np.array(_TAU_MODULI, dtype=np.int64)[:, None]
-    cur = np.zeros((len(_TAU_MODULI), n), dtype=np.int64)
-    cur[:, 0] = 1
+    cur = np.remainder(square, moduli)  # T^2, one row of residues per modulus
     new = np.empty_like(cur)
     term = np.empty_like(cur)  # coef times the shifted copy, reused by every term
-    for _ in range(8):
+    for _ in range(6):
         new.fill(0)
         for coef, e in sparse:
             np.multiply(cur[:, : n - e], coef, out=term[:, : n - e])

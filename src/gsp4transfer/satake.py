@@ -617,18 +617,21 @@ def rational(value, name: str) -> Fraction:
     raise ValueError(f"{name} must be an integer, a finite float or a rational string, got {clipped_repr(value)}")
 
 
+def clipped(text: str) -> str:
+    """``text`` as a message shows it: whole up to 40 characters, else its
+    first 40 and its length, since a document's text may run to any length."""
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def clipped_repr(value) -> str:
-    """A refused document value as a message shows it: its repr whole up to 40
-    characters, else its first 40 and its length, since the value may run to
-    any length."""
-    shown = repr(value)
-    return shown if len(shown) <= 40 else f"{shown[:40]}... ({len(shown)} characters)"
+    """A refused document value as a message shows it: ``clipped`` of its repr."""
+    return clipped(repr(value))
 
 
 def _char_from_json(value: complex, exact) -> UnramChar:
     if exact is None:
         return UnramChar(value)
-    if not isinstance(exact, dict):
+    if not isinstance(exact, dict) or "r" not in exact or "turns" not in exact:
         raise ValueError(f"an exact form must be an object with r and turns, got {clipped_repr(exact)}")
     return UnramChar(value, ExactForm(rational(exact["r"], "exact form r"),
                                       rational(exact["turns"], "exact form turns")))
@@ -673,6 +676,8 @@ def param_doc(kind: str, entries: list, mu: list | None = None) -> dict:
 def param_from_json(doc: dict) -> GL2Param | GSp4Param | GL4Param:
     if not isinstance(doc, dict):
         raise ValueError("a parameter document must be a JSON object")
+    if "entries" not in doc:
+        raise ValueError("a parameter document needs entries")
     kind = doc.get("kind")
     values = _finite_pairs(doc["entries"], 2, "entries")
     exacts = doc.get("exact") or [None] * len(values)

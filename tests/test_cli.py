@@ -570,6 +570,52 @@ class TestTransfer:
         code, _, err = run(capsys, "transfer", "--in", path)
         assert code == 2 and "malformed" in err
 
+    @pytest.mark.parametrize("command", ["transfer", "poles"])
+    @pytest.mark.parametrize("term, shown", [("ghost", "'ghost'"), ("g" * 5000, f"'{'g' * 39}... (5002 characters)")])
+    def test_unknown_term_named(self, capsys, tmp_path, command, term, shown):
+        doc = lifted_pair_doc(dual_second=command == "poles")
+        if command == "poles":
+            doc["descriptors"][1]["terms"][1] = term
+        else:
+            doc["isobaric"][1]["term"] = term
+        code, out, err = run(capsys, command, "--in", write_doc(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed document: descriptor term {shown} is not a declared symbol\n"
+
+    @pytest.mark.parametrize("fault, message", [
+        ("degree", "degree must be an integer, got 'x'"),
+        ("short_pair", "local data must map places to [re, im] pairs"),
+        ("zero", "a place is sampled twice or a parameter is zero"),
+        ("not_inverse_closed", "local data at q=2 is not inverse-closed, cannot be self-dual"),
+        ("place_key", "place key 'x2' is not a decimal integer"),
+        ("big_degree", "degree must be in 1..4, got 9"),
+        ("not_a_place", "residue cardinality must be a prime power >= 2, got 6"),
+    ])
+    def test_long_symbol_id_clipped(self, capsys, tmp_path, fault, message):
+        # in full, a 5000-character id would make each line over 5000 bytes long
+        doc = lifted_pair_doc()
+        first = doc["symbols"][0]
+        first["id"] = doc["isobaric"][0]["term"] = "s" * 5000
+        local = first["local"]
+        if fault == "degree":
+            first["degree"] = "x"
+        elif fault == "short_pair":
+            local["2"] = [[0.6], [0.6, -0.8]]
+        elif fault == "zero":
+            local["2"] = [[0, 0], [1, 0]]
+        elif fault == "not_inverse_closed":
+            first["dual"] = first["id"]
+            local["2"] = [[2, 0], [1, 0]]
+        elif fault == "place_key":
+            local["x2"] = local.pop("2")
+        elif fault == "big_degree":
+            first["degree"] = 9
+        else:
+            local["6"] = local.pop("2")
+        code, out, err = run(capsys, "transfer", "--in", write_doc(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed document: symbol {'s' * 40}... (5000 characters): {message}\n"
+
     @pytest.mark.parametrize("corrupt", ["symbols_not_list", "top_level_array",
                                          "string_local_parameter", "zero_denominator",
                                          "null_degree", "isobaric_not_list", "list_id",
@@ -808,6 +854,21 @@ class TestRodier:
             "exact": [{"r": r, "turns": "0"} for r in exacts],
         }
         return write_doc(tmp_path, doc, "params.json")
+
+    def test_missing_entries_named(self, capsys, tmp_path):
+        doc = {key: value for key, value in RODIER_DOC.items() if key != "entries"}
+        code, out, err = run(capsys, "rodier", "--params", write_doc(tmp_path, doc), "--q", "9")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot read parameters: a parameter document needs entries\n"
+
+    @pytest.mark.parametrize("missing", ["r", "turns"])
+    def test_exact_form_without_r_or_turns_named(self, capsys, tmp_path, missing):
+        doc = copy.deepcopy(RODIER_DOC)
+        del doc["exact"][2][missing]
+        code, out, err = run(capsys, "rodier", "--params", write_doc(tmp_path, doc), "--q", "9")
+        assert (code, out) == (2, "")
+        assert err == ("error: cannot read parameters: an exact form must be an object with r and turns, "
+                       f"got {doc['exact'][2]!r}\n")
 
     def test_family_b(self, capsys, tmp_path):
         path = self.write_params(tmp_path, ["-1/2", "-1/2", "1/2", "1/2"])

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from gsp4transfer.isobaric import (
     pole_order_at_one,
     registry_from_json,
     reps_equivalent,
+    rows_at,
     rs_factorization,
     transfer,
     transfer_conditions,
@@ -222,6 +224,57 @@ class TestSymbolConstructor:
             params[qs == 5, 1] = params[qs == 7, 0] = bad
             with pytest.raises(ValueError, match=f"^symbol a: a local parameter at q=5 {fault}$"):
                 CuspidalSymbol("a", 2, "a", "1", qs, params)
+
+    def test_degree_and_place_errors_name_the_symbol(self):
+        with pytest.raises(ValueError, match=r"^symbol a: degree must be in 1\.\.4, got 9$"):
+            CuspidalSymbol("a", 9, "a", "1", [2], [[1] * 9])
+        with pytest.raises(ValueError, match=r"^symbol a: residue cardinality must be a prime power >= 2, got 6$"):
+            CuspidalSymbol("a", 1, "a", "1", [2, 6], [[1], [1]])
+
+    @pytest.mark.parametrize("length", [1, 39, 40, 41, 5000])
+    def test_long_id_clipped_in_messages(self, length):
+        sid = "a" * length
+        label = re.escape(sid if length <= 40 else f"{'a' * 40}... ({length} characters)")
+        with pytest.raises(ValueError, match=f"^symbol {label}: degree must be in 1\\.\\.4, got 0$"):
+            CuspidalSymbol(sid, 0, sid, "1", [], [])
+        sym = CuspidalSymbol(sid, 1, sid, "1", [2], [[1]])
+        with pytest.raises(InsufficientLocalData, match=f"^symbol {label} has no local data at q=3$"):
+            rows_at(sym, np.array([3]))
+
+
+class TestRowsAt:
+    PRIMES = np.array(satake.prime_sieve(100).nonzero()[0], dtype=np.int64)  # the 25 primes below 100
+
+    @pytest.fixture
+    def sym(self):
+        qs = self.PRIMES
+        return CuspidalSymbol("a", 2, "a", "1", qs, np.exp(1j * qs[:, None] * np.array([0.3, -0.3])))
+
+    @pytest.mark.parametrize("run", [slice(5, 12), slice(0, 7), slice(10, 25), slice(0, 25), slice(4, 4)],
+                             ids=["middle", "from_row_0", "to_last_row", "full", "empty"])
+    def test_run_of_places_is_a_slice(self, sym, run):
+        qs = self.PRIMES[run]
+        rows = rows_at(sym, qs)
+        assert isinstance(rows, slice)
+        assert sym.params[rows].tobytes() == sym.params[np.searchsorted(sym.qs, qs)].tobytes()
+
+    def test_subset_is_gathered(self, sym):
+        qs = self.PRIMES[[1, 4, 9, 24]]
+        rows = rows_at(sym, qs)
+        assert not isinstance(rows, slice)
+        assert sym.params[rows].tobytes() == sym.params[np.searchsorted(sym.qs, qs)].tobytes()
+
+    def test_run_with_missing_places_refused(self):
+        qs = np.delete(self.PRIMES, [8, 11])  # no data at 23 and 37
+        sym = CuspidalSymbol("b", 1, "b", "1", qs, np.ones((len(qs), 1)))
+        with pytest.raises(InsufficientLocalData, match="^symbol b has no local data at q=23$"):
+            rows_at(sym, self.PRIMES[5:15])
+        with pytest.raises(InsufficientLocalData, match="^symbol b has no local data at q=37$"):
+            rows_at(sym, self.PRIMES[9:15])
+
+    def test_places_past_the_last_refused(self, sym):
+        with pytest.raises(InsufficientLocalData, match="^symbol a has no local data at q=101$"):
+            rows_at(sym, np.array([89, 97, 101, 103]))
 
 
 class TestDual:

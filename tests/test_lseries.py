@@ -97,6 +97,17 @@ class TestPrimes:
         with pytest.raises(ValueError, match="above the largest supported bound"):
             primes_up_to(lseries.MAX_X + 1)
 
+    @pytest.mark.parametrize("x", [0, 1, 2, 3, 100, 100_000])
+    def test_prime_array_is_a_read_only_sieve(self, x):
+        primes = lseries._prime_array(x)
+        assert primes.dtype == np.int64
+        assert primes.tolist() == np.flatnonzero(satake.prime_sieve(x + 1)).tolist()
+        assert lseries._prime_array(x) is primes  # memoised
+        with pytest.raises(ValueError, match="read-only"):
+            primes[:1] = 4
+        with pytest.raises(ValueError, match="above the largest supported bound"):
+            lseries._prime_array(lseries.MAX_X + 1)
+
 
 def local_rs_factor(sigma, tau, q, s):
     """Reference local factor: the product over all parameter pairs of
@@ -695,6 +706,12 @@ class TestDeltaEigenvalues:
         coeffs = _discriminant_coeffs(30)
         for m in range(1, 31):
             assert coeffs[m - 1] == oracle[m]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_short_series_match_naive_expansion(self, n):
+        # the square of the triangular series is cut at x^(n - 1) like every product
+        oracle = naive_tau(n)
+        assert _discriminant_coeffs(n) == tuple(oracle[m] for m in range(1, n + 1))
 
     def test_frozen_prime_values(self):
         table = delta_eigenvalues(100)
