@@ -4,10 +4,10 @@
 Runs the exhaustive pair-map verification for each requested q and prints
 a table of kernel/image/GSO sizes with timings.  Under the row of a failed
 q it prints the failed checks and the report's counterexample.  The q = 7
-run lists the 677 376 elements of GSO(4), the det = lambda^2 half of the
-1 354 752 of GO(4), one similitude class of 112 896 at a time; q = 11
-(17.4 of 34.8 million, about 2.3 s) and q = 13 (57.2 of 114.5 million,
-about 7.7 s) are also supported.
+run compares the 677 376 elements of GSO(4), the det = lambda^2 half of
+the 1 354 752 of GO(4), one similitude class of 112 896 at a time, each
+pulled back to the one listed SO(4); q = 11 (17.4 of 34.8 million, about
+1.0 s) and q = 13 (57.2 of 114.5 million, about 3.1 s) are also supported.
 """
 
 import argparse

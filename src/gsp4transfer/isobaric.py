@@ -108,16 +108,26 @@ class CuspidalSymbol:
         if duplicate or not params.all():
             raise ValueError(f"{label}: a place is sampled twice or a parameter is zero")
         # every later use (duals, chains, JSON output) needs finite values whose
-        # inverses, the dual's values, are finite with finite inverses in turn
-        with np.errstate(all="ignore"):
-            inverse = 1 / params
-            for values, fault in ((params, "is not finite"),
-                                  (inverse, "has no finite inverse"),
-                                  (1 / inverse, "has an inverse that is zero or has no finite inverse")):
-                finite = np.isfinite(values)
-                if not finite.all():
-                    q = int(qs[~finite.all(axis=1)][0])
-                    raise ValueError(f"{label}: a local parameter at q={q} {fault}")
+        # inverses, the dual's values, are finite with finite inverses in turn.
+        # A range test settles that without dividing: for m = max(|re z|, |im z|)
+        # in [2^-500, 2^500], z is finite and |z|^2 in [m^2, 2 m^2] is a normal
+        # double, so 1/z = conj(z) / |z|^2 has parts at most 1/m <= 2^500 and
+        # modulus at least 1 / (sqrt(2) m) >= 2^-500.5; its own max(|re|, |im|)
+        # is then in [2^-501, 2^500], and 1/(1/z) has parts at most 2^501.
+        # numpy's complex division (Smith's) scales by a denominator between m
+        # and 2 m, far from overflow and underflow.  Data outside the range
+        # takes the divisions, which name the first bad place.
+        magnitude = np.maximum(np.abs(params.real), np.abs(params.imag))
+        if params.size and not (2.0**-500 <= magnitude.min() and magnitude.max() <= 2.0**500):
+            with np.errstate(all="ignore"):
+                inverse = 1 / params
+                for values, fault in ((params, "is not finite"),
+                                      (inverse, "has no finite inverse"),
+                                      (1 / inverse, "has an inverse that is zero or has no finite inverse")):
+                    finite = np.isfinite(values)
+                    if not finite.all():
+                        q = int(qs[~finite.all(axis=1)][0])
+                        raise ValueError(f"{label}: a local parameter at q={q} {fault}")
         qs.flags.writeable = params.flags.writeable = False
         object.__setattr__(self, "qs", qs)
         object.__setattr__(self, "params", params)

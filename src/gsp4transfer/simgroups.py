@@ -16,10 +16,11 @@ raw Kronecker matrix g1 (x) g2 into those coordinates; the result is a
 genuine element of GO(4, F_q) with similitude factor det(g1) det(g2).
 
 Group elements exist only as integer codes: the base-q digits of a
-flattened 4x4 matrix.  The module lists GSO(4, F_q), the det = lambda^2
-half of GO(4, F_q), one similitude class at a time: SO(4) by closed-form
-enumeration, once, and each lambda-class half as its coset g SO(4), g a
-fixed similitude of factor lambda and det lambda^2 (see
+flattened 4x4 matrix.  The module lists SO(4, F_q) once, in closed form,
+as frames times SO(3): one element R_c with first column c for each unit
+vector c, times 1 (+) N for N in SO(3, F_q) (see _o4_columns).  The
+det = lambda^2 half of each similitude class of GO(4, F_q) is the coset
+g SO(4), g a fixed similitude of factor lambda and det lambda^2 (see
 enumerate_go4_codes); the other half, det = -lambda^2, is counted, not
 listed.  It computes kernel and image of the pair map as codes over
 T x GL(2), T a transversal of the scalars in GL(2) (a scalar moves between
@@ -27,11 +28,12 @@ the factors, so these pairs reach the whole image and every kernel pair up
 to a scalar), and the image of SL(2) x SL(2) over SL(2) x T+-, T+- a
 transversal of {+-1} in SL(2): beta(t, g) = L(t) R(g), and a table of L(t)
 applied to the few distinct columns of the R(g) gives every code by four
-gathers (see _beta_codes).  It compares the two sides class by class and
-packages the comparison into a report (see verify_gso_presentation).  q is
-restricted to odd primes (characteristic 2 breaks the symmetric-form
-theory) and to q <= 13 for exhaustive work: codes are int64 while
-q^16 < 2^63, which fails at q = 17.
+gathers (see _beta_codes).  It compares the two sides one similitude class
+at a time, each pulled back to SO(4) by g^-1 and compared with the one
+sorted SO(4), and packages the comparison into a report (see
+verify_gso_presentation).  q is restricted to odd primes (characteristic 2
+breaks the symmetric-form theory) and to q <= 13 for exhaustive work:
+codes are int64 while q^16 < 2^63, which fails at q = 17.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from functools import lru_cache
 import numpy as np
 
 SUPPORTED_Q = (3, 5, 7, 11, 13)
-_TRIPLES_PER_STEP = 1 << 14  # O(4) triples per step of _o4_columns
 
 
 class UnsupportedField(ValueError):
@@ -182,9 +183,13 @@ def _right_columns(right: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     return (distinct // digits[:, None] % q).astype(np.int16), col.reshape(len(right), 4)
 
 
-def _pair_codes(lhs: np.ndarray, cols: np.ndarray, col: np.ndarray, q: int) -> np.ndarray:
-    """Codes of L(g) R(h) for g, h over left x right, from _left_factors and _right_columns.
+def _pair_codes(frame: np.ndarray, lhs: np.ndarray, cols: np.ndarray, col: np.ndarray, q: int) -> np.ndarray:
+    """Codes of frame L(g) R(h) for g, h over left x right, from _left_factors and _right_columns.
 
+    frame is a (4, 4) integer matrix: the identity for the pair map itself,
+    or the inverse of a coset representative to pull a class back to SO(4)
+    coordinates (see verify_gso_presentation).  It is folded into the k left
+    factors first: lhs[i] becomes (frame lhs[i]) mod q.  Then
     codes[i * len(col) + j] is the code of lhs[i] times R(right[j]), whose
     column s is lhs[i] applied to u_c, c = col[j, s].  A column table comes
     first: table[i, c] = sum_r ((lhs[i] u_c) mod q)_r q^(4r), the code of
@@ -193,6 +198,7 @@ def _pair_codes(lhs: np.ndarray, cols: np.ndarray, col: np.ndarray, q: int) -> n
     each.  Then code(i, j) = sum_s q^s table[i, col[j, s]]: four gathers
     over (k, m).
     """
+    lhs = _mod(frame @ lhs, q).astype(np.int16)
     table = np.zeros((len(lhs), cols.shape[1]), dtype=np.int64)
     for r in range(4):
         entry = lhs[:, r, 0, None] * cols[0]      # (k, u): row r of lhs[i] times u_c
@@ -239,7 +245,7 @@ def _beta_codes(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
     of _scalar_transversal and g in GL2.  So beta(T x GL2) is the whole
     image, and the kernel has q - 1 pairs for each identity code there.
     """
-    return _pair_codes(_left_factors(left, q), *_right_columns(right, q), q)
+    return _pair_codes(np.eye(4, dtype=np.int64), _left_factors(left, q), *_right_columns(right, q), q)
 
 
 def _norm_vectors(q: int) -> dict[int, np.ndarray]:
@@ -278,66 +284,142 @@ def _det4(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndar
     return total
 
 
+def _fourth_column(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray, q: int) -> np.ndarray:
+    """The column c4 that completes orthonormal [c1 c2 c3] to SO(4), for T triples, each (4, T).
+
+    The cross product v of the triple spans its orthogonal complement, and
+    the adjugate identity gives v = det M c4 for either unit completion
+    M = [c1 c2 c3 c4], det M = +-1.  So v is itself a unit vector and
+    det [c1 c2 c3 v] = v . v = 1: c4 = v mod q.  c4 . v is still computed,
+    and a value other than 1 raises ArithmeticError; so does a determinant
+    other than 1 by the Laplace expansion of _det4, which does not go
+    through the cross product.  c4 . v is the Gram determinant of the triple,
+    1 - x^2 when c3 is a unit vector orthogonal to c1 with c2 . c3 = x, so a
+    c3 not orthogonal to c2 is refused too.  On int32 coordinates mod q the
+    cross product stays below 3 (q - 1)^3 (5184 at q = 13), c4 . v below
+    12 (q - 1)^4 and the expansion below 6 (q - 1)^4.
+    """
+    v = _cross4(c1, c2, c3)
+    c4 = _mod(v, q)
+    if (_mod((c4 * v).sum(axis=0), q) != 1).any() or (_mod(_det4(c1, c2, c3, c4), q) != 1).any():
+        raise ArithmeticError(f"a cross product of unit vectors mod {q} is not the unit vector completing SO(4)")
+    return c4
+
+
+def _o4_frames(pool: np.ndarray, q: int) -> np.ndarray:
+    """One element R_c = [c c2 c3 c4] of SO(4, F_q) with first column c, for each unit vector c of the pool.
+
+    c2 is the first unit vector of the pool orthogonal to c, c3 the first
+    orthogonal to both, and c4 = _fourth_column(c, c2, c3).  Both exist: the
+    orthogonal complement of a unit vector, or of an orthonormal pair, is
+    nondegenerate of dimension 3 or 2, and a nondegenerate form of dimension
+    at least 2 over F_q, q odd, represents 1.  Returns (n, 4, 4) int32,
+    frames[i] the matrix R_c for c = pool[i].
+    """
+    coords = pool.T.astype(np.int32)  # (4, n)
+    orth = _mod(coords.T @ coords, q) == 0
+    i2 = orth.argmax(axis=1)
+    i3 = (orth & orth[i2]).argmax(axis=1)
+    c2, c3 = coords[:, i2], coords[:, i3]
+    c4 = _fourth_column(coords, c2, c3, q)
+    return np.stack([coords, c2, c3, c4], axis=2).transpose(1, 0, 2)
+
+
+def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The cross product a x b of T pairs of columns, each (3, T), without reduction mod q."""
+    return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
+
+
+def _det3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """det [a b c] for T triples of columns, each (3, T), by the rule of Sarrus, without
+    reduction mod q; it shares no code with _cross3."""
+    return (a[0] * b[1] * c[2] + b[0] * c[1] * a[2] + c[0] * a[1] * b[2]
+            - c[0] * b[1] * a[2] - b[0] * a[1] * c[2] - a[0] * c[1] * b[2])
+
+
+def _so3_columns(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """SO(3, F_q) in closed form, as columns drawn from the unit vectors of F_q^3.
+
+    Each orthonormal pair (u1, u2) of unit vectors is the first two columns
+    of exactly one element [u1 u2 u3] of SO(3): u3 lies on the line
+    orthogonal to both, and w = u1 x u2 spans it with
+    w . w = (u1 . u1)(u2 . u2) - (u1 . u2)^2 = 1 and det [u1 u2 w] = w . w = 1,
+    so u3 = w, the other unit vector -w having determinant -1.  So there are
+    q (q^2 - 1) elements, one per pair.  u3 . u3 is still computed, and so is
+    det [u1 u2 u3] by _det3, which does not go through the cross product; a
+    value other than 1 of either raises ArithmeticError.
+
+    Returns (units, cols): units (3, n3) int32, the unit vectors as columns
+    in lexicographic order, and cols (3, s) int32, column j of element k
+    being units[:, cols[j, k]].  Elements are in lexicographic order of the
+    indices of (u1, u2).
+    """
+    grid = np.indices((q, q, q), dtype=np.int32).reshape(3, -1)  # every vector, as columns in lex order
+    units = grid[:, _mod((grid * grid).sum(axis=0), q) == 1]
+    k1, k2 = np.nonzero(_mod(units.T @ units, q) == 0)
+    u1, u2 = units[:, k1], units[:, k2]
+    u3 = _mod(_cross3(u1, u2), q)
+    if (_mod((u3 * u3).sum(axis=0), q) != 1).any() or (_mod(_det3(u1, u2, u3), q) != 1).any():
+        raise ArithmeticError(f"a cross product of orthonormal vectors mod {q} does not complete SO(3)")
+    index = np.zeros(q**3, dtype=np.int32)
+    index[(units[0] * q + units[1]) * q + units[2]] = np.arange(units.shape[1])
+    return units, np.stack([k1, k2, index[(u3[0] * q + u3[1]) * q + u3[2]]]).astype(np.int32)
+
+
 def _o4_columns(pool: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """SO(4, F_q) in closed form, as columns drawn from the pool of unit vectors.
 
-    The first three columns run over every triple of mutually orthogonal unit
-    vectors.  The triples come from the neighbour table of the orthogonality
-    graph: O(4) is transitive on unit vectors, so each has the same number d
-    of unit vectors orthogonal to it, listed in ascending order, and is the
-    c1 of the same number of triples.  c2 and c3 are neighbours of c1, and
-    c3 one orthogonal to c2: a (len(pool), d, d) mask.  The cross product v
-    of a triple spans its orthogonal complement, and the adjugate identity
-    gives v = det M c4 for either unit completion M = [c1 c2 c3 c4], det M =
-    +-1.  So v is itself a unit vector and det [c1 c2 c3 v] = v . v = 1: the
-    fourth column is c4 = v, and the matrices are exactly SO(4).  c4 . v is
-    still computed, and a value other than 1 raises ArithmeticError; so does
-    a determinant other than 1 by the Laplace expansion of _det4, which does
-    not go through the cross product.  The cross product runs on int32
-    coordinates, whose entries stay below 3 (q - 1)^3 (5184 at q = 13),
-    c4 . v below 12 (q - 1)^4 and the expansion 6 (q - 1)^4.  The triples are taken a few hundred c1 at a
-    time, so that these temporaries stay within a few MB whatever q.
+    SO(4) is the disjoint union over unit vectors c of R_c (1 (+) SO(3)), R_c
+    the frame of _o4_frames: M -> (M e1, R_c^-1 M), c = M e1, is a bijection
+    from SO(4) onto those pairs.  P = R_c^-1 M lies in SO(4) and fixes e1;
+    so P^t e1 = P^t P e1 = e1, P = 1 (+) N, N orthogonal with det N = 1.  The
+    inverse is (c, 1 (+) N) -> R_c (1 (+) N), whose column 0 is c.  So
+    SO(4) has n q (q^2 - 1) elements, n = len(pool), N running over the
+    SO(3) of _so3_columns.  Column j >= 1 of R_c (1 (+) N) is R'_c u_j,
+    R'_c = [c2 c3 c4] and u_j column j of N.  R'_c maps F_q^3 isometrically
+    onto c's orthogonal complement, so it takes unit vectors to unit vectors:
+    one (n, n3) table, table[i, k] the pool index of R'_c applied to the
+    k-th unit vector of F_q^3, c = pool[i], and three gathers by the columns
+    of the SO(3) elements give every element.
 
-    Returns (first, last) for the T triples: first holds c1 n + c2 and last
-    c3 n + c4, pool indices as int32 flat indices of pool x pool (n =
-    len(pool), n^2 < 2^31), both (T,).  Triples are in lexicographic order.
+    Returns (first, last): first holds c1 n + c2 and last c3 n + c4, pool
+    indices of the columns as int32 flat indices of pool x pool
+    (n^2 < 2^31), both (n s,), s = |SO(3)|.  Elements are c-major: c in pool
+    order, then N in the order of _so3_columns.
     """
     n = len(pool)
     lex_rank = q ** np.arange(3, -1, -1, dtype=np.int64)
     pool_index = np.zeros(q**4, dtype=np.int32)
     pool_index[pool @ lex_rank] = np.arange(n)
-    orth = (pool @ pool.T) % q == 0
-    nbr = np.nonzero(orth)[1].reshape(n, -1)            # (n, d): the unit vectors orthogonal to each, ascending
-    d = nbr.shape[1]
-    per_c1 = int(orth[nbr[0, :, None], nbr[0]].sum())  # triples with a given c1
-    coords = pool.T.astype(np.int32)
-    first = np.empty(n * per_c1, dtype=np.int32)
-    last = np.empty(n * per_c1, dtype=np.int32)
-    step = max(1, _TRIPLES_PER_STEP // per_c1)
-    for lo in range(0, n, step):
-        rows = nbr[lo : lo + step]
-        # flat index (c1 d + a) d + b of each c2 = rows[c1, a], c3 = rows[c1, b] with c2 . c3 = 0, lexicographic
-        pair, b = np.divmod(np.flatnonzero(orth[rows[:, :, None], rows[:, None, :]]), d)
-        i1, i2 = lo + pair // d, rows.ravel()[pair]
-        i3 = nbr[i1, b]
-        c1, c2, c3 = (np.take(coords, i, axis=1) for i in (i1, i2, i3))
-        v = _cross4(c1, c2, c3)
-        c4 = _mod(v, q)
-        if (_mod((c4 * v).sum(axis=0), q) != 1).any() or (_mod(_det4(c1, c2, c3, c4), q) != 1).any():
-            raise ArithmeticError(f"a cross product of unit vectors mod {q} is not the unit vector completing SO(4)")
-        block = slice(lo * per_c1, lo * per_c1 + len(pair))
-        first[block] = i1 * n + i2
-        last[block] = i3 * n + pool_index[((c4[0] * q + c4[1]) * q + c4[2]) * q + c4[3]]
-    return first, last
+    units, (k1, k2, k3) = _so3_columns(q)
+    table = pool_index[lex_rank @ _mod(_o4_frames(pool, q)[:, :, 1:] @ units, q)]  # (n, n3)
+    first = table[:, k1]
+    first += n * np.arange(n, dtype=np.int32)[:, None]
+    last = table[:, k2]
+    last *= n
+    last += table[:, k3]
+    return first.ravel(), last.ravel()
+
+
+def _coset_representative(q: int, lam: int) -> np.ndarray:
+    """g = R (+) R, R = [[a, -b], [b, a]] with a^2 + b^2 = lam, or g = I for lam = 1, as (4, 4) int64.
+
+    g^t g = lam I and det g = lam^2; a g that is not a similitude of factor
+    lam raises ArithmeticError.
+    """
+    a, b = (1, 0) if lam == 1 else _two_squares(lam, q)
+    g = np.kron(np.eye(2, dtype=np.int64), [[a, -b], [b, a]]) % q
+    if not np.array_equal((g.T @ g) % q, lam * np.eye(4, dtype=np.int64)):
+        raise ArithmeticError(f"coset representative for lambda = {lam} is not a similitude: {g.tolist()}")
+    return g
 
 
 def enumerate_go4_codes(q: int, lam: int, pool: np.ndarray, o4: tuple) -> tuple[np.ndarray]:
     """Closed-form enumeration of {m in GO(4, F_q) : m^t m = lam I, det m = lam^2} as (codes,).
 
     pool is the unit vectors of _norm_vectors and o4 the SO(4) columns that
-    _o4_columns draws from it; the caller builds both once for every class.
-    The class is a coset of O(4).  Take a^2 + b^2 = lam, R = [[a, -b], [b, a]]
-    and g = R (+) R (g = I for lam = 1).  Then g^t g = lam I and
+    _o4_columns draws from it; the caller builds both once.  The class is a
+    coset of O(4): with g = _coset_representative(q, lam), g^t g = lam I and
     det g = lam^2, so M -> g M is a bijection from O(4) onto the class, and
     det(g M) = lam^2 det M: g SO(4) is the det = lam^2 half listed here.
     M -> M diag(1, 1, 1, -1) maps it onto the det = -lam^2 half, so the
@@ -346,15 +428,12 @@ def enumerate_go4_codes(q: int, lam: int, pool: np.ndarray, o4: tuple) -> tuple[
     (g c3, g c4), both gathered from one table over pool x pool.  Column 0
     of every element is g c1, of norm lam: classes share no code.
 
-    Elements come out ordered by the SO(4) factor M, its triple (c1, c2, c3)
-    in lexicographic order, so the output order is deterministic.  Nothing
-    here uses the pair map.
+    Elements come out in the order of their SO(4) factor M in o4 (for
+    _o4_columns: c-major, then the SO(3) order), so the output order is
+    deterministic.  Nothing here uses the pair map.
     """
     first, last = o4
-    a, b = (1, 0) if lam == 1 else _two_squares(lam, q)
-    g = np.kron(np.eye(2, dtype=np.int64), [[a, -b], [b, a]]) % q
-    if not np.array_equal((g.T @ g) % q, lam * np.eye(4, dtype=np.int64)):
-        raise ArithmeticError(f"coset representative for lambda = {lam} is not a similitude: {g.tolist()}")
+    g = _coset_representative(q, lam)
     col_code = q ** (4 * np.arange(4, dtype=np.int64))  # code of a vector placed in column 0
     pool_code = ((pool @ g.T) % q) @ col_code      # code of g c in column 0, for each c in the pool
     pair_code = (pool_code[:, None] + q * pool_code).ravel()  # code of (g c, g c') in columns 0 and 1
@@ -416,7 +495,7 @@ class GsoPresentationReport:
 
 
 def _sorted_unique(codes: np.ndarray) -> np.ndarray:
-    """np.unique by one sort and an adjacent compare.
+    """np.unique by one sort and an adjacent compare; the sorted array itself when nothing repeats.
 
     On the 677 376 int64 pair-map codes at q = 7, numpy 2.4's hash-based
     np.unique took 0.67-0.76 s and this 0.01 s (2-vCPU x86 machine).
@@ -424,7 +503,7 @@ def _sorted_unique(codes: np.ndarray) -> np.ndarray:
     codes = np.sort(codes)
     keep = np.ones(len(codes), dtype=bool)
     np.not_equal(codes[1:], codes[:-1], out=keep[1:])
-    return codes[keep]
+    return codes if keep.all() else codes[keep]
 
 
 def _in_sorted(values: np.ndarray, pool: np.ndarray) -> np.ndarray:
@@ -497,13 +576,31 @@ def verify_gso_presentation(q: int) -> GsoPresentationReport:
     The comparison runs one similitude class lambda at a time, and drops
     each class before the next: the pairs (t, g) with det t det g = lambda,
     |T| |GL2| / (q - 1) of them, against the det = lambda^2 half of the
-    class that enumerate_go4_codes lists for lambda, a coset of SO(4); the
-    whole class, counted in go_size, is twice as large.  T and GL2 are
-    split by det once, with the L(t) of each part and the R(g) columns of
-    each part (see _pair_codes).  Every enumerated code of class lambda has
-    column 0 of norm lambda, so the totals are those of one whole-set
-    comparison: a class whose two sets differ passes its pair-map codes of
-    another column norm on to that class, which is then compared again.
+    class, the coset g_lambda SO(4), g_lambda = _coset_representative(q,
+    lambda); the whole class, counted in go_size, is twice as large.  T and
+    GL2 are split by det once, with the L(t) of each part and the R(g)
+    columns of each part (see _pair_codes).  SO(4) is listed and sorted once
+    (enumerate_go4_codes for lambda = 1), and each class is compared in SO(4)
+    coordinates: its pair-map codes are pulled back by
+    g_lambda^-1 = lambda^-1 g_lambda^t, folded into the left factors, and
+    compared with those of SO(4).  M -> g_lambda^-1 M is a bijection of
+    M_4(F_q), so the two sets are equal exactly when the image of the class
+    is g_lambda SO(4), and the pulled-back codes are as many as the
+    original ones.  Class 1 has g_lambda = I: its codes are the originals.
+    A class lambda != 1 whose pulled-back codes differ is compared again in
+    original coordinates, against g_lambda SO(4) as enumerate_go4_codes
+    lists it; so every failing class is compared on its original sets.
+    Every enumerated code of class lambda has column 0 of norm lambda, so
+    the totals are those of one whole-set comparison: a class whose two sets
+    differ passes its pair-map codes of another column norm on to that
+    class, which is then compared again.
+
+    Kernel pairs are found in the coordinates a class is compared in, as the
+    pairs whose code is that of the frame: g_lambda^-1 beta(t, g) =
+    g_lambda^-1 exactly when beta(t, g) = I.  Only class 1 and a class that
+    fails can hold any: a class lambda != 1 that passes has the image
+    g_lambda SO(4), whose elements have column 0 of norm lambda, and I has
+    column norm 1.
     """
     if q not in SUPPORTED_Q:
         raise UnsupportedField(f"q must be one of {SUPPORTED_Q}, got {q}")
@@ -515,38 +612,45 @@ def verify_gso_presentation(q: int) -> GsoPresentationReport:
     g_at = {e: np.flatnonzero(g_dets == e) for e in range(1, q)}  # indices into mats, by det
     lhs = {d: _left_factors(transversal[t], q) for d, t in t_at.items()}
     rhs = {e: _right_columns(mats[g], q) for e, g in g_at.items()}
-    id_code = int(_encode(np.eye(4, dtype=np.int64).reshape(1, 16), q)[0])
+    eye = np.eye(4, dtype=np.int64)
     pool = _norm_vectors(q)[1]
     o4 = _o4_columns(pool, q)
+    so_codes = enumerate_go4_codes(q, 1, pool, o4)[0]
+    so_codes.sort()
 
-    def image_of(lam: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted codes without repeats of the pairs with det t det g = lam, and the
-        (t, g) indices of those with the identity code."""
+    def image_of(lam: int, frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted codes without repeats of frame beta(t, g) over the pairs with det t det g = lam,
+        and the (t, g) indices of the kernel pairs: those with the code of frame itself."""
+        frame_code = int(_encode(frame.reshape(1, 16), q)[0])
         blocks, hits = [], []
         for d, t in t_at.items():
             e = lam * _modinv(d, q) % q
             g = g_at[e]
-            codes = _pair_codes(lhs[d], *rhs[e], q)
-            i, j = np.divmod(np.flatnonzero(codes == id_code), len(g))
+            codes = _pair_codes(frame, lhs[d], *rhs[e], q)
+            i, j = np.divmod(np.flatnonzero(codes == frame_code), len(g))
             hits.append(np.stack([t[i], g[j]], axis=1))
             blocks.append(codes)
         return _sorted_unique(np.concatenate(blocks)), np.concatenate(hits)
 
-    def gso_of(lam: int) -> tuple[np.ndarray, int]:
-        """Sorted det = lam^2 codes of the class, and the class size: twice as many."""
+    def gso_of(lam: int) -> np.ndarray:
+        """Sorted det = lam^2 codes of the class, in original coordinates."""
+        if lam == 1:
+            return so_codes
         gso = enumerate_go4_codes(q, lam, pool, o4)[0]
         gso.sort()
-        return gso, 2 * len(gso)
+        return gso
 
     hits, strays, compared = [], [], {}
     go_size = 0
     for lam in range(1, q):
-        image_codes, class_hits = image_of(lam)
-        gso_codes, class_size = gso_of(lam)
+        pull_back = _modinv(lam, q) * _coset_representative(q, lam).T % q  # I for lam = 1
+        image_codes, class_hits = image_of(lam, pull_back)
+        gso_codes = so_codes
+        if lam != 1 and not np.array_equal(image_codes, so_codes):  # again, in original coordinates
+            image_codes, class_hits = image_of(lam, eye)
+            gso_codes = gso_of(lam)
         hits.append(class_hits)
-        go_size += class_size
-        if lam == 1:
-            so_codes = gso_codes  # det = lambda^2 = 1
+        go_size += 2 * len(gso_codes)
         if not np.array_equal(image_codes, gso_codes):
             elsewhere = _column_norms(image_codes, q) != lam
             strays.append(image_codes[elsewhere])
@@ -559,9 +663,9 @@ def verify_gso_presentation(q: int) -> GsoPresentationReport:
         if lam == 0:  # not a similitude: no class holds it
             compared[0] = _compare(extra, extra[:0])
             continue
-        image_codes = image_of(lam)[0]
+        image_codes = image_of(lam, eye)[0]
         image_codes = np.union1d(image_codes[_column_norms(image_codes, q) == lam], extra)
-        compared[lam] = _compare(image_codes, gso_of(lam)[0])
+        compared[lam] = _compare(image_codes, gso_of(lam))
     image_size, gso_size, equal, witnesses = zip(*compared.values())
     image_equals_gso = all(equal)
     witness = min((w for w in witnesses if w is not None), default=None)  # the least code of all differences

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import json
 import math
 import random
@@ -224,6 +225,38 @@ class TestSymbolConstructor:
             params[qs == 5, 1] = params[qs == 7, 0] = bad
             with pytest.raises(ValueError, match=f"^symbol a: a local parameter at q=5 {fault}$"):
                 CuspidalSymbol("a", 2, "a", "1", qs, params)
+
+    @staticmethod
+    def refusal_by_division(qs, params):
+        """The finiteness refusal that dividing every value gives, or None: the constructor's
+        checks before its range test."""
+        with np.errstate(all="ignore"):
+            inverse = 1 / params
+            for values, fault in ((params, "is not finite"), (inverse, "has no finite inverse"),
+                                  (1 / inverse, "has an inverse that is zero or has no finite inverse")):
+                finite = np.isfinite(values)
+                if not finite.all():
+                    return f"symbol a: a local parameter at q={int(qs[~finite.all(axis=1)][0])} {fault}"
+        return None
+
+    def test_range_test_agrees_with_the_divisions(self):
+        """Real and imaginary parts from zero, subnormals, 1e+-308, +-inf, nan and both edges of the
+        range [2^-500, 2^500] with their outer neighbours, in every pair."""
+        edges = [0.0, 5e-324, -2.0**-1030, 2.0**-1022, 1e-308, -1e-308, 2.0**-500, np.nextafter(2.0**-500, 0),
+                 1.0, 2.0**500, -np.nextafter(2.0**500, math.inf), 1e308, -1.7976931348623157e308,
+                 math.inf, -math.inf, math.nan]
+        qs = np.array([3, 5])
+        for re_part, im_part in itertools.product(edges, repeat=2):
+            z = complex(re_part, im_part)
+            if z == 0:  # refused before, as a zero parameter
+                continue
+            params = np.array([[1, z], [z, 1 + 1j]])
+            try:
+                CuspidalSymbol("a", 2, "a", "1", qs, params)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == self.refusal_by_division(qs, params), z
 
     def test_degree_and_place_errors_name_the_symbol(self):
         with pytest.raises(ValueError, match=r"^symbol a: degree must be in 1\.\.4, got 9$"):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -391,19 +392,71 @@ class TestClosedFormKernels:
 
     @pytest.mark.parametrize("q", [3, 5])
     def test_o4_block_order(self, q):
-        """O(4) comes first: triples (c1, c2, c3) in lexicographic order, the SO(4) element (c4 = v)
-        before its reflection (c4 = -v)."""
+        """O(4) comes first, c-major: R_c (1 (+) N) for c in pool order, then N in the order of
+        _so3_columns, each SO(4) element before its reflection (column 3 negated)."""
         codes, lams, dets = go4(q)
         size = o4_order(q)
         assert (lams[:size] == 1).all()
         mats = np.array([simgroups._decode(c, q) for c in codes[:size].tolist()])  # (size, 4, 4)
-        rank = q ** np.arange(3, -1, -1)
-        cols = mats.transpose(0, 2, 1) @ rank                                       # lex rank of each column
-        triples = cols[:, :3].tolist()
-        assert triples[::2] == triples[1::2] and triples == sorted(triples)
-        plus, minus = mats[::2, :, 3], mats[1::2, :, 3]
-        assert np.array_equal((plus + minus) % q, np.zeros_like(plus))
+        plus, minus = mats[::2], mats[1::2]
+        assert np.array_equal(plus[:, :, :3], minus[:, :, :3])
+        assert np.array_equal((plus[:, :, 3] + minus[:, :, 3]) % q, np.zeros_like(plus[:, :, 3]))
         assert (dets[:size:2] == 1).all() and (dets[1:size:2] == q - 1).all()
+        pool = _norm_vectors(q)[1]
+        units, cols = simgroups._so3_columns(q)
+        blocks = np.zeros((cols.shape[1], 4, 4), dtype=np.int64)  # 1 (+) N for each N of SO(3), in order
+        blocks[:, 0, 0] = 1
+        blocks[:, 1:, 1:] = units[:, cols].transpose(2, 0, 1)
+        for frame, coset in zip(simgroups._o4_frames(pool, q), plus.reshape(len(pool), -1, 4, 4)):
+            assert np.array_equal(frame.T @ coset % q, blocks)  # R_c^-1 = R_c^t
+
+    @pytest.mark.parametrize("q", SUPPORTED_Q)
+    def test_frames_are_in_so4(self, q):
+        pool = _norm_vectors(q)[1]
+        frames = simgroups._o4_frames(pool, q).astype(np.int64)
+        assert frames.shape == (len(pool), 4, 4) and np.array_equal(frames[:, :, 0], pool)
+        assert (frames.transpose(0, 2, 1) @ frames % q == I4).all()
+        assert all(det4(frame) % q == 1 for frame in frames.tolist())
+
+    @pytest.mark.parametrize("q", EXHAUSTIVE_Q)
+    def test_so3_matches_brute_force(self, q):
+        """Every orthonormal triple of unit vectors with det 1, in lexicographic order of its columns."""
+        vectors = [v for v in itertools.product(range(q), repeat=3) if sum(x * x for x in v) % q == 1]
+        dot = lambda u, v: sum(x * y for x, y in zip(u, v)) % q
+        expected = [
+            [list(u1), list(u2), list(u3)]
+            for u1, u2, u3 in itertools.product(vectors, repeat=3)
+            if dot(u1, u2) == dot(u1, u3) == dot(u2, u3) == 0
+            and det4([[1, 0, 0, 0]] + [[0, u1[r], u2[r], u3[r]] for r in range(3)]) % q == 1
+        ]
+        units, cols = simgroups._so3_columns(q)
+        assert units[:, cols].transpose(2, 1, 0).tolist() == expected  # (element, column, row)
+
+    @pytest.mark.parametrize("q", SUPPORTED_Q)
+    def test_so3_size(self, q):
+        assert simgroups._so3_columns(q)[1].shape == (3, q * (q * q - 1))
+
+    @pytest.mark.parametrize("fault", ["negated", "plus_u1"])
+    def test_wrong_3d_cross_product_raises(self, monkeypatch, fault):
+        """A third column of the wrong sign is refused by its determinant (-1), and one off the
+        unit sphere by u3 . u3 (u1 x u2 + u1 has norm 2, though det [u1 u2 u1 x u2 + u1] is 1)."""
+        cross3 = simgroups._cross3
+        wrong = {"negated": lambda a, b: -cross3(a, b), "plus_u1": lambda a, b: cross3(a, b) + a}
+        monkeypatch.setattr(simgroups, "_cross3", wrong[fault])
+        with pytest.raises(ArithmeticError, match=r"does not complete SO\(3\)"):
+            verify_gso_presentation(5)
+
+    def test_frame_with_a_non_orthogonal_c3_raises(self):
+        """c1 = e1, c2 = e2 and each unit c3 orthogonal to e1: refused unless c3 . c2 = 0 too."""
+        q = 5
+        pool = _norm_vectors(q)[1].astype(np.int32)
+        e1, e2 = I4[:, :1].astype(np.int32), I4[:, 1:2].astype(np.int32)
+        for c3 in pool[pool[:, 0] == 0]:
+            if c3[1] == 0:
+                simgroups._fourth_column(e1, e2, c3[:, None], q)
+            else:
+                with pytest.raises(ArithmeticError, match=r"not the unit vector completing SO\(4\)"):
+                    simgroups._fourth_column(e1, e2, c3[:, None], q)
 
     @pytest.mark.parametrize("q", [3, 5])
     def test_transversal_gives_image_and_kernel(self, q):
@@ -550,21 +603,32 @@ def pair_code(t, g, q) -> int:
     return int(_encode(beta(t, g, q).reshape(1, 16), q)[0])
 
 
+def pull_back(frame, codes, q):
+    """The codes of frame m mod q for the coded matrices m, by a decode and an encode of their own."""
+    places = q ** np.arange(16, dtype=np.int64)  # entry (r, s) is digit 4 r + s
+    mats = (codes[:, None] // places % q).reshape(-1, 4, 4)
+    return (frame @ mats % q).reshape(-1, 16) @ places
+
+
 def inject(monkeypatch, fault):
-    """Pass every pair-map output through fault(codes, sl2) -> codes.
+    """Pass every pair-map output, in original coordinates, through fault(codes, sl2) -> codes.
 
     _pair_codes is the one routine that both verify_gso_presentation and
-    the whole-set oracle map pairs with, so both see the same fault.  sl2
-    tells the SL2 calls apart: only there is the left factor at least as
-    large as the right one.  verify_gso_presentation maps SL2 x T+-, T+- half
-    of SL2, and the oracle SL2 x SL2; a det class of T has |GL2| / (q - 1)^2
+    the whole-set oracle map pairs with, so both see the same fault: the
+    wrapper maps the pairs with the identity frame, applies the fault and
+    then pulls the codes back by the frame it was given, so a fault names
+    pairs of beta whatever coordinates a class is compared in.  sl2 tells
+    the SL2 calls apart: only there is the left factor at least as large as
+    the right one.  verify_gso_presentation maps SL2 x T+-, T+- half of SL2,
+    and the oracle SL2 x SL2; a det class of T has |GL2| / (q - 1)^2
     elements, one of GL2 |GL2| / (q - 1), and T itself |GL2| / (q - 1)
     against all of GL2.
     """
     pair_codes = simgroups._pair_codes
 
-    def faulty(lhs, cols, col, q):
-        return fault(pair_codes(lhs, cols, col, q), len(lhs) >= len(col))
+    def faulty(frame, lhs, cols, col, q):
+        codes = fault(pair_codes(I4, lhs, cols, col, q), len(lhs) >= len(col))
+        return codes if np.array_equal(frame, I4) else pull_back(frame, codes, q)
 
     monkeypatch.setattr(simgroups, "_pair_codes", faulty)
 
@@ -597,6 +661,9 @@ def named_fault(q, name):
         return replace_codes([second], pair_code(transversal[0], g, q))
     if name == "not_similitude":  # the zero matrix
         return replace_codes([second], 0)
+    if name == "class_2":  # the first pair of class 2 takes the code of the second: only class 2 is damaged
+        g1, g2 = [g for g in mats if det2(g, q) == 2 * pow(int(det2(transversal[0], q)), -1, q) % q][:2]
+        return replace_codes([pair_code(transversal[0], g1, q)], pair_code(transversal[0], g2, q))
     if name == "swapped_classes":  # off SL2 x SL2, the second pair and one of class 2 trade codes
         g = next(g for g in mats if det2(g, q) == 2 * pow(int(det2(transversal[0], q)), -1, q) % q)
         other = pair_code(transversal[0], g, q)
@@ -638,7 +705,7 @@ class TestVerifyReport:
     @pytest.mark.parametrize(
         "q, fault",
         [(q, fault) for q in EXHAUSTIVE_Q
-         for fault in ["none", "kernel", "set", "swapped_classes", "sl2_identity", "sl2_stray"]]
+         for fault in ["none", "kernel", "set", "swapped_classes", "class_2", "sl2_identity", "sl2_stray"]]
         # the oracle's symmetric difference of whole sets takes about 2 s at q = 7
         + [(q, fault) for q in (3, 5) for fault in ["other_class", "not_similitude"]],
     )
@@ -747,6 +814,18 @@ class TestVerifyReport:
         mats = gl2_elements(5)
         second = pair_code(simgroups._scalar_transversal(mats)[0], mats[1], 5)
         assert report.counterexample == simgroups._code_witness("image_equals_gso", "gso", second, 5)
+
+    def test_damage_in_one_class_past_1(self, monkeypatch):
+        """A pair of class 2 that takes the code of another: class 2 fails, and no other."""
+        q = 5
+        inject(monkeypatch, named_fault(q, "class_2"))
+        report = verify_gso_presentation(q)
+        assert report.kernel_is_scalar_pairs and report.sl2_image_in_so and not report.image_equals_gso
+        assert report.image_size == report.image_expected - 1 and report.gso_size == report.image_expected
+        mats = gl2_elements(q)
+        t = simgroups._scalar_transversal(mats)[0]
+        g = next(g for g in mats if det2(g, q) * det2(t, q) % q == 2)
+        assert report.counterexample == simgroups._code_witness("image_equals_gso", "gso", pair_code(t, g, q), q)
 
     @pytest.mark.parametrize("q", [3, 5, 7])
     def test_witness_det_matches_cofactor_expansion(self, q):
