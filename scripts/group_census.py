@@ -7,7 +7,7 @@ q it prints the failed checks and the report's counterexample.  The q = 7
 run compares the 677 376 elements of GSO(4), the det = lambda^2 half of
 the 1 354 752 of GO(4), one similitude class of 112 896 at a time, each
 pulled back to the one listed SO(4); q = 11 (17.4 of 34.8 million, about
-1.0 s) and q = 13 (57.2 of 114.5 million, about 3.1 s) are also supported.
+0.8 s) and q = 13 (57.2 of 114.5 million, about 2.8 s) are also supported.
 """
 
 import argparse

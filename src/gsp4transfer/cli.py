@@ -386,10 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command.  The command returns its payload (None when nothing
-    goes to stdout) and exit code, or raises ``ValueError``; here alone the
-    payload is rendered and written, and an error becomes ``error: ...`` on
-    stderr with exit code 2."""
+    """Run one command.  A ``--format`` the command cannot render is refused
+    first, before the command runs.  The command returns its payload (None
+    when nothing goes to stdout) and exit code, or raises ``ValueError``;
+    here alone the payload is rendered and written, and an error becomes
+    ``error: ...`` on stderr with exit code 2."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -397,11 +398,11 @@ def main(argv=None) -> int:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code or 0)
     try:
+        render = {"json": _json_text, **args.render}.get(args.format)
+        if render is None:
+            raise UsageError(f"{args.format} format is not available for this command")
         payload, code = args.func(args)
         if payload is not None:
-            render = {"json": _json_text, **args.render}.get(args.format)
-            if render is None:
-                raise UsageError(f"{args.format} format is not available for this command")
             text = render(payload)
             try:
                 if args.out:

@@ -27,11 +27,12 @@ T x GL(2), T a transversal of the scalars in GL(2) (a scalar moves between
 the factors, so these pairs reach the whole image and every kernel pair up
 to a scalar), and the image of SL(2) x SL(2) over SL(2) x T+-, T+- a
 transversal of {+-1} in SL(2): beta(t, g) = L(t) R(g), and a table of L(t)
-applied to the few distinct columns of the R(g) gives every code by four
-gathers (see _beta_codes).  It compares the two sides one similitude class
-at a time, each pulled back to SO(4) by g^-1 and compared with the one
-sorted SO(4), and packages the comparison into a report (see
-verify_gso_presentation).  q is restricted to odd primes (characteristic 2
+applied to the few distinct columns of the R(g), one float32 BLAS product
+that is exact on these small integers, gives every code by four gathers of
+whole table rows (see _beta_codes and _pair_codes).  It compares the two
+sides one similitude class at a time, each pulled back to SO(4) by g^-1
+and compared with the one sorted SO(4), and packages the comparison into a
+report (see verify_gso_presentation).  q is restricted to odd primes (characteristic 2
 breaks the symmetric-form theory) and to q <= 13 for exhaustive work:
 codes are int64 while q^16 < 2^63, which fails at q = 17.
 """
@@ -164,23 +165,49 @@ def _mod(x: np.ndarray, q: int) -> np.ndarray:
     return x - q * (x // q)
 
 
-def _left_factors(left: np.ndarray, q: int) -> np.ndarray:
-    """L(g) = C^-1 (g (x) I) C mod q for each g of a (k, 2, 2) array, as (k, 4, 4) int16."""
+@lru_cache(maxsize=None)
+def _factor_bases(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The images of the matrix units under L and R, as (4, 16) float32 arrays.
+
+    Row 2a + b of the first is L(E_ab) = C^-1 (E_ab (x) I) C mod q, of the
+    second R(E_ab) = C^-1 (I (x) E_ab) C mod q, each flattened row-major,
+    C the frame of _det_frame.  L and R are linear, so L(g) mod q is
+    sum_ab g_ab L(E_ab) mod q: one (k, 4) @ (4, 16) product for k matrices.
+    """
     C, Cinv = _det_frame(q)
-    return ((Cinv @ np.kron(left, np.eye(2, dtype=np.int64)[None]) @ C) % q).astype(np.int16)
+    units = np.eye(4, dtype=np.int64).reshape(4, 2, 2)  # E_ab at 2a + b
+    eye = np.eye(2, dtype=np.int64)[None]
+    left = (Cinv @ np.kron(units, eye) @ C) % q
+    right = (Cinv @ np.kron(eye, units) @ C) % q
+    return left.reshape(4, 16).astype(np.float32), right.reshape(4, 16).astype(np.float32)
+
+
+def _factors(mats: np.ndarray, basis: np.ndarray, q: int) -> np.ndarray:
+    """The (k, 4, 4) images of a (k, 2, 2) array under the linear map with the given basis images, mod q.
+
+    One float32 product: its entries are sums of 4 products of residues,
+    at most 4 (q - 1)^2 = 576 < 2^24 at q = 13, so float32 holds every
+    partial sum exactly, and so does the int16 that reduces them.
+    """
+    entries = (mats.reshape(-1, 4).astype(np.float32) @ basis).astype(np.int16)
+    return _mod(entries, q).reshape(-1, 4, 4)
+
+
+def _left_factors(left: np.ndarray, q: int) -> np.ndarray:
+    """L(g) = C^-1 (g (x) I) C mod q for each g of a (k, 2, 2) array, as (k, 4, 4) float32."""
+    return _factors(left, _factor_bases(q)[0], q).astype(np.float32)
 
 
 def _right_columns(right: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct columns u_c of the R(h) = C^-1 (I (x) h) C mod q, h in a (m, 2, 2) array.
 
-    Returns (cols, col): cols (4, u) int16, column c is u_c, and col (m, 4),
-    col[j, s] the index c of column s of R(right[j]).
+    Returns (cols, col): cols (4, u) float32, column c is u_c, and col
+    (m, 4), col[j, s] the index c of column s of R(right[j]).
     """
-    C, Cinv = _det_frame(q)
-    rhs = (Cinv @ np.kron(np.eye(2, dtype=np.int64)[None], right) @ C) % q  # (m, 4, 4)
+    rhs = _factors(right, _factor_bases(q)[1], q)  # (m, 4, 4)
     digits = q ** np.arange(4)
     distinct, col = np.unique(rhs.transpose(0, 2, 1) @ digits, return_inverse=True)  # base-q codes of the columns
-    return (distinct // digits[:, None] % q).astype(np.int16), col.reshape(len(right), 4)
+    return (distinct // digits[:, None] % q).astype(np.float32), col.reshape(len(right), 4)
 
 
 def _pair_codes(frame: np.ndarray, lhs: np.ndarray, cols: np.ndarray, col: np.ndarray, q: int) -> np.ndarray:
@@ -190,25 +217,32 @@ def _pair_codes(frame: np.ndarray, lhs: np.ndarray, cols: np.ndarray, col: np.nd
     or the inverse of a coset representative to pull a class back to SO(4)
     coordinates (see verify_gso_presentation).  It is folded into the k left
     factors first: lhs[i] becomes (frame lhs[i]) mod q.  Then
-    codes[i * len(col) + j] is the code of lhs[i] times R(right[j]), whose
-    column s is lhs[i] applied to u_c, c = col[j, s].  A column table comes
-    first: table[i, c] = sum_r ((lhs[i] u_c) mod q)_r q^(4r), the code of
-    that column placed in column 0.  It takes four (k, u) products on int16
-    (entries below 4 (q - 1)^2 = 576 at q = 13), reduced mod q on k u entries
-    each.  Then code(i, j) = sum_s q^s table[i, col[j, s]]: four gathers
-    over (k, m).
+    codes[j * k + i] is the code of lhs[i] times R(right[j]), whose column s
+    is lhs[i] applied to u_c, c = col[j, s]: the codes come right-major,
+    one row of k codes for each of the m right factors.  A column table
+    comes first: table[c, i] = sum_r ((lhs[i] u_c) mod q)_r q^(4r), the code
+    of that column placed in column 0.  Every (lhs[i] u_c)_r comes from one
+    float32 product, the (u, 4) columns times the 4k rows of the folded left
+    factors, transposed; each entry and each partial sum is an integer of at
+    most 4 (q - 1)^2 = 576 < 2^24 (q = 13), so float32 holds it exactly, and
+    so does the fold, a product of residues with the same bound.  One int16
+    reduction mod q and a four-row combine give the int64 table, (u, k) so
+    that each gather below copies whole rows.  Then
+    code(i, j) = sum_s q^s table[col[j, s], i]: four gathers of m rows.
     """
-    lhs = _mod(frame @ lhs, q).astype(np.int16)
-    table = np.zeros((len(lhs), cols.shape[1]), dtype=np.int64)
-    for r in range(4):
-        entry = lhs[:, r, 0, None] * cols[0]      # (k, u): row r of lhs[i] times u_c
-        for t in range(1, 4):
-            entry += lhs[:, r, t, None] * cols[t]
-        table += q ** (4 * r) * _mod(entry, q).astype(np.int64)  # int64 also under numpy 1.x's value-based casts
-    codes = np.take(table, col[:, 0], axis=1)     # (k, m); code = sum of beta[r, s] q^(4r + s) < q^16
+    k, u = len(lhs), cols.shape[1]
+    folded = frame.astype(np.float32) @ lhs.transpose(1, 0, 2).reshape(4, 4 * k)  # (r, (i, t)): frame lhs[i]
+    folded = _mod(folded.astype(np.int16), q).astype(np.float32).reshape(4 * k, 4)  # rows (r, i), columns t
+    entry = _mod((cols.T @ folded.T).astype(np.int16), q).reshape(u, 4, k)  # (c, r, i); the float32 is freed
+    table = entry[:, 3].astype(np.int64)
+    for r in (2, 1, 0):
+        table *= q**4
+        table += entry[:, r]
+    del entry
+    codes = table[col[:, 0]]                      # (m, k); code = sum of beta[r, s] q^(4r + s) < q^16
     gathered = np.empty_like(codes)
     for s in range(1, 4):
-        np.take(table, col[:, s], axis=1, out=gathered)
+        np.take(table, col[:, s], axis=0, out=gathered)
         gathered *= q**s
         codes += gathered
     return codes.reshape(-1)
@@ -217,11 +251,11 @@ def _pair_codes(frame: np.ndarray, lhs: np.ndarray, cols: np.ndarray, col: np.nd
 def _beta_codes(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
     """Codes of beta over left x right, (k, 2, 2) and (m, 2, 2) arrays of GL2 elements.
 
-    codes[i * len(right) + j] is the code of
+    codes[j * len(left) + i] is the code of
     beta(g, h) = C^-1 (g (x) h) C mod q for g = left[i], h = right[j], C the
-    frame of _det_frame.  The similitude factor of beta(g, h) is
-    det(g) det(h) mod q and its determinant the square of that, so the image
-    lies in the index-2 subgroup where det = lambda^2.
+    frame of _det_frame: right-major order.  The similitude factor of
+    beta(g, h) is det(g) det(h) mod q and its determinant the square of that,
+    so the image lies in the index-2 subgroup where det = lambda^2.
 
     beta(g1, g2) is the matrix of X -> g1 X g2^t on M_2, the tensor-square
     action v (x) w -> g1 v (x) g2 w under the rank-one identification
@@ -314,10 +348,12 @@ def _o4_frames(pool: np.ndarray, q: int) -> np.ndarray:
     orthogonal complement of a unit vector, or of an orthonormal pair, is
     nondegenerate of dimension 3 or 2, and a nondegenerate form of dimension
     at least 2 over F_q, q odd, represents 1.  Returns (n, 4, 4) int32,
-    frames[i] the matrix R_c for c = pool[i].
+    frames[i] the matrix R_c for c = pool[i].  The (n, n) inner products
+    come from one float32 product, exact as each is at most 4 (q - 1)^2 = 576.
     """
     coords = pool.T.astype(np.int32)  # (4, n)
-    orth = _mod(coords.T @ coords, q) == 0
+    units = pool.astype(np.float32)
+    orth = _mod((units @ units.T).astype(np.int16), q) == 0
     i2 = orth.argmax(axis=1)
     i3 = (orth & orth[i2]).argmax(axis=1)
     c2, c3 = coords[:, i2], coords[:, i3]
@@ -380,7 +416,9 @@ def _o4_columns(pool: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     onto c's orthogonal complement, so it takes unit vectors to unit vectors:
     one (n, n3) table, table[i, k] the pool index of R'_c applied to the
     k-th unit vector of F_q^3, c = pool[i], and three gathers by the columns
-    of the SO(3) elements give every element.
+    of the SO(3) elements give every element.  The table comes from one
+    float32 product of the (4n, 3) rows of the R'_c with the (3, n3) unit
+    vectors, exact as each entry is at most 3 (q - 1)^2 = 432.
 
     Returns (first, last): first holds c1 n + c2 and last c3 n + c4, pool
     indices of the columns as int32 flat indices of pool x pool
@@ -392,7 +430,9 @@ def _o4_columns(pool: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     pool_index = np.zeros(q**4, dtype=np.int32)
     pool_index[pool @ lex_rank] = np.arange(n)
     units, (k1, k2, k3) = _so3_columns(q)
-    table = pool_index[lex_rank @ _mod(_o4_frames(pool, q)[:, :, 1:] @ units, q)]  # (n, n3)
+    rows = _o4_frames(pool, q)[:, :, 1:].reshape(4 * n, 3).astype(np.float32)
+    images = _mod((rows @ units.astype(np.float32)).astype(np.int16), q).reshape(n, 4, -1)  # (i, r, k)
+    table = pool_index[lex_rank @ images]  # (n, n3)
     first = table[:, k1]
     first += n * np.arange(n, dtype=np.int32)[:, None]
     last = table[:, k2]
@@ -500,7 +540,11 @@ def _sorted_unique(codes: np.ndarray) -> np.ndarray:
     On the 677 376 int64 pair-map codes at q = 7, numpy 2.4's hash-based
     np.unique took 0.67-0.76 s and this 0.01 s (2-vCPU x86 machine).
     """
-    codes = np.sort(codes)
+    return _drop_repeats(np.sort(codes))
+
+
+def _drop_repeats(codes: np.ndarray) -> np.ndarray:
+    """A sorted array without its repeats, by an adjacent compare; the array itself when nothing repeats."""
     keep = np.ones(len(codes), dtype=bool)
     np.not_equal(codes[1:], codes[:-1], out=keep[1:])
     return codes if keep.all() else codes[keep]
@@ -595,12 +639,14 @@ def verify_gso_presentation(q: int) -> GsoPresentationReport:
     differ passes its pair-map codes of another column norm on to that
     class, which is then compared again.
 
-    Kernel pairs are found in the coordinates a class is compared in, as the
-    pairs whose code is that of the frame: g_lambda^-1 beta(t, g) =
-    g_lambda^-1 exactly when beta(t, g) = I.  Only class 1 and a class that
-    fails can hold any: a class lambda != 1 that passes has the image
+    Kernel pairs are found in original coordinates only, as the pairs with
+    the identity code: in class 1, whose frame is I, and in every class
+    compared again.  The pulled-back pass of a class lambda != 1 skips the
+    search, and loses no kernel pair: if that class passes, its image is
     g_lambda SO(4), whose elements have column 0 of norm lambda, and I has
-    column norm 1.
+    column norm 1; if it fails, it is mapped again in original coordinates,
+    where the search runs.  Codes come right-major from _pair_codes, so a
+    hit at flat index j |T_d| + i of a block is the pair (t_i, g_j).
     """
     if q not in SUPPORTED_Q:
         raise UnsupportedField(f"q must be one of {SUPPORTED_Q}, got {q}")
@@ -613,6 +659,7 @@ def verify_gso_presentation(q: int) -> GsoPresentationReport:
     lhs = {d: _left_factors(transversal[t], q) for d, t in t_at.items()}
     rhs = {e: _right_columns(mats[g], q) for e, g in g_at.items()}
     eye = np.eye(4, dtype=np.int64)
+    eye_code = int(_encode(eye.reshape(1, 16), q)[0])
     pool = _norm_vectors(q)[1]
     o4 = _o4_columns(pool, q)
     so_codes = enumerate_go4_codes(q, 1, pool, o4)[0]
@@ -620,17 +667,21 @@ def verify_gso_presentation(q: int) -> GsoPresentationReport:
 
     def image_of(lam: int, frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Sorted codes without repeats of frame beta(t, g) over the pairs with det t det g = lam,
-        and the (t, g) indices of the kernel pairs: those with the code of frame itself."""
-        frame_code = int(_encode(frame.reshape(1, 16), q)[0])
-        blocks, hits = [], []
+        and, when frame is I, the (t, g) indices of the kernel pairs: those with the identity code."""
+        search = np.array_equal(frame, eye)
+        blocks, hits = [], [np.empty((0, 2), dtype=np.intp)]
         for d, t in t_at.items():
             e = lam * _modinv(d, q) % q
             g = g_at[e]
             codes = _pair_codes(frame, lhs[d], *rhs[e], q)
-            i, j = np.divmod(np.flatnonzero(codes == frame_code), len(g))
-            hits.append(np.stack([t[i], g[j]], axis=1))
+            if search:
+                j, i = np.divmod(np.flatnonzero(codes == eye_code), len(t))  # codes come right-major
+                hits.append(np.stack([t[i], g[j]], axis=1))
             blocks.append(codes)
-        return _sorted_unique(np.concatenate(blocks)), np.concatenate(hits)
+        codes = np.concatenate(blocks)
+        blocks.clear()
+        codes.sort()  # in place: no second copy of the class's codes
+        return _drop_repeats(codes), np.concatenate(hits)
 
     def gso_of(lam: int) -> np.ndarray:
         """Sorted det = lam^2 codes of the class, in original coordinates."""
@@ -676,7 +727,9 @@ def verify_gso_presentation(q: int) -> GsoPresentationReport:
     bad_pairs = kernel_pairs[~(kernel_pairs == np.eye(2, dtype=np.int64)).all(axis=(1, 2, 3))]
 
     sl2 = mats[g_at[1]]
-    sl2_codes = _sorted_unique(_beta_codes(sl2, _sign_transversal(sl2, q), q))
+    sl2_codes = _beta_codes(sl2, _sign_transversal(sl2, q), q)
+    sl2_codes.sort()
+    sl2_codes = _drop_repeats(sl2_codes)
     sl2_found = _in_sorted(sl2_codes, so_codes)
     sl2_in_so = bool(sl2_found.all())
 

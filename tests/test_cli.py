@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gsp4transfer import cli
 from gsp4transfer.cli import main
 from gsp4transfer.isobaric import load_document, transfer, transfer_conditions, transfer_places
 from gsp4transfer.lseries import estimate_with_sweep, synthetic_reps, write_sweep_csv
@@ -1011,6 +1012,30 @@ class TestParser:
     def test_unknown_command_exit_two(self, capsys):
         code = main(["frobnicate"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-groups", "--q", "13"],
+        ["transfer", "--in", "missing.json"],
+        ["rodier", "--params", "missing.json", "--q", "5"],
+    ])
+    def test_unavailable_format_is_refused_before_the_command_runs(self, capsys, monkeypatch, tmp_path, argv):
+        """csv is refused before the command runs: the format error is printed even when the
+        document is missing too, and the command function is never called."""
+        argv = [str(tmp_path / arg) if arg == "missing.json" else arg for arg in argv] + ["--format", "csv"]
+        refusal = (2, "", "error: csv format is not available for this command\n")
+        assert run(capsys, *argv) == refusal
+        calls = []
+        parse_args = cli.build_parser().parse_args
+
+        class Parser:
+            def parse_args(self, argv):
+                args = parse_args(argv)
+                args.func = lambda args: calls.append(args) or ({}, 0)
+                return args
+
+        monkeypatch.setattr(cli, "build_parser", Parser)
+        assert run(capsys, *argv) == refusal and calls == []
+        assert run(capsys, *argv[:-2], "--format", "json") == (0, "{}\n", "") and len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,8 @@ def beta_codes_by_rows(left, right, q) -> np.ndarray:
     beta(g, h) = L(g) R(h) mod q, so row r of beta over all pairs is one
     (len(left), 4) @ (4, 4 len(right)) product of row r of L(left[i]) with the
     columns of R(right[j]), reduced mod q and weighted by its digits q^(4r + s).
+    The codes come in the order of _beta_codes: the code of (left[i],
+    right[j]) at j * len(left) + i.
     """
     C, Cinv = simgroups._det_frame(q)
     eye = np.eye(2, dtype=np.int64)[None]
@@ -87,7 +89,7 @@ def beta_codes_by_rows(left, right, q) -> np.ndarray:
     codes = np.zeros(len(left) * len(right), dtype=np.int64)
     for r in range(4):
         codes += (lhs[:, r] @ rhs % q).reshape(-1, 4) @ q ** (4 * r + np.arange(4))
-    return codes
+    return codes.reshape(len(left), len(right)).T.reshape(-1)
 
 
 def similitude_factor(m, q) -> int | None:
@@ -355,7 +357,7 @@ class TestClosedFormKernels:
         for _ in range(200):
             i, j = rng.randrange(200), rng.randrange(200)
             e = beta(left[i], right[j], q)
-            assert np.array_equal(simgroups._decode(int(codes[i * 200 + j]), q), e)
+            assert np.array_equal(simgroups._decode(int(codes[j * 200 + i]), q), e)
             assert det2(left[i], q) * det2(right[j], q) % q == similitude_factor(e, q)
 
     @pytest.mark.parametrize("q", EXHAUSTIVE_Q)
@@ -381,6 +383,54 @@ class TestClosedFormKernels:
         for left, right in ((mats[:0], mats), (mats, mats[:0])):
             codes = simgroups._beta_codes(left, right, 3)
             assert codes.shape == (0,) and codes.dtype == np.int64
+
+    @pytest.mark.parametrize("q", SUPPORTED_Q)
+    def test_float32_products_are_exact(self, q):
+        """Every float32 product multiplies residues in [0, q), so its partial sums only grow, up
+        to inner dimension times (q - 1)^2: below 2^24, where float32 holds every integer, and
+        below 2^15, where the int16 that reduces the product does."""
+        mats = gl2_elements(q)
+        pool = _norm_vectors(q)[1]
+        frames = [_modinv(lam, q) * simgroups._coset_representative(q, lam).T % q for lam in range(1, q)]
+        products = {  # name: (operands, inner dimension)
+            "_factors": ([mats, *simgroups._factor_bases(q)], 4),
+            "_pair_codes fold": ([*frames, simgroups._left_factors(mats, q)], 4),
+            "_pair_codes table": ([simgroups._right_columns(mats, q)[0], simgroups._left_factors(mats, q)], 4),
+            "_o4_frames": ([pool], 4),
+            "_o4_columns": ([simgroups._o4_frames(pool, q), simgroups._so3_columns(q)[0]], 3),
+        }
+        for name, (operands, inner) in products.items():
+            for x in operands:
+                assert np.array_equal(x, np.round(x)) and 0 <= x.min() and x.max() < q, name
+            assert inner * (q - 1) ** 2 < 2**15 < 2**24, name
+
+    @pytest.mark.parametrize("q", SUPPORTED_Q)
+    def test_factors_match_the_three_matrix_product(self, q):
+        """L(g) and R(g) by their basis images against C^-1 (g (x) I) C and C^-1 (I (x) g) C on
+        int64, over all of GL2; col names each column of R(g) among the distinct ones."""
+        mats = gl2_elements(q)
+        C, Cinv = simgroups._det_frame(q)
+        eye = np.eye(2, dtype=np.int64)[None]
+        assert np.array_equal(simgroups._left_factors(mats, q), Cinv @ np.kron(mats, eye) @ C % q)
+        cols, col = simgroups._right_columns(mats, q)
+        assert np.unique(cols, axis=1).shape == cols.shape  # distinct columns
+        assert np.array_equal(cols[:, col].transpose(1, 0, 2), Cinv @ np.kron(eye, mats) @ C % q)
+
+    @pytest.mark.parametrize("q", [11, 13])
+    def test_pulled_back_blocks_past_q_7(self, q):
+        """_pair_codes with the pull-back frame of class d e, on two sampled (d, e) blocks of
+        T x GL2, against the row oracle pulled back by its own decode and encode."""
+        mats = gl2_elements(q)
+        transversal = simgroups._scalar_transversal(mats)
+        t_dets, g_dets = ((m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]) % q for m in (transversal, mats))
+        rng = np.random.default_rng(q)
+        for d, e in rng.choice([(d, e) for d in range(1, q) for e in range(1, q) if d * e % q != 1], 2).tolist():
+            lam = d * e % q
+            frame = _modinv(lam, q) * simgroups._coset_representative(q, lam).T % q
+            left, right = transversal[t_dets == d], mats[g_dets == e]
+            lhs, (cols, col) = simgroups._left_factors(left, q), simgroups._right_columns(right, q)
+            codes = simgroups._pair_codes(frame, lhs, cols, col, q)
+            assert np.array_equal(codes, pull_back(frame, beta_codes_by_rows(left, right, q), q))
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
     def test_mod_matches_remainder(self, dtype):
@@ -470,7 +520,7 @@ class TestClosedFormKernels:
         full = simgroups._beta_codes(mats, mats, q)
         assert np.array_equal(np.unique(full), np.unique(simgroups._beta_codes(transversal, mats, q)))
         id_code = _encode(I4.reshape(1, 16), q)[0]
-        hits = [(tuple(mats[k // n].ravel()), tuple(mats[k % n].ravel())) for k in np.flatnonzero(full == id_code)]
+        hits = [(tuple(mats[k % n].ravel()), tuple(mats[k // n].ravel())) for k in np.flatnonzero(full == id_code)]
         scalar = lambda c: (c, 0, 0, c)
         assert sorted(hits) == [(scalar(c), scalar(pow(c, -1, q))) for c in range(1, q)]
 
@@ -556,7 +606,9 @@ def verify_gso_presentation_whole_set(q):
     image_codes = simgroups._sorted_unique(codes)
 
     id_code = int(_encode(I4.reshape(1, 16), q)[0])
-    t_idx, g_idx = np.divmod(np.flatnonzero(codes == id_code), n)
+    g_idx, t_idx = np.divmod(np.flatnonzero(codes == id_code), len(transversal))  # codes come right-major
+    order = np.lexsort((g_idx, t_idx))  # row-major (t, g) order
+    t_idx, g_idx = t_idx[order], g_idx[order]
     kernel_pairs = np.stack([transversal[t_idx], mats[g_idx]], axis=1)
     bad_pairs = kernel_pairs[~(kernel_pairs == np.eye(2, dtype=np.int64)).all(axis=(1, 2, 3))]
 
