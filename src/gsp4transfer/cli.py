@@ -283,8 +283,6 @@ def _cmd_poles(args) -> tuple[dict | None, int]:
         "seed": args.seed,
         "sweep": {"s": [], "values": []},
     }
-    if args.format == "csv" and args.mode == "symbolic":
-        raise UsageError("csv output needs --mode numeric or both")
     if args.mode in ("numeric", "both"):
         try:
             reps = synthetic_reps(descriptors, args.seed, args.X)
@@ -387,10 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command.  A ``--format`` the command cannot render is refused
-    first, before the command runs.  The command returns its payload (None
-    when nothing goes to stdout) and exit code, or raises ``ValueError``;
-    here alone the payload is rendered and written, and an error becomes
-    ``error: ...`` on stderr with exit code 2."""
+    first, before the command runs, and so is ``poles --format csv`` with
+    ``--mode symbolic``, which has no sweep to render.  The command returns
+    its payload (None when nothing goes to stdout) and exit code, or raises
+    ``ValueError``; here alone the payload is rendered and written, and an
+    error becomes ``error: ...`` on stderr with exit code 2."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -401,6 +400,8 @@ def main(argv=None) -> int:
         render = {"json": _json_text, **args.render}.get(args.format)
         if render is None:
             raise UsageError(f"{args.format} format is not available for this command")
+        if args.format == "csv" and getattr(args, "mode", None) == "symbolic":
+            raise UsageError("csv output needs --mode numeric or both")
         payload, code = args.func(args)
         if payload is not None:
             text = render(payload)

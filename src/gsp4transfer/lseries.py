@@ -17,13 +17,21 @@ and almost none of the multiplicity signal, so the fit window drops places
 below a floor; the pole order is insensitive to any finite set of local
 factors, which is the point of working with partial L-functions.
 
-A partial product runs over blocks of at most ``SWEEP_BLOCK`` places, each
-symbol's rows copied into one contiguous (parameter, place) array, so its
-work arrays do not grow with X.  A block that is a run of a symbol's places,
-as every block over sieved primes is, reads its rows as a slice; the primes
-up to X are sieved once and shared by every call at that X.  The exact
-local pole check runs only at places where a bound on |z|, one product per
-place, reaches 1/2.
+A partial product is exp(-sum of log(1 - z)), z running over the root
+pairs a_i b_j q^-(s + shift) of every place.  It runs over blocks of at most
+``SWEEP_BLOCK`` places, each symbol's rows copied into one contiguous
+(parameter, place) array, so its work arrays do not grow with X.  The rows
+of a window that is a run of a symbol's places, as every window over sieved
+primes is, are a slice, read by each block as a view; the primes up to X
+are sieved once and shared by every call at that X.  A bound on |z|, one
+product per place, splits each block once.  Where it is at most 1/32 the
+logs are summed as the series log L_q = sum_m tr(A_q^m) tr(B_q^m) q^-ms / m
+of the two sums' Satake parameters A_q and B_q, by power sums, to one order
+per block and a tail of at most 2^-60 per place; every place above 100 at
+X = 10^5 and s in the default grid is summed so, within about 1e-13 in
+log|L| of a per-term log1p summed exactly.  Elsewhere the product of the
+1 - z is taken per factor and place, with the exact local pole check where
+the bound reaches 1/2.
 
 Synthetic local data is drawn from the Sato-Tate angle density
 (2/pi) sin^2(theta), the image of Haar measure on SU(2), in closed form:
@@ -32,8 +40,9 @@ cos(theta) is the x-coordinate of a uniform point of the unit disc.
 A weight-12 eigenvalue table provides a real-world fixture.  Its exact
 coefficients tau(n) come from the square of a sparse series, one
 scatter-add, and six more products by that series on int64 residues modulo
-two primes below 2^47, lifted by the Chinese remainder theorem; the lift is
-proven exact for n < 2^15 and refuses larger n.
+two primes below 2^47; the residues at the primes alone are lifted, by
+Garner's formula on Python ints.  The lift is proven exact for n < 2^15 and
+refuses larger n.
 """
 
 from __future__ import annotations
@@ -59,13 +68,15 @@ DEFAULT_GRID = (1.30, 1.20, 1.12, 1.06, 1.03)
 DEFAULT_MIN_PLACE = 100  # fit window floor: drop places q <= this
 DEFAULT_X = 100_000
 # Largest sieve bound.  With a blocked sweep, `poles --mode both` peaks at about
-# 73 MB at X = 10^6, 105 MB at 3 x 10^6 and 245 MB at this bound (Python 3.11,
+# 60 MB at X = 10^6, 100 MB at 3 x 10^6 and 231 MB at this bound (Python 3.11,
 # numpy 2.4, Linux); the symbols' data and the sieve grow with X, the sweep's
 # work arrays do not.
 MAX_X = 10**7
 
 _POLE_EPS = 1e-12
-SWEEP_BLOCK = 2**15  # places per block of a partial product
+SWEEP_BLOCK = 2**11  # places per block of a partial product
+_SERIES_CUT = 2.0**-5  # places whose every |z| is at most this take power sums, 12 orders at 16 pairs
+_SERIES_TAIL = 2.0**-60  # truncation error of the power sums allowed per place
 
 
 class LocalPole(ArithmeticError):
@@ -103,54 +114,162 @@ def _sweep_values(r1: IsobaricRep, r2: IsobaricRep, qs: np.ndarray, s_values) ->
     """Partial product over the places ``qs`` at each s, real or complex.
 
     The places are taken in blocks of at most ``SWEEP_BLOCK``, so that the
-    work arrays have a fixed size whatever X is.  Each block gives a real
-    total and a unit phase (see ``_sweep_block``); the totals add and the
-    phases multiply.  The value is exp(-(total + i arg phase)), so it
+    work arrays have a fixed size whatever X is.  Each block gives the
+    complex sum of log(1 - z) over its places and root pairs (see
+    ``_sweep_block``), and the sums add.  The value is exp(-total), so it
     overflows to inf and underflows to 0 as a sum of logs does, never to
-    NaN.  A block looks up every symbol's rows before its first factor, so
-    missing local data is reported before a pole in the same block.
+    NaN.  Every symbol's rows are looked up, at every place, before the
+    first block, so missing local data is reported before any pole.
 
-    Accuracy: numpy's complex abs rounds |w| near 1 low by about a third of
-    an ulp on average, so |value| can read high by up to about 5e-17 per
-    place and factor (1e-12 relative for a 2 + 2 pairing at X = 10^5)."""
+    Accuracy: each place is summed by power sums or by the product, never
+    by both.  At X = 10^5 and s in the default grid every place above 100
+    is summed by power sums, and log|value| of a 2 + 2 pairing is off by
+    about 10^-13 at most (see ``_series_logs``).  A place summed by the
+    product adds a relative error of a few ulps per root pair to its w,
+    that is about 10^-16 per root pair to log|value|."""
     s = np.asarray(s_values, dtype=complex)
     factors = [(float(f.shift), f.sigma, f.tau) for f in rs_factorization(r1, r2)]
     symbols = {id(sym): sym for _, sigma, tau in factors for sym in (sigma, tau)}  # each recurs across factors
-    total = np.zeros(len(s))
-    phase = np.ones(len(s), dtype=complex)
+    sides = [[(id(sym), float(r)) for sym, r in rep.terms] for rep in (r1, r2)]
+    rows = {key: rows_at(sym, qs) for key, sym in symbols.items()}  # every place, before the first block
+    total = np.zeros(len(s), dtype=complex)
     for start in range(0, len(qs), SWEEP_BLOCK):
-        block = qs[start:start + SWEEP_BLOCK]
-        # each symbol's rows as one contiguous (parameter, place) array
-        local = {key: np.ascontiguousarray(sym.params[rows_at(sym, block)].T) for key, sym in symbols.items()}
-        block_total, block_phase = _sweep_block(s, factors, local, block)
-        total += block_total
-        phase *= block_phase
-    return np.exp(-(total + 1j * np.angle(phase)))
+        block = slice(start, start + SWEEP_BLOCK)
+        local = {}  # each symbol's rows as one contiguous (parameter, place) array
+        for key, sym in symbols.items():
+            # a slice of the symbol's rows is a view; an array of rows is gathered a block at a time
+            index = rows[key]
+            local[key] = np.ascontiguousarray((sym.params[index][block] if isinstance(index, slice)
+                                               else sym.params[index[block]]).T)
+        total += _sweep_block(s, factors, sides, local, qs[block])
+    return np.exp(-total)
 
 
-def _sweep_block(s: np.ndarray, factors, local: dict, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sum of log|w| and the product of w / |w| over one block of places,
-    at each s, w running over every factor's local values.
+def _sweep_block(s: np.ndarray, factors, sides, local: dict, qs: np.ndarray) -> np.ndarray:
+    """The sum of log(1 - z) over one block of places, at each s, z running
+    over every factor's a_i b_j q^-(s + shift); its imaginary part is a sum
+    of arguments of the 1 - z.
+
+    ``local`` holds each symbol's (parameter, place) array, keyed by ``id``
+    of the symbol, and ``sides`` the (key, twist r) terms of the two
+    isobaric sums.  Each side's parameters, twisted by q^-r, are stacked
+    once: their largest moduli L1 and L2 per place give the bound
+    L1 L2 q^-(min Re s) on every |z|, the largest of the factors' bounds
+    max|a| max|b| q^-(min Re s + shift).  It splits the block once: the
+    places where the bound is at most ``_SERIES_CUT`` are summed by power
+    sums (``_series_logs``), the others by the product of the 1 - z
+    (``_product_logs``).  A bound that is NaN, an overflowing factor times
+    an underflowing one, is not at most the cut, so its place takes the
+    product."""
+    logq = np.log(np.asarray(qs, dtype=float))
+    twists = {r: np.exp(-r * logq) for side in sides for _, r in side if r}
+    params = np.concatenate([local[key] * twists[r] if r else local[key] for side in sides for key, r in side])
+    split = sum(len(local[key]) for key, _ in sides[0])  # rows of the first side
+    moduli = np.abs(params)
+    lead = (moduli[:split].max(axis=0), moduli[split:].max(axis=0))
+    bound = lead[0] * lead[1] * np.exp(-s.real.min() * logq)
+    far = bound <= _SERIES_CUT
+    if far.all():
+        return _series_logs(s, params, split, lead, logq, bound)
+    near = ~far
+    total = _product_logs(s, factors, {key: x[:, near] for key, x in local.items()}, logq[near])
+    if far.any():
+        total += _series_logs(s, params[:, far], split, (lead[0][far], lead[1][far]), logq[far], bound[far])
+    return total
+
+
+def _series_order(pairs: int, beta: float) -> int:
+    """The least order M to which the power sums run at places whose bounds
+    on |z| are at most ``beta``, itself at most ``_SERIES_CUT``.
+
+    Summed to order M, a place of bound beta is left with a tail of at most
+    pairs beta^(M+1) / ((M+1)(1 - beta)) (see ``_series_logs``); M is the
+    least order that takes it to ``_SERIES_TAIL``.  The tail grows with
+    beta, so the order of a block's largest bound covers all its places.
+    With 16 pairs, M is 12 at the cut and 8 at beta = 101^-1.03."""
+    order = 0
+    while pairs * beta ** (order + 1) / ((order + 1) * (1 - beta)) > _SERIES_TAIL:
+        order += 1
+    return order
+
+
+def _series_logs(s: np.ndarray, params: np.ndarray, split: int, lead, logq: np.ndarray,
+                 bound: np.ndarray) -> np.ndarray:
+    """The sum of log(1 - z) over places where every |z| is at most the
+    place's ``bound``, itself at most ``_SERIES_CUT``, by power sums.
+
+    ``params`` holds the twisted parameters a_i of the first isobaric sum
+    in its first ``split`` rows and the b_j of the second in the others;
+    ``lead`` holds the largest moduli L1 and L2 of the two, per place.  For
+    |z| < 1, log(1 - z) = -sum_m z^m / m, and the root pairs at a place are
+    the a_i b_j x, x = q^-s.  Since tr((A (x) B)^m) = tr(A^m) tr(B^m),
+    sum_ij (a_i b_j)^m = p_m(a) p_m(b), p_m(a) = sum_i a_i^m.  With the
+    parameters scaled to modulus at most 1, a_i = L1 u_i and b_j = L2 v_j,
+    and y = L1 L2 x, the place adds -sum_m p_m(u) p_m(v) y^m / m.  Every
+    place runs to the order M of the largest bound (``_series_order``): one
+    table of powers each for the u, v and y, and one matrix product per
+    order sums over the places.  When every s is real, as on the pole grid,
+    y is a real exp and the product a real one on the (re, im) pairs of the
+    coefficients, which saves about a tenth of a ``poles`` pass over complex
+    y at real s.
+    Range: each isobaric sum has a term with twist r <= 0, its twists
+    summing to 0 weighted by degree, and a symbol's parameters have finite
+    inverses, so 1 / L1 and 1 / L2 are finite.  |u_i|, |v_j| <= 1,
+    |p_m(u) p_m(v)| <= K for the K pairs and |y| <= beta, the place's
+    bound, so nothing overflows, and what underflows is below 2^-1022 in
+    modulus; no 1 - z is formed, and every |1 - z| is at least 31/32, so
+    no pole check is needed.
+    Truncation: |p_m(u) p_m(v) y^m| <= K beta^m, so the orders past M add
+    up to at most K beta^(M+1) / ((M+1)(1 - beta)) at a place, at most 2^-60.
+    The computed bound is within a few ulps of the exact one wherever the
+    powers q^-(min Re s) are normal floats, which moves that tail by a
+    relative 10^-13 at most.
+    Rounding: each term p_m(u) p_m(v) y^m / m is within about
+    (3m + K) 2^-53 K beta^m of its exact value, so a place is within about
+    (3M + K) 2^-53 K beta / (1 - beta), 6e-16 at K = 16, M = 8 and
+    beta = 0.0086, the bound at q = 101 and s = 1.03, and less as beta
+    falls."""
+    order = _series_order(split * (len(params) - split), float(bound.max()))
+    if not order:
+        return np.zeros(len(s), dtype=complex)
+    u = params  # scaled in place
+    u[:split] *= (1 / lead[0]).astype(complex)
+    u[split:] *= (1 / lead[1]).astype(complex)
+    real = not s.imag.any()
+    y = np.exp(-np.multiply.outer(s.real if real else s, logq))
+    y *= lead[0] * lead[1]
+    powers = np.empty((order,) + u.shape, dtype=complex)  # (order, parameter, place)
+    ypow = np.empty((order,) + y.shape, dtype=y.dtype)  # (order, s, place)
+    powers[0], ypow[0] = u, y
+    for k in range(1, order):
+        np.multiply(powers[k - 1], u, out=powers[k])
+        np.multiply(ypow[k - 1], y, out=ypow[k])
+    c = powers[:, :split].sum(axis=1)
+    c *= powers[:, split:].sum(axis=1)
+    c *= (1 / np.arange(1, order + 1))[:, None]
+    if real:  # a real matrix product on the (place, re and im) pairs of c
+        sums = (ypow @ c.view(float).reshape(c.shape + (2,))).sum(axis=0)
+        return -(sums[:, 0] + 1j * sums[:, 1])
+    return -(ypow @ c[:, :, None]).sum(axis=(0, 2))
+
+
+def _product_logs(s: np.ndarray, factors, local: dict, logq: np.ndarray) -> np.ndarray:
+    """The sum of log(1 - z) over places by the product: per factor and
+    place, w = prod (1 - z) over the factor's k root pairs, by k - 1
+    multiplies, and then one complex log, which takes |w| near 1 by log1p.
 
     Per Rankin-Selberg factor, z = a_i b_j q^-(s + shift) is one broadcast
     over (s, parameter pair, place), on the (parameter, place) arrays of
-    ``local``, keyed by ``id`` of the symbol.  The factor's local value at q
-    is 1 / w, w the product of 1 - z over its k parameter pairs, taken by
-    k - 1 multiplies.  Each w is split once into modulus and phase: log|w|,
-    one real log per place, and w / |w|.
-
-    A pole needs |1 - z| < 1e-12, so |z| near 1.  The bound max|a| max|b|
-    q^-(min Re s + shift) on |z| at a place is one product per place, max|a|
-    taken once per symbol; the exact check runs only on the places where the
-    bound reaches 1/2, and rounding moves neither the bound nor |z| by
-    anything near that margin.
+    ``local``, keyed by ``id`` of the symbol.  A pole needs
+    |1 - z| < 1e-12, so |z| near 1.  The bound max|a| max|b|
+    q^-(min Re s + shift) on |z| at a place is one product per place,
+    max|a| taken once per symbol; the exact check runs only on the places
+    where the bound reaches 1/2, and rounding moves neither the bound nor
+    |z| by anything near that margin.
     Range: the pole check keeps every |1 - z| >= 1e-12 and k <= 16, so w
     cannot underflow; it overflows only where |z| passes 2^(1024 / k), and a
     factor where it does sums the logs of its k terms instead."""
-    logq = np.log(np.asarray(qs, dtype=float))
-    total = np.zeros(len(s))
-    phase = np.ones(len(s), dtype=complex)
-    r = np.empty((len(s), len(qs)))  # |w|, then log|w|, for every factor
+    total = np.zeros(len(s), dtype=complex)
     powers = {}  # q^-(s + shift) and the bound on its modulus, per distinct shift
     largest = {key: np.abs(x).max(axis=0) for key, x in local.items()}  # max |parameter| per place
     for shift, sigma, tau in factors:
@@ -160,7 +279,7 @@ def _sweep_block(s: np.ndarray, factors, local: dict, qs: np.ndarray) -> tuple[n
         power, bound = powers[shift]
         a, b = local[id(sigma)], local[id(tau)]
         # (pair, place), so that each pair's slice of z is a contiguous row per s
-        lam = (a[:, None, :] * b[None, :, :]).reshape(len(a) * len(b), len(qs))
+        lam = (a[:, None, :] * b[None, :, :]).reshape(len(a) * len(b), len(logq))
         z = lam * power[:, None, :]
         near = largest[id(sigma)] * largest[id(tau)] * bound >= 0.5
         if near.any():
@@ -185,18 +304,12 @@ def _sweep_block(s: np.ndarray, factors, local: dict, qs: np.ndarray) -> tuple[n
         with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
             for j in range(1, z.shape[1]):
                 w *= z[:, j]
-        np.abs(w, out=r)
-        if np.isfinite(r).all():
-            w /= r
-            np.log(r, out=r)
+        if np.isfinite(w).all():
+            total += np.log(w).sum(axis=1)
         else:  # the product left the float range: sum the logs of its factors
-            logw = np.log1p(-(lam * power[:, None, :])).sum(axis=1)
-            np.exp(1j * logw.imag, out=w)
-            r[...] = logw.real
-        phase *= w.prod(axis=1)
-        total += r.sum(axis=1)
+            total += np.log1p(-(lam * power[:, None, :])).sum(axis=(1, 2))
         del lam, z, w  # so that the next factor's z is not allocated beside this one
-    return total, phase
+    return total
 
 
 def partial_L(
@@ -400,12 +513,16 @@ class EigenvalueRow:
     beta: complex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenvalueTable:
     """Hecke data of the weight-``DELTA_WEIGHT`` cusp form, with normalized
-    Satake parameters."""
+    Satake parameters: one row per prime, and the same primes and
+    parameters as the arrays a symbol takes, ``qs`` (int64) and ``params``
+    ((P, 2) complex)."""
 
     rows: tuple[EigenvalueRow, ...]
+    qs: np.ndarray
+    params: np.ndarray
 
 
 # The two largest primes below 2^47; their product M, about 2^94, is the range of the lift.
@@ -413,28 +530,24 @@ _TAU_MODULI = (140737488355213, 140737488355201)
 
 
 @lru_cache(maxsize=4)
-def _discriminant_coeffs(n: int) -> tuple[int, ...]:
-    """Coefficients of prod_{m>=1} (1 - x^m)^24 up to x^(n-1), exact integers,
+def _discriminant_residues(n: int) -> np.ndarray:
+    """Coefficients of prod_{m>=1} (1 - x^m)^24 up to x^(n-1), as residues
+    modulo the two primes ``_TAU_MODULI``: a read-only (2, n) int64 array,
     for n < 2^15; larger n is refused.
 
     The cube of the product is the sparse triangular-number series
     T = sum_k (-1)^k (2k+1) x^{k(k+1)/2} of K terms, and the 24th power is
     T^8, built without any dense-times-dense convolution: T^2 by one int64
     scatter-add of the K^2 pair products (|coefficients| at most
-    (sum |2k+1|)^2 = K^4 <= 2^32), reduced modulo the two primes
-    ``_TAU_MODULI``, then six sparse products by T on those residues, through
-    one reused product buffer.  A product adds its K shifted copies
-    unreduced and reduces once.  The K coefficients have |2k+1| summing to
-    K^2, and K <= 2^8 for n < 2^15; every product starts from residues, so
-    the unreduced sums are at most K^2 (m - 1) < 2^16 2^47 = 2^63 and never
-    wrap.  The residues are lifted to signed integers by the Chinese
-    remainder theorem, which is exact while |tau(m)| < M / 2 for m <= n; by
-    Deligne, |tau(m)| <= d(m) m^(11/2) <= 2 m^6, and M, about 2^94, is above
-    4 (2 n^6) for n < 2^15.
+    (sum |2k+1|)^2 = K^4 <= 2^32), reduced modulo the two primes, then six
+    sparse products by T on those residues, through one reused product
+    buffer.  A product adds its K shifted copies unreduced and reduces once.
+    The K coefficients have |2k+1| summing to K^2, and K <= 2^8 for
+    n < 2^15; every product starts from residues, so the unreduced sums are
+    at most K^2 (m - 1) < 2^16 2^47 = 2^63 and never wrap.
     """
     if n >= 2**15:
         raise OverflowError(f"coefficients up to x^{n - 1} may exceed the lift range")
-    modulus = math.prod(_TAU_MODULI)
     sparse = []
     k = 0
     while k * (k + 1) // 2 < n:
@@ -455,43 +568,64 @@ def _discriminant_coeffs(n: int) -> tuple[int, ...]:
             np.multiply(cur[:, : n - e], coef, out=term[:, : n - e])
             new[:, e:] += term[:, : n - e]
         np.remainder(new, moduli, out=cur)
-    basis = np.array([(modulus // p) * pow(modulus // p, -1, p) for p in _TAU_MODULI], dtype=object)
-    lifted = basis @ cur.astype(object) % modulus
-    return tuple(np.where(2 * lifted > modulus, lifted - modulus, lifted).tolist())
+    cur.flags.writeable = False
+    return cur
 
 
-def _normalized_pair(a_p: int, p: int) -> tuple[complex, complex]:
-    t = a_p / p ** ((DELTA_WEIGHT - 1) / 2)
-    disc = 4.0 - t * t
-    if disc >= 0:
-        alpha = complex(t / 2.0, math.sqrt(disc) / 2.0)
-        return alpha, alpha.conjugate()
-    root = math.sqrt(-disc) / 2.0
-    return complex(t / 2.0 + root), complex(t / 2.0 - root)
+def _discriminant_coeffs(n: int, at: np.ndarray | None = None) -> tuple[int, ...]:
+    """Coefficients of prod_{m>=1} (1 - x^m)^24 at the exponents ``at``, all
+    of them below n, as exact integers; by default at every exponent below
+    n, for n < 2^15 (see ``_discriminant_residues``).
+
+    The residues r1, r2 modulo m1, m2 are lifted by Garner's formula on
+    Python ints: x = r1 + m1 ((r2 - r1) m1^-1 mod m2) is the one integer in
+    [0, M), M = m1 m2, with those residues, and x - M is taken when
+    2 x > M.  That is exact while |tau(m)| < M / 2 for every m <= n; by
+    Deligne, |tau(m)| <= d(m) m^(11/2) <= 2 m^6, and M, about 2^94, is
+    above 4 (2 n^6) for n < 2^15.
+    """
+    residues = _discriminant_residues(n)
+    if at is not None:
+        residues = residues[:, at]
+    m1, m2 = _TAU_MODULI
+    modulus = m1 * m2
+    inverse = pow(m1, -1, m2)
+    lifted = (r1 + m1 * ((r2 - r1) * inverse % m2) for r1, r2 in zip(*residues.tolist()))
+    return tuple(x - modulus if 2 * x > modulus else x for x in lifted)
 
 
 def delta_eigenvalues(N: int) -> EigenvalueTable:
     """Eigenvalue table of the weight-12 cusp form for primes p <= N.
 
-    a_p is the p-th coefficient of x * prod (1 - x^m)^24, computed exactly;
-    alpha, beta are the normalized parameters with alpha * beta = 1 and
-    alpha + beta = a_p / p^(11/2).
+    a_p is the p-th coefficient of x * prod (1 - x^m)^24, computed exactly,
+    only at the primes; alpha, beta are the normalized parameters with
+    alpha * beta = 1 and alpha + beta = t = a_p / p^(11/2), the roots
+    t / 2 +- sqrt(t^2 / 4 - 1): a conjugate pair on the unit circle where
+    |t| <= 2, as Deligne's bound has it, and two reals otherwise.
     """
     if N > 10_000:
         raise ValueError("fixture is desk-scale: N <= 10^4")
-    coeffs = _discriminant_coeffs(max(N, 1))
-    rows = []
-    for p in primes_up_to(N):
-        a_p = coeffs[p - 1]
-        alpha, beta = _normalized_pair(a_p, p)
-        rows.append(EigenvalueRow(p, a_p, alpha, beta))
-    return EigenvalueTable(tuple(rows))
+    qs = _prime_array(N)
+    a_p = _discriminant_coeffs(max(N, 1), qs - 1)
+    # one float power per prime, as Python takes it: numpy's own can differ in the last bit
+    t = np.array(a_p, dtype=float) / np.array([p ** ((DELTA_WEIGHT - 1) / 2) for p in qs.tolist()])
+    disc = 4.0 - t * t
+    half, root = t / 2.0, np.sqrt(np.abs(disc)) / 2.0
+    circle = disc >= 0
+    params = np.empty((len(qs), 2), dtype=complex)
+    parts = params.view(float)  # columns re alpha, im alpha, re beta, im beta
+    parts[:, 0] = np.where(circle, half, half + root)
+    parts[:, 1] = np.where(circle, root, 0.0)
+    parts[:, 2] = np.where(circle, half, half - root)
+    parts[:, 3] = np.where(circle, -root, 0.0)
+    params.flags.writeable = False
+    rows = tuple(map(EigenvalueRow, qs.tolist(), a_p, params[:, 0].tolist(), params[:, 1].tolist()))
+    return EigenvalueTable(rows, qs, params)
 
 
 def eigen_symbol(registry: SymbolRegistry, sid: str, table: EigenvalueTable):
     """Register a self-dual degree-2 symbol carrying the table's parameters."""
-    return registry.create(sid, 2, central_char="1", self_dual=True,
-                           qs=[r.p for r in table.rows], params=[(r.alpha, r.beta) for r in table.rows])
+    return registry.create(sid, 2, central_char="1", self_dual=True, qs=table.qs, params=table.params)
 
 
 # ---------------------------------------------------------------------------

@@ -821,6 +821,16 @@ class TestPoles:
         code, _, err = run(capsys, "poles", "--in", path, "--format", "csv")
         assert code == 2 and "numeric" in err
 
+    def test_csv_with_symbolic_mode_is_refused_before_the_document_is_read(self, capsys, monkeypatch, tmp_path):
+        refusal = (2, "", "error: csv output needs --mode numeric or both\n")
+        missing = str(tmp_path / "missing.json")
+        assert run(capsys, "poles", "--in", missing, "--format", "csv") == refusal
+        reads = []
+        monkeypatch.setattr(cli, "_read_json", lambda *args: reads.append(args))
+        path = write_doc(tmp_path, lifted_pair_doc(dual_second=True))
+        assert run(capsys, "poles", "--in", path, "--mode", "symbolic", "--format", "csv") == refusal
+        assert reads == []
+
     def test_duplicate_constituents_exit_one(self, capsys, tmp_path):
         doc = lifted_pair_doc(dual_second=True)
         doc["descriptors"][0]["terms"] = ["P1", "P1"]

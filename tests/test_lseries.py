@@ -16,6 +16,7 @@ from gsp4transfer.isobaric import (
     SymbolRegistry,
     isobaric,
     load_document,
+    rs_factorization,
 )
 from gsp4transfer.lseries import (
     DEFAULT_GRID,
@@ -603,6 +604,154 @@ class TestSyntheticReps:
         CuspidalSymbol("big", 1, "big", "1", [2, satake.PRIME_POWER_TABLE_CAP, 10**18 + 3], [1, 1, 1])
         assert calls == [satake.PRIME_POWER_TABLE_CAP, 10**18 + 3]
 
+
+def fsum_log_oracle(r1, r2, qs, s):
+    """The sum of log(1 - z) over the places ``qs`` and every factor's root
+    pairs, z = a_i b_j q^-(s + shift): one ``np.log1p`` per term, the real
+    and imaginary parts each added by ``math.fsum``."""
+    qs = np.asarray(qs, dtype=np.int64)
+    logq = np.log(qs.astype(float))
+    re, im = [], []
+    for f in rs_factorization(r1, r2):
+        a = f.sigma.params[np.searchsorted(f.sigma.qs, qs)]
+        b = f.tau.params[np.searchsorted(f.tau.qs, qs)]
+        x = np.exp(-(complex(s) + float(f.shift)) * logq)
+        terms = np.log1p(-(a[:, :, None] * b[:, None, :]).reshape(len(qs), -1) * x[:, None]).ravel()
+        re += terms.real.tolist()
+        im += terms.imag.tolist()
+    return complex(math.fsum(re), math.fsum(im))
+
+
+# two non-self-dual symbols under a character chi, paired with their duals as in case 3b
+CHI_DOC = {
+    "symbols": [{"id": sid, "degree": 2, "dual": sid + "d", "central_char": "chi"} for sid in "AB"],
+    "descriptors": [
+        {"from_gso": True, "terms": ["A", "B"], "gross_char": "chi"},
+        {"from_gso": True, "terms": ["Ad", "Bd"], "gross_char": "~chi"},
+    ],
+}
+
+
+class TestSeriesSweep:
+    """The sweep against ``fsum_log_oracle``.  A place whose bound on every
+    |z| is at most 1/32 is summed by power sums, any other by the product of
+    the 1 - z; each test says which places take which, and the error it
+    allows."""
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        """How many places each summation receives."""
+        seen = {"product": 0, "series": 0}
+        product, series = lseries._product_logs, lseries._series_logs
+
+        def spy_product(s, factors, local, logq):
+            seen["product"] += len(logq)
+            return product(s, factors, local, logq)
+
+        def spy_series(s, params, split, lead, logq, bound):
+            seen["series"] += len(logq)
+            return series(s, params, split, lead, logq, bound)
+
+        monkeypatch.setattr(lseries, "_product_logs", spy_product)
+        monkeypatch.setattr(lseries, "_series_logs", spy_series)
+        return seen
+
+    @pytest.mark.parametrize("doc", [CHI_DOC, SYNTHETIC_DOC], ids=["chi", "self-dual"])
+    def test_benchmark_window_takes_power_sums_only(self, paths, doc):
+        """The places in (100, 10^5] at the default grid, as ``poles`` sweeps
+        them: every bound is at most 101^-1.03 < 1/32.  The rounding bound
+        of ``_series_logs`` adds up to about 6e-14 over the window, and the
+        sums over places add about as much again; log|L| and the phase are
+        held to 5e-13."""
+        X = 100_000
+        r1, r2 = synthetic_reps(load_document(doc)[1], 11, X)
+        primes = lseries._prime_array(X)
+        window = primes[primes > 100]
+        values = lseries._sweep_values(r1, r2, window, DEFAULT_GRID)
+        assert paths == {"product": 0, "series": len(window)}
+        for s, v in zip(DEFAULT_GRID, values):
+            total = fsum_log_oracle(r1, r2, window, s)
+            assert abs(math.log(abs(v)) + total.real) <= 5e-13
+            assert abs(v / cmath.exp(-total) - 1) <= 5e-13
+
+    def test_near_and_far_places_in_one_block(self, paths):
+        """The 430 primes up to 3000, one block, at s = 1.2 and 1.03: the
+        bound q^-1.03 passes 1/32 at the nine primes below 29, which take the
+        product, and the other 421 take power sums.  The product adds a few
+        ulps of w per root pair; the value is held to 1e-12 relative."""
+        X = 3000
+        r1, r2 = synthetic_reps(load_document(CHI_DOC)[1], 5, X)
+        qs = lseries._prime_array(X)
+        values = lseries._sweep_values(r1, r2, qs, [1.2, 1.03])
+        assert paths == {"product": 9, "series": 421}
+        for s, v in zip([1.2, 1.03], values):
+            assert abs(v / cmath.exp(-fsum_log_oracle(r1, r2, qs, s)) - 1) <= 1e-12
+
+    @pytest.mark.parametrize("s", [1.5 + 3.3j, 0.75 - 20j])
+    def test_complex_s(self, paths, s):
+        """Complex s over the primes up to 2 10^4, three blocks, q^-s a
+        complex exp; at Re s = 0.75 the 26 primes below 102 take the
+        product.  The value is held to 1e-12 relative."""
+        X = 20_000
+        r1, r2 = synthetic_reps(load_document(CHI_DOC)[1], 6, X)
+        v = partial_L(r1, r2, X, s)
+        assert abs(v / cmath.exp(-fsum_log_oracle(r1, r2, lseries._prime_array(X), s)) - 1) <= 1e-12
+        assert paths["series"] > 0 and paths["product"] == (26 if s.real < 1 else 4)
+
+    @pytest.mark.parametrize("s", [1.1, 0.9 + 2j])
+    def test_twisted_pairing(self, paths, s):
+        """Twists 1/7 and -1/7 on the first sum, so the factors' shifts are 0
+        and +-1/7: power sums take each side's parameters times q^-r, the
+        product q^-(s + shift) per factor.  The value is held to 1e-12
+        relative."""
+        X = 20_000
+        primes = primes_up_to(X)
+        reg = SymbolRegistry()
+        sigma = sato_tate_symbol(reg, "sigma", 3, primes)
+        tau = sato_tate_symbol(reg, "tau", 4, primes)
+        twisted = IsobaricRep(((sigma, Fraction(1, 7)), (tau, Fraction(-1, 7))))
+        plain = isobaric([sigma, tau])
+        v = partial_L(twisted, plain, X, s)
+        assert abs(v / cmath.exp(-fsum_log_oracle(twisted, plain, primes, s)) - 1) <= 1e-12
+        assert paths["product"] > 0 and paths["series"] > 0
+
+    def test_sixteen_pairs_just_under_the_cut(self, paths):
+        """A degree-4 symbol against its dual, 16 root pairs, on the 53
+        primes in (100, 400) at the real s that puts the bound at q = 101
+        about 3.5e-9 under 1/32: every place takes power sums, to order 12,
+        the most any block needs.  Per place the tail is at most
+        2^-60 and the rounding at most about (3 12 + 16) 2^-53 16 (1/32) /
+        (31/32), 3e-15; over the 53 places that is below 2e-13."""
+        qs = np.array([p for p in primes_up_to(400) if p > 100], dtype=np.int64)
+        reg = SymbolRegistry()
+        big = reg.create("Big", 4, qs=qs, params=np.concatenate(
+            [_sato_tate_params(8, len(qs)), 1j * _sato_tate_params(9, len(qs))], axis=1))
+        s = math.log(32) / math.log(101) * (1 + 1e-9)
+        assert lseries._series_order(16, float(np.exp(-s * math.log(101)))) == 12
+        r1, r2 = isobaric([big]), isobaric([big.dual()])
+        value = lseries._sweep_values(r1, r2, qs, [s])[0]
+        assert paths == {"product": 0, "series": len(qs)}
+        total = fsum_log_oracle(r1, r2, qs, s)
+        assert abs(math.log(abs(value)) + total.real) <= 2e-13
+        assert abs(value / cmath.exp(-total) - 1) <= 2e-13
+
+    @pytest.mark.parametrize("pairs", [1, 4, 16, 64])
+    def test_orders_cover_every_place(self, pairs):
+        """A block is summed to the least order M whose tail
+        pairs beta^(M+1) / ((M+1)(1 - beta)) is at most 2^-60 at its largest
+        bound beta; that order covers each place at its own bound."""
+        def tail(order, beta):
+            return pairs * beta ** (order + 1) / ((order + 1) * (1 - beta))
+
+        bound = lseries._SERIES_CUT * np.exp(-np.random.default_rng(pairs).uniform(0, 40, 500))
+        for largest in (bound.max(), lseries._SERIES_CUT):
+            bound[7] = largest
+            order = lseries._series_order(pairs, float(bound.max()))
+            assert all(tail(order, beta) <= 2.0**-60 for beta in bound)
+            assert tail(order - 1, bound.max()) > 2.0**-60
+        assert lseries._series_order(16, lseries._SERIES_CUT) == 12
+        assert lseries._series_order(16, 101 ** -1.03) == 8
+        assert lseries._series_order(16, 0.0) == 0
 
 class TestPoleEstimates:
     def setup_reps(self, X, seed=101):
