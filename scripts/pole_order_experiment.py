@@ -14,6 +14,8 @@ from pathlib import Path
 
 from gsp4transfer.isobaric import SymbolRegistry, isobaric, pole_order_at_one
 from gsp4transfer.lseries import (
+    DEFAULT_MIN_PLACE,
+    MAX_X,
     estimate_with_sweep,
     primes_up_to,
     sato_tate_symbol,
@@ -65,6 +67,8 @@ def main() -> int:
     )
     parser.add_argument("--out-dir", default="pole_experiment_out")
     args = parser.parse_args()
+    if not all(DEFAULT_MIN_PLACE < X <= MAX_X for X in args.bounds):
+        parser.error(f"every bound must lie in [{DEFAULT_MIN_PLACE + 1}, {MAX_X}]")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -29,9 +29,8 @@ logs are summed as the series log L_q = sum_m tr(A_q^m) tr(B_q^m) q^-ms / m
 of the two sums' Satake parameters A_q and B_q, by power sums, to one order
 per block and a tail of at most 2^-60 per place; every place above 100 at
 X = 10^5 and s in the default grid is summed so, within about 1e-13 in
-log|L| of a per-term log1p summed exactly.  Elsewhere the product of the
-1 - z is taken per factor and place, with the exact local pole check where
-the bound reaches 1/2.
+log|L| of a per-term log1p summed exactly.  Elsewhere the sum takes one
+log1p per root pair, with the exact local pole check on every z.
 
 Synthetic local data is drawn from the Sato-Tate angle density
 (2/pi) sin^2(theta), the image of Haar measure on SU(2), in closed form:
@@ -121,12 +120,11 @@ def _sweep_values(r1: IsobaricRep, r2: IsobaricRep, qs: np.ndarray, s_values) ->
     NaN.  Every symbol's rows are looked up, at every place, before the
     first block, so missing local data is reported before any pole.
 
-    Accuracy: each place is summed by power sums or by the product, never
-    by both.  At X = 10^5 and s in the default grid every place above 100
-    is summed by power sums, and log|value| of a 2 + 2 pairing is off by
-    about 10^-13 at most (see ``_series_logs``).  A place summed by the
-    product adds a relative error of a few ulps per root pair to its w,
-    that is about 10^-16 per root pair to log|value|."""
+    Accuracy: each place is summed by power sums or by one log1p per root
+    pair, never by both.  At X = 10^5 and s in the default grid every place
+    above 100 is summed by power sums, and log|value| of a 2 + 2 pairing is
+    off by about 10^-13 at most (see ``_series_logs``).  A place summed by
+    log1p adds about 10^-16 per root pair to log|value|."""
     s = np.asarray(s_values, dtype=complex)
     factors = [(float(f.shift), f.sigma, f.tau) for f in rs_factorization(r1, r2)]
     symbols = {id(sym): sym for _, sigma, tau in factors for sym in (sigma, tau)}  # each recurs across factors
@@ -157,10 +155,10 @@ def _sweep_block(s: np.ndarray, factors, sides, local: dict, qs: np.ndarray) -> 
     L1 L2 q^-(min Re s) on every |z|, the largest of the factors' bounds
     max|a| max|b| q^-(min Re s + shift).  It splits the block once: the
     places where the bound is at most ``_SERIES_CUT`` are summed by power
-    sums (``_series_logs``), the others by the product of the 1 - z
+    sums (``_series_logs``), the others by one log1p per root pair
     (``_product_logs``).  A bound that is NaN, an overflowing factor times
     an underflowing one, is not at most the cut, so its place takes the
-    product."""
+    log1p sum."""
     logq = np.log(np.asarray(qs, dtype=float))
     twists = {r: np.exp(-r * logq) for side in sides for _, r in side if r}
     params = np.concatenate([local[key] * twists[r] if r else local[key] for side in sides for key, r in side])
@@ -254,61 +252,23 @@ def _series_logs(s: np.ndarray, params: np.ndarray, split: int, lead, logq: np.n
 
 
 def _product_logs(s: np.ndarray, factors, local: dict, logq: np.ndarray) -> np.ndarray:
-    """The sum of log(1 - z) over places by the product: per factor and
-    place, w = prod (1 - z) over the factor's k root pairs, by k - 1
-    multiplies, and then one complex log, which takes |w| near 1 by log1p.
+    """The sum of log(1 - z) over places, one log1p per root pair.
 
     Per Rankin-Selberg factor, z = a_i b_j q^-(s + shift) is one broadcast
     over (s, parameter pair, place), on the (parameter, place) arrays of
-    ``local``, keyed by ``id`` of the symbol.  A pole needs
-    |1 - z| < 1e-12, so |z| near 1.  The bound max|a| max|b|
-    q^-(min Re s + shift) on |z| at a place is one product per place,
-    max|a| taken once per symbol; the exact check runs only on the places
-    where the bound reaches 1/2, and rounding moves neither the bound nor
-    |z| by anything near that margin.
-    Range: the pole check keeps every |1 - z| >= 1e-12 and k <= 16, so w
-    cannot underflow; it overflows only where |z| passes 2^(1024 / k), and a
-    factor where it does sums the logs of its k terms instead."""
+    ``local``, keyed by ``id`` of the symbol.  The exact pole check
+    |1 - z| < 1e-12 runs on every z before the factor's logs are taken.  A
+    place whose product of the 1 - z would leave the float range has
+    logs well inside it, so no product is formed."""
     total = np.zeros(len(s), dtype=complex)
-    powers = {}  # q^-(s + shift) and the bound on its modulus, per distinct shift
-    largest = {key: np.abs(x).max(axis=0) for key, x in local.items()}  # max |parameter| per place
     for shift, sigma, tau in factors:
-        if shift not in powers:
-            powers[shift] = (np.exp(-np.multiply.outer(s + shift, logq)),
-                             np.exp(-(s.real.min() + shift) * logq))
-        power, bound = powers[shift]
         a, b = local[id(sigma)], local[id(tau)]
-        # (pair, place), so that each pair's slice of z is a contiguous row per s
         lam = (a[:, None, :] * b[None, :, :]).reshape(len(a) * len(b), len(logq))
-        z = lam * power[:, None, :]
-        near = largest[id(sigma)] * largest[id(tau)] * bound >= 0.5
-        if near.any():
-            # At the places near, the pole check |1 - z| < eps runs only when
-            # some Re z > t = fl(1 - 2 eps), since it cannot fire at any other
-            # z.  The real part of 1 - z is fl(1 - Re z), and abs is a hypot, at
-            # least as large as either part (the exact hypot is, and a faithful
-            # rounding cannot fall below a float under it).  If Re z <= t, then
-            # in exact arithmetic 1 - Re z >= 1 - t >= 2 eps - 2^-54 >= eps, and
-            # rounding is monotone, so fl(1 - Re z) >= eps as well.
-            # t = fl(1 - eps) would not do: 1 - fl(1 - 1e-12) is below 1e-12, so
-            # z = fl(1 - 1e-12) is a pole that the filter Re z > fl(1 - 1e-12)
-            # misses.
-            zn = z[:, :, near]
-            if (zn.real > 1.0 - 2 * _POLE_EPS).any():
-                pole = (np.abs(1.0 - zn) < _POLE_EPS).any(axis=(1, 2))
-                if pole.any():
-                    raise LocalPole(f"local factor pole at s={s[pole][0]}")
-        # 1 - z in z's buffer, the pole check done with it
-        np.subtract(1.0, z, out=z)
-        w = z[:, 0]
-        with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
-            for j in range(1, z.shape[1]):
-                w *= z[:, j]
-        if np.isfinite(w).all():
-            total += np.log(w).sum(axis=1)
-        else:  # the product left the float range: sum the logs of its factors
-            total += np.log1p(-(lam * power[:, None, :])).sum(axis=(1, 2))
-        del lam, z, w  # so that the next factor's z is not allocated beside this one
+        z = lam * np.exp(-np.multiply.outer(s + shift, logq))[:, None, :]
+        pole = (np.abs(1.0 - z) < _POLE_EPS).any(axis=(1, 2))
+        if pole.any():
+            raise LocalPole(f"local factor pole at s={s[pole][0]}")
+        total += np.log1p(-z).sum(axis=(1, 2))
     return total
 
 
@@ -572,10 +532,10 @@ def _discriminant_residues(n: int) -> np.ndarray:
     return cur
 
 
-def _discriminant_coeffs(n: int, at: np.ndarray | None = None) -> tuple[int, ...]:
+def _discriminant_coeffs(n: int, at: np.ndarray) -> tuple[int, ...]:
     """Coefficients of prod_{m>=1} (1 - x^m)^24 at the exponents ``at``, all
-    of them below n, as exact integers; by default at every exponent below
-    n, for n < 2^15 (see ``_discriminant_residues``).
+    of them below n, as exact integers, for n < 2^15 (see
+    ``_discriminant_residues``).
 
     The residues r1, r2 modulo m1, m2 are lifted by Garner's formula on
     Python ints: x = r1 + m1 ((r2 - r1) m1^-1 mod m2) is the one integer in
@@ -584,9 +544,7 @@ def _discriminant_coeffs(n: int, at: np.ndarray | None = None) -> tuple[int, ...
     Deligne, |tau(m)| <= d(m) m^(11/2) <= 2 m^6, and M, about 2^94, is
     above 4 (2 n^6) for n < 2^15.
     """
-    residues = _discriminant_residues(n)
-    if at is not None:
-        residues = residues[:, at]
+    residues = _discriminant_residues(n)[:, at]
     m1, m2 = _TAU_MODULI
     modulus = m1 * m2
     inverse = pow(m1, -1, m2)

@@ -311,8 +311,8 @@ class TestPartialLRange:
         # k = 1, 4 and 16 root pairs; the trivial pairing's phase is exactly real
         return {1: (one, one), 4: (sigma, sigma), 16: (Sigma, Sigma.dual())}
 
-    # s = -0.5 gives 0, where 1 / prod(1 - z) overflows its product to NaN;
-    # at s = -4, |z| = q^4 passes 2^64 and the 16-pair product overflows
+    # s = -0.5 gives 0, where 1 / prod(1 - z) would overflow its product to NaN;
+    # at s = -4, |z| = q^4 passes 2^64 and a 16-pair product would overflow
     @pytest.mark.parametrize("s", [0.5, 0.5 + 3j, 0.3, 0.1, 0.1 + 1j, -0.5, -0.5 + 2j, -4.0])
     @pytest.mark.parametrize("k", [1, 4, 16])
     def test_matches_log_sum_oracle(self, pairings, k, s):
@@ -329,8 +329,10 @@ class TestPartialLRange:
             assert v == pytest.approx(cmath.exp(-total), rel=1e-10, abs=0)
 
     def test_overflowing_place_product_beside_near_poles(self):
-        """|w| passes 2^1056 at q = 2 and is near 2^-585 at q = 3, so the
-        product of the two is finite while the one at q = 2 is not."""
+        """A place whose product of the 1 - z would leave the float range,
+        next to near-poles: at q = 2 that product passes 2^1056, and at q = 3
+        it is near 2^-585, so the value is finite while the product at q = 2
+        is not."""
         theta = np.linspace(0.1, 2.0, 4)
         eps = 1e-11 * np.exp(3j * theta)
         reg = SymbolRegistry()
@@ -435,9 +437,11 @@ class TestBlockedSweep:
         assert self.sweep(monkeypatch, self.BLOCK, rep, one, before, [1.3])[0] == pytest.approx(zeta, rel=1e-12)
 
     def test_overflow_fallback_inside_one_block(self, monkeypatch, window):
-        """At s = 0 and 5e-13 i, |w| passes 2^1056 at one place of the fourth
-        block, and a near-pole at the next place of that block takes it back
-        into range; elsewhere |z| = 10^-6."""
+        """A place whose product of the 1 - z would leave the float range,
+        next to a near-pole, inside one block: at s = 0 and 5e-13 i that
+        product passes 2^1056 at one place of the fourth block, and a
+        near-pole at the next place of that block takes the value back into
+        range; elsewhere |z| = 10^-6."""
         theta = np.linspace(0.1, 2.0, 4)
         eps = 1e-11 * np.exp(3j * theta)
         left = np.full((len(window), 4), 1e-3, dtype=complex)
@@ -634,9 +638,9 @@ CHI_DOC = {
 
 class TestSeriesSweep:
     """The sweep against ``fsum_log_oracle``.  A place whose bound on every
-    |z| is at most 1/32 is summed by power sums, any other by the product of
-    the 1 - z; each test says which places take which, and the error it
-    allows."""
+    |z| is at most 1/32 is summed by power sums, any other by one log1p per
+    root pair (``_product_logs``); each test says which places take which,
+    and the error it allows."""
 
     @pytest.fixture
     def paths(self, monkeypatch):
@@ -656,14 +660,19 @@ class TestSeriesSweep:
         monkeypatch.setattr(lseries, "_series_logs", spy_series)
         return seen
 
-    @pytest.mark.parametrize("doc", [CHI_DOC, SYNTHETIC_DOC], ids=["chi", "self-dual"])
-    def test_benchmark_window_takes_power_sums_only(self, paths, doc):
-        """The places in (100, 10^5] at the default grid, as ``poles`` sweeps
-        them: every bound is at most 101^-1.03 < 1/32.  The rounding bound
-        of ``_series_logs`` adds up to about 6e-14 over the window, and the
-        sums over places add about as much again; log|L| and the phase are
-        held to 5e-13."""
-        X = 100_000
+    @pytest.mark.parametrize("doc, X", [
+        pytest.param(CHI_DOC, 100_000, id="chi"),
+        pytest.param(SYNTHETIC_DOC, 100_000, id="self-dual"),
+        *(pytest.param(doc, X, id=f"{name}-X{X}")
+          for X in (101, 1000) for doc, name in ((CHI_DOC, "chi"), (SYNTHETIC_DOC, "self-dual"))),
+    ])
+    def test_benchmark_window_takes_power_sums_only(self, paths, doc, X):
+        """The places in (100, X] at the default grid, as ``poles --X X``
+        sweeps them: every bound is at most 101^-1.03 < 1/32, so ``poles``
+        never takes the log1p path.  The rounding bound of ``_series_logs``
+        adds up to about 6e-14 over the window at X = 10^5, and the sums over
+        places add about as much again; log|L| and the phase are held to
+        5e-13."""
         r1, r2 = synthetic_reps(load_document(doc)[1], 11, X)
         primes = lseries._prime_array(X)
         window = primes[primes > 100]
@@ -676,9 +685,9 @@ class TestSeriesSweep:
 
     def test_near_and_far_places_in_one_block(self, paths):
         """The 430 primes up to 3000, one block, at s = 1.2 and 1.03: the
-        bound q^-1.03 passes 1/32 at the nine primes below 29, which take the
-        product, and the other 421 take power sums.  The product adds a few
-        ulps of w per root pair; the value is held to 1e-12 relative."""
+        bound q^-1.03 passes 1/32 at the nine primes below 29, which take one
+        log1p per root pair, and the other 421 take power sums.  A log1p adds
+        about an ulp per root pair; the value is held to 1e-12 relative."""
         X = 3000
         r1, r2 = synthetic_reps(load_document(CHI_DOC)[1], 5, X)
         qs = lseries._prime_array(X)
@@ -690,8 +699,8 @@ class TestSeriesSweep:
     @pytest.mark.parametrize("s", [1.5 + 3.3j, 0.75 - 20j])
     def test_complex_s(self, paths, s):
         """Complex s over the primes up to 2 10^4, three blocks, q^-s a
-        complex exp; at Re s = 0.75 the 26 primes below 102 take the
-        product.  The value is held to 1e-12 relative."""
+        complex exp; at Re s = 0.75 the 26 primes below 102 take one log1p
+        per root pair.  The value is held to 1e-12 relative."""
         X = 20_000
         r1, r2 = synthetic_reps(load_document(CHI_DOC)[1], 6, X)
         v = partial_L(r1, r2, X, s)
@@ -702,7 +711,7 @@ class TestSeriesSweep:
     def test_twisted_pairing(self, paths, s):
         """Twists 1/7 and -1/7 on the first sum, so the factors' shifts are 0
         and +-1/7: power sums take each side's parameters times q^-r, the
-        product q^-(s + shift) per factor.  The value is held to 1e-12
+        log1p sum q^-(s + shift) per factor.  The value is held to 1e-12
         relative."""
         X = 20_000
         primes = primes_up_to(X)
@@ -852,7 +861,7 @@ class TestPoleEstimates:
 class TestDeltaEigenvalues:
     def test_matches_naive_expansion(self):
         oracle = naive_tau(30)
-        coeffs = _discriminant_coeffs(30)
+        coeffs = _discriminant_coeffs(30, np.arange(30))
         for m in range(1, 31):
             assert coeffs[m - 1] == oracle[m]
 
@@ -860,7 +869,7 @@ class TestDeltaEigenvalues:
     def test_short_series_match_naive_expansion(self, n):
         # the square of the triangular series is cut at x^(n - 1) like every product
         oracle = naive_tau(n)
-        assert _discriminant_coeffs(n) == tuple(oracle[m] for m in range(1, n + 1))
+        assert _discriminant_coeffs(n, np.arange(n)) == tuple(oracle[m] for m in range(1, n + 1))
 
     def test_frozen_prime_values(self):
         table = delta_eigenvalues(100)
@@ -879,7 +888,7 @@ class TestDeltaEigenvalues:
             assert abs(row.a_p) <= 2 * row.p**5.5
 
     def test_matches_sparse_oracle_at_full_size(self):
-        assert _discriminant_coeffs(10_000) == sparse_discriminant_coeffs(10_000)
+        assert _discriminant_coeffs(10_000, np.arange(10_000)) == sparse_discriminant_coeffs(10_000)
 
     def test_moduli_cover_the_largest_accepted_n(self):
         # n = 2^15 - 1: the unreduced sums fit int64 and the lift range holds |tau| <= 2 n^6
@@ -893,7 +902,7 @@ class TestDeltaEigenvalues:
     def test_lift_range_enforced(self):
         # 2 n^6 < M / 2 fails first at n = 2^15; past it the lift could wrap
         with pytest.raises(OverflowError, match="lift range"):
-            _discriminant_coeffs(2**15)
+            _discriminant_coeffs(2**15, np.arange(2**15))
 
     def test_size_cap(self):
         with pytest.raises(ValueError):

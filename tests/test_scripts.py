@@ -89,3 +89,13 @@ def test_pole_experiment_runs(tmp_path):
     assert len(estimates) == 8 and estimates[-1] == b""
     assert estimates[2].split(b",")[:3] == [b"simple", b"5000", b"1"]
     assert (tmp_path / "sweep_double_5000.csv").read_text().startswith("s,re,im")
+
+
+@pytest.mark.parametrize("bound", ["50", "100", "10000001", "20000000"])
+def test_pole_experiment_refuses_bounds_outside_range(tmp_path, bound):
+    out = tmp_path / "out"
+    proc = run_script("pole_order_experiment.py", "--bounds", "1000", bound, "--out-dir", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == "pole_order_experiment.py: error: every bound must lie in [101, 10000000]"
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert not out.exists()
