@@ -70,6 +70,12 @@ def inverse_char_id(cc: str) -> str:
     return cc[1:] if cc.startswith("~") else "~" + cc
 
 
+def _frozen(values, dtype) -> bool:
+    """Whether ``values`` is a read-only array of ``dtype`` that owns its memory."""
+    return (isinstance(values, np.ndarray) and values.dtype == dtype
+            and not values.flags.writeable and values.flags.owndata)
+
+
 @dataclass(frozen=True, eq=False)
 class CuspidalSymbol:
     """A formal cuspidal representation with sampled local Satake data.
@@ -78,6 +84,13 @@ class CuspidalSymbol:
     shape (P,), the sampled residue cardinalities in ascending order) and
     ``params`` (complex128, shape (P, degree)).  It is float only; exact
     forms live on ``satake`` parameters, not on symbols.
+
+    An input array of the stored dtype that is read-only and owns its
+    memory is kept as it is, not copied: its maker has frozen it, so
+    symbols may share it, as every synthetic symbol at one X shares the
+    sieved primes.  Anything else, a writeable array, a read-only view or
+    a sequence, is copied, so that no later write to the input reaches the
+    symbol.
     """
 
     id: str
@@ -92,8 +105,10 @@ class CuspidalSymbol:
         label = _label(self.id)
         if self.degree not in (1, 2, 3, 4):
             raise ValueError(f"{label}: degree must be in 1..4, got {self.degree}")
-        qs = place_array(self.qs, label)
-        params = np.array(self.params, dtype=complex).reshape(len(qs), -1 if len(qs) else self.degree)
+        qs = self.qs if _frozen(self.qs, np.int64) and self.qs.ndim == 1 else place_array(self.qs, label)
+        params = self.params if _frozen(self.params, np.complex128) else np.array(self.params, dtype=complex)
+        if params.shape != (len(qs), self.degree):
+            params = params.reshape(len(qs), -1 if len(qs) else self.degree)
         if params.shape[1] != self.degree:
             raise ValueError(f"{label}: {params.shape[1]} parameters per place, expected {self.degree}")
         ascending = (qs[1:] > qs[:-1]).all()
@@ -185,6 +200,7 @@ def _dual_of(sym: CuspidalSymbol, declared: CuspidalSymbol | None = None) -> Cus
     nonzero, so the one division here cannot overflow.
     """
     inverse = 1 / sym.params
+    inverse.flags.writeable = False  # a new array, which the dual keeps (see CuspidalSymbol)
     if sym.is_self_dual:
         q = _first_mismatch(sym.qs, sym.params, inverse)
         if q is not None:
@@ -203,8 +219,10 @@ def _dual_of(sym: CuspidalSymbol, declared: CuspidalSymbol | None = None) -> Cus
         raise ValueError(f"local data of {clipped(str(sym.id))} and {clipped(str(declared.id))} at q={q} "
                          "are not entrywise inverse")
     extra = ~np.isin(sym.qs, declared.qs)
-    return replace(declared, qs=np.concatenate([declared.qs, sym.qs[extra]]),
-                   params=np.concatenate([declared.params, inverse[extra]]))
+    qs = np.concatenate([declared.qs, sym.qs[extra]])
+    params = np.concatenate([declared.params, inverse[extra]])
+    qs.flags.writeable = params.flags.writeable = False  # new arrays, which the symbol keeps
+    return replace(declared, qs=qs, params=params)
 
 
 def equivalent(a: CuspidalSymbol, b: CuspidalSymbol) -> bool:

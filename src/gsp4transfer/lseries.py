@@ -29,8 +29,10 @@ logs are summed as the series log L_q = sum_m tr(A_q^m) tr(B_q^m) q^-ms / m
 of the two sums' Satake parameters A_q and B_q, by power sums, to one order
 per block and a tail of at most 2^-60 per place; every place above 100 at
 X = 10^5 and s in the default grid is summed so, within about 1e-13 in
-log|L| of a per-term log1p summed exactly.  Elsewhere the sum takes one
-log1p per root pair, with the exact local pole check on every z.
+log|L| of a per-term log1p summed exactly.  The power sums are formed one
+order at a time from one running (parameter, place) array of powers, so no
+table over all orders is held.  Elsewhere the sum takes one log1p per root
+pair, with the exact local pole check on every z.
 
 Synthetic local data is drawn from the Sato-Tate angle density
 (2/pi) sin^2(theta), the image of Haar measure on SU(2), in closed form:
@@ -39,9 +41,10 @@ cos(theta) is the x-coordinate of a uniform point of the unit disc.
 A weight-12 eigenvalue table provides a real-world fixture.  Its exact
 coefficients tau(n) come from the square of a sparse series, one
 scatter-add, and six more products by that series on int64 residues modulo
-two primes below 2^47; the residues at the primes alone are lifted, by
-Garner's formula on Python ints.  The lift is proven exact for n < 2^15 and
-refuses larger n.
+two primes below 2^47, kept as (n, 2) columns, so that each shifted term of
+a product is one contiguous slice; the residues at the primes alone are
+lifted, by Garner's formula on Python ints.  The lift is proven exact for
+n < 2^15 and refuses larger n.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ DEFAULT_GRID = (1.30, 1.20, 1.12, 1.06, 1.03)
 DEFAULT_MIN_PLACE = 100  # fit window floor: drop places q <= this
 DEFAULT_X = 100_000
 # Largest sieve bound.  With a blocked sweep, `poles --mode both` peaks at about
-# 60 MB at X = 10^6, 100 MB at 3 x 10^6 and 231 MB at this bound (Python 3.11,
+# 55 MB at X = 10^6, 84 MB at 3 x 10^6 and 180 MB at this bound (Python 3.11,
 # numpy 2.4, Linux); the symbols' data and the sieve grow with X, the sweep's
 # work arrays do not.
 MAX_X = 10**7
@@ -88,13 +91,14 @@ class EstimationError(ArithmeticError):
 
 @lru_cache(maxsize=4)
 def _prime_array(x: int) -> np.ndarray:
-    """Rational primes <= x as a read-only int64 array, from
-    ``satake.prime_sieve``; x above ``MAX_X`` is refused, and a refusal is not
-    cached.  Memoised, so that the synthetic data and the sweep of one X share
-    one sieve; internal callers pass it to symbols as it is."""
+    """Rational primes <= x as a read-only int64 array that owns its memory,
+    from ``satake.prime_sieve``; x above ``MAX_X`` is refused, and a refusal
+    is not cached.  Memoised, so that the synthetic data and the sweep of one
+    X share one sieve; a symbol keeps the array as it is (see
+    ``CuspidalSymbol``), so every synthetic symbol at one X shares it."""
     if x > MAX_X:
         raise ValueError(f"X = {x} is above the largest supported bound {MAX_X}")
-    primes = np.flatnonzero(prime_sieve(max(x, 0) + 1)).astype(np.int64, copy=False)
+    primes = np.flatnonzero(prime_sieve(max(x, 0) + 1)).astype(np.int64)  # a copy that owns its memory
     primes.flags.writeable = False
     return primes
 
@@ -204,12 +208,15 @@ def _series_logs(s: np.ndarray, params: np.ndarray, split: int, lead, logq: np.n
     sum_ij (a_i b_j)^m = p_m(a) p_m(b), p_m(a) = sum_i a_i^m.  With the
     parameters scaled to modulus at most 1, a_i = L1 u_i and b_j = L2 v_j,
     and y = L1 L2 x, the place adds -sum_m p_m(u) p_m(v) y^m / m.  Every
-    place runs to the order M of the largest bound (``_series_order``): one
-    table of powers each for the u, v and y, and one matrix product per
-    order sums over the places.  When every s is real, as on the pole grid,
-    y is a real exp and the product a real one on the (re, im) pairs of the
-    coefficients, which saves about a tenth of a ``poles`` pass over complex
-    y at real s.
+    place runs to the order M of the largest bound (``_series_order``).  One
+    running (parameter, place) array holds the powers u^m and v^m of one
+    order at a time, and each order's p_m(u) and p_m(v) are summed from it
+    into two (order, place) arrays, so no (order, parameter, place) table is
+    held; the powers y^m are an (order, s, place) table, and one matrix
+    product per order sums over the places.  When every s is real, as on
+    the pole grid, y is a real exp and the product a real one on the
+    (re, im) pairs of the coefficients, which saves about a tenth of a
+    ``poles`` pass over complex y at real s.
     Range: each isobaric sum has a term with twist r <= 0, its twists
     summing to 0 weighted by degree, and a symbol's parameters have finite
     inverses, so 1 / L1 and 1 / L2 are finite.  |u_i|, |v_j| <= 1,
@@ -233,17 +240,23 @@ def _series_logs(s: np.ndarray, params: np.ndarray, split: int, lead, logq: np.n
     u = params  # scaled in place
     u[:split] *= (1 / lead[0]).astype(complex)
     u[split:] *= (1 / lead[1]).astype(complex)
+    # in C order, as a gather of places may leave it otherwise: numpy sums a column
+    # of parameters in another order when the column is contiguous
+    u = np.ascontiguousarray(u)
     real = not s.imag.any()
     y = np.exp(-np.multiply.outer(s.real if real else s, logq))
     y *= lead[0] * lead[1]
-    powers = np.empty((order,) + u.shape, dtype=complex)  # (order, parameter, place)
+    traces = np.empty((2, order, u.shape[1]), dtype=complex)  # p_m(u) and p_m(v), (order, place) each
     ypow = np.empty((order,) + y.shape, dtype=y.dtype)  # (order, s, place)
-    powers[0], ypow[0] = u, y
-    for k in range(1, order):
-        np.multiply(powers[k - 1], u, out=powers[k])
-        np.multiply(ypow[k - 1], y, out=ypow[k])
-    c = powers[:, :split].sum(axis=1)
-    c *= powers[:, split:].sum(axis=1)
+    power, ypow[0] = u, y  # the powers u^m, one order at a time
+    for k in range(order):
+        if k:
+            power = power * u if k == 1 else np.multiply(power, u, out=power)
+            np.multiply(ypow[k - 1], y, out=ypow[k])
+        np.sum(power[:split], axis=0, out=traces[0, k])
+        np.sum(power[split:], axis=0, out=traces[1, k])
+    c = traces[0]
+    c *= traces[1]  # all orders at once: numpy rounds a one-element in-place complex multiply apart
     c *= (1 / np.arange(1, order + 1))[:, None]
     if real:  # a real matrix product on the (place, re and im) pairs of c
         sums = (ypow @ c.view(float).reshape(c.shape + (2,))).sum(axis=0)
@@ -318,8 +331,13 @@ class EulerProductSweep:
 
 
 def _log_truncated_zeta(qs: np.ndarray, grid: Sequence[float]) -> np.ndarray:
-    """log of prod (1 - q^-s)^-1 over the places ``qs``, at each real s of the grid."""
-    return -np.log1p(-np.exp(-np.multiply.outer(grid, np.log(qs.astype(float))))).sum(axis=1)
+    """log of prod (1 - q^-s)^-1 over the places ``qs``, at each real s of the grid.
+
+    One (s, place) array, worked in place: at X = 10^7 each such array is 27 MB."""
+    z = np.multiply.outer(grid, np.log(qs.astype(float)))
+    for step in (np.negative, np.exp, np.negative, np.log1p):  # log(1 - q^-s)
+        step(z, out=z)
+    return -z.sum(axis=1)
 
 
 def _check_grid(grid: Sequence[float]) -> tuple[float, ...]:
@@ -363,7 +381,7 @@ def estimate_with_sweep(
     """Pole-order estimate together with the underlying sweep values."""
     grid = _check_grid(DEFAULT_GRID if grid is None else grid)
     primes = _prime_array(X)
-    window = primes[primes > min_place]
+    window = primes[np.searchsorted(primes, min_place, side="right"):]
     if not len(window):
         raise ValueError(f"no places in window ({min_place}, {X}]")
     values = _sweep_values(r1, r2, window, grid)
@@ -454,6 +472,7 @@ def synthetic_reps(descriptors, seed: int, X: int) -> list[IsobaricRep]:
                     params = np.exp(2j * math.pi * rng.random(len(primes)))[:, None] * params
                 streams[key] = params
             params = streams[key] if sym.id == key else 1 / streams[key]
+            params.flags.writeable = False  # a new array, which the symbol keeps
             symbols[sym.id] = CuspidalSymbol(sym.id, 2, sym.dual_id, sym.central_char_id, primes, params)
     return [isobaric([symbols[s.id] for s in desc.pair]) for desc in descriptors]
 
@@ -501,7 +520,9 @@ def _discriminant_residues(n: int) -> np.ndarray:
     scatter-add of the K^2 pair products (|coefficients| at most
     (sum |2k+1|)^2 = K^4 <= 2^32), reduced modulo the two primes, then six
     sparse products by T on those residues, through one reused product
-    buffer.  A product adds its K shifted copies unreduced and reduces once.
+    buffer.  The residues are (n, 2) columns, one per modulus, so that each
+    shifted copy is one contiguous slice of both; the (2, n) result is their
+    transpose.  A product adds its K shifted copies unreduced and reduces once.
     The K coefficients have |2k+1| summing to K^2, and K <= 2^8 for
     n < 2^15; every product starts from residues, so the unreduced sums are
     at most K^2 (m - 1) < 2^16 2^47 = 2^63 and never wrap.
@@ -518,18 +539,18 @@ def _discriminant_residues(n: int) -> np.ndarray:
     kept = exponent < n
     square = np.zeros(n, dtype=np.int64)
     np.add.at(square, exponent[kept], np.multiply.outer(coefs, coefs)[kept])
-    moduli = np.array(_TAU_MODULI, dtype=np.int64)[:, None]
-    cur = np.remainder(square, moduli)  # T^2, one row of residues per modulus
+    moduli = np.array(_TAU_MODULI, dtype=np.int64)
+    cur = np.remainder(square[:, None], moduli)  # T^2, one column of residues per modulus
     new = np.empty_like(cur)
     term = np.empty_like(cur)  # coef times the shifted copy, reused by every term
     for _ in range(6):
         new.fill(0)
         for coef, e in sparse:
-            np.multiply(cur[:, : n - e], coef, out=term[:, : n - e])
-            new[:, e:] += term[:, : n - e]
+            np.multiply(cur[: n - e], coef, out=term[: n - e])
+            new[e:] += term[: n - e]
         np.remainder(new, moduli, out=cur)
     cur.flags.writeable = False
-    return cur
+    return cur.T
 
 
 def _discriminant_coeffs(n: int, at: np.ndarray) -> tuple[int, ...]:

@@ -145,7 +145,8 @@ def place_array(qs, owner: str) -> np.ndarray:
         # numpy casts uint64 to int64 with wraparound, so check the range first
         if arr.dtype.kind == "u" and np.any(arr > np.iinfo(np.int64).max):
             raise OverflowError
-        out = np.array(qs, dtype=np.int64).reshape(-1)
+        out = np.array(qs, dtype=np.int64)
+        out = out if out.ndim == 1 else out.reshape(-1)  # a flat input stays one array that owns its memory
     except OverflowError:
         raise ValueError(f"{owner}: a place is beyond the int64 range") from None
     except (TypeError, ValueError):  # complex, None, text that is no number

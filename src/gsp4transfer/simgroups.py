@@ -584,12 +584,17 @@ def _column_norms(codes: np.ndarray, q: int) -> np.ndarray:
 
 def _compare(image: np.ndarray, gso: np.ndarray) -> tuple[int, int, bool, tuple[int, str] | None]:
     """Sizes, equality and the least code of the symmetric difference, with its side,
-    of sorted pair-map codes without repeats and sorted enumerated codes."""
+    of sorted pair-map codes without repeats and sorted enumerated codes.
+
+    Each side's codes outside the other are found by binary search (see
+    _in_sorted), not by np.setxor1d and np.isin, whose hash-based unique
+    took 39 of 43 s of a failing q = 11 run."""
     if len(image) == len(gso) and np.array_equal(image, gso):
         return len(image), len(gso), True, None
-    diff = np.setxor1d(image, gso)
-    first = (int(diff[0]), "image" if np.isin(diff[0], image) else "gso") if len(diff) else None
-    return len(image), len(gso), False, first
+    extra = image[~_in_sorted(image, gso)][:1]  # the least image code not listed
+    missing = gso[~_in_sorted(gso, image)][:1]  # the least listed code not in the image
+    sides = [(int(code), side) for codes, side in ((extra, "image"), (missing, "gso")) for code in codes]
+    return len(image), len(gso), False, min(sides, default=None)
 
 
 def verify_gso_presentation(q: int) -> GsoPresentationReport:
@@ -715,7 +720,7 @@ def verify_gso_presentation(q: int) -> GsoPresentationReport:
             compared[0] = _compare(extra, extra[:0])
             continue
         image_codes = image_of(lam, eye)[0]
-        image_codes = np.union1d(image_codes[_column_norms(image_codes, q) == lam], extra)
+        image_codes = _sorted_unique(np.concatenate([image_codes[_column_norms(image_codes, q) == lam], extra]))
         compared[lam] = _compare(image_codes, gso_of(lam))
     image_size, gso_size, equal, witnesses = zip(*compared.values())
     image_equals_gso = all(equal)

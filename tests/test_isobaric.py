@@ -205,6 +205,37 @@ class TestSymbolConstructor:
         CuspidalSymbol("a", 2, "a", "1", qs, params)
         assert qs.flags.writeable and params.flags.writeable
 
+    def test_writeable_arrays_are_copied(self):
+        qs, params = self.rows(np.arange(len(self.PLACES)))
+        sym = CuspidalSymbol("a", 2, "a", "1", qs, params)
+        want_qs, want_params = sym.qs.copy(), sym.params.copy()
+        qs[0], params[0, 0] = 3, 5.0
+        assert not (np.shares_memory(sym.qs, qs) or np.shares_memory(sym.params, params))
+        assert np.array_equal(sym.qs, want_qs) and np.array_equal(sym.params, want_params)
+
+    def test_read_only_arrays_that_own_their_memory_are_kept(self):
+        qs, params = self.rows(np.arange(len(self.PLACES)))
+        qs.flags.writeable = params.flags.writeable = False
+        assert qs.flags.owndata and params.flags.owndata
+        sym = CuspidalSymbol("a", 2, "a", "1", qs, params)
+        assert np.shares_memory(sym.qs, qs) and np.shares_memory(sym.params, params)
+
+    def test_read_only_views_are_copied(self):
+        qs, params = self.rows(np.arange(len(self.PLACES)))
+        views = qs[:], params[:]
+        for view in views:
+            view.flags.writeable = False
+        sym = CuspidalSymbol("a", 2, "a", "1", *views)
+        want_qs, want_params = sym.qs.copy(), sym.params.copy()
+        qs[0], params[0, 0] = 3, 5.0  # through the writeable base
+        assert not (np.shares_memory(sym.qs, qs) or np.shares_memory(sym.params, params))
+        assert np.array_equal(sym.qs, want_qs) and np.array_equal(sym.params, want_params)
+
+    def test_a_materialized_dual_shares_the_places(self, registry):
+        qs, params = self.rows(np.arange(len(self.PLACES)))
+        sym = registry.create("a", 2, qs=qs, params=params)
+        assert sym.qs.flags.owndata and sym.dual().qs is sym.qs
+
     @pytest.mark.parametrize("qs", [[2, 3, 5, 3], [5, 3, 5], [7, 7], [3, 2, 3, 2]])
     def test_duplicate_place_refused_in_any_order(self, qs):
         with pytest.raises(ValueError, match=r"^symbol a: a place is sampled twice or a parameter is zero$"):

@@ -76,6 +76,29 @@ def sparse_discriminant_coeffs(n):
     return tuple(cur)
 
 
+def row_discriminant_residues(n):
+    """Reference for ``lseries._discriminant_residues``: the same products of
+    the sparse series on one (2, n) row of residues per modulus."""
+    sparse = []
+    k = 0
+    while k * (k + 1) // 2 < n:
+        sparse.append(((-1) ** k * (2 * k + 1), k * (k + 1) // 2))
+        k += 1
+    coefs, exps = np.array(sparse, dtype=np.int64).T
+    exponent = np.add.outer(exps, exps)
+    kept = exponent < n
+    square = np.zeros(n, dtype=np.int64)
+    np.add.at(square, exponent[kept], np.multiply.outer(coefs, coefs)[kept])
+    moduli = np.array(lseries._TAU_MODULI, dtype=np.int64)[:, None]
+    cur = np.remainder(square, moduli)
+    for _ in range(6):
+        new = np.zeros_like(cur)
+        for coef, e in sparse:
+            new[:, e:] += cur[:, : n - e] * coef
+        cur = np.remainder(new, moduli)
+    return cur
+
+
 class TestPrimes:
     def test_small(self):
         assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
@@ -583,6 +606,12 @@ class TestSyntheticReps:
                     assert np.array_equal(a.qs, b.qs)
                     assert np.array_equal(a.params.view(np.uint64), b.params.view(np.uint64))
 
+    def test_symbols_share_the_sieved_primes(self):
+        reps = synthetic_reps(load_document(SYNTHETIC_DOC)[1], 0, 2000)
+        primes = lseries._prime_array(2000)
+        assert primes.flags.owndata and not primes.flags.writeable
+        assert all(sym.qs is primes for rep in reps for sym in rep.constituents)
+
     def test_freed_without_garbage_collection(self):
         descriptors = load_document(SYNTHETIC_DOC)[1]
         gc.disable()
@@ -762,6 +791,60 @@ class TestSeriesSweep:
         assert lseries._series_order(16, 101 ** -1.03) == 8
         assert lseries._series_order(16, 0.0) == 0
 
+
+def table_series_logs(s, params, split, lead, logq, bound):
+    """Reference for ``lseries._series_logs``: the same sums, from one
+    (order, parameter, place) table of the powers u^m, every multiply and
+    sum in the same operand order."""
+    order = lseries._series_order(split * (len(params) - split), float(bound.max()))
+    u = params.copy(order="K")  # scaled in the layout it comes in
+    u[:split] *= (1 / lead[0]).astype(complex)
+    u[split:] *= (1 / lead[1]).astype(complex)
+    real = not s.imag.any()
+    y = np.exp(-np.multiply.outer(s.real if real else s, logq))
+    y *= lead[0] * lead[1]
+    powers = np.empty((order,) + u.shape, dtype=complex)
+    ypow = np.empty((order,) + y.shape, dtype=y.dtype)
+    powers[0], ypow[0] = u, y
+    for k in range(1, order):
+        np.multiply(powers[k - 1], u, out=powers[k])
+        np.multiply(ypow[k - 1], y, out=ypow[k])
+    c = powers[:, :split].sum(axis=1)
+    c *= powers[:, split:].sum(axis=1)
+    c *= (1 / np.arange(1, order + 1))[:, None]
+    if real:
+        sums = (ypow @ c.view(float).reshape(c.shape + (2,))).sum(axis=0)
+        return -(sums[:, 0] + 1j * sums[:, 1])
+    return -(ypow @ c[:, :, None]).sum(axis=(0, 2))
+
+
+class TestStreamedSeries:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("places", [1, 2, 7, 300])
+    @pytest.mark.parametrize("s", [DEFAULT_GRID, (0.9 + 2.5j,), (1.5,)], ids=["grid", "complex", "one-real"])
+    def test_same_bits_as_the_table_of_powers(self, places, s, order):
+        """4 + 4 parameters, 16 root pairs, at bounds from 1e-4 up to just
+        under 1/32, so the sums run to order 12: ``_series_logs`` gives
+        every bit of the table form, on the real-y path of the default grid
+        and of one real s, and at one complex s.  One place is the case
+        where numpy's in-place complex multiply of a single element rounds
+        apart; F order is the layout that ``params[:, far]`` gathers in."""
+        rng = np.random.default_rng(places)
+        params = np.exp(2j * np.pi * rng.random((8, places))) * rng.uniform(0.5, 2.0, (8, places))
+        params = np.asarray(params, order=order)
+        moduli = np.abs(params)
+        lead = (moduli[:4].max(axis=0), moduli[4:].max(axis=0))
+        s = np.asarray(s, dtype=complex)
+        beta = np.geomspace(lseries._SERIES_CUT * (1 - 1e-9), 1e-4, places)
+        logq = (np.log(lead[0] * lead[1]) - np.log(beta)) / s.real.min()
+        bound = lead[0] * lead[1] * np.exp(-s.real.min() * logq)
+        assert bound.max() <= lseries._SERIES_CUT
+        assert lseries._series_order(16, float(bound.max())) == 12
+        want = table_series_logs(s, params, 4, lead, logq, bound)
+        got = lseries._series_logs(s, params.copy(order="K"), 4, lead, logq, bound)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestPoleEstimates:
     def setup_reps(self, X, seed=101):
         primes = primes_up_to(X)
@@ -898,6 +981,12 @@ class TestDeltaEigenvalues:
         assert K**2 * (max(lseries._TAU_MODULI) - 1) < 2**63
         assert 2 * n**6 < math.prod(lseries._TAU_MODULI) // 2
         assert math.gcd(*lseries._TAU_MODULI) == 1  # so the Chinese remainder lift exists
+
+    def test_column_residues_match_the_row_form(self):
+        n = 2**15 - 1
+        residues = lseries._discriminant_residues(n)
+        assert residues.shape == (2, n) and residues.dtype == np.int64 and not residues.flags.writeable
+        assert np.array_equal(residues, row_discriminant_residues(n))
 
     def test_lift_range_enforced(self):
         # 2 n^6 < M / 2 fails first at n = 2^15; past it the lift could wrap

@@ -713,6 +713,9 @@ def named_fault(q, name):
         return replace_codes([second], pair_code(transversal[0], g, q))
     if name == "not_similitude":  # the zero matrix
         return replace_codes([second], 0)
+    if name == "both_sides":  # the second pair takes the largest det -1 code of O(4): a lesser code goes missing
+        go_codes, lams, dets = go4(q)
+        return replace_codes([second], int(go_codes[(lams == 1) & (dets == q - 1)].max()))
     if name == "class_2":  # the first pair of class 2 takes the code of the second: only class 2 is damaged
         g1, g2 = [g for g in mats if det2(g, q) == 2 * pow(int(det2(transversal[0], q)), -1, q) % q][:2]
         return replace_codes([pair_code(transversal[0], g1, q)], pair_code(transversal[0], g2, q))
@@ -759,7 +762,7 @@ class TestVerifyReport:
         [(q, fault) for q in EXHAUSTIVE_Q
          for fault in ["none", "kernel", "set", "swapped_classes", "class_2", "sl2_identity", "sl2_stray"]]
         # the oracle's symmetric difference of whole sets takes about 2 s at q = 7
-        + [(q, fault) for q in (3, 5) for fault in ["other_class", "not_similitude"]],
+        + [(q, fault) for q in (3, 5) for fault in ["other_class", "not_similitude", "both_sides"]],
     )
     def test_class_by_class_report_matches_whole_set_oracle(self, monkeypatch, q, fault):
         inject(monkeypatch, named_fault(q, fault))
@@ -866,6 +869,42 @@ class TestVerifyReport:
         mats = gl2_elements(5)
         second = pair_code(simgroups._scalar_transversal(mats)[0], mats[1], 5)
         assert report.counterexample == simgroups._code_witness("image_equals_gso", "gso", second, 5)
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_least_code_missing_from_the_image_beats_a_greater_extra_one(self, monkeypatch, q):
+        """Class 1 both gains a code (det -1, outside SO(4)) and loses a lesser one: the report
+        names the lost code, on the gso side."""
+        mats = gl2_elements(q)
+        second = pair_code(simgroups._scalar_transversal(mats)[0], mats[1], q)
+        inject(monkeypatch, named_fault(q, "both_sides"))
+        report = verify_gso_presentation(q)
+        assert report.image_size == report.image_expected and report.gso_size == report.image_expected
+        assert report.counterexample == simgroups._code_witness("image_equals_gso", "gso", second, q)
+
+    def test_failing_run_takes_no_hash_based_set_routine(self, monkeypatch):
+        """In every block of q = 7 the first pair maps to the zero matrix and the second to an
+        element of class 2, so every class fails and class 2 takes strays.  The run must not
+        pass a class's codes, over 10^5 of them, to np.unique, np.isin, np.setxor1d or
+        np.union1d: their hash-based unique made a failing q = 11 run about ten times slower."""
+        go_codes, lams, dets = go4(7)
+        stray = int(go_codes[(lams == 2) & (dets == 4)][0])
+
+        def damage(codes, sl2):
+            if not sl2:
+                codes[:2] = 0, stray
+            return codes
+
+        inject(monkeypatch, damage)
+        for name in ("unique", "isin", "setxor1d", "union1d"):
+            def guarded(*arrays, routine=getattr(np, name), name=name, **kwargs):
+                sizes = [np.size(a) for a in arrays]
+                assert max(sizes) <= 10**5, f"np.{name} on {sizes} elements"
+                return routine(*arrays, **kwargs)
+
+            monkeypatch.setattr(np, name, guarded)
+        report = verify_gso_presentation(7)
+        assert not report.ok and not report.image_equals_gso and report.kernel_is_scalar_pairs
+        assert report.counterexample == simgroups._code_witness("image_equals_gso", "image", 0, 7)
 
     def test_damage_in_one_class_past_1(self, monkeypatch):
         """A pair of class 2 that takes the code of another: class 2 fails, and no other."""
