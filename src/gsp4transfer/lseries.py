@@ -19,13 +19,18 @@ factors, which is the point of working with partial L-functions.
 
 A partial product is exp(-sum of log(1 - z)), z running over the root
 pairs a_i b_j q^-(s + shift) of every place.  It runs over blocks of at most
-``SWEEP_BLOCK`` places, each symbol's rows copied into one contiguous
-(parameter, place) array, so its work arrays do not grow with X.  The rows
-of a window that is a run of a symbol's places, as every window over sieved
+``SWEEP_BLOCK`` places, so its work arrays do not grow with X.  Each
+block's parameters are written once into a single C-order (parameter,
+place) staging array, twisted rows multiplied straight into their rows;
+the staging array and the block's other work arrays are views of one flat
+array, allocated once per call and reused by every block.  The rows of a
+window that is a run of a symbol's places, as every window over sieved
 primes is, are a slice, read by each block as a view; the primes up to X
-are sieved once and shared by every call at that X.  A bound on |z|, one
-product per place, splits each block once.  Where it is at most 1/32 the
-logs are summed as the series log L_q = sum_m tr(A_q^m) tr(B_q^m) q^-ms / m
+are read once from the table that also checks the symbols' places
+(``satake.place_table``) and shared by every call at that X.  A bound on
+|z|, one product per place, splits each block once.  Where it is at most
+1/32 the logs are summed as the series
+log L_q = sum_m tr(A_q^m) tr(B_q^m) q^-ms / m
 of the two sums' Satake parameters A_q and B_q, by power sums, to one order
 per block and a tail of at most 2^-60 per place; every place above 100 at
 X = 10^5 and s in the default grid is summed so, within about 1e-13 in
@@ -36,7 +41,8 @@ pair, with the exact local pole check on every z.
 
 Synthetic local data is drawn from the Sato-Tate angle density
 (2/pi) sin^2(theta), the image of Haar measure on SU(2), in closed form:
-cos(theta) is the x-coordinate of a uniform point of the unit disc.
+cos(theta) is the x-coordinate of a uniform point of the unit disc; a
+twist is multiplied into its angle stream in place.
 
 A weight-12 eigenvalue table provides a real-world fixture.  Its exact
 coefficients tau(n) come from the square of a sparse series, one
@@ -64,13 +70,13 @@ from .isobaric import (
     rows_at,
     rs_factorization,
 )
-from .satake import check_places, place_array, prime_sieve
+from .satake import check_places, place_array, place_table
 
 DEFAULT_GRID = (1.30, 1.20, 1.12, 1.06, 1.03)
 DEFAULT_MIN_PLACE = 100  # fit window floor: drop places q <= this
 DEFAULT_X = 100_000
 # Largest sieve bound.  With a blocked sweep, `poles --mode both` peaks at about
-# 55 MB at X = 10^6, 84 MB at 3 x 10^6 and 180 MB at this bound (Python 3.11,
+# 53 MB at X = 10^6, 81 MB at 3 x 10^6 and 174 MB at this bound (Python 3.11,
 # numpy 2.4, Linux); the symbols' data and the sieve grow with X, the sweep's
 # work arrays do not.
 MAX_X = 10**7
@@ -92,13 +98,17 @@ class EstimationError(ArithmeticError):
 @lru_cache(maxsize=4)
 def _prime_array(x: int) -> np.ndarray:
     """Rational primes <= x as a read-only int64 array that owns its memory,
-    from ``satake.prime_sieve``; x above ``MAX_X`` is refused, and a refusal
-    is not cached.  Memoised, so that the synthetic data and the sweep of one
-    X share one sieve; a symbol keeps the array as it is (see
-    ``CuspidalSymbol``), so every synthetic symbol at one X shares it."""
+    read from ``satake.place_table`` of the bit length of x, the table that
+    ``check_places`` looks the same primes up in; x above ``MAX_X`` is
+    refused, and a refusal is not cached.  Memoised, so that the synthetic
+    data and the sweep of one X share one array; a symbol keeps the array as
+    it is (see ``CuspidalSymbol``), so every synthetic symbol at one X shares
+    it."""
     if x > MAX_X:
         raise ValueError(f"X = {x} is above the largest supported bound {MAX_X}")
-    primes = np.flatnonzero(prime_sieve(max(x, 0) + 1)).astype(np.int64)  # a copy that owns its memory
+    x = max(x, 0)
+    table = place_table(1 << x.bit_length())
+    primes = np.flatnonzero(table[: x + 1] == 1).astype(np.int64)  # a copy that owns its memory
     primes.flags.writeable = False
     return primes
 
@@ -122,7 +132,14 @@ def _sweep_values(r1: IsobaricRep, r2: IsobaricRep, qs: np.ndarray, s_values) ->
     ``_sweep_block``), and the sums add.  The value is exp(-total), so it
     overflows to inf and underflows to 0 as a sum of logs does, never to
     NaN.  Every symbol's rows are looked up, at every place, before the
-    first block, so missing local data is reported before any pole.
+    first block, so missing local data is reported before any pole.  The
+    blocks' work arrays, the staging array of their parameters among them,
+    are views of one flat array, allocated once per call for the widest
+    block and the highest order a block can take (``_block_bytes``) and
+    reused by every block: one allocation per call (2.4 MB for a 4 + 4
+    pairing at X = 10^5 and the default grid), not several of a few hundred
+    KB per block, sizes that glibc maps afresh or trims back after use, so
+    that each block would fault its work arrays in page by page.
 
     Accuracy: each place is summed by power sums or by one log1p per root
     pair, never by both.  At X = 10^5 and s in the default grid every place
@@ -134,49 +151,85 @@ def _sweep_values(r1: IsobaricRep, r2: IsobaricRep, qs: np.ndarray, s_values) ->
     symbols = {id(sym): sym for _, sigma, tau in factors for sym in (sigma, tau)}  # each recurs across factors
     sides = [[(id(sym), float(r)) for sym, r in rep.terms] for rep in (r1, r2)]
     rows = {key: rows_at(sym, qs) for key, sym in symbols.items()}  # every place, before the first block
+    height = sum(symbols[key].degree for side in sides for key, _ in side)
+    split = sum(symbols[key].degree for key, _ in sides[0])
+    order = _series_order(split * (height - split), _SERIES_CUT)  # the most any block takes
+    work = np.empty(_block_bytes(height, min(len(qs), SWEEP_BLOCK), order, s), dtype=np.uint8)
     total = np.zeros(len(s), dtype=complex)
     for start in range(0, len(qs), SWEEP_BLOCK):
         block = slice(start, start + SWEEP_BLOCK)
-        local = {}  # each symbol's rows as one contiguous (parameter, place) array
+        local = {}  # each symbol's (place, parameter) rows
         for key, sym in symbols.items():
             # a slice of the symbol's rows is a view; an array of rows is gathered a block at a time
             index = rows[key]
-            local[key] = np.ascontiguousarray((sym.params[index][block] if isinstance(index, slice)
-                                               else sym.params[index[block]]).T)
-        total += _sweep_block(s, factors, sides, local, qs[block])
+            local[key] = sym.params[index][block] if isinstance(index, slice) else sym.params[index[block]]
+        total += _sweep_block(s, factors, sides, local, qs[block], work)
     return np.exp(-total)
 
 
-def _sweep_block(s: np.ndarray, factors, sides, local: dict, qs: np.ndarray) -> np.ndarray:
+def _block_bytes(rows: int, places: int, order: int, s: np.ndarray) -> int:
+    """Bytes of the work arrays that ``_sweep_block`` and ``_series_logs``
+    take (``_take``) for a block of ``places`` places, ``rows`` parameters
+    and power sums to ``order``: the staged parameters, their moduli and
+    the powers u^m, (rows, place) each; the traces, (2, order, place); and
+    the powers y^m, (order, s, place), real when every s is."""
+    y = 16 if s.imag.any() else 8
+    return places * (rows * (16 + 8 + 16) + order * (2 * 16 + len(s) * y)) + 5 * 64
+
+
+def _take(work: np.ndarray, shape: tuple, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """A C-order array of ``shape`` and ``dtype`` over the front of the flat
+    uint8 array ``work``, its values as they were, and the rest of ``work``
+    from the next multiple of 64 bytes."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    return work[:size].view(dtype).reshape(shape), work[-(-size // 64) * 64 :]
+
+
+def _sweep_block(s: np.ndarray, factors, sides, local: dict, qs: np.ndarray, work: np.ndarray) -> np.ndarray:
     """The sum of log(1 - z) over one block of places, at each s, z running
     over every factor's a_i b_j q^-(s + shift); its imaginary part is a sum
     of arguments of the 1 - z.
 
-    ``local`` holds each symbol's (parameter, place) array, keyed by ``id``
+    ``local`` holds each symbol's (place, parameter) rows, keyed by ``id``
     of the symbol, and ``sides`` the (key, twist r) terms of the two
-    isobaric sums.  Each side's parameters, twisted by q^-r, are stacked
-    once: their largest moduli L1 and L2 per place give the bound
-    L1 L2 q^-(min Re s) on every |z|, the largest of the factors' bounds
-    max|a| max|b| q^-(min Re s + shift).  It splits the block once: the
-    places where the bound is at most ``_SERIES_CUT`` are summed by power
-    sums (``_series_logs``), the others by one log1p per root pair
-    (``_product_logs``).  A bound that is NaN, an overflowing factor times
-    an underflowing one, is not at most the cut, so its place takes the
-    log1p sum."""
+    isobaric sums.  Each side's parameters, twisted by q^-r, are written
+    once into one C-order (parameter, place) array, the first side's rows
+    first, a twisted term multiplied straight into its rows; it, the
+    moduli and the work arrays of ``_series_logs`` are taken from the flat
+    array ``work`` in turn (see ``_take``).  Their largest moduli L1 and L2
+    per place give the bound L1 L2 q^-(min Re s) on every |z|, the largest of
+    the factors' bounds max|a| max|b| q^-(min Re s + shift).  It splits the
+    block once: the places where the bound is at most ``_SERIES_CUT`` are
+    summed by power sums (``_series_logs``), the others by one log1p per
+    root pair (``_product_logs``).  A bound that is NaN, an overflowing
+    factor times an underflowing one, is not at most the cut, so its place
+    takes the log1p sum."""
     logq = np.log(np.asarray(qs, dtype=float))
     twists = {r: np.exp(-r * logq) for side in sides for _, r in side if r}
-    params = np.concatenate([local[key] * twists[r] if r else local[key] for side in sides for key, r in side])
-    split = sum(len(local[key]) for key, _ in sides[0])  # rows of the first side
-    moduli = np.abs(params)
+    terms = [(local[key].T, r) for side in sides for key, r in side]
+    split = sum(len(x) for x, _ in terms[: len(sides[0])])  # rows of the first side
+    params, work = _take(work, (sum(len(x) for x, _ in terms), len(qs)), complex)
+    row = 0
+    for x, r in terms:
+        if r:
+            np.multiply(x, twists[r], out=params[row : row + len(x)])
+        else:
+            params[row : row + len(x)] = x
+        row += len(x)
+    moduli, work = _take(work, params.shape, float)
+    np.abs(params, out=moduli)
     lead = (moduli[:split].max(axis=0), moduli[split:].max(axis=0))
     bound = lead[0] * lead[1] * np.exp(-s.real.min() * logq)
     far = bound <= _SERIES_CUT
     if far.all():
-        return _series_logs(s, params, split, lead, logq, bound)
+        return _series_logs(s, params, split, lead, logq, bound, work)
     near = ~far
-    total = _product_logs(s, factors, {key: x[:, near] for key, x in local.items()}, logq[near])
+    # numpy's sums follow the layout: this gather comes out in F order, as a gather of a
+    # C-order copy does, and a contiguous copy of it changes the sums in the last bit
+    total = _product_logs(s, factors, {key: x.T[:, near] for key, x in local.items()}, logq[near])
     if far.any():
-        total += _series_logs(s, params[:, far], split, (lead[0][far], lead[1][far]), logq[far], bound[far])
+        total += _series_logs(s, params[:, far], split, (lead[0][far], lead[1][far]), logq[far], bound[far],
+                              work)
     return total
 
 
@@ -196,7 +249,7 @@ def _series_order(pairs: int, beta: float) -> int:
 
 
 def _series_logs(s: np.ndarray, params: np.ndarray, split: int, lead, logq: np.ndarray,
-                 bound: np.ndarray) -> np.ndarray:
+                 bound: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """The sum of log(1 - z) over places where every |z| is at most the
     place's ``bound``, itself at most ``_SERIES_CUT``, by power sums.
 
@@ -216,7 +269,9 @@ def _series_logs(s: np.ndarray, params: np.ndarray, split: int, lead, logq: np.n
     product per order sums over the places.  When every s is real, as on
     the pole grid, y is a real exp and the product a real one on the
     (re, im) pairs of the coefficients, which saves about a tenth of a
-    ``poles`` pass over complex y at real s.
+    ``poles`` pass over complex y at real s.  The running powers from u^2
+    on, the traces and the table of y^m are taken from the flat array
+    ``work`` (see ``_take``), a new one of ``_block_bytes`` when it is None.
     Range: each isobaric sum has a term with twist r <= 0, its twists
     summing to 0 weighted by degree, and a symbol's parameters have finite
     inverses, so 1 / L1 and 1 / L2 are finite.  |u_i|, |v_j| <= 1,
@@ -246,12 +301,14 @@ def _series_logs(s: np.ndarray, params: np.ndarray, split: int, lead, logq: np.n
     real = not s.imag.any()
     y = np.exp(-np.multiply.outer(s.real if real else s, logq))
     y *= lead[0] * lead[1]
-    traces = np.empty((2, order, u.shape[1]), dtype=complex)  # p_m(u) and p_m(v), (order, place) each
-    ypow = np.empty((order,) + y.shape, dtype=y.dtype)  # (order, s, place)
-    power, ypow[0] = u, y  # the powers u^m, one order at a time
+    if work is None:
+        work = np.empty(_block_bytes(len(u), u.shape[1], order, s), dtype=np.uint8)
+    traces, work = _take(work, (2, order, u.shape[1]), complex)  # p_m(u) and p_m(v), (order, place) each
+    ypow, work = _take(work, (order,) + y.shape, y.dtype)  # (order, s, place)
+    power, ypow[0] = u, y  # the powers u^m, one order at a time, u^2 on in a work array
     for k in range(order):
         if k:
-            power = power * u if k == 1 else np.multiply(power, u, out=power)
+            power = np.multiply(power, u, out=power if k > 1 else _take(work, u.shape, complex)[0])
             np.multiply(ypow[k - 1], y, out=ypow[k])
         np.sum(power[:split], axis=0, out=traces[0, k])
         np.sum(power[split:], axis=0, out=traces[1, k])
@@ -469,7 +526,10 @@ def synthetic_reps(descriptors, seed: int, X: int) -> list[IsobaricRep]:
                 if not sym.is_self_dual:
                     # angle and twist streams must be independent
                     rng = np.random.Generator(np.random.PCG64(stream_seed(seed, key + ":twist")))
-                    params = np.exp(2j * math.pi * rng.random(len(primes)))[:, None] * params
+                    twist = np.exp(2j * math.pi * rng.random(len(primes)))
+                    # in place, twist times angles in that operand order: numpy's complex
+                    # multiply may fuse, and angles times twist can differ in the last bit
+                    np.multiply(twist[:, None], params, out=params)
                 streams[key] = params
             params = streams[key] if sym.id == key else 1 / streams[key]
             params.flags.writeable = False  # a new array, which the symbol keeps

@@ -126,14 +126,17 @@ def prime_sieve(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _prime_power_table(n: int) -> np.ndarray:
-    """Read-only boolean table of length n: entry m says whether m is a prime power."""
-    table = prime_sieve(n)
+def place_table(n: int) -> np.ndarray:
+    """Read-only uint8 table of length n >= 1: entry m is 1 when m is prime,
+    2 when m is a proper prime power and 0 otherwise.  Memoised, one table
+    per n: ``check_places`` looks places up in it and ``lseries`` reads its
+    primes from it, so one sieve serves both."""
+    table = prime_sieve(n).view(np.uint8)
     primes = powers = np.flatnonzero(table[: math.isqrt(n - 1) + 1])
     while len(primes):
         keep = powers <= (n - 1) // primes  # the next power is still below n
         primes, powers = primes[keep], powers[keep] * primes[keep]
-        table[powers] = True
+        table[powers] = 2
     table.flags.writeable = False
     return table
 
@@ -168,7 +171,7 @@ def check_places(qs: np.ndarray) -> None:
     if len(small):
         if small[0] < 2:
             check_place(int(small[0]))
-        bad = ~_prime_power_table(1 << int(small[-1]).bit_length())[small]
+        bad = place_table(1 << int(small[-1]).bit_length())[small] == 0
         if bad.any():
             check_place(int(small[bad.argmax()]))
     for q in qs[split:].tolist():

@@ -16,6 +16,7 @@ from gsp4transfer.isobaric import (
     SymbolRegistry,
     isobaric,
     load_document,
+    rows_at,
     rs_factorization,
 )
 from gsp4transfer.lseries import (
@@ -121,7 +122,7 @@ class TestPrimes:
         with pytest.raises(ValueError, match="above the largest supported bound"):
             primes_up_to(lseries.MAX_X + 1)
 
-    @pytest.mark.parametrize("x", [0, 1, 2, 3, 100, 100_000])
+    @pytest.mark.parametrize("x", [0, 1, 2, 3, 100, 1023, 1024, 100_000, 131_071, 131_072])
     def test_prime_array_is_a_read_only_sieve(self, x):
         primes = lseries._prime_array(x)
         assert primes.dtype == np.int64
@@ -131,6 +132,21 @@ class TestPrimes:
             primes[:1] = 4
         with pytest.raises(ValueError, match="above the largest supported bound"):
             lseries._prime_array(lseries.MAX_X + 1)
+
+    def test_one_sieve_per_bit_length(self, monkeypatch):
+        """The primes and the place check of a symbol built on them read one
+        table per bit length; 131 071 is prime, so the primes up to 2^17
+        are checked in the table of 2^17 that the primes up to 10^5 built."""
+        descriptors = load_document(SYNTHETIC_DOC)[1]
+        sieve, sizes = satake.prime_sieve, []
+        monkeypatch.setattr(satake, "prime_sieve", lambda n: sizes.append(n) or sieve(n))
+        lseries._prime_array.cache_clear()
+        satake.place_table.cache_clear()
+        for x in (1000, 1023, 1024, 100_000, 131_071, 131_072):
+            primes = lseries._prime_array(x)
+            CuspidalSymbol("S", 1, "S", "1", primes, np.ones((len(primes), 1), dtype=complex))
+        synthetic_reps(descriptors, 0, 100_000)
+        assert sizes == [2**10, 2**11, 2**17, 2**18]
 
 
 def local_rs_factor(sigma, tau, q, s):
@@ -484,6 +500,102 @@ class TestBlockedSweep:
             assert got.tolist() == pytest.approx(expected, rel=1e-10, abs=0)
 
 
+def concatenated_sweep(r1, r2, qs, s_values):
+    """Reference for ``lseries._sweep_values``: each block staged in fresh
+    arrays, every symbol's rows copied to a C-order (parameter, place)
+    array and the sides' rows joined by ``np.concatenate``, a twisted term
+    multiplied as a copy, then split and summed by the library's
+    ``_series_logs`` and ``_product_logs``."""
+    s = np.asarray(s_values, dtype=complex)
+    factors = [(float(f.shift), f.sigma, f.tau) for f in rs_factorization(r1, r2)]
+    symbols = {id(sym): sym for _, sigma, tau in factors for sym in (sigma, tau)}
+    sides = [[(id(sym), float(r)) for sym, r in rep.terms] for rep in (r1, r2)]
+    rows = {key: rows_at(sym, qs) for key, sym in symbols.items()}
+    total = np.zeros(len(s), dtype=complex)
+    for start in range(0, len(qs), lseries.SWEEP_BLOCK):
+        block = slice(start, start + lseries.SWEEP_BLOCK)
+        local = {}
+        for key, sym in symbols.items():
+            index = rows[key]
+            local[key] = np.ascontiguousarray((sym.params[index][block] if isinstance(index, slice)
+                                               else sym.params[index[block]]).T)
+        logq = np.log(qs[block].astype(float))
+        twists = {r: np.exp(-r * logq) for side in sides for _, r in side if r}
+        params = np.concatenate([local[key] * twists[r] if r else local[key] for side in sides for key, r in side])
+        split = sum(len(local[key]) for key, _ in sides[0])
+        moduli = np.abs(params)
+        lead = (moduli[:split].max(axis=0), moduli[split:].max(axis=0))
+        bound = lead[0] * lead[1] * np.exp(-s.real.min() * logq)
+        far = bound <= lseries._SERIES_CUT
+        if far.all():
+            total += lseries._series_logs(s, params, split, lead, logq, bound)
+            continue
+        near = ~far
+        part = lseries._product_logs(s, factors, {key: x[:, near] for key, x in local.items()}, logq[near])
+        if far.any():
+            part += lseries._series_logs(s, params[:, far], split, (lead[0][far], lead[1][far]), logq[far], bound[far])
+        total += part
+    return np.exp(-total)
+
+
+class TestStagedSweep:
+    """Each block's parameters written once into one work array, twisted
+    rows multiplied straight into it, give every bit of the concatenated
+    staging, over blocks of 300 places and of 2048, on the window above 100
+    at the default grid (power sums only) and on every prime up to 2 10^4 at
+    complex s (the first block split between the two sums), on consecutive
+    places (rows read as slices) and on every third prime (rows gathered)."""
+
+    X = 20_000
+
+    @pytest.fixture(scope="class")
+    def pairings(self):
+        primes = primes_up_to(self.X)
+        reg = SymbolRegistry()
+        sigma = sato_tate_symbol(reg, "sigma", 3, primes)
+        tau = sato_tate_symbol(reg, "tau", 4, primes)
+        big = reg.create("Big", 4, qs=primes, params=np.concatenate(
+            [_sato_tate_params(5, len(primes)), 1j * _sato_tate_params(6, len(primes))], axis=1))
+        twisted = IsobaricRep(((sigma, Fraction(1, 7)), (tau, Fraction(-1, 7))))
+        chi = synthetic_reps(load_document(CHI_DOC)[1], 9, self.X)
+        return {
+            "twisted-plain": (twisted, isobaric([sigma, tau])),
+            "twisted-twisted": (twisted, IsobaricRep(((tau, Fraction(2, 5)), (sigma, Fraction(-2, 5))))),
+            "plain-twisted": (isobaric([big]), IsobaricRep(((sigma, Fraction(1, 3)), (tau, Fraction(-1, 3))))),
+            "chi": tuple(chi),
+        }
+
+    @pytest.mark.parametrize("block", [300, lseries.SWEEP_BLOCK])
+    @pytest.mark.parametrize("places", ["window", "every-third"])
+    @pytest.mark.parametrize("s_values", [DEFAULT_GRID, (1.5 + 7.25j,), (0.75 - 2j, 2 + 3j)],
+                             ids=["grid", "complex", "two-complex"])
+    def test_same_bits_as_concatenated_staging(self, monkeypatch, pairings, block, places, s_values):
+        monkeypatch.setattr(lseries, "SWEEP_BLOCK", block)
+        qs = lseries._prime_array(self.X)
+        if s_values == DEFAULT_GRID:
+            qs = qs[qs > 100]
+        if places == "every-third":
+            qs = qs[::3]
+        for name, (r1, r2) in pairings.items():
+            want = concatenated_sweep(r1, r2, qs, s_values)
+            got = lseries._sweep_values(r1, r2, qs, s_values)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+
+    def test_both_sums_run_in_the_first_complex_block(self, monkeypatch):
+        """The complex-s cases above split their first block: at Re s = 0.75
+        the primes below 102 take one log1p per root pair."""
+        seen, product = [], lseries._product_logs
+
+        def spy(s, factors, local, logq):
+            seen.append(len(logq))
+            return product(s, factors, local, logq)
+
+        monkeypatch.setattr(lseries, "_product_logs", spy)
+        r1, r2 = synthetic_reps(load_document(CHI_DOC)[1], 9, self.X)
+        lseries._sweep_values(r1, r2, lseries._prime_array(self.X), [0.75 - 2j, 2 + 3j])
+        assert seen == [26]
+
+
 class TestSweep:
     def test_grid_must_decrease(self):
         with pytest.raises(ValueError):
@@ -606,6 +718,20 @@ class TestSyntheticReps:
                     assert np.array_equal(a.qs, b.qs)
                     assert np.array_equal(a.params.view(np.uint64), b.params.view(np.uint64))
 
+    def test_twist_times_angles_in_that_operand_order(self):
+        """The twisted stream is e^(2 pi i v) times the angle stream, the
+        twist the left operand, compared as bits: numpy's complex multiply
+        may fuse, and with the operands swapped it differs in the last bit
+        on machines where it does."""
+        X, seed = 20_000, 3
+        reps = synthetic_reps(load_document(CHI_DOC)[1], seed, X)
+        n = len(lseries._prime_array(X))
+        for sym in reps[0].constituents:  # A and B, which own the streams of their duals
+            angles = _sato_tate_params(stream_seed(seed, sym.id + ":angles"), n)
+            v = np.random.Generator(np.random.PCG64(stream_seed(seed, sym.id + ":twist"))).random(n)
+            want = np.exp(2j * math.pi * v)[:, None] * angles
+            assert np.array_equal(sym.params.view(np.uint64), want.view(np.uint64)), sym.id
+
     def test_symbols_share_the_sieved_primes(self):
         reps = synthetic_reps(load_document(SYNTHETIC_DOC)[1], 0, 2000)
         primes = lseries._prime_array(2000)
@@ -629,7 +755,7 @@ class TestSyntheticReps:
         is_prime_power = satake._is_prime_power
         monkeypatch.setattr(satake, "_is_prime_power", lambda n: calls.append(n) or is_prime_power(n))
         descriptors = load_document(SYNTHETIC_DOC)[1]
-        satake._prime_power_table.cache_clear()
+        satake.place_table.cache_clear()
         reps = synthetic_reps(descriptors, 0, 100_000)
         assert len(reps[0].constituents[0].qs) == 9592
         assert calls == []
@@ -681,9 +807,9 @@ class TestSeriesSweep:
             seen["product"] += len(logq)
             return product(s, factors, local, logq)
 
-        def spy_series(s, params, split, lead, logq, bound):
+        def spy_series(s, params, split, lead, logq, bound, *work):
             seen["series"] += len(logq)
-            return series(s, params, split, lead, logq, bound)
+            return series(s, params, split, lead, logq, bound, *work)
 
         monkeypatch.setattr(lseries, "_product_logs", spy_product)
         monkeypatch.setattr(lseries, "_series_logs", spy_series)

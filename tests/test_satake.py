@@ -22,7 +22,6 @@ from gsp4transfer.satake import (
     MATCH_TOL,
     _is_prime_power,
     _matching_table,
-    _prime_power_table,
     as_char,
     chars_equal,
     check_place,
@@ -35,6 +34,7 @@ from gsp4transfer.satake import (
     match_multisets,
     param_from_json,
     param_to_json,
+    place_table,
     rational,
     rodier_class,
     theta_lift_params,
@@ -311,10 +311,13 @@ CAP = PRIME_POWER_TABLE_CAP
 
 class TestCheckPlaces:
     def test_table_matches_scalar_check(self):
-        reference = [_is_prime_power(n) for n in range(2**16)]
-        for k in range(2, 17):  # every size: at 2^7 the last power of 5 is 125
-            table = _prime_power_table(2**k)
-            assert table.tolist() == reference[: 2**k]
+        # 1 for a prime, 2 for a proper prime power: the prime powers p^k, k >= 2, below 2^16
+        small = [p for p in range(2, 2**8) if all(p % d for d in range(2, p))]
+        proper = {p**k for p in small for k in range(2, 16) if p**k < 2**16}
+        reference = [(2 if n in proper else 1) if _is_prime_power(n) else 0 for n in range(2**16)]
+        for k in range(0, 17):  # every size: at 2^7 the last power of 5 is 125
+            table = place_table(2**k)
+            assert table.dtype == np.uint8 and table.tolist() == reference[: 2**k]
             assert not table.flags.writeable
 
     @pytest.mark.parametrize("qs", [
