@@ -32,7 +32,6 @@ from .isobaric import (
 from .lseries import EstimationError, LocalPole, estimate_with_sweep, sweep_csv_text, synthetic_reps
 from .satake import (
     CentralCharMismatch,
-    GL4Param,
     check_place,
     exponents,
     param_doc,
@@ -318,8 +317,6 @@ def _text_rodier(payload: dict) -> str:
 
 def _cmd_rodier(args) -> tuple[dict, int]:
     param = _read_json(args.params, "parameters", param_from_json, (KeyError, ValueError))
-    if not isinstance(param, GL4Param):
-        raise UsageError("expected a gl4 parameter document")
     q = check_place(args.q)
     if not all(c.consistent_at(q) for c in param.entries):
         raise UsageError(f"exact forms disagree with their float values at q={q}")

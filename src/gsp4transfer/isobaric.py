@@ -18,7 +18,6 @@ the oracle.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -107,8 +106,10 @@ class CuspidalSymbol:
             raise ValueError(f"{label}: degree must be in 1..4, got {self.degree}")
         qs = self.qs if _frozen(self.qs, np.int64) and self.qs.ndim == 1 else place_array(self.qs, label)
         params = self.params if _frozen(self.params, np.complex128) else np.array(self.params, dtype=complex)
-        if params.shape != (len(qs), self.degree):
-            params = params.reshape(len(qs), -1 if len(qs) else self.degree)
+        if params.shape == (len(qs) * self.degree,):  # the flat form, place by place
+            params = params.reshape(len(qs), self.degree)
+        if params.ndim != 2 or len(params) != len(qs):
+            raise ValueError(f"{label}: parameters of shape {params.shape}, expected ({len(qs)}, {self.degree})")
         if params.shape[1] != self.degree:
             raise ValueError(f"{label}: {params.shape[1]} parameters per place, expected {self.degree}")
         ascending = (qs[1:] > qs[:-1]).all()
@@ -692,7 +693,8 @@ def registry_from_json(symbols: Sequence[dict]) -> SymbolRegistry:
     syms: dict[str, CuspidalSymbol] = {}
     for doc in symbols:
         sid, degree, dual = doc.get("id"), doc.get("degree"), doc.get("dual")
-        cc, pairs = doc.get("central_char", "1"), doc.get("local") or {}
+        cc, pairs = doc.get("central_char", "1"), doc.get("local")
+        pairs = {} if pairs is None else pairs
         if not all(isinstance(x, str) for x in (sid, dual, cc)):
             raise ValueError(f"symbol {clipped_repr(sid)}: id, dual and central_char must be strings")
         if sid in syms:
@@ -730,8 +732,9 @@ def descriptor_from_json(doc: dict, registry: SymbolRegistry) -> GSp4Descriptor:
     if not isinstance(doc, dict):
         raise ValueError("a descriptor must be an object")
     terms = doc.get("isobaric")
-    if not terms:
-        ids = doc.get("terms") or []
+    if terms is None:  # absent or null: the ids of "terms", each with twist 0
+        ids = doc.get("terms")
+        ids = [] if ids is None else ids  # absent or null: no terms
         terms = [{"term": t, "r": "0"} for t in ids] if isinstance(ids, list) else None
     if not isinstance(terms, list) or not all(isinstance(t, dict) and isinstance(t.get("term"), str) for t in terms):
         raise ValueError('descriptor terms must be a list of {"term": id, "r": exponent} objects')
@@ -768,15 +771,13 @@ def descriptor_from_json(doc: dict, registry: SymbolRegistry) -> GSp4Descriptor:
     return GSp4Descriptor(False, "1" if omega is None else omega, cuspidal=symbols[0])
 
 
-def load_document(doc: dict | str) -> tuple[SymbolRegistry, list[GSp4Descriptor]]:
-    """Load a representation document: symbol table plus descriptors.
+def load_document(doc: dict) -> tuple[SymbolRegistry, list[GSp4Descriptor]]:
+    """Load a decoded representation document: symbol table plus descriptors.
 
     Accepts either the flat single-descriptor form (top-level ``isobaric``
     and ``from_gso`` keys) or a ``descriptors`` array for multi-descriptor
-    files.
+    files.  Text is refused as any other document that is not an object.
     """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
     registry = registry_from_json(doc.get("symbols", []))

@@ -401,7 +401,7 @@ def _check_grid(grid: Sequence[float]) -> tuple[float, ...]:
     grid = tuple(sorted((float(s) for s in grid), reverse=True))
     if len(grid) < 5:
         raise ValueError("need at least 5 grid points")
-    if grid[0] > 1.5 or grid[-1] <= 1.0:
+    if not all(1.0 < s <= 1.5 for s in grid):  # NaN too
         raise ValueError("grid must lie in (1, 1.5]")
     if len(set(grid)) != len(grid):
         raise ValueError("grid points must be distinct")
@@ -639,8 +639,9 @@ def delta_eigenvalues(N: int) -> EigenvalueTable:
     a_p is the p-th coefficient of x * prod (1 - x^m)^24, computed exactly,
     only at the primes; alpha, beta are the normalized parameters with
     alpha * beta = 1 and alpha + beta = t = a_p / p^(11/2), the roots
-    t / 2 +- sqrt(t^2 / 4 - 1): a conjugate pair on the unit circle where
-    |t| <= 2, as Deligne's bound has it, and two reals otherwise.
+    t / 2 +- i sqrt(1 - t^2 / 4), a conjugate pair on the unit circle: |t| <= 2
+    by Deligne's bound (Publ. Math. IHES 43, 1974).  A t beyond it, a wrong
+    a_p, raises ArithmeticError naming p before any square root is taken.
     """
     if N > 10_000:
         raise ValueError("fixture is desk-scale: N <= 10^4")
@@ -649,14 +650,13 @@ def delta_eigenvalues(N: int) -> EigenvalueTable:
     # one float power per prime, as Python takes it: numpy's own can differ in the last bit
     t = np.array(a_p, dtype=float) / np.array([p ** ((DELTA_WEIGHT - 1) / 2) for p in qs.tolist()])
     disc = 4.0 - t * t
-    half, root = t / 2.0, np.sqrt(np.abs(disc)) / 2.0
-    circle = disc >= 0
+    if (disc < 0).any():
+        raise ArithmeticError(f"a_p beyond Deligne's bound 2 p^(11/2) at p={qs[disc < 0][0]}")
+    root = np.sqrt(disc) / 2.0
     params = np.empty((len(qs), 2), dtype=complex)
     parts = params.view(float)  # columns re alpha, im alpha, re beta, im beta
-    parts[:, 0] = np.where(circle, half, half + root)
-    parts[:, 1] = np.where(circle, root, 0.0)
-    parts[:, 2] = np.where(circle, half, half - root)
-    parts[:, 3] = np.where(circle, -root, 0.0)
+    parts[:, 0] = parts[:, 2] = t / 2.0
+    parts[:, 1], parts[:, 3] = root, -root
     params.flags.writeable = False
     rows = tuple(map(EigenvalueRow, qs.tolist(), a_p, params[:, 0].tolist(), params[:, 1].tolist()))
     return EigenvalueTable(rows, qs, params)

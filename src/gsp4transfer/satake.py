@@ -9,7 +9,7 @@ both operands have one.
 The module houses the dual-group parameter containers (GL(2), GSp(4),
 GL(4) semisimple data), the lifting maps between them, the exponent
 pattern classifier for pre-unitary subquotients, and JSON serialization
-for all parameter kinds.
+(every parameter kind is written; gl4 documents, for ``rodier``, are read).
 """
 
 from __future__ import annotations
@@ -142,18 +142,19 @@ def place_table(n: int) -> np.ndarray:
 
 
 def place_array(qs, owner: str) -> np.ndarray:
-    """qs as a flat int64 array; a non-integer place or one beyond int64 raises, naming ``owner``."""
+    """qs as a flat int64 array; nested places, a non-integer place or one beyond int64 raise, naming ``owner``."""
     try:
         arr = np.asarray(qs)
         # numpy casts uint64 to int64 with wraparound, so check the range first
         if arr.dtype.kind == "u" and np.any(arr > np.iinfo(np.int64).max):
             raise OverflowError
         out = np.array(qs, dtype=np.int64)
-        out = out if out.ndim == 1 else out.reshape(-1)  # a flat input stays one array that owns its memory
     except OverflowError:
         raise ValueError(f"{owner}: a place is beyond the int64 range") from None
     except (TypeError, ValueError):  # complex, None, text that is no number
         out = None
+    if out is not None and out.ndim != 1:
+        raise ValueError(f"{owner}: places must be a flat sequence")
     if out is None or len(out) and arr.dtype.kind not in "iu":  # float, text, bool
         raise ValueError(f"{owner}: places must be integers")
     return out
@@ -411,14 +412,6 @@ class GSp4Param:
         (x1, y1), (x2, y2) = self.pairs
         return (x1, x2, y2, y1)
 
-    @classmethod
-    def from_tuple(cls, t: Sequence[Scalar], mu: Scalar | None = None) -> "GSp4Param":
-        t = [as_char(c) for c in t]
-        if len(t) != 4:
-            raise ValueError("expected a 4-tuple")
-        m = t[0] * t[3] if mu is None else as_char(mu)
-        return cls(((t[0], t[3]), (t[1], t[2])), m)
-
 
 @dataclass(frozen=True)
 class GL4Param:
@@ -563,16 +556,13 @@ _PAIR_NUMBERS = (int, float, np.integer, np.floating)
 
 def complex_pairs(values, ndim: int, error: str) -> np.ndarray:
     """Document values that are ``[re, im]`` pairs of numbers, nested in lists
-    or tuples to ``ndim`` levels counting the pairs, or a numeric array of that
-    shape, as a complex array of the nesting's shape; a ValueError with the
-    text ``error`` for anything else, a ragged nesting too.  A boolean is not
-    a number here.
+    or tuples to ``ndim`` levels counting the pairs, as a complex array of the
+    nesting's shape; a ValueError with the text ``error`` for anything else,
+    a ragged nesting or a numpy array too.  A boolean is not a number here.
 
     The nesting and the leaf types are checked level by level on flattened
     lists, and the leaves become one flat array; numpy's own dtype rules
     decide which integers it holds (beyond [-2^63, 2^64) none)."""
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
     shape, items = [], [values]
     for _ in range(ndim):
         if not set(map(type, items)) <= _PAIR_CONTAINERS or len(sizes := set(map(len, items))) != 1:
@@ -677,28 +667,24 @@ def param_doc(kind: str, entries: list, mu: list | None = None) -> dict:
     return doc
 
 
-def param_from_json(doc: dict) -> GL2Param | GSp4Param | GL4Param:
+def param_from_json(doc: dict) -> GL4Param:
+    """The parameter of a gl4 document as ``param_to_json`` writes it; any
+    other kind is refused first, and a ``mu`` is still read and checked."""
     if not isinstance(doc, dict):
         raise ValueError("a parameter document must be a JSON object")
+    if doc.get("kind") != "gl4":
+        raise ValueError(f"expected a gl4 parameter document, got kind {clipped_repr(doc.get('kind'))}")
     if "entries" not in doc:
         raise ValueError("a parameter document needs entries")
-    kind = doc.get("kind")
     values = _finite_pairs(doc["entries"], 2, "entries")
-    exacts = doc.get("exact") or [None] * len(values)
-    if not isinstance(exacts, list):
+    exacts = doc.get("exact")
+    if exacts is None:
+        exacts = [None] * len(values)
+    elif not isinstance(exacts, list):
         raise ValueError("exact must be a list")
     if len(exacts) != len(values):
         raise ValueError(f"exact has length {len(exacts)} but entries has length {len(values)}")
     chars = [_char_from_json(value, ex) for value, ex in zip(values, exacts)]
-    mu = None
     if "mu" in doc:
-        mu = _char_from_json(_finite_pairs(doc["mu"], 1, "mu"), doc.get("mu_exact"))
-    if kind == "gl2":
-        if len(chars) != 2 or mu is None:
-            raise ValueError("gl2 document needs 2 entries and mu")
-        return GL2Param(chars[0], chars[1], mu)
-    if kind == "gsp4":
-        return GSp4Param.from_tuple(chars, mu)
-    if kind == "gl4":
-        return GL4Param(tuple(chars))
-    raise ValueError(f"unknown parameter kind: {clipped_repr(kind)}")
+        _char_from_json(_finite_pairs(doc["mu"], 1, "mu"), doc.get("mu_exact"))
+    return GL4Param(tuple(chars))

@@ -620,7 +620,10 @@ class TestTransfer:
     @pytest.mark.parametrize("corrupt", ["symbols_not_list", "top_level_array",
                                          "string_local_parameter", "zero_denominator",
                                          "null_degree", "isobaric_not_list", "list_id",
-                                         "string_descriptors", "list_term"])
+                                         "string_descriptors", "list_term",
+                                         # present but falsy, and of the wrong type
+                                         "local_zero", "local_list", "local_string", "local_false",
+                                         "isobaric_zero", "isobaric_object", "isobaric_empty"])
     def test_malformed_types_exit_two_without_traceback(self, capsys, tmp_path, corrupt):
         doc = lifted_pair_doc()
         if corrupt == "symbols_not_list":
@@ -639,6 +642,11 @@ class TestTransfer:
             doc = {"symbols": doc["symbols"], "descriptors": "x"}
         elif corrupt == "list_term":
             doc["isobaric"][0]["term"] = ["P1"]
+        elif corrupt.startswith("local_"):
+            doc["symbols"][0]["local"] = {"zero": 0, "list": [], "string": "", "false": False}[corrupt[6:]]
+        elif corrupt.startswith("isobaric_"):  # next to terms, which alone would be read
+            doc["terms"] = ["P1", "P2"]
+            doc["isobaric"] = {"zero": 0, "object": {}, "empty": []}[corrupt[9:]]
         else:
             doc["isobaric"][0]["r"] = "1/0"
         path = write_doc(tmp_path, doc)
@@ -872,6 +880,17 @@ class TestRodier:
         assert (code, out) == (2, "")
         assert err == "error: cannot read parameters: a parameter document needs entries\n"
 
+    @pytest.mark.parametrize("kind", ["gl2", "gsp4"])
+    def test_other_kinds_refused(self, capsys, tmp_path, kind):
+        # param_to_json writes every kind, and rodier reads gl4 only
+        param = GL2Param.make(2, 3)
+        if kind == "gsp4":
+            param = theta_lift_params(param, GL2Param.make(1, 6))
+        path = write_doc(tmp_path, param_to_json(param), "params.json")
+        code, out, err = run(capsys, "rodier", "--params", path, "--q", "9")
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read parameters: expected a gl4 parameter document, got kind '{kind}'\n"
+
     @pytest.mark.parametrize("missing", ["r", "turns"])
     def test_exact_form_without_r_or_turns_named(self, capsys, tmp_path, missing):
         doc = copy.deepcopy(RODIER_DOC)
@@ -963,7 +982,9 @@ class TestRodier:
                                          "string_coordinate", "one_element_pair", "exact_true",
                                          "exact_numbers", "mu_string", "zero_denominator",
                                          "huge_r", "infinite_turns", "nan_entry", "huge_entry",
-                                         "short_exact", "long_exact", "true_r", "false_turns"])
+                                         "short_exact", "long_exact", "true_r", "false_turns",
+                                         # present but falsy, and of the wrong type or length
+                                         "exact_empty", "exact_zero", "exact_false", "exact_object"])
     def test_malformed_parameters_exit_two(self, capsys, tmp_path, corrupt):
         doc = copy.deepcopy(RODIER_DOC)
         if corrupt == "top_level_list":
@@ -999,6 +1020,8 @@ class TestRodier:
         elif corrupt == "false_turns":  # every turns false would read as family B
             for form in doc["exact"]:
                 form["turns"] = False
+        elif corrupt in ("exact_empty", "exact_zero", "exact_false", "exact_object"):
+            doc["exact"] = {"exact_empty": [], "exact_zero": 0, "exact_false": False, "exact_object": {}}[corrupt]
         text = json.dumps(doc)
         if corrupt == "huge_entry":
             text = text.replace("3.0", "1e400", 1)

@@ -289,6 +289,16 @@ class TestSymbolConstructor:
                 got = str(exc)
             assert got == self.refusal_by_division(qs, params), z
 
+    @pytest.mark.parametrize("qs, params, message", [
+        ([2, 3], [[1, 2, 3, 4]], r"parameters of shape \(1, 4\), expected \(2, 2\)"),
+        ([2, 3], [[1, 1], [1, 1], [1, 1]], r"parameters of shape \(3, 2\), expected \(2, 2\)"),
+        ([2, 3], [1, 1, 1], r"parameters of shape \(3,\), expected \(2, 2\)"),
+        ([[2, 3]], [[1, 1], [1, 1]], "places must be a flat sequence"),
+    ], ids=["one_row_of_four", "three_rows", "flat_three", "nested_places"])
+    def test_misshaped_local_data_refused(self, qs, params, message):
+        with pytest.raises(ValueError, match=f"^symbol a: {message}$"):
+            CuspidalSymbol("a", 2, "a", "1", qs, params)
+
     def test_degree_and_place_errors_name_the_symbol(self):
         with pytest.raises(ValueError, match=r"^symbol a: degree must be in 1\.\.4, got 9$"):
             CuspidalSymbol("a", 9, "a", "1", [2], [[1] * 9])
@@ -1003,9 +1013,10 @@ class TestDocuments:
         with pytest.raises(ValueError):
             registry_from_json(doc["symbols"])
 
-    def test_json_string_accepted(self):
-        registry, descriptors = load_document(json.dumps(self.build_doc()))
-        assert descriptors[0].pair[1].id == "P2"
+    def test_json_text_refused(self):
+        # the caller decodes a file; text is a document that is not an object
+        with pytest.raises(ValueError, match="^document must be a JSON object$"):
+            load_document(json.dumps(self.build_doc()))
 
     def test_large_place_key_validates_fast(self):
         # trial division up to sqrt(q) would stall on this key for hours

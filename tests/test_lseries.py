@@ -2,6 +2,7 @@ import cmath
 import gc
 import math
 import sys
+import warnings
 import weakref
 from fractions import Fraction
 
@@ -249,6 +250,8 @@ class TestPartialL:
             partial_L(rep, rep, 50, 1.8, places=[7, 6, 2])
         with pytest.raises(ValueError, match="^partial_L: places must be integers$"):
             partial_L(rep, rep, 50, 1.8, places=[2.5])
+        with pytest.raises(ValueError, match="^partial_L: places must be a flat sequence$"):
+            partial_L(rep, rep, 50, 1.8, places=[[2, 3]])
 
     def test_conjugation_symmetry(self):
         primes = primes_up_to(500)
@@ -1035,6 +1038,8 @@ class TestPoleEstimates:
             estimate_pole_order(r_sigma, r_sigma, 2000, grid=[1.3, 1.2, 1.1])
         with pytest.raises(ValueError):
             estimate_pole_order(r_sigma, r_sigma, 2000, grid=[1.9, 1.5, 1.3, 1.2, 1.1])
+        with pytest.raises(ValueError, match=r"^grid must lie in \(1, 1\.5\]$"):
+            estimate_pole_order(r_sigma, r_sigma, 2000, grid=[1.5, 1.3, math.nan, 1.2, 1.1])
 
     def test_sweep_payload(self):
         r_sigma, _, _ = self.setup_reps(5000)
@@ -1095,6 +1100,15 @@ class TestDeltaEigenvalues:
             t = row.a_p / row.p ** 5.5
             assert abs((row.alpha + row.beta).real - t) <= 1e-9
             assert abs(row.a_p) <= 2 * row.p**5.5
+
+    def test_a_p_beyond_deligne_bound_raises(self, monkeypatch):
+        # a_2 = 91 > 2 * 2^5.5 (about 90.5) has no unit-circle pair; refused before any square root
+        coeffs = lseries._discriminant_coeffs
+        monkeypatch.setattr(lseries, "_discriminant_coeffs", lambda n, at: (91, *coeffs(n, at)[1:]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match=r"^a_p beyond Deligne's bound 2 p\^\(11/2\) at p=2$"):
+                delta_eigenvalues(100)
 
     def test_matches_sparse_oracle_at_full_size(self):
         assert _discriminant_coeffs(10_000, np.arange(10_000)) == sparse_discriminant_coeffs(10_000)

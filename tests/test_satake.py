@@ -222,18 +222,6 @@ class TestEmbedding:
         with pytest.raises(ValueError):
             GSp4Param(((as_char(2), as_char(3)), (as_char(1), as_char(5))), as_char(6))
 
-    def test_tuple_roundtrip(self):
-        p = GSp4Param(
-            ((UnramChar.from_exact(1, 0, 5), UnramChar.from_exact(2, 0, 5)),
-             (UnramChar.from_exact(0, Fraction(1, 4), 5), UnramChar.from_exact(3, -Fraction(1, 4), 5))),
-            UnramChar.from_exact(3, 0, 5),
-        )
-        again = GSp4Param.from_tuple(p.to_tuple())
-        assert again.pairs == p.pairs
-        assert again.mu.exact == p.mu.exact and chars_equal(again.mu, p.mu)
-        t = again.to_tuple()
-        assert chars_equal(t[0] * t[3], again.mu) and chars_equal(t[1] * t[2], again.mu)
-
 
 @st.composite
 def gl2_pairs_equal_mu(draw):
@@ -441,10 +429,9 @@ class TestComplexPairs:
         # integers numpy holds as int64 or uint64, alone or with floats
         ([[-(2**63), 2**64 - 1]], 2, [complex(-(2**63), 2**64 - 1)]),
         ([[2**63, 0.5]], 2, [complex(2**63, 0.5)]),
-        # tuples, numpy scalars and numeric arrays, as library callers pass them
+        # tuples and numpy scalars, as library callers pass them
         ([(1.0, 2.0), [3, 4.0]], 2, [1 + 2j, 3 + 4j]),
         ([[np.float64(1.5), np.int64(-2)]], 2, [1.5 - 2j]),
-        (np.array([[[1, 2]], [[3, 4]]]), 3, [[1 + 2j], [3 + 4j]]),
     ])
     def test_accepted(self, values, ndim, want):
         z = complex_pairs(values, ndim, "bad")
@@ -507,17 +494,6 @@ class TestSerialization:
         again = param_from_json(json.loads(text))
         assert again == p
         assert json.dumps(param_to_json(again), sort_keys=True) == text
-
-    def test_gl2_roundtrip(self):
-        p = GL2Param.make(1 + 1j, 2 - 0.5j)
-        again = param_from_json(param_to_json(p))
-        assert chars_equal(again.alpha, p.alpha) and chars_equal(again.beta, p.beta)
-        assert chars_equal(again.mu, p.mu)
-
-    def test_gsp4_roundtrip(self):
-        p = GSp4Param(((as_char(1), as_char(6)), (as_char(2), as_char(3))), as_char(6))
-        again = param_from_json(param_to_json(p))
-        assert again.to_tuple() == p.to_tuple()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,3 +100,13 @@ def test_pole_experiment_refuses_bounds_outside_range(tmp_path, bound):
     assert proc.stderr.splitlines()[-1] == "pole_order_experiment.py: error: every bound must lie in [101, 10000000]"
     assert "Traceback" not in proc.stderr and proc.stdout == ""
     assert not out.exists()
+
+
+def test_peak_rss_bounds_the_child():
+    child = ["--", sys.executable, "-c", "print('child output')"]
+    within = run_script("peak_rss.py", "--max-kib", str(10**9), *child)
+    assert within.returncode == 0, within.stderr
+    assert within.stdout == "child output\n" and re.fullmatch(r"peak RSS [1-9]\d* KiB\n", within.stderr)
+    above = run_script("peak_rss.py", "--max-kib", "1", *child)
+    assert above.returncode == 1
+    assert re.fullmatch(r"peak RSS [1-9]\d* KiB\npeak RSS above the 1 KiB bound\n", above.stderr)
