@@ -29,7 +29,7 @@ from .isobaric import (
     transfer_conditions,
     transfer_places,
 )
-from .lseries import EstimationError, LocalPole, estimate_with_sweep, sweep_csv_text, synthetic_reps
+from .lseries import DEFAULT_X, EstimationError, LocalPole, estimate_with_sweep, sweep_csv_text, synthetic_reps
 from .satake import (
     CentralCharMismatch,
     check_place,
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="symbolic and numeric pole order for a descriptor pair")
     p.add_argument("--in", dest="infile", required=True, help="descriptor JSON file")
     p.add_argument("--mode", choices=("symbolic", "numeric", "both"), default="symbolic")
-    p.add_argument("--X", type=int, default=100_000, help="truncation bound on places")
+    p.add_argument("--X", type=int, default=DEFAULT_X, help="truncation bound on places")
     p.add_argument("--seed", type=int, default=0, help="seed for synthetic data")
     p.set_defaults(func=_cmd_poles, render={"text": _text_poles, "csv": _csv_poles})
 

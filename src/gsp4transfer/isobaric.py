@@ -31,6 +31,7 @@ from .satake import (
     clipped,
     clipped_repr,
     complex_pairs,
+    doc_field,
     match_multiset_rows,
     perfect_matching,
     place_array,
@@ -40,8 +41,9 @@ from .satake import (
 
 
 class NotUnitaryNormalized(ValueError):
-    """Pole-order calculus requires all twist exponents to vanish.  ``reason``
-    is the shape lemma's, when ``validate_transfer_shape`` refused the twists."""
+    """The pole calculus and the partial products require all twist exponents
+    to vanish.  ``reason`` is the shape lemma's, when
+    ``validate_transfer_shape`` refused the twists."""
 
     constraint = "unitary_normalization"
     reason: str | None = None
@@ -269,7 +271,6 @@ class SymbolRegistry:
         *,
         central_char: str = "1",
         self_dual: bool = False,
-        dual_id: str | None = None,
         qs: Sequence[int] = (),
         params: Sequence[Sequence[complex]] = (),
     ) -> CuspidalSymbol:
@@ -277,13 +278,13 @@ class SymbolRegistry:
 
         ``qs`` are the sampled places and ``params`` holds one row of
         ``degree`` complex parameters per place, as ``CuspidalSymbol`` takes
-        them.  Unless ``self_dual`` is set, the dual symbol is materialized
-        with the entrywise-inverse local data and the inverse central
-        character.  Self-dual creation requires every sampled multiset to be
-        closed under inversion.  Nothing is registered when either id is taken.
+        them.  Unless ``self_dual`` is set, the dual symbol, with id
+        ``sid + "^"``, is materialized with the entrywise-inverse local data
+        and the inverse central character.  Self-dual creation requires every
+        sampled multiset to be closed under inversion.  Nothing is registered
+        when either id is taken.
         """
-        dual_id = sid if self_dual else dual_id or sid + "^"
-        sym = CuspidalSymbol(sid, degree, dual_id, central_char, qs, params)
+        sym = CuspidalSymbol(sid, degree, sid if self_dual else sid + "^", central_char, qs, params)
         dual = _dual_of(sym)
         self._insert(*((sym,) if dual is sym else (sym, dual)))
         return sym
@@ -369,16 +370,21 @@ class PoleReport:
         return len(self.witnesses)
 
 
+def require_untwisted(*reps: IsobaricRep) -> None:
+    """Refuse an isobaric sum with a nonzero twist exponent: the pole order
+    and the partial products take untwisted sums only."""
+    if any(r for rep in reps for _, r in rep.terms):
+        raise NotUnitaryNormalized("twist exponents must all vanish")
+
+
 def pole_order_at_one(r1: IsobaricRep, r2: IsobaricRep) -> PoleReport:
-    """Pole order of the pairing at s = 1 for unitary-normalized sums.
+    """Pole order of the pairing at s = 1 for untwisted sums.
 
     A constituent pair (i, j) contributes a simple pole exactly when the
     j-th constituent of r2 is the contragredient of the i-th constituent of
     r1; the order is additive over pairs.
     """
-    for rep in (r1, r2):
-        if any(r != 0 for _, r in rep.terms):
-            raise NotUnitaryNormalized("twist exponents must all vanish")
+    require_untwisted(r1, r2)
     witnesses = []
     for i, (s1, _) in enumerate(r1.terms):
         s1d = s1.dual()
@@ -693,8 +699,7 @@ def registry_from_json(symbols: Sequence[dict]) -> SymbolRegistry:
     syms: dict[str, CuspidalSymbol] = {}
     for doc in symbols:
         sid, degree, dual = doc.get("id"), doc.get("degree"), doc.get("dual")
-        cc, pairs = doc.get("central_char", "1"), doc.get("local")
-        pairs = {} if pairs is None else pairs
+        cc, pairs = doc_field(doc, "central_char", "1"), doc_field(doc, "local", {})
         if not all(isinstance(x, str) for x in (sid, dual, cc)):
             raise ValueError(f"symbol {clipped_repr(sid)}: id, dual and central_char must be strings")
         if sid in syms:
@@ -733,15 +738,14 @@ def descriptor_from_json(doc: dict, registry: SymbolRegistry) -> GSp4Descriptor:
         raise ValueError("a descriptor must be an object")
     terms = doc.get("isobaric")
     if terms is None:  # absent or null: the ids of "terms", each with twist 0
-        ids = doc.get("terms")
-        ids = [] if ids is None else ids  # absent or null: no terms
+        ids = doc_field(doc, "terms", [])
         terms = [{"term": t, "r": "0"} for t in ids] if isinstance(ids, list) else None
     if not isinstance(terms, list) or not all(isinstance(t, dict) and isinstance(t.get("term"), str) for t in terms):
         raise ValueError('descriptor terms must be a list of {"term": id, "r": exponent} objects')
     gross, omega = doc.get("gross_char"), doc.get("omega")  # absent or null: the default
     if not all(isinstance(v, str | None) for v in (gross, omega)):
         raise ValueError("gross_char and omega must be strings")
-    from_gso = doc.get("from_gso", False)
+    from_gso = doc_field(doc, "from_gso", False)
     if not isinstance(from_gso, bool):
         raise ValueError("from_gso must be true or false")
     # every twist is read, so a malformed one is refused even after a nonzero one
@@ -780,7 +784,7 @@ def load_document(doc: dict) -> tuple[SymbolRegistry, list[GSp4Descriptor]]:
     """
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
-    registry = registry_from_json(doc.get("symbols", []))
+    registry = registry_from_json(doc_field(doc, "symbols", []))
     descriptors = []
     if "descriptors" in doc:
         if not isinstance(doc["descriptors"], list):

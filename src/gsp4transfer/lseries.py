@@ -17,13 +17,14 @@ and almost none of the multiplicity signal, so the fit window drops places
 below a floor; the pole order is insensitive to any finite set of local
 factors, which is the point of working with partial L-functions.
 
-A partial product is exp(-sum of log(1 - z)), z running over the root
-pairs a_i b_j q^-(s + shift) of every place.  It runs over blocks of at most
-``SWEEP_BLOCK`` places, so its work arrays do not grow with X.  Each
-block's parameters are written once into a single C-order (parameter,
-place) staging array, twisted rows multiplied straight into their rows;
-the staging array and the block's other work arrays are views of one flat
-array, allocated once per call and reused by every block.  The rows of a
+A partial product takes two untwisted isobaric sums, every twist exponent
+0, as the pole calculus does, and refuses twisted ones.  It is
+exp(-sum of log(1 - z)), z running over the root pairs a_i b_j q^-s of
+every place.  It runs over blocks of at most ``SWEEP_BLOCK`` places, so its
+work arrays do not grow with X.  Each block's parameters are written once
+into a single C-order (parameter, place) staging array; the staging array
+and the block's other work arrays are views of one flat array, allocated
+once per call and reused by every block.  The rows of a
 window that is a run of a symbol's places, as every window over sieved
 primes is, are a slice, read by each block as a view; the primes up to X
 are read once from the table that also checks the symbols' places
@@ -41,8 +42,9 @@ pair, with the exact local pole check on every z.
 
 Synthetic local data is drawn from the Sato-Tate angle density
 (2/pi) sin^2(theta), the image of Haar measure on SU(2), in closed form:
-cos(theta) is the x-coordinate of a uniform point of the unit disc; a
-twist is multiplied into its angle stream in place.
+cos(theta) is the x-coordinate of a uniform point of the unit disc; the
+central twist of a non-self-dual pair is multiplied into its angle stream
+in place.
 
 A weight-12 eigenvalue table provides a real-world fixture.  Its exact
 coefficients tau(n) come from the square of a sparse series, one
@@ -67,14 +69,15 @@ from .isobaric import (
     IsobaricRep,
     SymbolRegistry,
     isobaric,
+    require_untwisted,
     rows_at,
     rs_factorization,
 )
-from .satake import check_places, place_array, place_table
+from .satake import place_table
 
 DEFAULT_GRID = (1.30, 1.20, 1.12, 1.06, 1.03)
 DEFAULT_MIN_PLACE = 100  # fit window floor: drop places q <= this
-DEFAULT_X = 100_000
+DEFAULT_X = 100_000  # `poles --X` default
 # Largest sieve bound.  With a blocked sweep, `poles --mode both` peaks at about
 # 53 MB at X = 10^6, 81 MB at 3 x 10^6 and 174 MB at this bound (Python 3.11,
 # numpy 2.4, Linux); the symbols' data and the sieve grow with X, the sweep's
@@ -124,7 +127,8 @@ def primes_up_to(x: int) -> list[int]:
 
 
 def _sweep_values(r1: IsobaricRep, r2: IsobaricRep, qs: np.ndarray, s_values) -> np.ndarray:
-    """Partial product over the places ``qs`` at each s, real or complex.
+    """Partial product of two untwisted isobaric sums over the places ``qs``
+    at each s, real or complex; a nonzero twist exponent is refused.
 
     The places are taken in blocks of at most ``SWEEP_BLOCK``, so that the
     work arrays have a fixed size whatever X is.  Each block gives the
@@ -146,13 +150,14 @@ def _sweep_values(r1: IsobaricRep, r2: IsobaricRep, qs: np.ndarray, s_values) ->
     above 100 is summed by power sums, and log|value| of a 2 + 2 pairing is
     off by about 10^-13 at most (see ``_series_logs``).  A place summed by
     log1p adds about 10^-16 per root pair to log|value|."""
+    require_untwisted(r1, r2)
     s = np.asarray(s_values, dtype=complex)
-    factors = [(float(f.shift), f.sigma, f.tau) for f in rs_factorization(r1, r2)]
-    symbols = {id(sym): sym for _, sigma, tau in factors for sym in (sigma, tau)}  # each recurs across factors
-    sides = [[(id(sym), float(r)) for sym, r in rep.terms] for rep in (r1, r2)]
+    factors = [(f.sigma, f.tau) for f in rs_factorization(r1, r2)]
+    symbols = {id(sym): sym for pair in factors for sym in pair}  # each recurs across factors
+    sides = [[id(sym) for sym in rep.constituents] for rep in (r1, r2)]
     rows = {key: rows_at(sym, qs) for key, sym in symbols.items()}  # every place, before the first block
-    height = sum(symbols[key].degree for side in sides for key, _ in side)
-    split = sum(symbols[key].degree for key, _ in sides[0])
+    height = sum(symbols[key].degree for side in sides for key in side)
+    split = sum(symbols[key].degree for key in sides[0])
     order = _series_order(split * (height - split), _SERIES_CUT)  # the most any block takes
     work = np.empty(_block_bytes(height, min(len(qs), SWEEP_BLOCK), order, s), dtype=np.uint8)
     total = np.zeros(len(s), dtype=complex)
@@ -187,34 +192,29 @@ def _take(work: np.ndarray, shape: tuple, dtype) -> tuple[np.ndarray, np.ndarray
 
 def _sweep_block(s: np.ndarray, factors, sides, local: dict, qs: np.ndarray, work: np.ndarray) -> np.ndarray:
     """The sum of log(1 - z) over one block of places, at each s, z running
-    over every factor's a_i b_j q^-(s + shift); its imaginary part is a sum
-    of arguments of the 1 - z.
+    over every factor's a_i b_j q^-s; its imaginary part is a sum of
+    arguments of the 1 - z.
 
     ``local`` holds each symbol's (place, parameter) rows, keyed by ``id``
-    of the symbol, and ``sides`` the (key, twist r) terms of the two
-    isobaric sums.  Each side's parameters, twisted by q^-r, are written
-    once into one C-order (parameter, place) array, the first side's rows
-    first, a twisted term multiplied straight into its rows; it, the
-    moduli and the work arrays of ``_series_logs`` are taken from the flat
-    array ``work`` in turn (see ``_take``).  Their largest moduli L1 and L2
-    per place give the bound L1 L2 q^-(min Re s) on every |z|, the largest of
-    the factors' bounds max|a| max|b| q^-(min Re s + shift).  It splits the
+    of the symbol, and ``sides`` the keys of the terms of the two isobaric
+    sums.  Each side's parameters are written once into one C-order
+    (parameter, place) array, the first side's rows first; it, the moduli
+    and the work arrays of ``_series_logs`` are taken from the flat array
+    ``work`` in turn (see ``_take``).  Their largest moduli L1 and L2 per
+    place give the bound L1 L2 q^-(min Re s) on every |z|, the largest of
+    the factors' bounds max|a| max|b| q^-(min Re s).  It splits the
     block once: the places where the bound is at most ``_SERIES_CUT`` are
     summed by power sums (``_series_logs``), the others by one log1p per
     root pair (``_product_logs``).  A bound that is NaN, an overflowing
     factor times an underflowing one, is not at most the cut, so its place
     takes the log1p sum."""
     logq = np.log(np.asarray(qs, dtype=float))
-    twists = {r: np.exp(-r * logq) for side in sides for _, r in side if r}
-    terms = [(local[key].T, r) for side in sides for key, r in side]
-    split = sum(len(x) for x, _ in terms[: len(sides[0])])  # rows of the first side
-    params, work = _take(work, (sum(len(x) for x, _ in terms), len(qs)), complex)
+    terms = [local[key].T for side in sides for key in side]
+    split = sum(len(x) for x in terms[: len(sides[0])])  # rows of the first side
+    params, work = _take(work, (sum(len(x) for x in terms), len(qs)), complex)
     row = 0
-    for x, r in terms:
-        if r:
-            np.multiply(x, twists[r], out=params[row : row + len(x)])
-        else:
-            params[row : row + len(x)] = x
+    for x in terms:
+        params[row : row + len(x)] = x
         row += len(x)
     moduli, work = _take(work, params.shape, float)
     np.abs(params, out=moduli)
@@ -249,11 +249,11 @@ def _series_order(pairs: int, beta: float) -> int:
 
 
 def _series_logs(s: np.ndarray, params: np.ndarray, split: int, lead, logq: np.ndarray,
-                 bound: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+                 bound: np.ndarray, work: np.ndarray) -> np.ndarray:
     """The sum of log(1 - z) over places where every |z| is at most the
     place's ``bound``, itself at most ``_SERIES_CUT``, by power sums.
 
-    ``params`` holds the twisted parameters a_i of the first isobaric sum
+    ``params`` holds the parameters a_i of the first isobaric sum
     in its first ``split`` rows and the b_j of the second in the others;
     ``lead`` holds the largest moduli L1 and L2 of the two, per place.  For
     |z| < 1, log(1 - z) = -sum_m z^m / m, and the root pairs at a place are
@@ -271,10 +271,9 @@ def _series_logs(s: np.ndarray, params: np.ndarray, split: int, lead, logq: np.n
     (re, im) pairs of the coefficients, which saves about a tenth of a
     ``poles`` pass over complex y at real s.  The running powers from u^2
     on, the traces and the table of y^m are taken from the flat array
-    ``work`` (see ``_take``), a new one of ``_block_bytes`` when it is None.
-    Range: each isobaric sum has a term with twist r <= 0, its twists
-    summing to 0 weighted by degree, and a symbol's parameters have finite
-    inverses, so 1 / L1 and 1 / L2 are finite.  |u_i|, |v_j| <= 1,
+    ``work`` (see ``_take``), of at least ``_block_bytes``.
+    Range: a symbol's parameters have finite inverses, so 1 / L1 and
+    1 / L2 are finite.  |u_i|, |v_j| <= 1,
     |p_m(u) p_m(v)| <= K for the K pairs and |y| <= beta, the place's
     bound, so nothing overflows, and what underflows is below 2^-1022 in
     modulus; no 1 - z is formed, and every |1 - z| is at least 31/32, so
@@ -301,8 +300,6 @@ def _series_logs(s: np.ndarray, params: np.ndarray, split: int, lead, logq: np.n
     real = not s.imag.any()
     y = np.exp(-np.multiply.outer(s.real if real else s, logq))
     y *= lead[0] * lead[1]
-    if work is None:
-        work = np.empty(_block_bytes(len(u), u.shape[1], order, s), dtype=np.uint8)
     traces, work = _take(work, (2, order, u.shape[1]), complex)  # p_m(u) and p_m(v), (order, place) each
     ypow, work = _take(work, (order,) + y.shape, y.dtype)  # (order, s, place)
     power, ypow[0] = u, y  # the powers u^m, one order at a time, u^2 on in a work array
@@ -324,17 +321,18 @@ def _series_logs(s: np.ndarray, params: np.ndarray, split: int, lead, logq: np.n
 def _product_logs(s: np.ndarray, factors, local: dict, logq: np.ndarray) -> np.ndarray:
     """The sum of log(1 - z) over places, one log1p per root pair.
 
-    Per Rankin-Selberg factor, z = a_i b_j q^-(s + shift) is one broadcast
+    Per Rankin-Selberg factor, z = a_i b_j q^-s is one broadcast
     over (s, parameter pair, place), on the (parameter, place) arrays of
     ``local``, keyed by ``id`` of the symbol.  The exact pole check
     |1 - z| < 1e-12 runs on every z before the factor's logs are taken.  A
     place whose product of the 1 - z would leave the float range has
     logs well inside it, so no product is formed."""
     total = np.zeros(len(s), dtype=complex)
-    for shift, sigma, tau in factors:
+    x = np.exp(-np.multiply.outer(s, logq))[:, None, :]  # q^-s
+    for sigma, tau in factors:
         a, b = local[id(sigma)], local[id(tau)]
         lam = (a[:, None, :] * b[None, :, :]).reshape(len(a) * len(b), len(logq))
-        z = lam * np.exp(-np.multiply.outer(s + shift, logq))[:, None, :]
+        z = lam * x
         pole = (np.abs(1.0 - z) < _POLE_EPS).any(axis=(1, 2))
         if pole.any():
             raise LocalPole(f"local factor pole at s={s[pole][0]}")
@@ -342,26 +340,11 @@ def _product_logs(s: np.ndarray, factors, local: dict, logq: np.ndarray) -> np.n
     return total
 
 
-def partial_L(
-    r1: IsobaricRep,
-    r2: IsobaricRep,
-    X: int,
-    s: complex,
-    *,
-    places: Iterable[int] | None = None,
-) -> complex:
-    """Truncated Rankin-Selberg product over the places q <= X.
-
-    An explicit set of places (ints) overrides the bound; the empty set
-    gives the empty product 1.  Local data must be present at every
-    requested place.
-    """
-    if places is None:
-        qs = _prime_array(X)
-    else:
-        qs = np.unique(place_array(list(places), "partial_L"))
-        check_places(qs)
-    return complex(_sweep_values(r1, r2, qs, [s])[0])
+def partial_L(r1: IsobaricRep, r2: IsobaricRep, X: int, s: complex) -> complex:
+    """Truncated Rankin-Selberg product of two untwisted isobaric sums over
+    the primes q <= X; none gives the empty product 1.  Local data must be
+    present at every such prime."""
+    return complex(_sweep_values(r1, r2, _prime_array(X), [s])[0])
 
 
 @dataclass(frozen=True)
@@ -408,29 +391,22 @@ def _check_grid(grid: Sequence[float]) -> tuple[float, ...]:
     return grid
 
 
-def estimate_pole_order(
-    r1: IsobaricRep,
-    r2: IsobaricRep,
-    X: int = DEFAULT_X,
-    grid: Sequence[float] | None = None,
-    *,
-    min_place: int = DEFAULT_MIN_PLACE,
-) -> float:
+def estimate_pole_order(r1: IsobaricRep, r2: IsobaricRep, X: int) -> float:
     """Estimate ord_{s=1} of the pairing from truncated products.
 
     Least-squares slope of log|partial L| against the log of the truncated
     zeta over the same window of places (see module docstring for why the
-    reference is the matched truncated zeta rather than log(1/(s - 1))).
-    The window keeps places with min_place < q <= X.
+    reference is the matched truncated zeta rather than log(1/(s - 1))),
+    at the default grid.  The window keeps the primes q with
+    ``DEFAULT_MIN_PLACE`` < q <= X.
     """
-    est, _ = estimate_with_sweep(r1, r2, X, grid, min_place=min_place)
-    return est
+    return estimate_with_sweep(r1, r2, X)[0]
 
 
 def estimate_with_sweep(
     r1: IsobaricRep,
     r2: IsobaricRep,
-    X: int = DEFAULT_X,
+    X: int,
     grid: Sequence[float] | None = None,
     *,
     min_place: int = DEFAULT_MIN_PLACE,

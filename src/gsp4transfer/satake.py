@@ -276,11 +276,12 @@ def within_tol(x, y, tol: float = MATCH_TOL):
     return (d <= tol) | (d <= tol * _modulus(x)) | (d <= tol * _modulus(y))
 
 
-def chars_equal(a: Scalar, b: Scalar, tol: float = MATCH_TOL) -> bool:
+def chars_equal(a: Scalar, b: Scalar) -> bool:
+    """Equal exactly when both have exact forms, else within ``FLOAT_TOL``."""
     a, b = as_char(a), as_char(b)
     if a.exact is not None and b.exact is not None:
         return a.exact == b.exact
-    return within_tol(a.value, b.value, tol)
+    return within_tol(a.value, b.value, FLOAT_TOL)
 
 
 def _char_key(c: UnramChar):
@@ -373,13 +374,13 @@ class GL2Param:
         object.__setattr__(self, "alpha", as_char(self.alpha))
         object.__setattr__(self, "beta", as_char(self.beta))
         object.__setattr__(self, "mu", as_char(self.mu))
-        if not chars_equal(self.mu, self.alpha * self.beta, FLOAT_TOL):
+        if not chars_equal(self.mu, self.alpha * self.beta):
             raise ValueError("central value must equal alpha * beta")
 
     @classmethod
-    def make(cls, alpha: Scalar, beta: Scalar, mu: Scalar | None = None) -> "GL2Param":
+    def make(cls, alpha: Scalar, beta: Scalar) -> "GL2Param":
         alpha, beta = as_char(alpha), as_char(beta)
-        return cls(alpha, beta, alpha * beta if mu is None else as_char(mu))
+        return cls(alpha, beta, alpha * beta)
 
 
 @dataclass(frozen=True)
@@ -400,7 +401,7 @@ class GSp4Param:
         if len(pairs) != 2 or any(len(p) != 2 for p in pairs):
             raise ValueError("expected two coordinate pairs")
         for x, y in pairs:
-            if not chars_equal(x * y, mu, FLOAT_TOL):
+            if not chars_equal(x * y, mu):
                 raise ValueError("similitude violated: each pair must multiply to mu")
         pairs = tuple(tuple(sorted(p, key=_char_key)) for p in pairs)
         pairs = tuple(sorted(pairs, key=lambda p: _char_key(p[0])))
@@ -486,7 +487,7 @@ def theta_lift_params(p1: GL2Param, p2: GL2Param) -> GSp4Param:
     Raises CentralCharMismatch when the central values disagree, i.e. when
     the pair does not come from a single orthogonal-similitude datum.
     """
-    if not chars_equal(p1.mu, p2.mu, FLOAT_TOL):
+    if not chars_equal(p1.mu, p2.mu):
         raise CentralCharMismatch(
             f"central values differ: {p1.mu.value} != {p2.mu.value}"
         )
@@ -622,6 +623,13 @@ def clipped_repr(value) -> str:
     return clipped(repr(value))
 
 
+def doc_field(doc: dict, key: str, default):
+    """``doc[key]``, or ``default`` when the key is absent or null: the one
+    null rule of every optional key of a document."""
+    value = doc.get(key)
+    return default if value is None else value
+
+
 def _char_from_json(value: complex, exact) -> UnramChar:
     if exact is None:
         return UnramChar(value)
@@ -677,14 +685,12 @@ def param_from_json(doc: dict) -> GL4Param:
     if "entries" not in doc:
         raise ValueError("a parameter document needs entries")
     values = _finite_pairs(doc["entries"], 2, "entries")
-    exacts = doc.get("exact")
-    if exacts is None:
-        exacts = [None] * len(values)
-    elif not isinstance(exacts, list):
+    exacts = doc_field(doc, "exact", [None] * len(values))
+    if not isinstance(exacts, list):
         raise ValueError("exact must be a list")
     if len(exacts) != len(values):
         raise ValueError(f"exact has length {len(exacts)} but entries has length {len(values)}")
     chars = [_char_from_json(value, ex) for value, ex in zip(values, exacts)]
-    if "mu" in doc:
+    if doc.get("mu") is not None:
         _char_from_json(_finite_pairs(doc["mu"], 1, "mu"), doc.get("mu_exact"))
     return GL4Param(tuple(chars))

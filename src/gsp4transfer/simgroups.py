@@ -282,11 +282,10 @@ def _beta_codes(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
     return _pair_codes(np.eye(4, dtype=np.int64), _left_factors(left, q), *_right_columns(right, q), q)
 
 
-def _norm_vectors(q: int) -> dict[int, np.ndarray]:
-    """All vectors of F_q^4 grouped by norm v.v, in lexicographic order."""
+def _unit_vectors(q: int) -> np.ndarray:
+    """The unit vectors of F_q^4, v.v = 1, in lexicographic order."""
     grids = np.indices((q, q, q, q)).reshape(4, -1).T  # lex order
-    norms = (grids * grids).sum(axis=1) % q
-    return {lam: grids[norms == lam] for lam in range(q)}
+    return grids[(grids * grids).sum(axis=1) % q == 1]
 
 
 def _cross4(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -457,7 +456,7 @@ def _coset_representative(q: int, lam: int) -> np.ndarray:
 def enumerate_go4_codes(q: int, lam: int, pool: np.ndarray, o4: tuple) -> tuple[np.ndarray]:
     """Closed-form enumeration of {m in GO(4, F_q) : m^t m = lam I, det m = lam^2} as (codes,).
 
-    pool is the unit vectors of _norm_vectors and o4 the SO(4) columns that
+    pool is _unit_vectors(q) and o4 the SO(4) columns that
     _o4_columns draws from it; the caller builds both once.  The class is a
     coset of O(4): with g = _coset_representative(q, lam), g^t g = lam I and
     det g = lam^2, so M -> g M is a bijection from O(4) onto the class, and
@@ -665,7 +664,7 @@ def verify_gso_presentation(q: int) -> GsoPresentationReport:
     rhs = {e: _right_columns(mats[g], q) for e, g in g_at.items()}
     eye = np.eye(4, dtype=np.int64)
     eye_code = int(_encode(eye.reshape(1, 16), q)[0])
-    pool = _norm_vectors(q)[1]
+    pool = _unit_vectors(q)
     o4 = _o4_columns(pool, q)
     so_codes = enumerate_go4_codes(q, 1, pool, o4)[0]
     so_codes.sort()

@@ -522,7 +522,7 @@ class TestTransfer:
         assert code == 2 and out == ""
         assert err == "error: malformed document: symbol id 'P1' declared twice\n"
 
-    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, {}, []])
     def test_from_gso_not_boolean_exit_two(self, capsys, tmp_path, value):
         doc = lifted_pair_doc()
         doc["from_gso"] = value
@@ -1036,6 +1036,30 @@ class TestRodier:
         assert err.startswith(prefix) and err.count("\n") == 1
         if corrupt.endswith("_exact"):
             assert f"exact has length {len(doc['exact'])} but entries has length 4" in err
+
+
+@pytest.mark.parametrize("key, code", [("central_char", 0), ("from_gso", 0), ("symbols", 2), ("mu", 0)])
+def test_null_reads_as_absent(capsys, tmp_path, key, code):
+    """One null rule for every optional key: a key set to null gives the
+    output and exit code of the key left out."""
+    argv, doc = ["transfer", "--in"], {"terms": ["B"]}  # without symbols the term names none
+    holders = [doc]
+    if key == "central_char":  # then "1" for each symbol, as for the grossencharacter
+        doc = lifted_pair_doc()
+        del doc["gross_char"]
+        holders = doc["symbols"]
+    elif key == "from_gso":  # then false: the one term is a degree-4 symbol
+        doc["symbols"] = [{"id": "B", "degree": 4, "dual": "B", "local": {"2": [[1, 0], [1, 0], [-1, 0], [-1, 0]]}}]
+    elif key == "mu":  # of a gl4 document, then not read
+        argv, doc = ["rodier", "--q", "9", "--params"], copy.deepcopy(RODIER_DOC)
+        holders = [doc]
+    for holder in holders:
+        holder.pop(key, None)
+    want = run(capsys, *argv, write_doc(tmp_path, doc))
+    for holder in holders:
+        holder[key] = None
+    assert run(capsys, *argv, write_doc(tmp_path, doc)) == want
+    assert want[0] == code
 
 
 class TestParser:

@@ -14,7 +14,9 @@ from gsp4transfer.isobaric import (
     CuspidalSymbol,
     InsufficientLocalData,
     IsobaricRep,
+    NotUnitaryNormalized,
     SymbolRegistry,
+    _dual_of,
     isobaric,
     load_document,
     rows_at,
@@ -216,7 +218,7 @@ class TestPartialL:
         reg = SymbolRegistry()
         rep = trivial_rep(reg)
         assert partial_L(rep, rep, 1, 2.0) == 1.0
-        assert partial_L(rep, rep, 100, 0.5 + 1j, places=[]) == 1.0
+        assert partial_L(rep, rep, 1, 0.5 + 1j) == 1.0
 
     def test_isobaric_factorization_identity(self):
         primes = primes_up_to(200)
@@ -236,22 +238,10 @@ class TestPartialL:
         reg = SymbolRegistry()
         sigma = sato_tate_symbol(reg, "sigma", 11, primes)
         rep = isobaric([sigma])
-        part1 = [p for p in primes if p < 50]
-        part2 = [p for p in primes if p >= 50]
+        qs = lseries._prime_array(300)
         whole = partial_L(rep, rep, 300, 1.8)
-        split = partial_L(rep, rep, 300, 1.8, places=part1) * partial_L(
-            rep, rep, 300, 1.8, places=part2
-        )
-        assert abs(whole - split) <= 1e-12 * abs(whole)
-
-    def test_explicit_places_are_checked(self):
-        rep = isobaric([sato_tate_symbol(SymbolRegistry(), "sigma", 11, primes_up_to(50))])
-        with pytest.raises(ValueError, match="must be a prime power >= 2, got 6$"):
-            partial_L(rep, rep, 50, 1.8, places=[7, 6, 2])
-        with pytest.raises(ValueError, match="^partial_L: places must be integers$"):
-            partial_L(rep, rep, 50, 1.8, places=[2.5])
-        with pytest.raises(ValueError, match="^partial_L: places must be a flat sequence$"):
-            partial_L(rep, rep, 50, 1.8, places=[[2, 3]])
+        split = (lseries._sweep_values(rep, rep, part, [1.8])[0] for part in (qs[qs < 50], qs[qs >= 50]))
+        assert abs(whole - math.prod(split)) <= 1e-12 * abs(whole)
 
     def test_conjugation_symmetry(self):
         primes = primes_up_to(500)
@@ -284,23 +274,6 @@ class TestPartialL:
                 for p in primes:
                     expected *= local_rs_factor(sigma_at[p], tau_at[p], p, s)
         assert partial_L(r1, r2, 300, s) == pytest.approx(expected, rel=1e-10)
-
-    @pytest.mark.parametrize("s", [1.4, 1.2 + 3.5j])
-    def test_twisted_terms_match_local_factor_oracle(self, s):
-        """Factors with distinct shifts each use q^-(s + shift) of their own."""
-        primes = primes_up_to(200)
-        reg = SymbolRegistry()
-        sigma, tau, rho = (sato_tate_symbol(reg, sid, seed, primes)
-                           for sid, seed in (("sigma", 31), ("tau", 32), ("rho", 33)))
-        r1 = IsobaricRep(((sigma, Fraction(1, 4)), (tau, Fraction(-1, 4))))
-        r2 = IsobaricRep(((rho, Fraction(1, 8)), (sigma, Fraction(-1, 8))))
-        expected = 1.0 + 0j
-        for left, r in r1.terms:
-            for right, rr in r2.terms:
-                left_at, right_at = (dict(zip(sym.qs.tolist(), sym.params.tolist())) for sym in (left, right))
-                for p in primes:
-                    expected *= local_rs_factor(left_at[p], right_at[p], p, s + float(r + rr))
-        assert partial_L(r1, r2, 200, s) == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("s", [1.4, 0.3 + 2j])
     @pytest.mark.parametrize("degree", [1, 2, 4])
@@ -452,9 +425,8 @@ class TestBlockedSweep:
         tau = sato_tate_symbol(reg, "tau", 4, primes)
         big = reg.create("Big", 4, qs=primes, params=np.concatenate(
             [_sato_tate_params(5, len(primes)), 1j * _sato_tate_params(6, len(primes))], axis=1))
-        twisted = IsobaricRep(((sigma, Fraction(1, 7)), (tau, Fraction(-1, 7))))
         for r1, r2 in ((isobaric([sigma, tau]), isobaric([sigma, tau])),
-                       (twisted, isobaric([sigma, tau])),
+                       (isobaric([big]), isobaric([sigma, tau])),
                        (isobaric([big]), isobaric([big.dual()]))):
             blocked = self.sweep(monkeypatch, self.BLOCK, r1, r2, window, s_values)
             whole = self.sweep(monkeypatch, len(window), r1, r2, window, s_values)
@@ -503,16 +475,22 @@ class TestBlockedSweep:
             assert got.tolist() == pytest.approx(expected, rel=1e-10, abs=0)
 
 
+def series_logs(s, params, split, lead, logq, bound):
+    """``lseries._series_logs`` with a fresh work array of the size it takes."""
+    order = lseries._series_order(split * (len(params) - split), float(bound.max()))
+    work = np.empty(lseries._block_bytes(len(params), params.shape[1], order, s), dtype=np.uint8)
+    return lseries._series_logs(s, params, split, lead, logq, bound, work)
+
+
 def concatenated_sweep(r1, r2, qs, s_values):
     """Reference for ``lseries._sweep_values``: each block staged in fresh
     arrays, every symbol's rows copied to a C-order (parameter, place)
-    array and the sides' rows joined by ``np.concatenate``, a twisted term
-    multiplied as a copy, then split and summed by the library's
-    ``_series_logs`` and ``_product_logs``."""
+    array and the sides' rows joined by ``np.concatenate``, then split and
+    summed by the library's ``_series_logs`` and ``_product_logs``."""
     s = np.asarray(s_values, dtype=complex)
-    factors = [(float(f.shift), f.sigma, f.tau) for f in rs_factorization(r1, r2)]
-    symbols = {id(sym): sym for _, sigma, tau in factors for sym in (sigma, tau)}
-    sides = [[(id(sym), float(r)) for sym, r in rep.terms] for rep in (r1, r2)]
+    factors = [(f.sigma, f.tau) for f in rs_factorization(r1, r2)]
+    symbols = {id(sym): sym for pair in factors for sym in pair}
+    sides = [[id(sym) for sym in rep.constituents] for rep in (r1, r2)]
     rows = {key: rows_at(sym, qs) for key, sym in symbols.items()}
     total = np.zeros(len(s), dtype=complex)
     for start in range(0, len(qs), lseries.SWEEP_BLOCK):
@@ -523,31 +501,30 @@ def concatenated_sweep(r1, r2, qs, s_values):
             local[key] = np.ascontiguousarray((sym.params[index][block] if isinstance(index, slice)
                                                else sym.params[index[block]]).T)
         logq = np.log(qs[block].astype(float))
-        twists = {r: np.exp(-r * logq) for side in sides for _, r in side if r}
-        params = np.concatenate([local[key] * twists[r] if r else local[key] for side in sides for key, r in side])
-        split = sum(len(local[key]) for key, _ in sides[0])
+        params = np.concatenate([local[key] for side in sides for key in side])
+        split = sum(len(local[key]) for key in sides[0])
         moduli = np.abs(params)
         lead = (moduli[:split].max(axis=0), moduli[split:].max(axis=0))
         bound = lead[0] * lead[1] * np.exp(-s.real.min() * logq)
         far = bound <= lseries._SERIES_CUT
         if far.all():
-            total += lseries._series_logs(s, params, split, lead, logq, bound)
+            total += series_logs(s, params, split, lead, logq, bound)
             continue
         near = ~far
         part = lseries._product_logs(s, factors, {key: x[:, near] for key, x in local.items()}, logq[near])
         if far.any():
-            part += lseries._series_logs(s, params[:, far], split, (lead[0][far], lead[1][far]), logq[far], bound[far])
+            part += series_logs(s, params[:, far], split, (lead[0][far], lead[1][far]), logq[far], bound[far])
         total += part
     return np.exp(-total)
 
 
 class TestStagedSweep:
-    """Each block's parameters written once into one work array, twisted
-    rows multiplied straight into it, give every bit of the concatenated
-    staging, over blocks of 300 places and of 2048, on the window above 100
-    at the default grid (power sums only) and on every prime up to 2 10^4 at
-    complex s (the first block split between the two sums), on consecutive
-    places (rows read as slices) and on every third prime (rows gathered)."""
+    """Each block's parameters written once into one work array give every
+    bit of the concatenated staging, over blocks of 300 places and of 2048,
+    on the window above 100 at the default grid (power sums only) and on
+    every prime up to 2 10^4 at complex s (the first block split between the
+    two sums), on consecutive places (rows read as slices) and on every
+    third prime (rows gathered)."""
 
     X = 20_000
 
@@ -559,12 +536,10 @@ class TestStagedSweep:
         tau = sato_tate_symbol(reg, "tau", 4, primes)
         big = reg.create("Big", 4, qs=primes, params=np.concatenate(
             [_sato_tate_params(5, len(primes)), 1j * _sato_tate_params(6, len(primes))], axis=1))
-        twisted = IsobaricRep(((sigma, Fraction(1, 7)), (tau, Fraction(-1, 7))))
         chi = synthetic_reps(load_document(CHI_DOC)[1], 9, self.X)
         return {
-            "twisted-plain": (twisted, isobaric([sigma, tau])),
-            "twisted-twisted": (twisted, IsobaricRep(((tau, Fraction(2, 5)), (sigma, Fraction(-2, 5))))),
-            "plain-twisted": (isobaric([big]), IsobaricRep(((sigma, Fraction(1, 3)), (tau, Fraction(-1, 3))))),
+            "sum-sum": (isobaric([sigma, tau]), isobaric([tau, sigma])),
+            "big-sum": (isobaric([big]), isobaric([sigma, tau])),
             "chi": tuple(chi),
         }
 
@@ -679,8 +654,8 @@ class TestSatoTate:
 
 def registry_reps(descriptors, seed, X):
     """Oracle: the synthetic reps through a shadow ``SymbolRegistry``, where
-    ``create`` registers each dual pair of ids from the stream of the smaller
-    id and materializes the dual."""
+    each dual pair of ids is registered from the stream of the smaller id,
+    its dual materialized as ``SymbolRegistry.create`` does."""
     primes = primes_up_to(X)
     shadow = SymbolRegistry()
     for desc in descriptors:
@@ -692,8 +667,9 @@ def registry_reps(descriptors, seed, X):
             if not sym.is_self_dual:
                 rng = np.random.Generator(np.random.PCG64(stream_seed(seed, base.id + ":twist")))
                 params = np.exp(2j * math.pi * rng.random(len(primes)))[:, None] * params
-            shadow.create(base.id, 2, central_char=base.central_char_id, self_dual=sym.is_self_dual,
-                          dual_id=base.dual_id, qs=primes, params=params)
+            made = CuspidalSymbol(base.id, 2, base.dual_id, base.central_char_id, primes, params)
+            dual = _dual_of(made)
+            shadow._insert(*((made,) if dual is made else (made, dual)))
     return [isobaric([shadow.get(s.id) for s in desc.pair]) for desc in descriptors]
 
 
@@ -769,15 +745,15 @@ class TestSyntheticReps:
 
 def fsum_log_oracle(r1, r2, qs, s):
     """The sum of log(1 - z) over the places ``qs`` and every factor's root
-    pairs, z = a_i b_j q^-(s + shift): one ``np.log1p`` per term, the real
-    and imaginary parts each added by ``math.fsum``."""
+    pairs, z = a_i b_j q^-s: one ``np.log1p`` per term, the real and
+    imaginary parts each added by ``math.fsum``."""
     qs = np.asarray(qs, dtype=np.int64)
     logq = np.log(qs.astype(float))
     re, im = [], []
     for f in rs_factorization(r1, r2):
         a = f.sigma.params[np.searchsorted(f.sigma.qs, qs)]
         b = f.tau.params[np.searchsorted(f.tau.qs, qs)]
-        x = np.exp(-(complex(s) + float(f.shift)) * logq)
+        x = np.exp(-complex(s) * logq)
         terms = np.log1p(-(a[:, :, None] * b[:, None, :]).reshape(len(qs), -1) * x[:, None]).ravel()
         re += terms.real.tolist()
         im += terms.imag.tolist()
@@ -810,9 +786,9 @@ class TestSeriesSweep:
             seen["product"] += len(logq)
             return product(s, factors, local, logq)
 
-        def spy_series(s, params, split, lead, logq, bound, *work):
+        def spy_series(s, params, split, lead, logq, bound, work):
             seen["series"] += len(logq)
-            return series(s, params, split, lead, logq, bound, *work)
+            return series(s, params, split, lead, logq, bound, work)
 
         monkeypatch.setattr(lseries, "_product_logs", spy_product)
         monkeypatch.setattr(lseries, "_series_logs", spy_series)
@@ -867,20 +843,21 @@ class TestSeriesSweep:
 
     @pytest.mark.parametrize("s", [1.1, 0.9 + 2j])
     def test_twisted_pairing(self, paths, s):
-        """Twists 1/7 and -1/7 on the first sum, so the factors' shifts are 0
-        and +-1/7: power sums take each side's parameters times q^-r, the
-        log1p sum q^-(s + shift) per factor.  The value is held to 1e-12
-        relative."""
-        X = 20_000
+        """Twists 1/7 and -1/7 on either sum are refused, as the pole
+        calculus refuses them, before any place is summed."""
+        X = 2000
         primes = primes_up_to(X)
         reg = SymbolRegistry()
         sigma = sato_tate_symbol(reg, "sigma", 3, primes)
         tau = sato_tate_symbol(reg, "tau", 4, primes)
         twisted = IsobaricRep(((sigma, Fraction(1, 7)), (tau, Fraction(-1, 7))))
         plain = isobaric([sigma, tau])
-        v = partial_L(twisted, plain, X, s)
-        assert abs(v / cmath.exp(-fsum_log_oracle(twisted, plain, primes, s)) - 1) <= 1e-12
-        assert paths["product"] > 0 and paths["series"] > 0
+        for r1, r2 in ((twisted, plain), (plain, twisted)):
+            with pytest.raises(NotUnitaryNormalized, match="^twist exponents must all vanish$"):
+                partial_L(r1, r2, X, s)
+            with pytest.raises(NotUnitaryNormalized, match="^twist exponents must all vanish$"):
+                estimate_with_sweep(r1, r2, X)
+        assert paths == {"product": 0, "series": 0}
 
     def test_sixteen_pairs_just_under_the_cut(self, paths):
         """A degree-4 symbol against its dual, 16 root pairs, on the 53
@@ -970,7 +947,7 @@ class TestStreamedSeries:
         assert bound.max() <= lseries._SERIES_CUT
         assert lseries._series_order(16, float(bound.max())) == 12
         want = table_series_logs(s, params, 4, lead, logq, bound)
-        got = lseries._series_logs(s, params.copy(order="K"), 4, lead, logq, bound)
+        got = series_logs(s, params.copy(order="K"), 4, lead, logq, bound)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -1035,11 +1012,11 @@ class TestPoleEstimates:
     def test_grid_validation(self):
         r_sigma, _, _ = self.setup_reps(2000)
         with pytest.raises(ValueError):
-            estimate_pole_order(r_sigma, r_sigma, 2000, grid=[1.3, 1.2, 1.1])
+            estimate_with_sweep(r_sigma, r_sigma, 2000, grid=[1.3, 1.2, 1.1])
         with pytest.raises(ValueError):
-            estimate_pole_order(r_sigma, r_sigma, 2000, grid=[1.9, 1.5, 1.3, 1.2, 1.1])
+            estimate_with_sweep(r_sigma, r_sigma, 2000, grid=[1.9, 1.5, 1.3, 1.2, 1.1])
         with pytest.raises(ValueError, match=r"^grid must lie in \(1, 1\.5\]$"):
-            estimate_pole_order(r_sigma, r_sigma, 2000, grid=[1.5, 1.3, math.nan, 1.2, 1.1])
+            estimate_with_sweep(r_sigma, r_sigma, 2000, grid=[1.5, 1.3, math.nan, 1.2, 1.1])
 
     def test_sweep_payload(self):
         r_sigma, _, _ = self.setup_reps(5000)

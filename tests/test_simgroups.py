@@ -12,7 +12,7 @@ from gsp4transfer.simgroups import (
     _encode,
     _mod,
     _modinv,
-    _norm_vectors,
+    _unit_vectors,
     enumerate_go4_codes,
     gl2_elements,
     verify_gso_presentation,
@@ -37,7 +37,7 @@ def go4(q):
     elements is followed by its image under M -> M diag(1, 1, 1, -1), which
     has det -lambda^2.
     """
-    pool = _norm_vectors(q)[1]
+    pool = _unit_vectors(q)
     o4 = simgroups._o4_columns(pool, q)
     codes, lams, dets = [], [], []
     for lam in range(1, q):
@@ -235,6 +235,13 @@ class TestEnumeration:
         ]
 
 
+def vectors_by_norm(q):
+    """All vectors of F_q^4 grouped by norm v.v, in lexicographic order."""
+    grid = np.indices((q, q, q, q)).reshape(4, -1).T
+    norms = (grid * grid).sum(axis=1) % q
+    return {lam: grid[norms == lam] for lam in range(q)}
+
+
 def enumerate_go4_codes_backtracking(q):
     """Reference oracle: GO(4, F_q) as (codes, lams, dets) by column backtracking.
 
@@ -242,7 +249,7 @@ def enumerate_go4_codes_backtracking(q):
     every fourth column is scanned from the pool, and the determinant is
     taken by exact integer cofactor expansion.
     """
-    by_norm = _norm_vectors(q)
+    by_norm = vectors_by_norm(q)
     codes, lams, dets = [], [], []
     for lam in range(1, q):
         pool = by_norm[lam]
@@ -267,7 +274,7 @@ def enumerate_go4_codes_per_class(q):
     gives the two norm-lambda fourth columns +-v / lambda, and the
     determinant c4 . v.  Ordered by (lambda, c1, c2, c3, c4).
     """
-    by_norm = _norm_vectors(q)
+    by_norm = vectors_by_norm(q)
     col_code = q ** (4 * np.arange(4, dtype=np.int64))
     lex_rank = q ** np.arange(3, -1, -1, dtype=np.int64)
     codes, lams, dets = [], [], []
@@ -390,7 +397,7 @@ class TestClosedFormKernels:
         to inner dimension times (q - 1)^2: below 2^24, where float32 holds every integer, and
         below 2^15, where the int16 that reduces the product does."""
         mats = gl2_elements(q)
-        pool = _norm_vectors(q)[1]
+        pool = _unit_vectors(q)
         frames = [_modinv(lam, q) * simgroups._coset_representative(q, lam).T % q for lam in range(1, q)]
         products = {  # name: (operands, inner dimension)
             "_factors": ([mats, *simgroups._factor_bases(q)], 4),
@@ -452,7 +459,7 @@ class TestClosedFormKernels:
         assert np.array_equal(plus[:, :, :3], minus[:, :, :3])
         assert np.array_equal((plus[:, :, 3] + minus[:, :, 3]) % q, np.zeros_like(plus[:, :, 3]))
         assert (dets[:size:2] == 1).all() and (dets[1:size:2] == q - 1).all()
-        pool = _norm_vectors(q)[1]
+        pool = _unit_vectors(q)
         units, cols = simgroups._so3_columns(q)
         blocks = np.zeros((cols.shape[1], 4, 4), dtype=np.int64)  # 1 (+) N for each N of SO(3), in order
         blocks[:, 0, 0] = 1
@@ -462,7 +469,7 @@ class TestClosedFormKernels:
 
     @pytest.mark.parametrize("q", SUPPORTED_Q)
     def test_frames_are_in_so4(self, q):
-        pool = _norm_vectors(q)[1]
+        pool = _unit_vectors(q)
         frames = simgroups._o4_frames(pool, q).astype(np.int64)
         assert frames.shape == (len(pool), 4, 4) and np.array_equal(frames[:, :, 0], pool)
         assert (frames.transpose(0, 2, 1) @ frames % q == I4).all()
@@ -499,7 +506,7 @@ class TestClosedFormKernels:
     def test_frame_with_a_non_orthogonal_c3_raises(self):
         """c1 = e1, c2 = e2 and each unit c3 orthogonal to e1: refused unless c3 . c2 = 0 too."""
         q = 5
-        pool = _norm_vectors(q)[1].astype(np.int32)
+        pool = _unit_vectors(q).astype(np.int32)
         e1, e2 = I4[:, :1].astype(np.int32), I4[:, 1:2].astype(np.int32)
         for c3 in pool[pool[:, 0] == 0]:
             if c3[1] == 0:
@@ -527,7 +534,7 @@ class TestClosedFormKernels:
     @pytest.mark.parametrize("q", [11, 13])
     def test_class_codes_and_dets_past_q_7(self, q):
         """Two elements of SO(4), the identity and diag(1, 1, -1, -1), carried to every class."""
-        pool = _norm_vectors(q)[1]
+        pool = _unit_vectors(q)
         index = {tuple(v): i for i, v in enumerate(pool.tolist())}
         e1, e2, e3, e4 = (tuple(row) for row in I4.tolist())
         n = len(pool)
@@ -543,7 +550,7 @@ class TestClosedFormKernels:
 
     @pytest.mark.parametrize("q", [3, 5])
     def test_listed_half_has_det_lambda_squared(self, q):
-        pool = _norm_vectors(q)[1]
+        pool = _unit_vectors(q)
         o4 = simgroups._o4_columns(pool, q)
         for lam in range(1, q):
             (codes,) = enumerate_go4_codes(q, lam, pool, o4)
