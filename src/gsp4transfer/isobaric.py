@@ -3,8 +3,8 @@
 Cuspidal representations are formal symbols: an opaque id, a degree, a
 pointer to the contragredient symbol, a central-character id, and sampled
 unramified local parameter multisets.  Symbols live in an append-only
-registry.  On top of them: duals and twists of isobaric sums, the bilinear
-Rankin-Selberg factorization, the exact pole order at s = 1, the shape
+registry.  On top of them: isobaric sums of symbols and their duals, the
+bilinear Rankin-Selberg factorization, the exact pole order at s = 1, the shape
 lemma for transfers of unitary cuspidal data (only (4; 0) and (2, 2; 0, 0)
 are admissible), which judges the twists of every document descriptor, the
 case analysis for pairs of degree-4 descriptors, and association matching
@@ -41,9 +41,9 @@ from .satake import (
 
 
 class NotUnitaryNormalized(ValueError):
-    """The pole calculus and the partial products require all twist exponents
-    to vanish.  ``reason`` is the shape lemma's, when
-    ``validate_transfer_shape`` refused the twists."""
+    """A document descriptor's twist exponents do not vanish, as those of a
+    transfer of unitary cuspidal data must.  ``reason`` is the shape lemma's,
+    when ``validate_transfer_shape`` refused the twists."""
 
     constraint = "unitary_normalization"
     reason: str | None = None
@@ -297,66 +297,41 @@ class SymbolRegistry:
 
 @dataclass(frozen=True)
 class IsobaricRep:
-    """Isobaric sum of twisted cuspidal symbols.
+    """Isobaric sum of cuspidal symbols, each untwisted: the shape lemma
+    admits no twist in a transfer of unitary cuspidal data."""
 
-    Twist exponents are exact rationals and the unitary normalization
-    ``sum(degree_i * r_i) == 0`` is enforced at construction.
-    """
-
-    terms: tuple[tuple[CuspidalSymbol, Fraction], ...]
+    constituents: tuple[CuspidalSymbol, ...]
 
     def __post_init__(self):
-        terms = tuple((sym, Fraction(r)) for sym, r in self.terms)
-        if not terms:
-            raise ValueError("isobaric sum needs at least one term")
-        if sum(sym.degree * r for sym, r in terms) != 0:
-            raise ValueError("unitary normalization violated: sum(n_i * r_i) != 0")
-        object.__setattr__(self, "terms", terms)
+        if not self.constituents:
+            raise ValueError("isobaric sum needs at least one constituent")
 
     @property
     def degree(self) -> int:
-        return sum(sym.degree for sym, _ in self.terms)
-
-    @property
-    def constituents(self) -> tuple[CuspidalSymbol, ...]:
-        return tuple(sym for sym, _ in self.terms)
+        return sum(sym.degree for sym in self.constituents)
 
 
 def isobaric(symbols: Iterable[CuspidalSymbol]) -> IsobaricRep:
-    """Untwisted isobaric sum of the given symbols."""
-    return IsobaricRep(tuple((sym, Fraction(0)) for sym in symbols))
+    """Isobaric sum of the given symbols."""
+    return IsobaricRep(tuple(symbols))
 
 
 def dual(rep: IsobaricRep) -> IsobaricRep:
-    """Termwise contragredient with negated twist exponents."""
-    return IsobaricRep(tuple((sym.dual(), -r) for sym, r in rep.terms))
+    """Termwise contragredient."""
+    return IsobaricRep(tuple(sym.dual() for sym in rep.constituents))
 
 
 def reps_equivalent(r1: IsobaricRep, r2: IsobaricRep) -> bool:
-    """Equality of isobaric sums up to reordering of terms."""
-    if len(r1.terms) != len(r2.terms):
+    """Equality of isobaric sums up to reordering of constituents."""
+    if len(r1.constituents) != len(r2.constituents):
         return False
-    adj = [[j for j, (other, rr) in enumerate(r2.terms) if r == rr and equivalent(sym, other)]
-           for sym, r in r1.terms]
+    adj = [[j for j, other in enumerate(r2.constituents) if equivalent(sym, other)] for sym in r1.constituents]
     return perfect_matching(adj) is not None
 
 
-@dataclass(frozen=True)
-class RSFactor:
-    """One Rankin-Selberg factor of the bilinear expansion."""
-
-    sigma: CuspidalSymbol
-    tau: CuspidalSymbol
-    shift: Fraction
-
-
-def rs_factorization(r1: IsobaricRep, r2: IsobaricRep) -> list[RSFactor]:
-    """Full bilinear expansion: one factor per constituent pair."""
-    return [
-        RSFactor(s1, s2, r + rr)
-        for s1, r in r1.terms
-        for s2, rr in r2.terms
-    ]
+def rs_factorization(r1: IsobaricRep, r2: IsobaricRep) -> list[tuple[CuspidalSymbol, CuspidalSymbol]]:
+    """Full bilinear expansion: one (sigma, tau) factor per constituent pair."""
+    return [(s1, s2) for s1 in r1.constituents for s2 in r2.constituents]
 
 
 @dataclass(frozen=True)
@@ -370,25 +345,17 @@ class PoleReport:
         return len(self.witnesses)
 
 
-def require_untwisted(*reps: IsobaricRep) -> None:
-    """Refuse an isobaric sum with a nonzero twist exponent: the pole order
-    and the partial products take untwisted sums only."""
-    if any(r for rep in reps for _, r in rep.terms):
-        raise NotUnitaryNormalized("twist exponents must all vanish")
-
-
 def pole_order_at_one(r1: IsobaricRep, r2: IsobaricRep) -> PoleReport:
-    """Pole order of the pairing at s = 1 for untwisted sums.
+    """Pole order of the pairing at s = 1.
 
     A constituent pair (i, j) contributes a simple pole exactly when the
     j-th constituent of r2 is the contragredient of the i-th constituent of
     r1; the order is additive over pairs.
     """
-    require_untwisted(r1, r2)
     witnesses = []
-    for i, (s1, _) in enumerate(r1.terms):
+    for i, s1 in enumerate(r1.constituents):
         s1d = s1.dual()
-        for j, (s2, _) in enumerate(r2.terms):
+        for j, s2 in enumerate(r2.constituents):
             if equivalent(s2, s1d):
                 witnesses.append((i, j))
     return PoleReport(tuple(witnesses))
@@ -739,7 +706,7 @@ def descriptor_from_json(doc: dict, registry: SymbolRegistry) -> GSp4Descriptor:
     terms = doc.get("isobaric")
     if terms is None:  # absent or null: the ids of "terms", each with twist 0
         ids = doc_field(doc, "terms", [])
-        terms = [{"term": t, "r": "0"} for t in ids] if isinstance(ids, list) else None
+        terms = [{"term": t} for t in ids] if isinstance(ids, list) else None
     if not isinstance(terms, list) or not all(isinstance(t, dict) and isinstance(t.get("term"), str) for t in terms):
         raise ValueError('descriptor terms must be a list of {"term": id, "r": exponent} objects')
     gross, omega = doc.get("gross_char"), doc.get("omega")  # absent or null: the default
@@ -749,7 +716,7 @@ def descriptor_from_json(doc: dict, registry: SymbolRegistry) -> GSp4Descriptor:
     if not isinstance(from_gso, bool):
         raise ValueError("from_gso must be true or false")
     # every twist is read, so a malformed one is refused even after a nonzero one
-    twists = sorted((rational(item.get("r", "0"), "twist exponent r") for item in terms), reverse=True)
+    twists = sorted((rational(doc_field(item, "r", "0"), "twist exponent r") for item in terms), reverse=True)
     degree = 2 if from_gso else 4
     if degree * len(twists) == 4:
         verdict = validate_transfer_shape([(degree, r) for r in twists])
@@ -780,16 +747,18 @@ def load_document(doc: dict) -> tuple[SymbolRegistry, list[GSp4Descriptor]]:
 
     Accepts either the flat single-descriptor form (top-level ``isobaric``
     and ``from_gso`` keys) or a ``descriptors`` array for multi-descriptor
-    files.  Text is refused as any other document that is not an object.
+    files; ``descriptors`` null reads as absent.  Text is refused as any
+    other document that is not an object.
     """
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
     registry = registry_from_json(doc_field(doc, "symbols", []))
     descriptors = []
-    if "descriptors" in doc:
-        if not isinstance(doc["descriptors"], list):
+    items = doc_field(doc, "descriptors", None)
+    if items is not None:
+        if not isinstance(items, list):
             raise ValueError("descriptors must be a list of objects")
-        for item in doc["descriptors"]:
+        for item in items:
             descriptors.append(descriptor_from_json(item, registry))
     elif "isobaric" in doc or "terms" in doc:
         descriptors.append(descriptor_from_json(doc, registry))

@@ -17,9 +17,8 @@ and almost none of the multiplicity signal, so the fit window drops places
 below a floor; the pole order is insensitive to any finite set of local
 factors, which is the point of working with partial L-functions.
 
-A partial product takes two untwisted isobaric sums, every twist exponent
-0, as the pole calculus does, and refuses twisted ones.  It is
-exp(-sum of log(1 - z)), z running over the root pairs a_i b_j q^-s of
+A partial product takes two isobaric sums, as the pole calculus does.  It
+is exp(-sum of log(1 - z)), z running over the root pairs a_i b_j q^-s of
 every place.  It runs over blocks of at most ``SWEEP_BLOCK`` places, so its
 work arrays do not grow with X.  Each block's parameters are written once
 into a single C-order (parameter, place) staging array; the staging array
@@ -69,7 +68,6 @@ from .isobaric import (
     IsobaricRep,
     SymbolRegistry,
     isobaric,
-    require_untwisted,
     rows_at,
     rs_factorization,
 )
@@ -127,8 +125,8 @@ def primes_up_to(x: int) -> list[int]:
 
 
 def _sweep_values(r1: IsobaricRep, r2: IsobaricRep, qs: np.ndarray, s_values) -> np.ndarray:
-    """Partial product of two untwisted isobaric sums over the places ``qs``
-    at each s, real or complex; a nonzero twist exponent is refused.
+    """Partial product of two isobaric sums over the places ``qs`` at each s,
+    real or complex.
 
     The places are taken in blocks of at most ``SWEEP_BLOCK``, so that the
     work arrays have a fixed size whatever X is.  Each block gives the
@@ -150,9 +148,8 @@ def _sweep_values(r1: IsobaricRep, r2: IsobaricRep, qs: np.ndarray, s_values) ->
     above 100 is summed by power sums, and log|value| of a 2 + 2 pairing is
     off by about 10^-13 at most (see ``_series_logs``).  A place summed by
     log1p adds about 10^-16 per root pair to log|value|."""
-    require_untwisted(r1, r2)
     s = np.asarray(s_values, dtype=complex)
-    factors = [(f.sigma, f.tau) for f in rs_factorization(r1, r2)]
+    factors = rs_factorization(r1, r2)
     symbols = {id(sym): sym for pair in factors for sym in pair}  # each recurs across factors
     sides = [[id(sym) for sym in rep.constituents] for rep in (r1, r2)]
     rows = {key: rows_at(sym, qs) for key, sym in symbols.items()}  # every place, before the first block
@@ -341,8 +338,8 @@ def _product_logs(s: np.ndarray, factors, local: dict, logq: np.ndarray) -> np.n
 
 
 def partial_L(r1: IsobaricRep, r2: IsobaricRep, X: int, s: complex) -> complex:
-    """Truncated Rankin-Selberg product of two untwisted isobaric sums over
-    the primes q <= X; none gives the empty product 1.  Local data must be
+    """Truncated Rankin-Selberg product of two isobaric sums over the primes
+    q <= X; none gives the empty product 1.  Local data must be
     present at every such prime."""
     return complex(_sweep_values(r1, r2, _prime_array(X), [s])[0])
 

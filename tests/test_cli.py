@@ -421,7 +421,7 @@ class TestTransfer:
 
     @pytest.mark.parametrize("value, want", [(0, 0), (0.0, 0), (-0.0, 0), ("0", 0), ("-0/3", 0), (" 0 ", 0),
                                              (1, 1), (1e-300, 1), ("1/2", 1), ("5e-1", 1),
-                                             (True, 2), (False, 2), (None, 2), ([0], 2), ("1/0", 2), ("x", 2),
+                                             (True, 2), (False, 2), (None, 0), ([0], 2), ("1/0", 2), ("x", 2),
                                              ("0e1000", 0), ("1e-1000", 1), ("0e3000000", 2), ("1e-1001", 2)])
     def test_twist_exponent_reads_numbers_and_rational_strings(self, capsys, tmp_path, value, want):
         doc = lifted_pair_doc()
@@ -1038,7 +1038,9 @@ class TestRodier:
             assert f"exact has length {len(doc['exact'])} but entries has length 4" in err
 
 
-@pytest.mark.parametrize("key, code", [("central_char", 0), ("from_gso", 0), ("symbols", 2), ("mu", 0)])
+@pytest.mark.parametrize("key, code", [
+    ("central_char", 0), ("from_gso", 0), ("symbols", 2), ("mu", 0), ("r", 0), ("descriptors", 0),
+])
 def test_null_reads_as_absent(capsys, tmp_path, key, code):
     """One null rule for every optional key: a key set to null gives the
     output and exit code of the key left out."""
@@ -1048,6 +1050,12 @@ def test_null_reads_as_absent(capsys, tmp_path, key, code):
         doc = lifted_pair_doc()
         del doc["gross_char"]
         holders = doc["symbols"]
+    elif key == "r":  # then 0: a lifted pair with no twist
+        doc = lifted_pair_doc()
+        holders = doc["isobaric"]
+    elif key == "descriptors":  # then the flat form
+        doc = lifted_pair_doc()
+        holders = [doc]
     elif key == "from_gso":  # then false: the one term is a degree-4 symbol
         doc["symbols"] = [{"id": "B", "degree": 4, "dual": "B", "local": {"2": [[1, 0], [1, 0], [-1, 0], [-1, 0]]}}]
     elif key == "mu":  # of a gl4 document, then not read

@@ -362,18 +362,17 @@ class TestDual:
     def test_involution(self, registry):
         s = registry.create("s", 2)
         t = registry.create("t", 2)
-        rep = IsobaricRep(((s, Fraction(1, 2)), (t, Fraction(-1, 2))))
-        assert dual(dual(rep)) == rep
+        rep = isobaric([s, t])
+        assert dual(rep) != rep and dual(dual(rep)) == rep
 
     def test_self_dual_constituents_fixed(self, registry):
         s = registry.create("s", 2, self_dual=True)
         rep = isobaric([s])
         assert dual(rep).constituents == (s,)
 
-    def test_unitary_normalization_enforced(self, registry):
-        s = registry.create("s", 2)
-        with pytest.raises(ValueError):
-            IsobaricRep(((s, Fraction(1, 2)),))
+    def test_empty_sum_refused(self):
+        with pytest.raises(ValueError, match="^isobaric sum needs at least one constituent$"):
+            IsobaricRep(())
 
 
 class TestRSFactorization:
@@ -382,7 +381,7 @@ class TestRSFactorization:
         t1, t2 = registry.create("t1", 2), registry.create("t2", 2)
         factors = rs_factorization(isobaric([s1, s2]), isobaric([t1, t2]))
         assert len(factors) == 4
-        assert {(f.sigma.id, f.tau.id) for f in factors} == {
+        assert {(sigma.id, tau.id) for sigma, tau in factors} == {
             ("s1", "t1"), ("s1", "t2"), ("s2", "t1"), ("s2", "t2"),
         }
 
@@ -394,12 +393,8 @@ class TestRSFactorization:
     def test_three_by_one(self, registry):
         syms = [registry.create(f"s{i}", 1) for i in range(3)]
         tau = registry.create("tau", 2)
-        rep = IsobaricRep(
-            ((syms[0], Fraction(1)), (syms[1], Fraction(0)), (syms[2], Fraction(-1)))
-        )
-        factors = rs_factorization(rep, isobaric([tau]))
-        assert len(factors) == 3
-        assert sorted(f.shift for f in factors) == [Fraction(-1), Fraction(0), Fraction(1)]
+        factors = rs_factorization(isobaric(syms), isobaric([tau]))
+        assert factors == [(sym, tau) for sym in syms]
 
     @given(st.integers(1, 4), st.integers(1, 4))
     def test_bilinearity(self, t1, t2):
@@ -426,12 +421,6 @@ class TestPoleOrder:
         reps = [registry.create(f"c{i}", 2) for i in range(4)]
         report = pole_order_at_one(isobaric(reps[:2]), isobaric(reps[2:]))
         assert report.order == 0 and report.witnesses == ()
-
-    def test_twists_rejected(self, registry):
-        s, t = registry.create("s", 2), registry.create("t", 2)
-        twisted = IsobaricRep(((s, Fraction(1)), (t, Fraction(-1))))
-        with pytest.raises(NotUnitaryNormalized):
-            pole_order_at_one(twisted, isobaric([s]))
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)

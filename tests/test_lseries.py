@@ -4,7 +4,6 @@ import math
 import sys
 import warnings
 import weakref
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +12,6 @@ from gsp4transfer import lseries, satake
 from gsp4transfer.isobaric import (
     CuspidalSymbol,
     InsufficientLocalData,
-    IsobaricRep,
-    NotUnitaryNormalized,
     SymbolRegistry,
     _dual_of,
     isobaric,
@@ -488,7 +485,7 @@ def concatenated_sweep(r1, r2, qs, s_values):
     array and the sides' rows joined by ``np.concatenate``, then split and
     summed by the library's ``_series_logs`` and ``_product_logs``."""
     s = np.asarray(s_values, dtype=complex)
-    factors = [(f.sigma, f.tau) for f in rs_factorization(r1, r2)]
+    factors = rs_factorization(r1, r2)
     symbols = {id(sym): sym for pair in factors for sym in pair}
     sides = [[id(sym) for sym in rep.constituents] for rep in (r1, r2)]
     rows = {key: rows_at(sym, qs) for key, sym in symbols.items()}
@@ -750,9 +747,9 @@ def fsum_log_oracle(r1, r2, qs, s):
     qs = np.asarray(qs, dtype=np.int64)
     logq = np.log(qs.astype(float))
     re, im = [], []
-    for f in rs_factorization(r1, r2):
-        a = f.sigma.params[np.searchsorted(f.sigma.qs, qs)]
-        b = f.tau.params[np.searchsorted(f.tau.qs, qs)]
+    for sigma, tau in rs_factorization(r1, r2):
+        a = sigma.params[np.searchsorted(sigma.qs, qs)]
+        b = tau.params[np.searchsorted(tau.qs, qs)]
         x = np.exp(-complex(s) * logq)
         terms = np.log1p(-(a[:, :, None] * b[:, None, :]).reshape(len(qs), -1) * x[:, None]).ravel()
         re += terms.real.tolist()
@@ -840,24 +837,6 @@ class TestSeriesSweep:
         v = partial_L(r1, r2, X, s)
         assert abs(v / cmath.exp(-fsum_log_oracle(r1, r2, lseries._prime_array(X), s)) - 1) <= 1e-12
         assert paths["series"] > 0 and paths["product"] == (26 if s.real < 1 else 4)
-
-    @pytest.mark.parametrize("s", [1.1, 0.9 + 2j])
-    def test_twisted_pairing(self, paths, s):
-        """Twists 1/7 and -1/7 on either sum are refused, as the pole
-        calculus refuses them, before any place is summed."""
-        X = 2000
-        primes = primes_up_to(X)
-        reg = SymbolRegistry()
-        sigma = sato_tate_symbol(reg, "sigma", 3, primes)
-        tau = sato_tate_symbol(reg, "tau", 4, primes)
-        twisted = IsobaricRep(((sigma, Fraction(1, 7)), (tau, Fraction(-1, 7))))
-        plain = isobaric([sigma, tau])
-        for r1, r2 in ((twisted, plain), (plain, twisted)):
-            with pytest.raises(NotUnitaryNormalized, match="^twist exponents must all vanish$"):
-                partial_L(r1, r2, X, s)
-            with pytest.raises(NotUnitaryNormalized, match="^twist exponents must all vanish$"):
-                estimate_with_sweep(r1, r2, X)
-        assert paths == {"product": 0, "series": 0}
 
     def test_sixteen_pairs_just_under_the_cut(self, paths):
         """A degree-4 symbol against its dual, 16 root pairs, on the 53

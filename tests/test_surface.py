@@ -1,6 +1,7 @@
 """No dead library surface: every top-level function, class and method under
-``src/gsp4transfer`` is named by some code that is not its own unit test, and
-every optional parameter of one is both set and left at its default there."""
+``src/gsp4transfer`` is named by some code that is not its own unit test,
+every optional parameter of one is both set and left at its default there,
+and every field of a dataclass there is read there."""
 
 import ast
 from collections import Counter, defaultdict
@@ -20,6 +21,10 @@ ALLOWED_OPTIONS = {
     "estimate_with_sweep.min_place": "the fit window's floor, which test_window_is_the_places_above_min_place "
                                      "and test_empty_window_refused vary",
 }
+
+
+def _reader_trees() -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in READERS}
 
 
 def _names(tree: ast.AST):
@@ -42,7 +47,7 @@ def _definitions(tree: ast.Module):
 
 
 def test_every_definition_has_a_reader():
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in READERS}
+    trees = _reader_trees()
     references = Counter(name for tree in trees.values() for name in _names(tree))
     unread = [
         f"{path.name}:{node.lineno} {node.name}"
@@ -72,7 +77,7 @@ def test_every_option_is_set_and_left_by_some_reader():
     """An option that every reader sets wants no default, and one that no
     reader sets wants no parameter.  A call counts by the name it calls,
     ``f(...)`` or ``x.f(...)``, outside the function's own definition."""
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in READERS}
+    trees = _reader_trees()
     calls = defaultdict(list)  # called name -> the calls
     for tree in trees.values():
         for call in ast.walk(tree):
@@ -96,3 +101,24 @@ def test_every_option_is_set_and_left_by_some_reader():
                 if f"{node.name}.{name}" not in ALLOWED_OPTIONS and not (any(passed) and not all(passed)):
                     unused.append(f"{node.name}.{name}")
     assert not unused, f"options that no reader sets, or that every reader sets: {sorted(unused)}"
+
+
+def _dataclass_fields(tree: ast.Module):
+    """(class, field) of each field declared in a top-level dataclass."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id
+
+
+def test_every_dataclass_field_is_read():
+    """A field that no reader reads as ``x.field`` holds a value that nothing
+    uses.  A read inside the field's own class counts."""
+    trees = _reader_trees()
+    reads = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{cls}.{name}" for path in SOURCES for cls, name in _dataclass_fields(trees[path]) if name not in reads]
+    assert not unread, f"dataclass fields under src/ that no reader reads: {unread}"
